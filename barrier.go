@@ -171,12 +171,14 @@ func (n *Node) serveBarrierArrive(m wire.Message) {
 		return
 	}
 
-	nw := int(r.U32())
+	// Counts come off the datagram: Count bounds each by the payload
+	// left before it sizes a make.
+	nw := r.Count(8)
 	writeIDs := make([]object.ID, 0, nw)
 	for i := 0; i < nw; i++ {
 		writeIDs = append(writeIDs, object.ID(r.U64()))
 	}
-	nl := int(r.U32())
+	nl := r.Count(2 + 4)
 	type lv struct {
 		l uint16
 		v uint32
@@ -343,17 +345,17 @@ func (n *Node) processBarrierExit(payload []byte) {
 	if r.Bool() { // run-only exit reached a memory barrier: impossible
 		n.fatalf("lots: node %d: run-only exit for full barrier", n.id)
 	}
-	np := int(r.U32())
+	np := r.Count(8 + 2)
 	plans := make([]barrierPlan, 0, np)
 	for i := 0; i < np; i++ {
 		plans = append(plans, barrierPlan{object.ID(r.U64()), int(r.U16())})
 	}
-	no := int(r.U32())
+	no := r.Count(8 + 2)
 	orders := make([]exitOrder, 0, no)
 	for i := 0; i < no; i++ {
 		orders = append(orders, exitOrder{object.ID(r.U64()), r.U16()})
 	}
-	ne := int(r.U32())
+	ne := r.Count(8 + 4)
 	type expectEntry struct {
 		id  object.ID
 		cnt int
@@ -362,7 +364,7 @@ func (n *Node) processBarrierExit(payload []byte) {
 	for i := 0; i < ne; i++ {
 		expects = append(expects, expectEntry{object.ID(r.U64()), int(r.U32())})
 	}
-	nl := int(r.U32())
+	nl := r.Count(2 + 4)
 	type lv struct {
 		l uint16
 		v uint32

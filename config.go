@@ -175,8 +175,12 @@ type Config struct {
 	Addrs []string
 
 	// UDPWindow bounds the in-flight unacknowledged fragments per UDP
-	// peer channel (and the receiver's out-of-order buffer). Zero uses
-	// the transport default (32).
+	// peer channel — which is also the size of the receiver's
+	// out-of-order buffer and the span its SACK bitmap covers. Zero uses
+	// the transport default (32). It is not the limit on bytes in
+	// flight: that one the transport derives from the socket buffer the
+	// receiving host granted, and a burst of large fragments meets it
+	// long before this.
 	UDPWindow int
 
 	// Chaos, when non-nil, injects seeded faults (drop, duplication,

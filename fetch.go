@@ -37,7 +37,7 @@ func (n *Node) fetchObject(c *object.Control) {
 		n.fatalf("lots: node %d: fetch of object %d: reply %v", n.id, id, reply.Type)
 	}
 	r := wire.NewReader(reply.Payload)
-	data := r.Bytes32()
+	data := r.Bytes32InPlace() // copied into the local span below; reply is not retained
 	ver := r.U32()
 	leased := r.Bool()
 	if r.Err() != nil || len(data) != c.Size {
@@ -115,7 +115,7 @@ func (n *Node) serveFetch(m wire.Message) {
 	}
 	data := n.objData(c)
 	var w wire.Buffer
-	w.Bytes32(data)
+	w.Grow(4 + len(data) + 5).Bytes32(data)
 	w.U32(c.Ver).Bool(n.leaseGrantLocked(c, m.From))
 	lc.Advance(n.prof.WordsCost(c.Words()))
 	restore()

@@ -452,7 +452,9 @@ func TestTCPReconnectResumesExactlyOnce(t *testing.T) {
 // TestUDPForgedAckDoesNotWedgeWindow feeds the sender an ack beyond
 // anything it transmitted (as a corrupt datagram would) and checks the
 // channel still moves traffic afterwards. Regression for the unsigned
-// window arithmetic wedging on ackedTo > nextSeq.
+// window arithmetic wedging on ackedTo > nextSeq. The byte accounting
+// must come through as well: a forged ack neither sets the byte window
+// nor lets inFlyBytes drift from the frames actually in flight.
 func TestUDPForgedAckDoesNotWedgeWindow(t *testing.T) {
 	addrs, err := FreeLocalAddrs(2)
 	if err != nil {
@@ -470,18 +472,42 @@ func TestUDPForgedAckDoesNotWedgeWindow(t *testing.T) {
 	defer e1.Close()
 
 	// Forge an absurd cumulative ack from node 1 before any traffic.
-	e0.handleAck(1, 1<<30, 0)
+	e0.handleAck(1, 1<<30, 0, ^uint32(0))
+	ss := e0.sendsts[1]
+	ss.mu.Lock()
+	share := ss.peerShare
+	ss.mu.Unlock()
+	if share != 0 {
+		t.Fatalf("forged ack set the byte window to %d", share)
+	}
+	checkBytes := func(when string) {
+		t.Helper()
+		if inFly, _, table := e0.byteWindow(1); inFly != table {
+			t.Fatalf("%s: inFlyBytes = %d, frames in flight sum to %d", when, inFly, table)
+		}
+	}
+	checkBytes("after forged ack")
 
 	// The window must still admit and deliver a windowed transfer.
 	payload := make([]byte, 3<<20) // ~48 fragments, beyond one window
 	for i := range payload {
 		payload[i] = byte(i)
 	}
+	sent := make(chan struct{})
 	go func() {
+		defer close(sent)
 		if err := e0.Send(wire.Message{Type: wire.TObjFetchReply, To: 1, Payload: payload}); err != nil {
 			t.Error(err)
 		}
 	}()
+	for sending := true; sending; {
+		select {
+		case <-sent:
+			sending = false
+		default:
+			checkBytes("mid-transfer")
+		}
+	}
 	m, ok := recvDeadline(t, e1, 30*time.Second)
 	if !ok {
 		t.Fatal("transfer wedged after forged ack")
@@ -489,6 +515,10 @@ func TestUDPForgedAckDoesNotWedgeWindow(t *testing.T) {
 	if !bytes.Equal(m.Payload, payload) {
 		t.Fatal("payload corrupted after forged ack")
 	}
+	if err := e0.Flush(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	checkBytes("after transfer")
 }
 
 // TestUDPCloseWakesWindowBlockedSender: closing an endpoint while a

@@ -223,6 +223,10 @@ func TestUDPSACKAndFastRetransmit(t *testing.T) {
 	}
 	defer e0.Close()
 
+	// The sink never advertises a byte window; grant one by hand, or the
+	// channel would hold the second message until the first is acked.
+	e0.handleAck(1, 0, 0, 1<<20)
+
 	// Six single-fragment messages -> seqs 0..5 in flight to node 1.
 	for i := 0; i < 6; i++ {
 		if err := e0.Send(wire.Message{Type: wire.TJDiff, To: 1, Payload: []byte{byte(i)}}); err != nil {
@@ -233,7 +237,7 @@ func TestUDPSACKAndFastRetransmit(t *testing.T) {
 
 	// Cumulative ack to 3, SACK for seq 5 (bit i covers ack+1+i, so
 	// seq 5 is bit 1): 0,1,2 acked, 5 selectively acked, 3,4 remain.
-	e0.handleAck(1, 3, 1<<1)
+	e0.handleAck(1, 3, 1<<1, 1<<20)
 	ss.mu.Lock()
 	ackedTo, n34 := ss.ackedTo, len(ss.inFly)
 	_, has3 := ss.inFly[3]
@@ -251,7 +255,7 @@ func TestUDPSACKAndFastRetransmit(t *testing.T) {
 	// Three duplicate cumulative acks at 3 -> fast retransmit of seq 3,
 	// exactly once (the fourth duplicate must not re-fire).
 	for i := 0; i < 4; i++ {
-		e0.handleAck(1, 3, 0)
+		e0.handleAck(1, 3, 0, 1<<20)
 	}
 	if fr := counters.FastRetrans.Load(); fr != 1 {
 		t.Fatalf("FastRetrans = %d, want exactly 1", fr)
@@ -421,4 +425,184 @@ func TestUDPExtremeReorderSoakBoundedOOO(t *testing.T) {
 	t.Logf("soak: ooo high water %d/%d, retrans=%d fast=%d rtt_samples=%d",
 		hw, e1.window, counters[0].FragsRetrans.Load(),
 		counters[0].FastRetrans.Load(), counters[0].RTTSamples.Load())
+}
+
+// byteWindow reports a channel's byte accounting toward peer: the bytes
+// in flight, their high-water mark, and the sum of the frames actually
+// in the in-flight table (which the first must always equal).
+func (e *UDPEndpoint) byteWindow(peer int) (inFly, hw, table int) {
+	ss := e.sendsts[peer]
+	ss.mu.Lock()
+	defer ss.mu.Unlock()
+	for _, fl := range ss.inFly {
+		table += len(fl.frame)
+	}
+	return ss.inFlyBytes, ss.inFlyHW, table
+}
+
+// streamLarge sends msgs 256 KiB messages from every sender to rank 0
+// at once and waits for all of them to arrive.
+func streamLarge(t *testing.T, dst *UDPEndpoint, senders []*UDPEndpoint, msgs int) {
+	t.Helper()
+	payload := make([]byte, 256<<10)
+	for i := range payload {
+		payload[i] = byte(i * 13)
+	}
+	for _, s := range senders {
+		go func() {
+			for i := 0; i < msgs; i++ {
+				if err := s.Send(wire.Message{Type: wire.TObjFetchReply, To: 0, Payload: payload}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < msgs*len(senders); i++ {
+		m, ok := recvTimeout(t, dst, 60*time.Second)
+		if !ok || !bytes.Equal(m.Payload, payload) {
+			t.Fatalf("message %d corrupted or lost", i)
+		}
+	}
+}
+
+// TestUDPByteWindowStopsSelfInflictedLoss streams five-fragment
+// messages between default endpoints — one sender, then two senders
+// bursting at one receiver. The byte window keeps each sender inside
+// its share of the receiver's socket buffer, so the kernel drops
+// (almost) nothing; with only the 32-fragment window a sender puts
+// 2 MiB in front of a 208 KiB buffer and over half of all fragments are
+// retransmissions. Window and socket buffers are the defaults; only the
+// RTO floor is raised, so that a receiver slowed by the race detector
+// is not mistaken for loss by the 2 ms timer — a datagram the kernel
+// drops still costs a retransmission.
+func TestUDPByteWindowStopsSelfInflictedLoss(t *testing.T) {
+	for _, n := range []int{2, 3} {
+		addrs, err := FreeLocalAddrs(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eps := make([]*UDPEndpoint, n)
+		counters := make([]*stats.Counters, n)
+		for i := range eps {
+			counters[i] = &stats.Counters{}
+			eps[i], err = NewUDPEndpointOptions(i, addrs, UDPOptions{Counters: counters[i], MinRTO: 100 * time.Millisecond})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer eps[i].Close()
+		}
+		granted, err := readBuffer(eps[0].conn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		share := eps[0].share.Load()
+		if want := uint32(granted / 2 / (n - 1)); share != want || share < wire.MaxDatagram {
+			t.Fatalf("n=%d: share %d, want %d (SO_RCVBUF %d split %d ways) and at least one datagram", n, share, want, granted, n-1)
+		}
+		streamLarge(t, eps[0], eps[1:], 64)
+		for i := 1; i < n; i++ {
+			sent, retrans := counters[i].FragsSent.Load(), counters[i].FragsRetrans.Load()
+			if float64(retrans)/float64(sent) >= 0.02 {
+				t.Errorf("n=%d sender %d: %d of %d fragments retransmitted (>= 2%%)", n, i, retrans, sent)
+			}
+			if err := eps[i].Flush(5 * time.Second); err != nil {
+				t.Error(err)
+			}
+			inFly, hw, table := eps[i].byteWindow(0)
+			if hw > int(share) || inFly != 0 || table != 0 {
+				t.Errorf("n=%d sender %d: %d bytes in flight at peak (share %d), %d now (table %d)", n, i, hw, share, inFly, table)
+			}
+		}
+	}
+}
+
+// TestUDPByteWindowSmallGrantDoesNotWedge models a host whose rmem_max
+// grants less than one datagram per sender: every frame is larger than
+// the share, so the channel must fall back to one datagram at a time —
+// never zero — and still deliver a multi-fragment message.
+func TestUDPByteWindowSmallGrantDoesNotWedge(t *testing.T) {
+	e0, e1, _ := newUDPPair(t, UDPOptions{})
+	e1.setRecvBuffer(64 << 10)
+	if got := e1.share.Load(); got != 32<<10 {
+		t.Fatalf("share of a 64 KiB grant = %d, want 32 KiB", got)
+	}
+	payload := make([]byte, 1<<20)
+	for i := range payload {
+		payload[i] = byte(i * 5)
+	}
+	go func() {
+		if err := e0.Send(wire.Message{Type: wire.TObjFetchReply, To: 1, Payload: payload}); err != nil {
+			t.Error(err)
+		}
+	}()
+	m, ok := recvTimeout(t, e1, 60*time.Second)
+	if !ok || !bytes.Equal(m.Payload, payload) {
+		t.Fatal("transfer wedged or corrupted under a sub-datagram share")
+	}
+	if err := e0.Flush(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	inFly, hw, table := e0.byteWindow(1)
+	if hw > wire.MaxDatagram || inFly != 0 || table != 0 {
+		t.Fatalf("peak %d bytes in flight (want one datagram, <= %d); %d left, table %d", hw, wire.MaxDatagram, inFly, table)
+	}
+}
+
+// TestUDPByteWindowAdvertisedShare feeds a channel acks whose byte
+// window is absent (an older peer), zero, and absurd: the first two
+// leave the one-datagram floor in force, the last is held by the
+// fragment window.
+func TestUDPByteWindowAdvertisedShare(t *testing.T) {
+	addrs, err := FreeLocalAddrs(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e0, err := NewUDPEndpointOptions(0, addrs, UDPOptions{Window: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e0.Close()
+	ss := e0.sendsts[1]
+	feed := func(ack []byte) {
+		t.Helper()
+		f, ok := parseFlowFrame(ack)
+		if !ok {
+			t.Fatal("ack rejected")
+		}
+		e0.handleAck(int(f.src), f.ack, f.sack, f.share)
+	}
+	const frame = 60 << 10
+	for _, tc := range []struct {
+		name string
+		ack  []byte
+	}{
+		{"absent", makeAckFrame(1, 0, 0, 1<<20)[:flowHeaderLen+sackLen]},
+		{"zero", makeAckFrame(1, 0, 0, 0)},
+	} {
+		feed(makeAckFrame(1, 0, 0, 1<<20)) // a share to fall back from
+		feed(tc.ack)
+		ss.mu.Lock()
+		idle := ss.admits(e0.window, frame)
+		ss.inFlyBytes = 1
+		busy := ss.admits(e0.window, frame)
+		ss.inFlyBytes = 0
+		ss.mu.Unlock()
+		if !idle || busy {
+			t.Errorf("%s byte window: idle channel admits=%v (want true), busy channel admits=%v (want false)", tc.name, idle, busy)
+		}
+	}
+	feed(makeAckFrame(1, 0, 0, ^uint32(0)))
+	ss.mu.Lock()
+	ss.inFlyBytes = 3 * frame
+	ss.nextSeq = 3
+	room := ss.admits(e0.window, frame)
+	ss.inFlyBytes = 4 * frame
+	ss.nextSeq = 4
+	full := ss.admits(e0.window, frame)
+	ss.inFlyBytes, ss.nextSeq = 0, 0
+	ss.mu.Unlock()
+	if !room || full {
+		t.Errorf("2^32-1 byte window over a 4-fragment window: admits at 3 in flight=%v (want true), at 4=%v (want false)", room, full)
+	}
 }

@@ -7,6 +7,7 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"repro/internal/stats"
@@ -17,7 +18,17 @@ import (
 // window flow control — the paper's "simple flow control algorithm,
 // slightly more efficient than that of the TCP protocol" (§3.6).
 //
-// The window runs in one of two modes:
+// A channel admits a fragment under two limits. The fragment window
+// (UDPOptions.Window) bounds the receiver's out-of-order buffer and the
+// span the SACK bitmap must cover. The byte window bounds what sits in
+// the peer's socket buffer: at bind every endpoint sizes its receive
+// buffer for rcvbufDatagrams datagrams per sender, reads back what the
+// kernel granted and advertises each sender's share in every ack, and a
+// sender keeps no more than that many bytes unacknowledged. Without it
+// a burst of 64 KiB fragments overruns the buffer and the kernel drops
+// the tail, which only a retransmission timer recovers.
+//
+// Retransmission runs in one of two modes:
 //
 //   - FlowAdaptiveSACK (default): each channel measures round-trip
 //     times and maintains a Jacobson/Karels SRTT/RTTVAR estimate
@@ -38,7 +49,8 @@ const (
 	frameAck  = 2
 
 	// flowHeaderLen: kind(1) + src(2) + seq(4) + ack(4). Ack frames
-	// additionally carry a sackLen-byte selective-ack bitmap as payload.
+	// additionally carry a sackLen-byte selective-ack bitmap and the
+	// shareLen-byte byte window the receiver grants this sender.
 	flowHeaderLen = 11
 
 	// sackBits is the width of the selective-ack bitmap: bit i of an
@@ -47,6 +59,15 @@ const (
 	// and simply does not cover the window's tail.
 	sackBits = 64
 	sackLen  = 8
+	shareLen = 4
+	ackLen   = flowHeaderLen + sackLen + shareLen
+
+	// rcvbufDatagrams is how many full datagrams per sender the receive
+	// buffer is sized for: one being written by the sender, one being
+	// copied by the kernel, one being read, one spare. Deeper queues buy
+	// nothing on a link this short and push queueing delay past the RTO
+	// floor.
+	rcvbufDatagrams = 4
 
 	// defaultWindow is the default number of unacknowledged fragments
 	// allowed in flight per peer channel.
@@ -136,6 +157,9 @@ type UDPEndpoint struct {
 	// onRetransmit, when non-nil, observes every resend (fragment
 	// count); used by the trace subsystem to record retransmit events.
 	onRetransmit func(frags int)
+	// share is the byte window advertised to each sender in every ack:
+	// this socket's granted receive buffer split between the peers.
+	share atomic.Uint32
 
 	inbox *mailbox
 
@@ -203,6 +227,13 @@ type sendState struct {
 	broken  bool
 	closed  bool
 
+	// Byte window: inFlyBytes is the sum of len(frame) over inFly
+	// (inFlyHW its high-water mark, for tests); peerShare is what the
+	// peer last advertised, 0 until its first ack.
+	inFlyBytes int
+	inFlyHW    int
+	peerShare  uint32
+
 	// Adaptive RTO state (Jacobson/Karels). rto == 0 means "no sample
 	// yet"; the endpoint's initial RTO applies.
 	srtt   time.Duration
@@ -212,6 +243,26 @@ type sendState struct {
 	// Fast-retransmit state: consecutive duplicate cumulative acks at
 	// ackedTo. Reset on every window advance; fires once per stall.
 	dupAcks int
+}
+
+// admits reports whether one more frame of n bytes may go in flight:
+// the fragment window has room and the bytes fit the peer's share. An
+// idle channel always admits, so a frame larger than a small share (or
+// any frame before the peer's first ack) still moves, one at a time.
+// ss.mu must be held.
+func (ss *sendState) admits(window uint32, n int) bool {
+	if ss.nextSeq-ss.ackedTo >= window {
+		return false
+	}
+	return ss.inFlyBytes == 0 || ss.inFlyBytes+n <= int(ss.peerShare)
+}
+
+// drop removes fl from the in-flight table and releases the table's
+// reference. ss.mu must be held; the caller broadcasts ss.cond.
+func (ss *sendState) drop(seq uint32, fl *flight) {
+	delete(ss.inFly, seq)
+	ss.inFlyBytes -= len(fl.frame)
+	fl.release()
 }
 
 type recvState struct {
@@ -284,6 +335,19 @@ func NewUDPEndpointDeferred(me, n int, bind string, o UDPOptions) (*UDPEndpoint,
 	if window <= 0 {
 		window = defaultWindow
 	}
+	// Size the receive buffer for the senders this rank has, then split
+	// what the kernel actually granted (rmem_max may cap the request)
+	// between them. A failed request leaves the default buffer, which
+	// the read-back reports all the same.
+	_ = conn.SetReadBuffer(max(1, n-1) * rcvbufDatagrams * wire.MaxDatagram)
+	granted, err := readBuffer(conn)
+	if err != nil {
+		err = fmt.Errorf("transport: read SO_RCVBUF of %q: %w", bind, err)
+		if cerr := conn.Close(); cerr != nil {
+			err = errors.Join(err, cerr)
+		}
+		return nil, err
+	}
 	e := &UDPEndpoint{
 		id:           me,
 		n:            n,
@@ -302,6 +366,7 @@ func NewUDPEndpointDeferred(me, n int, bind string, o UDPOptions) (*UDPEndpoint,
 		recvsts:      make([]*recvState, n),
 		done:         make(chan struct{}),
 	}
+	e.setRecvBuffer(granted)
 	if o.Chaos != nil {
 		e.chaos = newPacketChaos(*o.Chaos, me, e.rawWrite)
 	}
@@ -314,6 +379,31 @@ func NewUDPEndpointDeferred(me, n int, bind string, o UDPOptions) (*UDPEndpoint,
 	go e.readLoop()
 	go e.retransmitLoop()
 	return e, nil
+}
+
+// readBuffer reports the socket's SO_RCVBUF as the kernel accounts it.
+func readBuffer(conn *net.UDPConn) (int, error) {
+	rc, err := conn.SyscallConn()
+	if err != nil {
+		return 0, err
+	}
+	var granted int
+	var serr error
+	if err := rc.Control(func(fd uintptr) {
+		granted, serr = syscall.GetsockoptInt(int(fd), syscall.SOL_SOCKET, syscall.SO_RCVBUF)
+	}); err != nil {
+		return 0, err
+	}
+	return granted, serr
+}
+
+// setRecvBuffer derives the per-sender share from a granted SO_RCVBUF.
+// The kernel charges a datagram its payload plus bookkeeping against
+// the buffer and reports twice the payload capacity it was asked for,
+// so half the grant is what senders may fill. Tests call it to model a
+// host that grants less.
+func (e *UDPEndpoint) setRecvBuffer(granted int) {
+	e.share.Store(uint32(granted / 2 / max(1, e.n-1)))
 }
 
 // SetPeers wires the peer address list (one address per rank, this
@@ -431,7 +521,7 @@ func (e *UDPEndpoint) Send(m wire.Message) error {
 // the sequence number is known.
 func (e *UDPEndpoint) sendFrame(ss *sendState, to uint16, frame []byte) error {
 	ss.mu.Lock()
-	for !ss.broken && !ss.closed && ss.nextSeq-ss.ackedTo >= e.window {
+	for !ss.broken && !ss.closed && !ss.admits(e.window, len(frame)) {
 		ss.cond.Wait()
 	}
 	if ss.closed {
@@ -452,6 +542,8 @@ func (e *UDPEndpoint) sendFrame(ss *sendState, to uint16, frame []byte) error {
 	binary.LittleEndian.PutUint32(frame[7:], 0)
 	fl := newFlight(frame)
 	ss.inFly[seq] = fl
+	ss.inFlyBytes += len(frame)
+	ss.inFlyHW = max(ss.inFlyHW, ss.inFlyBytes)
 	fl.acquire() // for the write below
 	ss.mu.Unlock()
 	if e.inFlight.Add(1) == 1 {
@@ -477,19 +569,22 @@ func makeFrame(kind byte, src uint16, seq, ack uint32, payload []byte) []byte {
 	return f
 }
 
-// makeAckFrame builds a cumulative ack with a selective-ack bitmap.
-func makeAckFrame(src uint16, ackTo uint32, sack uint64) []byte {
-	return appendAckFrame(make([]byte, 0, flowHeaderLen+sackLen), src, ackTo, sack)
+// makeAckFrame builds a cumulative ack with a selective-ack bitmap and
+// the byte window granted to the sender.
+func makeAckFrame(src uint16, ackTo uint32, sack uint64, share uint32) []byte {
+	return appendAckFrame(make([]byte, 0, ackLen), src, ackTo, sack, share)
 }
 
-// appendAckFrame appends a cumulative ack frame (with selective-ack
-// bitmap) to dst — the allocation-free form used on the hot path.
-func appendAckFrame(dst []byte, src uint16, ackTo uint32, sack uint64) []byte {
+// appendAckFrame appends a cumulative ack frame (selective-ack bitmap,
+// then byte window) to dst — the allocation-free form used on the hot
+// path.
+func appendAckFrame(dst []byte, src uint16, ackTo uint32, sack uint64, share uint32) []byte {
 	dst = append(dst, frameAck)
 	dst = binary.LittleEndian.AppendUint16(dst, src)
 	dst = binary.LittleEndian.AppendUint32(dst, 0)
 	dst = binary.LittleEndian.AppendUint32(dst, ackTo)
-	return binary.LittleEndian.AppendUint64(dst, sack)
+	dst = binary.LittleEndian.AppendUint64(dst, sack)
+	return binary.LittleEndian.AppendUint32(dst, share)
 }
 
 // flowFrame is one parsed flow-control frame.
@@ -499,12 +594,14 @@ type flowFrame struct {
 	seq     uint32
 	ack     uint32
 	sack    uint64 // ack frames only; 0 when the bitmap is absent
+	share   uint32 // ack frames only; 0 when the byte window is absent
 	payload []byte // data frames only; aliases the input buffer
 }
 
 // parseFlowFrame decodes a datagram into a flow-control frame. It
-// rejects anything too short to carry the header; excess bytes after an
-// ack's bitmap are ignored (forward compatibility).
+// rejects anything too short to carry the header; an ack may stop after
+// the header or after the bitmap (the missing fields read as 0), and
+// excess bytes after the byte window are ignored (forward compatibility).
 func parseFlowFrame(buf []byte) (flowFrame, bool) {
 	if len(buf) < flowHeaderLen {
 		return flowFrame{}, false
@@ -519,6 +616,9 @@ func parseFlowFrame(buf []byte) (flowFrame, bool) {
 	case frameAck:
 		if len(buf) >= flowHeaderLen+sackLen {
 			f.sack = binary.LittleEndian.Uint64(buf[flowHeaderLen:])
+		}
+		if len(buf) >= ackLen {
+			f.share = binary.LittleEndian.Uint32(buf[flowHeaderLen+sackLen:])
 		}
 	case frameData:
 		f.payload = buf[flowHeaderLen:]
@@ -568,7 +668,7 @@ func (e *UDPEndpoint) readLoop() {
 		}
 		switch f.kind {
 		case frameAck:
-			e.handleAck(int(f.src), f.ack, f.sack)
+			e.handleAck(int(f.src), f.ack, f.sack, f.share)
 		case frameData:
 			// The fragment must be copied out of the read buffer before
 			// the next socket read; the copy is pooled and released by
@@ -618,7 +718,7 @@ func (e *UDPEndpoint) channelRTO(ss *sendState) time.Duration {
 	return ss.rto
 }
 
-func (e *UDPEndpoint) handleAck(from int, ackTo uint32, sack uint64) {
+func (e *UDPEndpoint) handleAck(from int, ackTo uint32, sack uint64, share uint32) {
 	ss := e.sendsts[from]
 	ss.mu.Lock()
 	// Clamp: an ack can never exceed what we actually sent. Without
@@ -631,6 +731,11 @@ func (e *UDPEndpoint) handleAck(from int, ackTo uint32, sack uint64) {
 	if forged {
 		ackTo = ss.nextSeq
 		sack = 0
+	} else if share != ss.peerShare {
+		// An ack without the field (or granting 0) drops the channel to
+		// one datagram at a time; it cannot wedge it.
+		ss.peerShare = share
+		ss.cond.Broadcast()
 	}
 	now := time.Now()
 	released := 0
@@ -641,8 +746,7 @@ func (e *UDPEndpoint) handleAck(from int, ackTo uint32, sack uint64) {
 				if e.flow == FlowAdaptiveSACK && !fl.retx {
 					e.sampleRTT(ss, now.Sub(fl.sentAt))
 				}
-				delete(ss.inFly, s)
-				fl.release() // drop the window table's reference
+				ss.drop(s, fl)
 				released++
 			}
 		}
@@ -665,10 +769,13 @@ func (e *UDPEndpoint) handleAck(from int, ackTo uint32, sack uint64) {
 				if !fl.retx {
 					e.sampleRTT(ss, now.Sub(fl.sentAt))
 				}
-				delete(ss.inFly, s)
-				fl.release()
+				ss.drop(s, fl)
 				released++
 			}
+		}
+		if released > 0 {
+			// Bytes were freed even if the window did not advance.
+			ss.cond.Broadcast()
 		}
 		// Fast retransmit: duplicate cumulative acks while data is
 		// outstanding mean the frame at ackedTo went missing but later
@@ -757,7 +864,7 @@ func (e *UDPEndpoint) handleData(from int, seq uint32, payload []byte) {
 	// sender's retransmission provokes a fresh one. The ack frame is
 	// pooled; the chaos layer (when present) copies what it delays, so
 	// releasing after the write is safe.
-	ack := appendAckFrame(wire.GetSlab(flowHeaderLen+sackLen), uint16(e.id), ackTo, sack)
+	ack := appendAckFrame(wire.GetSlab(ackLen), uint16(e.id), ackTo, sack, e.share.Load())
 	e.writeTo(from, ack)
 	wire.PutSlab(ack)
 
@@ -850,8 +957,7 @@ func (e *UDPEndpoint) retransmitLoop() {
 					// they neither retransmit nor hold the loop busy.
 					e.inFlight.Add(int64(-len(ss.inFly)))
 					for s, fl := range ss.inFly {
-						delete(ss.inFly, s)
-						fl.release()
+						ss.drop(s, fl)
 					}
 					for _, fl := range resend {
 						fl.release() // undo the write references

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // Buffer builds message payloads. Append-only; the zero value is ready
@@ -17,6 +18,13 @@ func (w *Buffer) Bytes() []byte { return w.b }
 
 // Len returns the current payload length.
 func (w *Buffer) Len() int { return len(w.b) }
+
+// Grow reserves room for n more bytes, so that a payload whose size is
+// known up front is built without regrowing.
+func (w *Buffer) Grow(n int) *Buffer {
+	w.b = slices.Grow(w.b, n)
+	return w
+}
 
 // U8 appends one byte.
 func (w *Buffer) U8(v uint8) *Buffer {
@@ -138,6 +146,22 @@ func (r *Reader) U64() uint64 {
 	return v
 }
 
+// Count reads a uint32 element count that the sender follows with that
+// many elements of at least elemSize bytes each. A count the rest of
+// the payload cannot hold fails the decode and reads as 0, so a corrupt
+// or hostile count never sizes an allocation.
+func (r *Reader) Count(elemSize int) int {
+	n := r.U32()
+	if r.err != nil {
+		return 0
+	}
+	if uint64(n) > uint64(r.Remaining()/elemSize) {
+		r.err = fmt.Errorf("%w: count %d exceeds the %d bytes left at %d bytes each", ErrPayload, n, r.Remaining(), elemSize)
+		return 0
+	}
+	return int(n)
+}
+
 // I64 reads a little-endian int64.
 func (r *Reader) I64() int64 { return int64(r.U64()) }
 
@@ -146,11 +170,19 @@ func (r *Reader) Bool() bool { return r.U8() != 0 }
 
 // Bytes32 reads a uint32-length-prefixed byte slice (copied).
 func (r *Reader) Bytes32() []byte {
+	return append([]byte(nil), r.Bytes32InPlace()...)
+}
+
+// Bytes32InPlace reads a uint32-length-prefixed byte slice without
+// copying: the result aliases the payload the Reader wraps and is valid
+// only as long as that payload is. Callers that retain the bytes use
+// Bytes32.
+func (r *Reader) Bytes32InPlace() []byte {
 	n := int(r.U32())
 	if !r.need(n) {
 		return nil
 	}
-	out := append([]byte(nil), r.b[r.off:r.off+n]...)
+	out := r.b[r.off : r.off+n : r.off+n]
 	r.off += n
 	return out
 }

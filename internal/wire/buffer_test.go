@@ -98,6 +98,51 @@ func TestBytes32CopiesData(t *testing.T) {
 	}
 }
 
+func TestBytes32InPlaceAliasesPayload(t *testing.T) {
+	var w Buffer
+	w.Bytes32([]byte("in-place")).U32(7)
+	r := NewReader(w.Bytes())
+	got := r.Bytes32InPlace()
+	if string(got) != "in-place" || r.U32() != 7 || r.Err() != nil {
+		t.Fatalf("Bytes32InPlace = %q, err %v", got, r.Err())
+	}
+	if &got[0] != &w.Bytes()[4] {
+		t.Error("Bytes32InPlace copied the payload")
+	}
+	// An append to the view must not run into the fields behind it.
+	_ = append(got, 0xFF)
+	if v := NewReader(w.Bytes()[4+len(got):]).U32(); v != 7 {
+		t.Errorf("append through the view overwrote the next field: %d", v)
+	}
+	w = Buffer{}
+	w.U32(100) // claims 100 bytes, provides none
+	r = NewReader(w.Bytes())
+	if v := r.Bytes32InPlace(); v != nil || r.Err() == nil {
+		t.Errorf("truncated Bytes32InPlace = %v, err %v", v, r.Err())
+	}
+}
+
+func TestReaderCountBoundedByPayload(t *testing.T) {
+	var w Buffer
+	w.U32(2).U64(10).U64(11)
+	r := NewReader(w.Bytes())
+	if n := r.Count(8); n != 2 || r.Err() != nil {
+		t.Fatalf("Count = %d, err %v; want 2", n, r.Err())
+	}
+	for _, claim := range []uint32{3, ^uint32(0)} {
+		w = Buffer{}
+		w.U32(claim).U64(10).U64(11)
+		r = NewReader(w.Bytes())
+		if n := r.Count(8); n != 0 || !errors.Is(r.Err(), ErrPayload) {
+			t.Errorf("Count claiming %d elements in 16 bytes = %d, err %v", claim, n, r.Err())
+		}
+	}
+	r = NewReader([]byte{1, 0}) // count itself truncated
+	if n := r.Count(8); n != 0 || r.Err() == nil {
+		t.Errorf("truncated Count = %d, err %v", n, r.Err())
+	}
+}
+
 func TestBufferReaderPropertyU64(t *testing.T) {
 	f := func(vals []uint64) bool {
 		var w Buffer

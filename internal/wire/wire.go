@@ -356,9 +356,11 @@ func fragmentInto(encoded []byte, msgID uint64, headroom int, pooled bool, fn fu
 // (§5) that the receiver must collect all fragments of a message before
 // decoding; this reassembler reproduces that behaviour (and its memory
 // cost is visible to the harness via PendingBytes).
-// All internal buffers (fragment copies, the reassembled whole) come
-// from the slab pool and are released as each message completes, so
-// the steady-state fragment path does not allocate.
+// Fragment copies come from the slab pool and are released as each
+// message completes. In copy mode a multi-fragment message is joined
+// straight into the one heap buffer its delivered payload then owns;
+// in no-copy mode the joined buffer is pooled too, so that path does
+// not allocate at all.
 type Reassembler struct {
 	pending map[uint64]*partial
 	free    []*partial // released partials, reused by the next message
@@ -428,26 +430,27 @@ func (r *Reassembler) newPartial(count int) *partial {
 	return p
 }
 
-// deliver decodes one complete encoded message. In copy mode the
-// payload is an independent allocation and buf (when pooled) goes
-// straight back to the pool; in no-copy mode the payload aliases buf,
-// which is retained until the next delivery.
-func (r *Reassembler) deliver(buf []byte, pooled bool) (Message, bool, error) {
+// deliver decodes one complete encoded message. owned says buf was
+// built for this message alone — the joined fragments of a multi-
+// fragment message — as opposed to the caller's frame. In copy mode an
+// owned buf is a heap buffer the payload may alias for good, and the
+// caller's frame is copied out of; in no-copy mode the payload always
+// aliases buf, and an owned (pooled) buf is retained until the next
+// delivery.
+func (r *Reassembler) deliver(buf []byte, owned bool) (Message, bool, error) {
 	if r.noCopy {
 		if r.last != nil {
 			PutSlab(r.last)
 			r.last = nil
 		}
-		if pooled {
+		if owned {
 			r.last = buf
 		}
-		m, err := DecodeInPlace(buf)
+	} else if !owned {
+		m, err := Decode(buf)
 		return m, err == nil, err
 	}
-	m, err := Decode(buf)
-	if pooled {
-		PutSlab(buf)
-	}
+	m, err := DecodeInPlace(buf)
 	return m, err == nil, err
 }
 
@@ -490,7 +493,12 @@ func (r *Reassembler) Feed(frag []byte) (Message, bool, error) {
 		return Message{}, false, nil
 	}
 	delete(r.pending, msgID)
-	whole := GetSlab(p.bytes)
+	var whole []byte
+	if r.noCopy {
+		whole = GetSlab(p.bytes)
+	} else {
+		whole = make([]byte, 0, p.bytes)
+	}
 	for _, f := range p.frags {
 		whole = append(whole, f...)
 	}

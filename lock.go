@@ -481,12 +481,12 @@ func (n *Node) serveLockFree(m wire.Message) {
 	r := wire.NewReader(m.Payload)
 	lk := r.U16()
 	ver := r.U32()
-	nw := int(r.U32())
+	nw := r.Count(8)
 	written := make([]object.ID, 0, nw)
 	for i := 0; i < nw; i++ {
 		written = append(written, object.ID(r.U64()))
 	}
-	ns := int(r.U32())
+	ns := r.Count(8)
 	scopeIDs := make([]object.ID, 0, ns)
 	for i := 0; i < ns; i++ {
 		scopeIDs = append(scopeIDs, object.ID(r.U64()))

@@ -3,7 +3,11 @@ package lots
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
+	"strings"
 	"testing"
+
+	"repro/internal/wire"
 )
 
 // TestRegressionPendingGrantOmission replays workload seeds that once
@@ -87,4 +91,37 @@ func runMixedSeed(seed int64) error {
 			}
 		}
 	})
+}
+
+// TestRegressionBarrierArriveCountSizesNoAllocation feeds the barrier
+// manager a nine-byte arrival (epoch, run-only flag, count) that claims
+// 2^32-1 write notices, as one corrupt datagram from an unauthenticated
+// UDP peer could. The count used to size a make before any element was
+// read — a 32 GiB demand; it must instead fail the decode, having
+// allocated next to nothing.
+func TestRegressionBarrierArriveCountSizesNoAllocation(t *testing.T) {
+	c, err := NewCluster(DefaultConfig(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	var w wire.Buffer
+	w.U32(0).Bool(false).U32(^uint32(0))
+	m := wire.Message{Type: wire.TBarrierArrive, From: 1, Payload: w.Bytes()}
+
+	var before, after runtime.MemStats
+	var rejected any
+	runtime.ReadMemStats(&before)
+	func() {
+		defer func() { rejected = recover() }()
+		c.nodes[0].serveBarrierArrive(m)
+	}()
+	runtime.ReadMemStats(&after)
+
+	if msg, _ := rejected.(string); !strings.Contains(msg, "bad barrier arrival") {
+		t.Fatalf("arrival claiming 2^32-1 write notices in 9 bytes: handler said %v, want a bad barrier arrival", rejected)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 16<<10 {
+		t.Fatalf("rejecting the arrival allocated %d bytes", grew)
+	}
 }
