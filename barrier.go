@@ -437,14 +437,9 @@ func (n *Node) processBarrierExit(payload []byte) {
 	// each home applies diffs independently.
 	if bs, ok := n.ep.(batchSender); ok && len(jobs) > 1 {
 		acks := make([]chan wire.Message, len(jobs))
-		n.pending.Lock()
 		for i := range jobs {
-			id := n.newReqID()
-			acks[i] = make(chan wire.Message, 1)
-			n.pending.m[id] = acks[i]
-			jobs[i].reqID = id
+			jobs[i].reqID, acks[i] = n.expectReply(jobs[i].dest, wire.TBarrierDiff)
 		}
-		n.pending.Unlock()
 		for _, j := range jobs {
 			tc := n.tr.Instant(trace.DiffSend, epoch, uint64(j.dest), wire.TraceCtx{})
 			n.deferSendT(bs, j.dest, wire.TBarrierDiff, j.reqID, j.payload, tc)

@@ -6,11 +6,9 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/disk"
 	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/transport"
-	"repro/internal/wire"
 )
 
 // Cluster is a running LOTS cluster: N nodes connected by a transport.
@@ -26,11 +24,6 @@ type Cluster struct {
 
 	closeOnce sync.Once
 }
-
-// chaosUDPRTO is the shortened retransmission timeout used when fault
-// injection is enabled over UDP, so injected losses heal within test
-// budgets instead of the production 50ms clock.
-const chaosUDPRTO = 15 * time.Millisecond
 
 // NewCluster builds a cluster per cfg over the configured transport:
 // the in-memory interconnect by default, or real UDP/TCP sockets when
@@ -56,123 +49,52 @@ func NewCluster(cfg Config) (*Cluster, error) {
 			c.rings[i] = trace.NewRing(i, trace.DefaultWindow)
 		}
 	}
-	eps, err := c.buildEndpoints()
-	if err != nil {
-		return nil, err
-	}
-	if cfg.Coalesce {
-		// Coalescing wraps outermost — above chaos — so a batch crosses
-		// the faulty layer as one unit, exactly like the single datagram
-		// or write it becomes on a socket transport. Deferred messages
-		// are stamped from the node's clock at Defer time, the moment
-		// Send would have stamped them.
-		for i := range eps {
-			clk := c.clocks[i]
-			eps[i] = transport.NewBatching(eps[i], c.counters[i],
-				func() int64 { return int64(clk.Now()) })
+	var bases []transport.Endpoint
+	if cfg.Transport == TransportMem {
+		c.mem = transport.NewMemCluster(n, cfg.Platform, c.counters, c.clocks)
+		bases = c.mem.Endpoints()
+	} else {
+		var err error
+		if bases, err = c.bindSockets(); err != nil {
+			return nil, err
 		}
 	}
 	c.nodes = make([]*Node, n)
-	for i := 0; i < n; i++ {
-		var store disk.Store
-		if cfg.LargeObjectSpace {
-			if cfg.Store != nil {
-				store = cfg.Store(i)
-			} else {
-				store = disk.NewSimStore(cfg.Platform.DiskFreeBytes)
-			}
-			store = disk.NewAccounted(store, cfg.Platform, c.counters[i], c.clocks[i])
-		}
-		c.nodes[i] = newNode(i, &c.cfg, eps[i], store, c.counters[i], c.clocks[i], c.rings[i])
-	}
-	for _, nd := range c.nodes {
-		go nd.dispatch()
+	for i := range c.nodes {
+		c.nodes[i] = assembleRank(&c.cfg, i, bases[i], c.counters[i], c.clocks[i], c.rings[i])
 	}
 	return c, nil
 }
 
-// buildEndpoints constructs one endpoint per node on the configured
-// interconnect, applying cfg.Chaos at the layer appropriate to each
-// transport: message-level wrapping for mem, datagram-level injection
-// for UDP (so the sliding-window machinery absorbs the faults), and
-// connection kills plus message-level wrapping for TCP. On partial
-// failure every already-built endpoint is closed.
-func (c *Cluster) buildEndpoints() ([]transport.Endpoint, error) {
-	cfg := &c.cfg
-	n := cfg.Nodes
-	switch cfg.Transport {
-	case TransportMem:
-		c.mem = transport.NewMemCluster(n, cfg.Platform, c.counters, c.clocks)
-		eps := c.mem.Endpoints()
-		if cfg.Chaos != nil {
-			eps = transport.WrapEndpoints(eps, *cfg.Chaos)
+// bindSockets binds every rank's socket — each exactly once, so a
+// kernel-assigned port is never released between choosing it and using
+// it — then wires every rank with the addresses the binds produced. On
+// failure every already-bound socket is closed.
+func (c *Cluster) bindSockets() ([]transport.Endpoint, error) {
+	n := c.cfg.Nodes
+	socks := make([]socketEndpoint, n)
+	bases := make([]transport.Endpoint, n)
+	addrs := make([]string, n)
+	for i := range socks {
+		sock, err := bindRank(&c.cfg, i, "", c.counters[i], c.rings[i])
+		if err != nil {
+			return nil, errors.Join(err, closeAll(bases[:i]))
 		}
-		return eps, nil
-
-	case TransportUDP:
-		addrs := cfg.Addrs
-		if addrs == nil {
-			var err error
-			addrs, err = transport.FreeLocalAddrs(n)
-			if err != nil {
-				return nil, fmt.Errorf("lots: %w", err)
-			}
-		}
-		eps := make([]transport.Endpoint, n)
-		for i := 0; i < n; i++ {
-			o := transport.UDPOptions{Counters: c.counters[i], Window: cfg.UDPWindow}
-			if tr := c.rings[i]; tr != nil {
-				o.OnRetransmit = func(frags int) {
-					tr.Instant(trace.Retransmit, 0, uint64(frags), wire.TraceCtx{})
-				}
-			}
-			if cfg.Chaos != nil {
-				o.Chaos = cfg.Chaos
-				o.RTO = chaosUDPRTO
-			}
-			ep, err := transport.NewUDPEndpointOptions(i, addrs, o)
-			if err != nil {
-				return nil, errors.Join(err, closeAll(eps[:i]))
-			}
-			eps[i] = ep
-		}
-		return eps, nil
-
-	case TransportTCP:
-		addrs := cfg.Addrs
-		if addrs == nil {
-			var err error
-			addrs, err = transport.FreeLocalTCPAddrs(n)
-			if err != nil {
-				return nil, fmt.Errorf("lots: %w", err)
-			}
-		}
-		eps := make([]transport.Endpoint, n)
-		for i := 0; i < n; i++ {
-			o := transport.TCPOptions{Counters: c.counters[i], Chaos: cfg.Chaos, TLS: cfg.TLS}
-			ep, err := transport.NewTCPEndpointOptions(i, addrs, o)
-			if err != nil {
-				return nil, errors.Join(err, closeAll(eps[:i]))
-			}
-			eps[i] = ep
-		}
-		if cfg.Chaos != nil {
-			eps = transport.WrapEndpoints(eps, *cfg.Chaos)
-		}
-		return eps, nil
-
-	default:
-		return nil, fmt.Errorf("lots: unknown transport %v", cfg.Transport)
+		socks[i], bases[i], addrs[i] = sock, sock, sock.LocalAddr()
 	}
+	for _, sock := range socks {
+		if err := sock.SetPeers(addrs); err != nil {
+			return nil, errors.Join(err, closeAll(bases))
+		}
+	}
+	return bases, nil
 }
 
 func closeAll(eps []transport.Endpoint) error {
 	var errs []error
 	for _, ep := range eps {
-		if ep != nil {
-			if err := ep.Close(); err != nil {
-				errs = append(errs, err)
-			}
+		if err := ep.Close(); err != nil {
+			errs = append(errs, err)
 		}
 	}
 	return errors.Join(errs...)
@@ -285,31 +207,4 @@ func (c *Cluster) Close() {
 			n.close()
 		}
 	})
-}
-
-// NewClusterOverUDP builds a cluster whose nodes communicate over real
-// UDP sockets (loopback by default) instead of the in-memory
-// interconnect: the full wire path — encode, 64 KB fragmentation,
-// sliding-window flow control, acknowledgement, retransmission — is
-// exercised end to end, as in the original system's point-to-point
-// UDP/IP channels (§3.6). addrs may be nil (kernel-assigned loopback
-// ports) or one UDP address per node.
-//
-// Simulated-time accounting is unavailable over sockets (clocks are
-// not threaded through foreign machines); use the in-memory transport
-// for the benchmark harness.
-func NewClusterOverUDP(cfg Config, addrs []string) (*Cluster, error) {
-	cfg.Transport = TransportUDP
-	cfg.Addrs = addrs
-	return NewCluster(cfg)
-}
-
-// NewClusterOverTCP builds a cluster whose nodes communicate over
-// persistent TCP connections with length-prefixed framing and
-// reconnect-on-failure. addrs may be nil (kernel-assigned loopback
-// ports) or one TCP address per node.
-func NewClusterOverTCP(cfg Config, addrs []string) (*Cluster, error) {
-	cfg.Transport = TransportTCP
-	cfg.Addrs = addrs
-	return NewCluster(cfg)
 }

@@ -12,14 +12,12 @@
 //	lotsbench -exp maxspace [-full]
 //	lotsbench -exp ablation-protocol | ablation-diff | ablation-evict | ablation-runbarrier
 //	lotsbench -exp transport [-transport mem|udp|tcp] [-chaos seed] [-nodes 3]
-//	lotsbench -exp flowctl [-chaos seed] [-drop 0.10]
 //	lotsbench -exp viewcost [-nodes 3]
 //	lotsbench -exp leasecost [-nodes 4]
 //	lotsbench -exp recovery [-nodes 4]
 //	lotsbench -exp multiproc [-app sor] [-nodes 4]
 //	lotsbench -exp appmatrix [-nodes 4] [-chaos seed]
 //	lotsbench -exp all
-//	lotsbench -bench [-benchout BENCH_8.json] [-benchprev BENCH_7.json]
 package main
 
 import (
@@ -33,32 +31,18 @@ import (
 	lots "repro"
 	"repro/internal/harness"
 	"repro/internal/platform"
-	"repro/internal/stats"
-	"repro/internal/transport"
-	"repro/internal/wire"
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: fig8, overhead, checkcost, table1, maxspace, ablation-protocol, ablation-diff, ablation-evict, ablation-runbarrier, transport, flowctl, viewcost, leasecost, tracecost, recovery, multiproc, appmatrix, all")
+	exp := flag.String("exp", "all", "experiment: fig8, overhead, checkcost, table1, maxspace, ablation-protocol, ablation-diff, ablation-evict, ablation-runbarrier, transport, viewcost, leasecost, tracecost, recovery, multiproc, appmatrix, all")
 	app := flag.String("app", "all", "fig8 application: me, lu, sor, rx, all")
 	procsFlag := flag.String("procs", "2,4,8", "comma-separated process counts")
 	platName := flag.String("platform", "p4", "platform profile: p4, p3rh62, p3rh90, xeon")
 	full := flag.Bool("full", false, "maxspace: run the full 117.77 GB exhaustion (moves ~118 GB through the mapper)")
 	transportName := flag.String("transport", "mem", "transport experiment interconnect: mem, udp, tcp")
-	chaosSeed := flag.Int64("chaos", 0, "transport experiment: non-zero enables seeded fault injection with this seed (flowctl: fault schedule seed, 0 = 1)")
+	chaosSeed := flag.Int64("chaos", 0, "transport experiment: non-zero enables seeded fault injection with this seed")
 	nodes := flag.Int("nodes", 3, "transport experiment cluster size")
-	dropRate := flag.Float64("drop", 0.10, "flowctl experiment: seeded datagram drop probability")
-	benchRun := flag.Bool("bench", false, "run the pinned wire/coalescing benchmarks, write -benchout, and fail on >10% regression of any gated metric vs the previous BENCH_*.json")
-	benchOut := flag.String("benchout", "BENCH_8.json", "bench: output trajectory file")
-	benchPrev := flag.String("benchprev", "", "bench: explicit previous trajectory file (default: highest-numbered BENCH_*.json next to -benchout)")
 	flag.Parse()
-
-	if *benchRun {
-		if err := runBench(*benchOut, *benchPrev); err != nil {
-			fatal(err)
-		}
-		return
-	}
 
 	prof, err := pickPlatform(*platName)
 	if err != nil {
@@ -85,8 +69,6 @@ func main() {
 		err = runAblation(*exp, prof)
 	case "transport":
 		err = runTransportSmoke(*transportName, *chaosSeed, *nodes)
-	case "flowctl":
-		err = runFlowCtl(*chaosSeed, *dropRate)
 	case "viewcost":
 		err = runViewCost(*nodes, prof)
 	case "leasecost":
@@ -338,144 +320,6 @@ func runTransportSmoke(transportName string, chaosSeed int64, nodes int) error {
 		fmt.Printf("  faults injected: drop=%d dup=%d reorder=%d delay=%d partition=%d connkill=%d\n",
 			chaosStats.Dropped.Load(), chaosStats.Duplicated.Load(), chaosStats.Reordered.Load(),
 			chaosStats.Delayed.Load(), chaosStats.Partition.Load(), chaosStats.ConnKills.Load())
-	}
-	return nil
-}
-
-// runFlowCtl measures the UDP window's two flow-control modes head to
-// head under an identical seeded fault schedule: the legacy baseline
-// (fixed RTO, cumulative acks only, go-back-N timeout retransmission)
-// against the adaptive-RTO + selective-acknowledgement rebuild. Same
-// workload, same chaos seed; the comparison isolates the flow-control
-// algorithm (§3.6's "slightly more efficient than TCP" claim).
-func runFlowCtl(seed int64, drop float64) error {
-	if seed == 0 {
-		seed = 1
-	}
-	const (
-		bigMsgs   = 12
-		bigSize   = 512 << 10 // 8 fragments each
-		smallMsgs = 200
-	)
-	type result struct {
-		wall                time.Duration
-		retrans, fast, rtts int64
-		frags               int64
-	}
-	run := func(mode transport.FlowMode) (result, error) {
-		addrs, err := transport.FreeLocalAddrs(2)
-		if err != nil {
-			return result{}, err
-		}
-		cc := transport.Chaos{
-			Seed:     seed,
-			Drop:     drop,
-			Reorder:  0.10,
-			DelayMax: 200 * time.Microsecond,
-		}
-		counters := [2]*stats.Counters{{}, {}}
-		eps := make([]*transport.UDPEndpoint, 2)
-		for i := range eps {
-			ccc := cc
-			eps[i], err = transport.NewUDPEndpointOptions(i, addrs, transport.UDPOptions{
-				Counters: counters[i],
-				Chaos:    &ccc,
-				RTO:      15 * time.Millisecond, // the pre-adaptive chaos default
-				Flow:     mode,
-			})
-			if err != nil {
-				return result{}, err
-			}
-			ep := eps[i]
-			defer func() {
-				if cerr := ep.Close(); cerr != nil {
-					fmt.Fprintf(os.Stderr, "lotsbench: closing endpoint: %v\n", cerr)
-				}
-			}()
-		}
-		payload := make([]byte, bigSize)
-		for i := range payload {
-			payload[i] = byte(i * 31)
-		}
-		start := time.Now()
-		sendErr := make(chan error, 1)
-		go func() {
-			for i := 0; i < bigMsgs; i++ {
-				if err := eps[0].Send(wire.Message{Type: wire.TObjFetchReply, To: 1, Payload: payload}); err != nil {
-					sendErr <- err
-					return
-				}
-			}
-			for i := 0; i < smallMsgs; i++ {
-				if err := eps[0].Send(wire.Message{Type: wire.TJDiff, To: 1, Payload: []byte{byte(i)}}); err != nil {
-					sendErr <- err
-					return
-				}
-			}
-			sendErr <- nil
-		}()
-		recvDone := make(chan error, 1)
-		go func() {
-			for got := 0; got < bigMsgs+smallMsgs; got++ {
-				if _, ok := eps[1].Recv(); !ok {
-					recvDone <- fmt.Errorf("flowctl: receiver closed after %d messages", got)
-					return
-				}
-			}
-			recvDone <- nil
-		}()
-		// A sender error (e.g. the channel declared broken under extreme
-		// -drop rates) must abort the run, not leave the receiver blocked
-		// forever; the deferred Closes unblock whichever goroutine is
-		// still parked.
-		var runErr error
-		select {
-		case runErr = <-recvDone:
-		case runErr = <-sendErr:
-			if runErr == nil {
-				runErr = <-recvDone
-			}
-		}
-		if runErr != nil {
-			return result{}, runErr
-		}
-		return result{
-			wall:    time.Since(start),
-			retrans: counters[0].FragsRetrans.Load(),
-			fast:    counters[0].FastRetrans.Load(),
-			rtts:    counters[0].RTTSamples.Load(),
-			frags:   counters[0].FragsSent.Load(),
-		}, nil
-	}
-
-	base, err := run(transport.FlowCumulative)
-	if err != nil {
-		return err
-	}
-	sack, err := run(transport.FlowAdaptiveSACK)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("Flow control — cumulative-ack baseline vs adaptive RTO + SACK\n")
-	fmt.Printf("  workload: %d x %d KB + %d small msgs over UDP, seed=%d drop=%.0f%% reorder=10%%\n",
-		bigMsgs, bigSize>>10, smallMsgs, seed, drop*100)
-	fmt.Printf("  %-22s %10s %12s %12s %12s\n", "mode", "wall", "frags", "retrans", "fast-rtx")
-	fmt.Printf("  %-22s %10v %12d %12d %12s\n", "cumulative (baseline)",
-		base.wall.Round(time.Millisecond), base.frags, base.retrans, "-")
-	fmt.Printf("  %-22s %10v %12d %12d %12d\n", "adaptive RTO + SACK",
-		sack.wall.Round(time.Millisecond), sack.frags, sack.retrans, sack.fast)
-	fmt.Printf("  rtt samples (sack mode): %d\n", sack.rtts)
-	if base.retrans > 0 {
-		fmt.Printf("  retransmitted frames: %.1fx fewer; completion: %.2fx faster\n",
-			float64(base.retrans)/float64(max(sack.retrans, 1)),
-			float64(base.wall)/float64(sack.wall))
-	}
-	// Self-asserting so CI catches a flow-control regression: selective
-	// retransmission must beat go-back-N whenever the fault schedule
-	// forces retransmissions at all. (Wall time is too noisy to gate on.)
-	if base.retrans > 0 && sack.retrans >= base.retrans {
-		return fmt.Errorf("flowctl: adaptive RTO + SACK retransmitted %d frames vs %d for the cumulative baseline — selective retransmission regressed",
-			sack.retrans, base.retrans)
 	}
 	return nil
 }

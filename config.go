@@ -162,10 +162,6 @@ type Config struct {
 	// paper's mixed protocol.
 	Protocol Protocol
 
-	// MaxLocks bounds the lock ID space (paper exports a fixed lock
-	// set; JIAJIA-era systems commonly allow a few hundred).
-	MaxLocks int
-
 	// Transport selects the interconnect; the zero value is the
 	// in-memory transport.
 	Transport TransportKind
@@ -173,15 +169,6 @@ type Config struct {
 	// Addrs lists one socket address per node for the UDP and TCP
 	// transports. Nil requests kernel-assigned loopback ports.
 	Addrs []string
-
-	// UDPWindow bounds the in-flight unacknowledged fragments per UDP
-	// peer channel — which is also the size of the receiver's
-	// out-of-order buffer and the span its SACK bitmap covers. Zero uses
-	// the transport default (32). It is not the limit on bytes in
-	// flight: that one the transport derives from the socket buffer the
-	// receiving host granted, and a burst of large fragments meets it
-	// long before this.
-	UDPWindow int
 
 	// Chaos, when non-nil, injects seeded faults (drop, duplication,
 	// reordering, delay, transient partitions) into the interconnect:
@@ -204,12 +191,6 @@ type Config struct {
 	// copy whose bytes the home never changed stays valid with zero
 	// data transfer. Off by default (the paper's protocol).
 	Leases bool
-
-	// LeaseSlots bounds the per-home lease table (entries are
-	// object x cacher pairs). When the table is full the oldest lease
-	// is evicted; an evicted cacher's next revalidation simply
-	// demotes to a fetch. Zero uses DefaultLeaseSlots.
-	LeaseSlots int
 
 	// Coalesce enables frame coalescing: a node's burst of protocol
 	// messages to one peer within a barrier round (its fan-out of
@@ -284,10 +265,14 @@ const MaxNodes = 256
 // DefaultDMMSize is the test-scale DMM area (the paper uses 512 MB).
 const DefaultDMMSize = 4 << 20
 
-// DefaultMaxLocks is the default lock ID space.
-const DefaultMaxLocks = 1024
+// MaxLocks bounds the lock ID space (the paper exports a fixed lock
+// set; JIAJIA-era systems commonly allow a few hundred).
+const MaxLocks = 1024
 
-// DefaultLeaseSlots is the default per-home lease table bound.
+// DefaultLeaseSlots bounds the per-home lease table (entries are
+// object x cacher pairs). When the table is full the oldest lease is
+// evicted; an evicted cacher's next revalidation simply demotes to a
+// fetch.
 const DefaultLeaseSlots = 4096
 
 // DefaultConfig returns the paper's configuration at test scale for a
@@ -298,7 +283,6 @@ func DefaultConfig(n int) Config {
 		DMMSize:          DefaultDMMSize,
 		LargeObjectSpace: true,
 		Platform:         platform.Test(),
-		MaxLocks:         DefaultMaxLocks,
 	}
 }
 
@@ -312,12 +296,6 @@ func (c *Config) validate() error {
 	}
 	if c.DMMSize < 4096 {
 		return fmt.Errorf("lots: DMMSize = %d, want >= 4096", c.DMMSize)
-	}
-	if c.MaxLocks == 0 {
-		c.MaxLocks = DefaultMaxLocks
-	}
-	if c.MaxLocks < 1 || c.MaxLocks > 1<<15 {
-		return fmt.Errorf("lots: MaxLocks = %d, want 1..32768", c.MaxLocks)
 	}
 	if c.Platform.Name == "" {
 		c.Platform = platform.Test()
@@ -344,17 +322,8 @@ func (c *Config) validate() error {
 			seen[a] = i
 		}
 	}
-	if c.UDPWindow < 0 || c.UDPWindow > 1<<16 {
-		return fmt.Errorf("lots: UDPWindow = %d, want 0..65536", c.UDPWindow)
-	}
 	if c.TLS != nil && c.Transport != TransportTCP {
 		return fmt.Errorf("lots: TLS requires the TCP transport, got %v", c.Transport)
-	}
-	if c.LeaseSlots == 0 {
-		c.LeaseSlots = DefaultLeaseSlots
-	}
-	if c.LeaseSlots < 1 {
-		return fmt.Errorf("lots: LeaseSlots = %d, want >= 1", c.LeaseSlots)
 	}
 	if r := c.Recovery; r != nil {
 		if r.Root == "" {

@@ -122,14 +122,13 @@
 // # Wire-path performance
 //
 // The encode/fragment/reassemble path recycles its buffers through a
-// size-classed slab pool and allocates nothing in steady state;
-// setting Config.Coalesce = true additionally packs each node's
-// per-peer burst of barrier-round messages into single batched
-// datagrams (fewer wire round-trips, identical simulated time and
-// final state). Both properties are pinned by `lotsbench -bench`,
-// which re-measures the pinned scenarios, writes the BENCH_8.json
-// trajectory point, and fails on >10% regression of any deterministic
-// metric (see DESIGN.md, "Wire path: pooling and coalescing").
+// size-classed slab pool: the send side allocates nothing in steady
+// state and the receive side allocates once per delivered message
+// (handlers retain payloads). Setting Config.Coalesce = true
+// additionally packs each node's per-peer burst of barrier-round
+// messages into single batched datagrams (fewer wire round-trips,
+// identical final state; identical simulated time on the default
+// protocol — see DESIGN.md, "Wire path: pooling and coalescing").
 //
 // The ownership and lifetime contracts this package states in prose —
 // release views before the next barrier, never let pooled wire buffers

@@ -14,10 +14,10 @@
 // Aliasing is tracked through calls: per-function may-alias summaries
 // ("result may alias parameter i") are computed for the package under
 // analysis and exported as facts for dependents, with a built-in table
-// for the wire package's own API (DecodeInPlace, Fragment, Reader.Raw)
-// so the contract holds across packages. A closure passed directly as
-// a call argument runs synchronously and is analyzed inline; only
-// go-statement and stored closures are capture escapes.
+// for the wire package's own API (DecodeInPlace, Reader.Raw) so the
+// contract holds across packages. A closure passed directly as a call
+// argument runs synchronously and is analyzed inline; only go-statement
+// and stored closures are capture escapes.
 package slabsafe
 
 import (
@@ -51,7 +51,6 @@ const releaseFunc = wirePath + ".PutSlab"
 // packages loaded without wire's facts.
 var builtinAlias = map[string][]int{
 	wirePath + ".DecodeInPlace":      {0},
-	wirePath + ".Fragment":           {0},
 	"(*" + wirePath + ".Reader).Raw": {0},
 }
 

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"testing"
+	"time"
 
 	"repro/internal/platform"
 )
@@ -19,6 +20,21 @@ func TestLeaseCostSelfAsserts(t *testing.T) {
 	}
 	t.Logf("fetches: invalidate=%d lease=%d (%.1fx), hits=%d demotes=%d",
 		res.Base.Fetches, res.Lease.Fetches, res.FetchRatio(), res.Lease.Hits, res.Lease.Demotes)
+
+	// The pinned shape whose simulated cost is on record (fetch ratio
+	// 3.27x, lease epoch 28.36 us): both are deterministic on mem, so
+	// the bounds are the recorded values with 10% slack.
+	const rounds = 6
+	pin, err := LeaseCost(6, 48, rounds, 4, platform.Test())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pin.Assert(2.9); err != nil {
+		t.Error(err)
+	}
+	if epoch := pin.Lease.SimTime / rounds; epoch > 31200*time.Nanosecond {
+		t.Errorf("pinned lease epoch = %v simulated, want <= 31.2us", epoch)
+	}
 }
 
 // TestLeaseCostRejectsBadShape covers the argument validation.

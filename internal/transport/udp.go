@@ -28,21 +28,15 @@ import (
 // a burst of 64 KiB fragments overruns the buffer and the kernel drops
 // the tail, which only a retransmission timer recovers.
 //
-// Retransmission runs in one of two modes:
-//
-//   - FlowAdaptiveSACK (default): each channel measures round-trip
-//     times and maintains a Jacobson/Karels SRTT/RTTVAR estimate
-//     feeding an adaptive retransmission timeout, with Karn's rule
-//     (retransmitted frames never produce RTT samples) and exponential
-//     backoff while losses persist. Acknowledgement frames carry a
-//     selective-acknowledgement bitmap over the receive window, so a
-//     timeout retransmits only the fragments the receiver is actually
-//     missing, and three duplicate cumulative acks trigger an immediate
-//     fast retransmit of the first hole without waiting for the clock.
-//
-//   - FlowCumulative: the original fixed-RTO, cumulative-ack-only,
-//     go-back-N-style behaviour, kept as the measurable baseline for
-//     the `lotsbench -exp flowctl` comparison.
+// Retransmission: each channel measures round-trip times and maintains
+// a Jacobson/Karels SRTT/RTTVAR estimate feeding an adaptive
+// retransmission timeout, with Karn's rule (retransmitted frames never
+// produce RTT samples) and exponential backoff while losses persist.
+// Acknowledgement frames carry a selective-acknowledgement bitmap over
+// the receive window, so a timeout retransmits only the fragments the
+// receiver is actually missing, and three duplicate cumulative acks
+// trigger an immediate fast retransmit of the first hole without
+// waiting for the clock.
 
 const (
 	frameData = 1
@@ -74,7 +68,7 @@ const (
 	defaultWindow = 32
 
 	// defaultRTO is the initial retransmission timeout, before any RTT
-	// sample has been taken (and the fixed RTO in FlowCumulative mode).
+	// sample has been taken.
 	defaultRTO = 50 * time.Millisecond
 
 	// defaultMinRTO / defaultMaxRTO clamp the adaptive RTO: the floor
@@ -95,18 +89,6 @@ const (
 	readErrBackoffMax = 100 * time.Millisecond
 )
 
-// FlowMode selects the UDP window's retransmission strategy.
-type FlowMode uint8
-
-const (
-	// FlowAdaptiveSACK (the default) uses measured per-channel RTTs and
-	// selective acknowledgement; see the package comment above.
-	FlowAdaptiveSACK FlowMode = iota
-	// FlowCumulative is the legacy baseline: fixed RTO, cumulative acks
-	// only, and blanket retransmission of every timed-out fragment.
-	FlowCumulative
-)
-
 // UDPOptions tunes a UDPEndpoint beyond the common case.
 type UDPOptions struct {
 	// Counters may be nil (no accounting).
@@ -116,19 +98,15 @@ type UDPOptions struct {
 	// reach the socket; the sliding-window machinery must recover.
 	Chaos *Chaos
 	// RTO overrides the initial retransmission timeout (0 = default
-	// 50ms). In FlowCumulative mode it is the fixed timeout; in
-	// FlowAdaptiveSACK mode measured RTTs take over after the first
-	// sample. Chaos tests shorten it so injected losses heal quickly.
+	// 50ms); measured RTTs take over after the first sample. Chaos
+	// tests shorten it so injected losses heal quickly.
 	RTO time.Duration
 	// MinRTO / MaxRTO clamp the adaptive timeout (0 = defaults 2ms /
-	// 500ms). Ignored in FlowCumulative mode.
+	// 500ms).
 	MinRTO, MaxRTO time.Duration
 	// Window is the per-channel in-flight fragment budget (0 = default
 	// 32). The same value bounds the receiver's out-of-order buffer.
 	Window int
-	// Flow selects the retransmission strategy; the zero value is
-	// FlowAdaptiveSACK.
-	Flow FlowMode
 	// OnRetransmit, when non-nil, is invoked with the fragment count
 	// each time the endpoint resends (fast retransmit or timeout). It
 	// runs on the receive/timer goroutines and must not block.
@@ -148,11 +126,10 @@ type UDPEndpoint struct {
 	peers    atomic.Pointer[[]*net.UDPAddr]
 	conn     *net.UDPConn
 	counters *stats.Counters
-	rto      time.Duration // initial (and FlowCumulative fixed) RTO
+	rto      time.Duration // initial RTO, until the first RTT sample
 	minRTO   time.Duration
 	maxRTO   time.Duration
 	window   uint32
-	flow     FlowMode
 	chaos    *packetChaos // nil = faithful network
 	// onRetransmit, when non-nil, observes every resend (fragment
 	// count); used by the trace subsystem to record retransmit events.
@@ -357,7 +334,6 @@ func NewUDPEndpointDeferred(me, n int, bind string, o UDPOptions) (*UDPEndpoint,
 		minRTO:       minRTO,
 		maxRTO:       maxRTO,
 		window:       uint32(window),
-		flow:         o.Flow,
 		onRetransmit: o.OnRetransmit,
 		inbox:        newMailbox(),
 		readDone:     make(chan struct{}),
@@ -712,7 +688,7 @@ func (e *UDPEndpoint) sampleRTT(ss *sendState, rtt time.Duration) {
 // channelRTO returns the retransmission timeout currently in force for
 // ss. ss.mu must be held.
 func (e *UDPEndpoint) channelRTO(ss *sendState) time.Duration {
-	if e.flow == FlowCumulative || ss.rto == 0 {
+	if ss.rto == 0 {
 		return e.rto
 	}
 	return ss.rto
@@ -743,7 +719,7 @@ func (e *UDPEndpoint) handleAck(from int, ackTo uint32, sack uint64, share uint3
 	if advanced {
 		for s := ss.ackedTo; s < ackTo; s++ {
 			if fl := ss.inFly[s]; fl != nil {
-				if e.flow == FlowAdaptiveSACK && !fl.retx {
+				if !fl.retx {
 					e.sampleRTT(ss, now.Sub(fl.sentAt))
 				}
 				ss.drop(s, fl)
@@ -756,40 +732,38 @@ func (e *UDPEndpoint) handleAck(from int, ackTo uint32, sack uint64, share uint3
 		ss.cond.Broadcast()
 	}
 	var fastResend *flight
-	if e.flow == FlowAdaptiveSACK {
-		// Selective acks: the receiver holds these fragments in its
-		// out-of-order buffer; they never need retransmission. The
-		// window itself still advances only with the cumulative ack.
-		for i := 0; sack != 0 && i < sackBits; i++ {
-			if sack&(1<<uint(i)) == 0 {
-				continue
-			}
-			s := ackTo + 1 + uint32(i)
-			if fl := ss.inFly[s]; fl != nil {
-				if !fl.retx {
-					e.sampleRTT(ss, now.Sub(fl.sentAt))
-				}
-				ss.drop(s, fl)
-				released++
-			}
+	// Selective acks: the receiver holds these fragments in its
+	// out-of-order buffer; they never need retransmission. The
+	// window itself still advances only with the cumulative ack.
+	for i := 0; sack != 0 && i < sackBits; i++ {
+		if sack&(1<<uint(i)) == 0 {
+			continue
 		}
-		if released > 0 {
-			// Bytes were freed even if the window did not advance.
-			ss.cond.Broadcast()
+		s := ackTo + 1 + uint32(i)
+		if fl := ss.inFly[s]; fl != nil {
+			if !fl.retx {
+				e.sampleRTT(ss, now.Sub(fl.sentAt))
+			}
+			ss.drop(s, fl)
+			released++
 		}
-		// Fast retransmit: duplicate cumulative acks while data is
-		// outstanding mean the frame at ackedTo went missing but later
-		// frames are arriving. Resend the hole immediately, once per
-		// stall, instead of waiting out the RTO.
-		if !forged && !advanced && ackTo == ss.ackedTo && ss.ackedTo != ss.nextSeq {
-			ss.dupAcks++
-			if ss.dupAcks == dupAckThreshold {
-				if fl := ss.inFly[ss.ackedTo]; fl != nil {
-					fl.retx = true
-					fl.sentAt = now
-					fl.acquire() // for the write below
-					fastResend = fl
-				}
+	}
+	if released > 0 {
+		// Bytes were freed even if the window did not advance.
+		ss.cond.Broadcast()
+	}
+	// Fast retransmit: duplicate cumulative acks while data is
+	// outstanding mean the frame at ackedTo went missing but later
+	// frames are arriving. Resend the hole immediately, once per
+	// stall, instead of waiting out the RTO.
+	if !forged && !advanced && ackTo == ss.ackedTo && ss.ackedTo != ss.nextSeq {
+		ss.dupAcks++
+		if ss.dupAcks == dupAckThreshold {
+			if fl := ss.inFly[ss.ackedTo]; fl != nil {
+				fl.retx = true
+				fl.sentAt = now
+				fl.acquire() // for the write below
+				fastResend = fl
 			}
 		}
 	}
@@ -849,11 +823,9 @@ func (e *UDPEndpoint) handleData(from int, seq uint32, payload []byte) {
 	// SACK bitmap: after the drain, every buffered fragment sits above
 	// the cumulative ack; bit i reports ackTo+1+i.
 	var sack uint64
-	if e.flow == FlowAdaptiveSACK {
-		for s := range rs.ooo {
-			if off := s - ackTo - 1; off < sackBits {
-				sack |= 1 << uint(off)
-			}
+	for s := range rs.ooo {
+		if off := s - ackTo - 1; off < sackBits {
+			sack |= 1 << uint(off)
 		}
 	}
 	rs.mu.Unlock()
@@ -881,9 +853,6 @@ func (e *UDPEndpoint) handleData(from int, seq uint32, payload []byte) {
 // scanner; per-channel adaptive RTOs are enforced against it.
 func (e *UDPEndpoint) retransmitTick() time.Duration {
 	tick := e.minRTO / 2
-	if e.flow == FlowCumulative {
-		tick = e.rto / 2
-	}
 	if tick < 500*time.Microsecond {
 		tick = 500 * time.Microsecond
 	}
@@ -940,16 +909,14 @@ func (e *UDPEndpoint) retransmitLoop() {
 			}
 			if len(resend) > 0 {
 				ss.retries++
-				if e.flow == FlowAdaptiveSACK {
-					// Karn backoff: while losses persist, double the
-					// timeout (bounded) so a congested or partitioned
-					// link is probed, not flooded.
-					next := 2 * rto
-					if next > e.maxRTO {
-						next = e.maxRTO
-					}
-					ss.rto = next
+				// Karn backoff: while losses persist, double the
+				// timeout (bounded) so a congested or partitioned
+				// link is probed, not flooded.
+				next := 2 * rto
+				if next > e.maxRTO {
+					next = e.maxRTO
 				}
+				ss.rto = next
 				if ss.retries > maxRetries {
 					ss.broken = true
 					ss.cond.Broadcast()

@@ -2,9 +2,10 @@ package wire
 
 // Steady-state allocation guards for the pooled wire path. Every guard
 // warms the pool first, then requires testing.AllocsPerRun to observe
-// ZERO allocations per operation: a regression that reintroduces a
-// per-frame make (or sneaks a slice header into an interface) fails
-// here before it ever shows up on a profile.
+// an exact count per operation — zero on the send side, one per
+// delivered message on the receive side: a regression that
+// reintroduces a per-frame make (or sneaks a slice header into an
+// interface) fails here before it ever shows up on a profile.
 
 import (
 	"testing"
@@ -18,16 +19,21 @@ func allocMsg(payloadLen int) Message {
 	return Message{Type: TBarrierDiff, From: 1, To: 2, ReqID: 42, SimTime: 7, Payload: p}
 }
 
-// assertZeroAllocs runs f through AllocsPerRun after a warm-up and
-// fails if any steady-state run allocates.
-func assertZeroAllocs(t *testing.T, name string, f func()) {
+// assertAllocs runs f through AllocsPerRun after a warm-up and fails
+// unless every steady-state run allocates exactly want times.
+func assertAllocs(t *testing.T, name string, want float64, f func()) {
 	t.Helper()
 	for i := 0; i < 8; i++ { // warm the pool and any lazy internals
 		f()
 	}
-	if avg := testing.AllocsPerRun(200, f); avg != 0 {
-		t.Errorf("%s: %.1f allocs/op, want 0", name, avg)
+	if avg := testing.AllocsPerRun(200, f); avg != want {
+		t.Errorf("%s: %.1f allocs/op, want %.0f", name, avg, want)
 	}
+}
+
+func assertZeroAllocs(t *testing.T, name string, f func()) {
+	t.Helper()
+	assertAllocs(t, name, 0, f)
 }
 
 func TestEncodeIntoZeroAlloc(t *testing.T) {
@@ -50,7 +56,7 @@ func TestEncodePooledZeroAlloc(t *testing.T) {
 }
 
 func TestDecodeInPlaceZeroAlloc(t *testing.T) {
-	enc := Encode(allocMsg(512))
+	enc := encode(allocMsg(512))
 	assertZeroAllocs(t, "DecodeInPlace", func() {
 		if _, err := DecodeInPlace(enc); err != nil {
 			panic(err)
@@ -58,75 +64,61 @@ func TestDecodeInPlaceZeroAlloc(t *testing.T) {
 	})
 }
 
-// TestFragmentPathZeroAllocSmall: the full steady-state hot path for a
-// single-fragment message — pooled encode, pooled fragment frames with
-// transport headroom, reassembly, delivery — allocates nothing once
-// the pool is warm. The no-copy reassembler is the measurement tool
-// here; transports that hand payloads to retaining protocol handlers
-// use copy mode, whose single exact-size allocation per delivered
-// message is by design.
-func TestFragmentPathZeroAllocSmall(t *testing.T) {
-	drainSlabs()
-	defer drainSlabs()
-	m := allocMsg(600)
-	r := NewReassemblerNoCopy()
-	defer r.Release()
-	var msgID uint64
-	feed := func(f []byte) error {
-		_, done, err := r.Feed(f[16:]) // strip the transport headroom
-		if err != nil {
-			panic(err)
+// TestFragmentPathAllocs: the full steady-state path of one message —
+// pooled encode, pooled fragment frames with transport headroom,
+// reassembly, delivery — allocates exactly once, the delivered
+// payload, which protocol handlers retain. That holds for a
+// single-fragment message (copied out of the caller's frame) and
+// across the >64 KiB multi-fragment path (joined into one buffer),
+// where reassembly buffers and partial-tracking structs must all
+// recycle; the encode/fragment side alone allocates nothing.
+func TestFragmentPathAllocs(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		payload int
+		frags   int
+	}{
+		{"small", 600, 1},
+		{"large", 200 << 10, 4},
+	} {
+		drainSlabs()
+		m := allocMsg(tc.payload)
+		r := NewReassembler()
+		var msgID uint64
+		frames, delivered := 0, 0
+		feed := func(f []byte) error {
+			frames++
+			_, done, err := r.Feed(f[16:]) // strip the transport headroom
+			if err != nil {
+				panic(err)
+			}
+			if done {
+				delivered++
+			}
+			PutSlab(f)
+			return nil
 		}
-		if !done {
-			panic("single-fragment message did not deliver")
+		discard := func(f []byte) error {
+			PutSlab(f)
+			return nil
 		}
-		PutSlab(f)
-		return nil
+		send := func(sink func([]byte) error) func() {
+			return func() {
+				enc := EncodePooled(m)
+				msgID++
+				if err := ForEachFragment(enc, msgID, 16, sink); err != nil {
+					panic(err)
+				}
+				PutSlab(enc)
+			}
+		}
+		assertZeroAllocs(t, "encode+fragment ("+tc.name+")", send(discard))
+		assertAllocs(t, "fragment path ("+tc.name+")", 1, send(feed))
+		if delivered == 0 || frames != delivered*tc.frags {
+			t.Errorf("%s: %d frames delivered %d messages, want %d frames each", tc.name, frames, delivered, tc.frags)
+		}
 	}
-	assertZeroAllocs(t, "fragment path (small)", func() {
-		enc := EncodePooled(m)
-		msgID++
-		if err := ForEachFragment(enc, msgID, 16, feed); err != nil {
-			panic(err)
-		}
-		PutSlab(enc)
-	})
-}
-
-// TestFragmentPathZeroAllocLarge: same guard across the >64 KiB
-// multi-fragment path, where reassembly buffers and partial-tracking
-// structs must all recycle.
-func TestFragmentPathZeroAllocLarge(t *testing.T) {
 	drainSlabs()
-	defer drainSlabs()
-	m := allocMsg(200 << 10) // 4 fragments
-	r := NewReassemblerNoCopy()
-	defer r.Release()
-	var msgID uint64
-	delivered := false
-	feed := func(f []byte) error {
-		_, done, err := r.Feed(f[16:]) // strip the transport headroom
-		if err != nil {
-			panic(err)
-		}
-		if done {
-			delivered = true
-		}
-		PutSlab(f)
-		return nil
-	}
-	assertZeroAllocs(t, "fragment path (large)", func() {
-		enc := EncodePooled(m)
-		msgID++
-		delivered = false
-		if err := ForEachFragment(enc, msgID, 16, feed); err != nil {
-			panic(err)
-		}
-		if !delivered {
-			panic("message did not reassemble")
-		}
-		PutSlab(enc)
-	})
 }
 
 // TestBatchAppendZeroAlloc: building a batch payload in a pooled slab
@@ -147,36 +139,4 @@ func TestBatchAppendZeroAlloc(t *testing.T) {
 		}
 		PutSlab(p)
 	})
-}
-
-// TestPooledEncodeHalvesAllocs documents the acceptance claim in-tree:
-// the pooled encode/decode path must show at least 50% fewer
-// allocations per operation than the legacy make-per-frame path (it is
-// in fact zero against >=1).
-func TestPooledEncodeHalvesAllocs(t *testing.T) {
-	drainSlabs()
-	defer drainSlabs()
-	m := allocMsg(1024)
-	legacy := testing.AllocsPerRun(200, func() {
-		enc := Encode(m)
-		if _, err := Decode(enc); err != nil {
-			panic(err)
-		}
-	})
-	for i := 0; i < 8; i++ {
-		PutSlab(EncodePooled(m))
-	}
-	pooled := testing.AllocsPerRun(200, func() {
-		enc := EncodePooled(m)
-		if _, err := DecodeInPlace(enc); err != nil {
-			panic(err)
-		}
-		PutSlab(enc)
-	})
-	if pooled > legacy/2 {
-		t.Errorf("pooled path = %.1f allocs/op vs legacy %.1f: less than 50%% reduction", pooled, legacy)
-	}
-	if legacy == 0 {
-		t.Error("legacy path reports zero allocs; baseline is broken")
-	}
 }

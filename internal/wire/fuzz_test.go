@@ -18,7 +18,7 @@ func FuzzMessageRoundTrip(f *testing.F) {
 		mt := Type(typ)
 		if !mt.Valid() {
 			// Invalid types must be rejected by Decode, not round-trip.
-			enc := Encode(Message{Type: mt, Payload: payload})
+			enc := encode(Message{Type: mt, Payload: payload})
 			if _, err := Decode(enc); err == nil {
 				t.Fatalf("Decode accepted invalid type %d", typ)
 			}
@@ -28,8 +28,8 @@ func FuzzMessageRoundTrip(f *testing.F) {
 			payload = payload[:1<<20]
 		}
 		m := Message{Type: mt, From: from, To: to, ReqID: reqID, SimTime: simTime, Payload: payload}
-		enc := Encode(m)
-		frags := Fragment(enc, 424242)
+		enc := encode(m)
+		frags := fragments(enc, 424242)
 		if want := (len(enc) + MaxFragPayload - 1) / MaxFragPayload; len(frags) != max(want, 1) {
 			t.Fatalf("fragment count %d, want %d", len(frags), max(want, 1))
 		}
@@ -77,8 +77,8 @@ func FuzzMessageRoundTrip(f *testing.F) {
 func FuzzDecodeNeverPanics(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1})
-	f.Add(Encode(Message{Type: TLockReq, Payload: []byte("x")}))
-	long := Encode(Message{Type: TObjFetchReply, Payload: bytes.Repeat([]byte{1}, 1000)})
+	f.Add(encode(Message{Type: TLockReq, Payload: []byte("x")}))
+	long := encode(Message{Type: TObjFetchReply, Payload: bytes.Repeat([]byte{1}, 1000)})
 	f.Add(long[:len(long)-3]) // truncated payload
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := Decode(data)
@@ -155,8 +155,8 @@ func FuzzReadCtrl(f *testing.F) {
 func FuzzDecodeInPlace(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1})
-	f.Add(Encode(Message{Type: TLockReq, From: 1, To: 2, ReqID: 9, Payload: []byte("x")}))
-	long := Encode(Message{Type: TObjFetchReply, Payload: bytes.Repeat([]byte{7}, 500)})
+	f.Add(encode(Message{Type: TLockReq, From: 1, To: 2, ReqID: 9, Payload: []byte("x")}))
+	long := encode(Message{Type: TObjFetchReply, Payload: bytes.Repeat([]byte{7}, 500)})
 	f.Add(long)
 	f.Add(long[:len(long)-3]) // truncated payload
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -198,7 +198,7 @@ func FuzzTraceExtRoundTrip(f *testing.F) {
 		}
 		m := Message{Type: mt, From: 1, To: 2, ReqID: 9, SimTime: 5,
 			Payload: payload, Trace: TraceCtx{Rank: rank, Epoch: epoch, Seq: seq}}
-		enc := Encode(m)
+		enc := encode(m)
 		if len(enc) != EncodedLen(m) {
 			t.Fatalf("encoded %d bytes, EncodedLen says %d", len(enc), EncodedLen(m))
 		}
@@ -212,7 +212,7 @@ func FuzzTraceExtRoundTrip(f *testing.F) {
 		if got.Trace != m.Trace || !bytes.Equal(got.Payload, m.Payload) {
 			t.Fatalf("round trip mismatch: %+v != %+v", got, m)
 		}
-		if !bytes.Equal(Encode(got), enc) {
+		if !bytes.Equal(encode(got), enc) {
 			t.Fatal("re-encode of decoded message changed bytes")
 		}
 		if n := int(cut); !m.Trace.Zero() && n > 0 && n <= traceExtLen {
@@ -278,7 +278,7 @@ func normLeaseQItems(items []LeaseQItem) []LeaseQItem {
 // poison it against subsequent valid traffic.
 func FuzzReassemblerNeverPanics(f *testing.F) {
 	f.Add([]byte{}, []byte{1, 2, 3})
-	valid := Fragment(Encode(Message{Type: TAck}), 7)[0]
+	valid := fragments(encode(Message{Type: TAck}), 7)[0]
 	f.Add(valid, valid)
 	bad := append([]byte(nil), valid...)
 	bad[10] = 0xFF // fragment count corruption
@@ -289,7 +289,7 @@ func FuzzReassemblerNeverPanics(f *testing.F) {
 		re.Feed(fragB) //nolint:errcheck
 		// The reassembler must still work after arbitrary garbage.
 		m := Message{Type: TLockGrant, To: 1, Payload: []byte("still alive")}
-		for _, fr := range Fragment(Encode(m), 1<<40) {
+		for _, fr := range fragments(encode(m), 1<<40) {
 			if got, done, err := re.Feed(fr); err != nil {
 				t.Fatalf("poisoned reassembler: %v", err)
 			} else if done && !bytes.Equal(got.Payload, m.Payload) {

@@ -1,6 +1,6 @@
 package wire
 
-// Slab pool for the zero-alloc wire path. Every hot-path buffer —
+// Slab pool for the wire path. Every hot-path buffer —
 // encoded messages, wire fragments (with transport framing headroom),
 // reassembly partials — is drawn from a small set of size-classed free
 // lists and explicitly released at the transport send/recv seams. The

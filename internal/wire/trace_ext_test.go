@@ -14,7 +14,7 @@ func TestZeroTraceCtxAddsNoBytes(t *testing.T) {
 	if got, want := EncodedLen(m), headerLen+3; got != want {
 		t.Fatalf("EncodedLen = %d, want %d", got, want)
 	}
-	enc := Encode(m)
+	enc := encode(m)
 	if len(enc) != headerLen+3 {
 		t.Fatalf("encoded %d bytes, want %d", len(enc), headerLen+3)
 	}
@@ -32,7 +32,7 @@ func TestTraceCtxRoundTrip(t *testing.T) {
 	if got, want := EncodedLen(m), headerLen+3+traceExtLen; got != want {
 		t.Fatalf("EncodedLen = %d, want %d", got, want)
 	}
-	enc := Encode(m)
+	enc := encode(m)
 	if len(enc) != EncodedLen(m) {
 		t.Fatalf("encoded %d bytes, EncodedLen says %d", len(enc), EncodedLen(m))
 	}
@@ -50,7 +50,7 @@ func TestTraceCtxRoundTrip(t *testing.T) {
 
 func TestTraceCtxEmptyPayload(t *testing.T) {
 	m := Message{Type: TAck, Trace: TraceCtx{Rank: 0, Epoch: 0, Seq: 1}}
-	got, err := Decode(Encode(m))
+	got, err := Decode(encode(m))
 	if err != nil {
 		t.Fatalf("Decode: %v", err)
 	}
@@ -61,7 +61,7 @@ func TestTraceCtxEmptyPayload(t *testing.T) {
 
 func TestTraceCtxTruncatedExtRejected(t *testing.T) {
 	m := Message{Type: TLockReq, Payload: []byte("x"), Trace: TraceCtx{Rank: 1, Epoch: 2, Seq: 3}}
-	enc := Encode(m)
+	enc := encode(m)
 	for cut := 1; cut <= traceExtLen; cut++ {
 		if _, err := Decode(enc[:len(enc)-cut]); err == nil {
 			t.Fatalf("Decode accepted a frame with %d trace bytes missing", cut)
@@ -75,7 +75,7 @@ func TestTraceFlagWithZeroCtxRejected(t *testing.T) {
 	// produced by Encode and must not decode to something that
 	// re-encodes differently.
 	m := Message{Type: TLockReq, Payload: []byte("x")}
-	enc := Encode(m)
+	enc := encode(m)
 	enc[0] |= traceFlag
 	enc = append(enc, make([]byte, traceExtLen)...)
 	if _, err := Decode(enc); err == nil {
@@ -121,7 +121,7 @@ func TestTraceCtxThroughFragments(t *testing.T) {
 	re := NewReassembler()
 	var got Message
 	done := false
-	for _, fr := range Fragment(Encode(m), 777) {
+	for _, fr := range fragments(encode(m), 777) {
 		g, d, err := re.Feed(fr)
 		if err != nil {
 			t.Fatalf("Feed: %v", err)

@@ -180,7 +180,7 @@ const flowReserve = 64
 // MaxFragPayload is the usable payload per fragment.
 const MaxFragPayload = MaxDatagram - fragHeaderLen - flowReserve
 
-// EncodedLen returns the wire size of m as Encode would produce it:
+// EncodedLen returns the wire size of m as EncodeInto produces it:
 // the fixed header plus the payload, plus the trace extension when the
 // message carries one. Transports use it as the single definition of
 // per-message byte accounting, so BytesSent and BytesRecv measure the
@@ -193,13 +193,8 @@ func EncodedLen(m Message) int {
 	return n
 }
 
-// Encode serializes the logical message (header + payload).
-func Encode(m Message) []byte {
-	return EncodeInto(make([]byte, 0, EncodedLen(m)), m)
-}
-
-// EncodeInto appends the encoded form of m to dst and returns the
-// extended slice — the append-style face of Encode. With a dst of
+// EncodeInto appends the encoded form of m (header + payload + optional
+// trace extension) to dst and returns the extended slice. With a dst of
 // sufficient capacity it performs no allocation.
 func EncodeInto(dst []byte, m Message) []byte {
 	t := byte(m.Type)
@@ -235,7 +230,7 @@ var ErrTruncated = errors.New("wire: truncated message")
 // ErrBadType is returned when the decoded type byte is unknown.
 var ErrBadType = errors.New("wire: unknown message type")
 
-// Decode parses a buffer produced by Encode. The returned payload is
+// Decode parses a buffer produced by EncodeInto. The returned payload is
 // an independent copy of buf's bytes.
 func Decode(buf []byte) (Message, error) {
 	m, err := DecodeInPlace(buf)
@@ -245,7 +240,7 @@ func Decode(buf []byte) (Message, error) {
 	return m, err
 }
 
-// DecodeInPlace parses a buffer produced by Encode without copying:
+// DecodeInPlace parses a buffer produced by EncodeInto without copying:
 // the returned message's Payload aliases buf. The caller must not
 // release or reuse buf while the message is live — use Decode when
 // the message outlives the buffer.
@@ -302,30 +297,16 @@ func NumFragments(n int) int {
 	return f
 }
 
-// Fragment splits an encoded message into wire fragments of at most
-// MaxDatagram bytes each, stamped with msgID for reassembly. A message
-// that fits yields exactly one fragment.
-func Fragment(encoded []byte, msgID uint64) [][]byte {
-	frags := make([][]byte, 0, NumFragments(len(encoded)))
-	_ = fragmentInto(encoded, msgID, 0, false, func(f []byte) error {
-		frags = append(frags, f)
-		return nil
-	})
-	return frags
-}
-
-// ForEachFragment splits encoded like Fragment, but builds every
-// fragment frame in a pooled slab with headroom bytes of reserved
-// (unwritten) space at the front — room for the transport's own
-// framing, so the transport header, fragment header and chunk land in
-// one buffer with no wrapping copy. fn takes ownership of each frame
-// and releases it with PutSlab; if fn returns an error, iteration
-// stops (frames already handed over stay owned by fn).
+// ForEachFragment splits an encoded message into wire fragments of at
+// most MaxDatagram bytes each, stamped with msgID for reassembly; a
+// message that fits yields exactly one fragment. Every fragment frame
+// is built in a pooled slab with headroom bytes of reserved (unwritten)
+// space at the front — room for the transport's own framing, so the
+// transport header, fragment header and chunk land in one buffer with
+// no wrapping copy. fn takes ownership of each frame and releases it
+// with PutSlab; if fn returns an error, iteration stops (frames already
+// handed over stay owned by fn).
 func ForEachFragment(encoded []byte, msgID uint64, headroom int, fn func(frame []byte) error) error {
-	return fragmentInto(encoded, msgID, headroom, true, fn)
-}
-
-func fragmentInto(encoded []byte, msgID uint64, headroom int, pooled bool, fn func([]byte) error) error {
 	nFrags := NumFragments(len(encoded))
 	for i := 0; i < nFrags; i++ {
 		lo := i * MaxFragPayload
@@ -334,12 +315,7 @@ func fragmentInto(encoded []byte, msgID uint64, headroom int, pooled bool, fn fu
 			hi = len(encoded)
 		}
 		chunk := encoded[lo:hi]
-		var f []byte
-		if pooled {
-			f = GetSlab(headroom + fragHeaderLen + len(chunk))[:headroom+fragHeaderLen]
-		} else {
-			f = make([]byte, headroom+fragHeaderLen, headroom+fragHeaderLen+len(chunk))
-		}
+		f := GetSlab(headroom + fragHeaderLen + len(chunk))[:headroom+fragHeaderLen]
 		binary.LittleEndian.PutUint64(f[headroom:], msgID)
 		binary.LittleEndian.PutUint16(f[headroom+8:], uint16(i))
 		binary.LittleEndian.PutUint16(f[headroom+10:], uint16(nFrags))
@@ -357,15 +333,14 @@ func fragmentInto(encoded []byte, msgID uint64, headroom int, pooled bool, fn fu
 // decoding; this reassembler reproduces that behaviour (and its memory
 // cost is visible to the harness via PendingBytes).
 // Fragment copies come from the slab pool and are released as each
-// message completes. In copy mode a multi-fragment message is joined
-// straight into the one heap buffer its delivered payload then owns;
-// in no-copy mode the joined buffer is pooled too, so that path does
-// not allocate at all.
+// message completes. A multi-fragment message is joined straight into
+// the one heap buffer its delivered payload then owns, and a
+// single-fragment message is copied out of the caller's frame: one
+// allocation per delivered message, because protocol handlers retain
+// payloads.
 type Reassembler struct {
 	pending map[uint64]*partial
 	free    []*partial // released partials, reused by the next message
-	noCopy  bool
-	last    []byte // no-copy mode: pooled buffer behind the last delivery
 }
 
 type partial struct {
@@ -378,28 +353,6 @@ type partial struct {
 // independent copies the caller may retain indefinitely.
 func NewReassembler() *Reassembler {
 	return &Reassembler{pending: make(map[uint64]*partial)}
-}
-
-// NewReassemblerNoCopy returns a reassembler whose delivered payloads
-// alias internal pooled buffers (or, for single-fragment messages, the
-// caller's frame): each delivery is valid only until the next Feed or
-// Release. Transports keep the copying variant — protocol handlers
-// retain payloads — but the zero-alloc guards measure this path.
-func NewReassemblerNoCopy() *Reassembler {
-	return &Reassembler{pending: make(map[uint64]*partial), noCopy: true}
-}
-
-// Release returns the reassembler's pooled buffers — incomplete
-// partials and the last no-copy delivery — to the slab pool.
-func (r *Reassembler) Release() {
-	for id, p := range r.pending {
-		delete(r.pending, id)
-		r.recycle(p)
-	}
-	if r.last != nil {
-		PutSlab(r.last)
-		r.last = nil
-	}
 }
 
 func (r *Reassembler) recycle(p *partial) {
@@ -430,30 +383,6 @@ func (r *Reassembler) newPartial(count int) *partial {
 	return p
 }
 
-// deliver decodes one complete encoded message. owned says buf was
-// built for this message alone — the joined fragments of a multi-
-// fragment message — as opposed to the caller's frame. In copy mode an
-// owned buf is a heap buffer the payload may alias for good, and the
-// caller's frame is copied out of; in no-copy mode the payload always
-// aliases buf, and an owned (pooled) buf is retained until the next
-// delivery.
-func (r *Reassembler) deliver(buf []byte, owned bool) (Message, bool, error) {
-	if r.noCopy {
-		if r.last != nil {
-			PutSlab(r.last)
-			r.last = nil
-		}
-		if owned {
-			r.last = buf
-		}
-	} else if !owned {
-		m, err := Decode(buf)
-		return m, err == nil, err
-	}
-	m, err := DecodeInPlace(buf)
-	return m, err == nil, err
-}
-
 // Feed consumes one wire fragment. When the fragment completes a
 // message, Feed returns the decoded message and done=true. The caller
 // keeps ownership of frag.
@@ -475,7 +404,8 @@ func (r *Reassembler) Feed(frag []byte) (Message, bool, error) {
 	if p == nil && count == 1 {
 		// Single-fragment fast path (the common case): decode straight
 		// out of the caller's frame, never touching the pending map.
-		return r.deliver(frag[fragHeaderLen:fragHeaderLen+n], false)
+		m, err := Decode(frag[fragHeaderLen : fragHeaderLen+n])
+		return m, err == nil, err
 	}
 	if p == nil {
 		p = r.newPartial(count)
@@ -493,17 +423,15 @@ func (r *Reassembler) Feed(frag []byte) (Message, bool, error) {
 		return Message{}, false, nil
 	}
 	delete(r.pending, msgID)
-	var whole []byte
-	if r.noCopy {
-		whole = GetSlab(p.bytes)
-	} else {
-		whole = make([]byte, 0, p.bytes)
-	}
+	// The joined buffer is built for this message alone, so the
+	// delivered payload aliases it for good.
+	whole := make([]byte, 0, p.bytes)
 	for _, f := range p.frags {
 		whole = append(whole, f...)
 	}
 	r.recycle(p)
-	return r.deliver(whole, true)
+	m, err := DecodeInPlace(whole)
+	return m, err == nil, err
 }
 
 // PendingBytes reports the bytes currently buffered in incomplete

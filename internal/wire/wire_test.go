@@ -8,6 +8,19 @@ import (
 	"testing/quick"
 )
 
+// encode returns m encoded into a fresh buffer.
+func encode(m Message) []byte { return EncodeInto(nil, m) }
+
+// fragments collects the frames ForEachFragment produces for enc.
+func fragments(enc []byte, msgID uint64) [][]byte {
+	var frags [][]byte
+	_ = ForEachFragment(enc, msgID, 0, func(f []byte) error {
+		frags = append(frags, f)
+		return nil
+	})
+	return frags
+}
+
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	m := Message{
 		Type:    TLockGrant,
@@ -17,7 +30,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		SimTime: 1234567890,
 		Payload: []byte("scope updates"),
 	}
-	got, err := Decode(Encode(m))
+	got, err := Decode(encode(m))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +43,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 
 func TestEncodeDecodeEmptyPayload(t *testing.T) {
 	m := Message{Type: TBarrierArrive, From: 1, To: 0}
-	got, err := Decode(Encode(m))
+	got, err := Decode(encode(m))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +54,7 @@ func TestEncodeDecodeEmptyPayload(t *testing.T) {
 
 func TestDecodeTruncated(t *testing.T) {
 	m := Message{Type: TObjFetchReq, Payload: []byte("xyz")}
-	enc := Encode(m)
+	enc := encode(m)
 	for cut := 0; cut < len(enc); cut++ {
 		if _, err := Decode(enc[:cut]); err == nil {
 			t.Errorf("Decode of %d/%d bytes should fail", cut, len(enc))
@@ -50,7 +63,7 @@ func TestDecodeTruncated(t *testing.T) {
 }
 
 func TestDecodeBadType(t *testing.T) {
-	enc := Encode(Message{Type: TAck})
+	enc := encode(Message{Type: TAck})
 	enc[0] = 0 // TInvalid
 	if _, err := Decode(enc); !errors.Is(err, ErrBadType) {
 		t.Errorf("err = %v, want ErrBadType", err)
@@ -62,7 +75,7 @@ func TestDecodeBadType(t *testing.T) {
 }
 
 func TestDecodeRejectsShortPayload(t *testing.T) {
-	enc := Encode(Message{Type: TAck, Payload: []byte("abcdef")})
+	enc := encode(Message{Type: TAck, Payload: []byte("abcdef")})
 	if _, err := Decode(enc[:len(enc)-2]); !errors.Is(err, ErrTruncated) {
 		t.Errorf("err = %v, want ErrTruncated", err)
 	}
@@ -86,8 +99,8 @@ func TestTypeStrings(t *testing.T) {
 }
 
 func TestFragmentSmallMessageIsSingleFragment(t *testing.T) {
-	enc := Encode(Message{Type: TAck, Payload: []byte("hi")})
-	frags := Fragment(enc, 42)
+	enc := encode(Message{Type: TAck, Payload: []byte("hi")})
+	frags := fragments(enc, 42)
 	if len(frags) != 1 {
 		t.Fatalf("got %d fragments, want 1", len(frags))
 	}
@@ -107,8 +120,8 @@ func TestFragmentLargeMessageRespects64KLimit(t *testing.T) {
 	for i := range payload {
 		payload[i] = byte(i * 7)
 	}
-	enc := Encode(Message{Type: TObjFetchReply, From: 1, To: 2, Payload: payload})
-	frags := Fragment(enc, 99)
+	enc := encode(Message{Type: TObjFetchReply, From: 1, To: 2, Payload: payload})
+	frags := fragments(enc, 99)
 	if len(frags) < 5 {
 		t.Fatalf("got %d fragments, want >= 5", len(frags))
 	}
@@ -142,8 +155,8 @@ func TestFragmentLargeMessageRespects64KLimit(t *testing.T) {
 func TestReassemblerOutOfOrderAndDuplicates(t *testing.T) {
 	payload := make([]byte, 200<<10)
 	rand.New(rand.NewSource(1)).Read(payload)
-	enc := Encode(Message{Type: TJPageReply, Payload: payload})
-	frags := Fragment(enc, 7)
+	enc := encode(Message{Type: TJPageReply, Payload: payload})
+	frags := fragments(enc, 7)
 	// Deliver in reverse, with every fragment duplicated.
 	r := NewReassembler()
 	var got Message
@@ -172,8 +185,8 @@ func TestReassemblerOutOfOrderAndDuplicates(t *testing.T) {
 func TestReassemblerInterleavedMessages(t *testing.T) {
 	pa := bytes.Repeat([]byte("a"), 100<<10)
 	pb := bytes.Repeat([]byte("b"), 100<<10)
-	fa := Fragment(Encode(Message{Type: TJDiff, Payload: pa}), 1)
-	fb := Fragment(Encode(Message{Type: TJDiff, Payload: pb}), 2)
+	fa := fragments(encode(Message{Type: TJDiff, Payload: pa}), 1)
+	fb := fragments(encode(Message{Type: TJDiff, Payload: pb}), 2)
 	r := NewReassembler()
 	var msgs []Message
 	for i := 0; i < len(fa) || i < len(fb); i++ {
@@ -207,7 +220,7 @@ func pick(f [][]byte, i int) []byte {
 
 func TestReassemblerPendingAccounting(t *testing.T) {
 	payload := make([]byte, 150<<10)
-	frags := Fragment(Encode(Message{Type: TJPageReply, Payload: payload}), 11)
+	frags := fragments(encode(Message{Type: TJPageReply, Payload: payload}), 11)
 	r := NewReassembler()
 	if _, done, err := r.Feed(frags[0]); done || err != nil {
 		t.Fatalf("first frag: done=%v err=%v", done, err)
@@ -226,7 +239,7 @@ func TestReassemblerRejectsMalformed(t *testing.T) {
 		t.Error("short fragment should fail")
 	}
 	// Bad index/count.
-	frags := Fragment(Encode(Message{Type: TAck}), 5)
+	frags := fragments(encode(Message{Type: TAck}), 5)
 	bad := append([]byte(nil), frags[0]...)
 	bad[10], bad[11] = 0, 0 // count=0
 	if _, _, err := r.Feed(bad); err == nil {
@@ -239,11 +252,11 @@ func TestFragmentRoundTripProperty(t *testing.T) {
 		n := int(sz % 500000)
 		payload := make([]byte, n)
 		rand.New(rand.NewSource(seed)).Read(payload)
-		enc := Encode(Message{Type: TObjFetchReply, ReqID: uint64(seed), Payload: payload})
+		enc := encode(Message{Type: TObjFetchReply, ReqID: uint64(seed), Payload: payload})
 		r := NewReassembler()
 		var got Message
 		done := false
-		for _, frag := range Fragment(enc, uint64(seed)) {
+		for _, frag := range fragments(enc, uint64(seed)) {
 			var err error
 			got, done, err = r.Feed(frag)
 			if err != nil {
@@ -261,8 +274,12 @@ func TestFragmentRoundTripProperty(t *testing.T) {
 func TestEncodedLenMatchesEncode(t *testing.T) {
 	for _, p := range [][]byte{nil, {}, []byte("x"), make([]byte, 70<<10)} {
 		m := Message{Type: TJDiff, From: 1, To: 2, Payload: p}
-		if got, want := EncodedLen(m), len(Encode(m)); got != want {
-			t.Errorf("EncodedLen = %d, len(Encode) = %d for %d-byte payload", got, want, len(p))
+		if got, want := EncodedLen(m), len(encode(m)); got != want {
+			t.Errorf("EncodedLen = %d, len(EncodeInto) = %d for %d-byte payload", got, want, len(p))
 		}
+	}
+	// The wire size of the two payloads every byte-count record uses.
+	if a, b := EncodedLen(Message{Payload: make([]byte, 256)}), EncodedLen(Message{Payload: make([]byte, 256<<10)}); a != 281 || b != 262169 {
+		t.Errorf("EncodedLen(256 B, 256 KiB) = %d, %d; want 281, 262169", a, b)
 	}
 }

@@ -190,13 +190,15 @@ func TestLeaseRevokedByLockUpdates(t *testing.T) {
 // table, granting a second lease evicts the first, whose next
 // revalidation must demote (correctly, if wastefully).
 func TestLeaseTableEviction(t *testing.T) {
-	cfg := leaseConfig(3)
-	cfg.LeaseSlots = 1
-	c, err := NewCluster(cfg)
+	c, err := NewCluster(leaseConfig(3))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	home := c.nodes[1]
+	home.mu.Lock()
+	home.leaseTab = newLeaseTable(1)
+	home.mu.Unlock()
 	err = c.Run(func(n *Node) {
 		a := Alloc[int32](n, 4)
 		b := Alloc[int32](n, 4)

@@ -58,8 +58,8 @@ func (n *Node) lockMgrState(l uint16) *lockMgr {
 // Acquire enters the critical section guarded by lock l, applying all
 // updates previously made under l (Scope Consistency).
 func (n *Node) Acquire(l int) {
-	if l < 0 || l >= n.cfg.MaxLocks {
-		n.fatalf("lots: node %d: lock %d out of range [0,%d)", n.id, l, n.cfg.MaxLocks)
+	if l < 0 || l >= MaxLocks {
+		n.fatalf("lots: node %d: lock %d out of range [0,%d)", n.id, l, MaxLocks)
 	}
 	lk := uint16(l)
 	n.mu.Lock()

@@ -481,11 +481,6 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := NewCluster(cfg); err == nil {
 		t.Error("tiny DMMSize should fail")
 	}
-	cfg = DefaultConfig(1)
-	cfg.MaxLocks = 1 << 20
-	if _, err := NewCluster(cfg); err == nil {
-		t.Error("huge MaxLocks should fail")
-	}
 }
 
 func TestErrorsSurfaceThroughRun(t *testing.T) {

@@ -130,7 +130,7 @@ func newNode(id int, cfg *Config, ep transport.Endpoint, store disk.Store,
 		chains:       make(map[object.ID]*diffing.Chain),
 		lmgr:         make(map[uint16]*lockMgr),
 		pendingDiffs: make(map[object.ID]int),
-		leaseTab:     newLeaseTable(max(cfg.LeaseSlots, 1)),
+		leaseTab:     newLeaseTable(DefaultLeaseSlots),
 		ph:           phases.NewRing(phases.DefaultWindow),
 	}
 	n.cond = sync.NewCond(&n.mu)
@@ -212,14 +212,10 @@ type batchSender interface {
 	Flush() error
 }
 
-// deferSend queues a one-way message on a coalescing endpoint; the
+// deferSendT queues a one-way message on a coalescing endpoint; the
 // caller must Flush (via the batchSender) before awaiting any reply.
-func (n *Node) deferSend(bs batchSender, to int, typ wire.Type, reqID uint64, payload []byte) {
-	n.deferSendT(bs, to, typ, reqID, payload, wire.TraceCtx{})
-}
-
-// deferSendT is deferSend with a trace context: batch entries carry
-// full encoded messages, so the context survives coalescing.
+// Batch entries carry full encoded messages, so the trace context
+// survives coalescing.
 func (n *Node) deferSendT(bs batchSender, to int, typ wire.Type, reqID uint64, payload []byte, tc wire.TraceCtx) {
 	err := bs.Defer(wire.Message{Type: typ, To: uint16(to), ReqID: reqID, Payload: payload, Trace: tc})
 	if err != nil && !n.closed.Load() {
@@ -242,15 +238,13 @@ func (n *Node) useClock(c *stats.SimClock) func() {
 	return func() { n.curClock = prev }
 }
 
-// rpc sends a request and blocks for the correlated reply, merging the
-// simulated clock at receipt. The caller must NOT hold n.mu.
-func (n *Node) rpc(to int, typ wire.Type, payload []byte) wire.Message {
-	return n.rpcT(to, typ, payload, wire.TraceCtx{})
-}
-
-// rpcT is rpc with a causal trace context stamped on the request, so
-// the serving rank can link its span to the caller's.
-func (n *Node) rpcT(to int, typ wire.Type, payload []byte, tc wire.TraceCtx) wire.Message {
+// expectReply allocates a request ID for a typ request to node to and
+// registers the channel dispatch will deliver its reply on. It fails
+// once dispatch has drained the table on endpoint closure: a channel
+// registered after that point would never be signalled, and send
+// errors are swallowed while the node is closing, so the caller would
+// block forever.
+func (n *Node) expectReply(to int, typ wire.Type) (uint64, chan wire.Message) {
 	id := n.newReqID()
 	ch := make(chan wire.Message, 1)
 	n.pending.Lock()
@@ -260,6 +254,19 @@ func (n *Node) rpcT(to int, typ wire.Type, payload []byte, tc wire.TraceCtx) wir
 	}
 	n.pending.m[id] = ch
 	n.pending.Unlock()
+	return id, ch
+}
+
+// rpc sends a request and blocks for the correlated reply, merging the
+// simulated clock at receipt. The caller must NOT hold n.mu.
+func (n *Node) rpc(to int, typ wire.Type, payload []byte) wire.Message {
+	return n.rpcT(to, typ, payload, wire.TraceCtx{})
+}
+
+// rpcT is rpc with a causal trace context stamped on the request, so
+// the serving rank can link its span to the caller's.
+func (n *Node) rpcT(to int, typ wire.Type, payload []byte, tc wire.TraceCtx) wire.Message {
+	id, ch := n.expectReply(to, typ)
 	n.sendT(to, typ, id, payload, 0, tc)
 	reply, ok := <-ch, true
 	if reply.Type == wire.TInvalid {

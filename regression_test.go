@@ -125,3 +125,27 @@ func TestRegressionBarrierArriveCountSizesNoAllocation(t *testing.T) {
 		t.Fatalf("rejecting the arrival allocated %d bytes", grew)
 	}
 }
+
+// TestRegressionReplyRegistrationAfterClose: once dispatch has drained
+// the pending table, every site that registers a reply channel must
+// fail instead of blocking on a channel nothing will ever signal. The
+// coalesced barrier fan-out used to register its acks without the
+// check and hang in a closing node, where send errors are swallowed.
+func TestRegressionReplyRegistrationAfterClose(t *testing.T) {
+	c := mustCluster(t, DefaultConfig(2))
+	n := c.Node(0)
+	n.pending.Lock()
+	n.pending.dead = true
+	n.pending.Unlock()
+	wantPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "endpoint closed") {
+				t.Errorf("%s on a dead pending table: recovered %v, want an \"endpoint closed\" panic", name, r)
+			}
+		}()
+		f()
+	}
+	wantPanic("expectReply", func() { n.expectReply(1, wire.TBarrierDiff) })
+	wantPanic("rpcT", func() { n.rpcT(1, wire.TBarrierDiff, nil, wire.TraceCtx{}) })
+}

@@ -25,23 +25,10 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/disk"
 	"repro/internal/stats"
 	"repro/internal/stats/phases"
 	"repro/internal/trace"
-	"repro/internal/transport"
-	"repro/internal/wire"
 )
-
-// socketEndpoint is the deferred-capable face shared by the UDP and
-// TCP endpoints: bind first, report the bound address, wire peers
-// later, flush before exiting.
-type socketEndpoint interface {
-	transport.Endpoint
-	SetPeers([]string) error
-	LocalAddr() string
-	Flush(timeout time.Duration) error
-}
 
 // NodeHandle hosts one cluster rank in this process.
 type NodeHandle struct {
@@ -86,12 +73,6 @@ func BindNodeAt(cfg Config, id int, bind string) (*NodeHandle, error) {
 	if id < 0 || id >= cfg.Nodes {
 		return nil, fmt.Errorf("lots: node id %d out of range for %d nodes", id, cfg.Nodes)
 	}
-	if bind == "" {
-		bind = "127.0.0.1:0"
-		if cfg.Addrs != nil {
-			bind = cfg.Addrs[id]
-		}
-	}
 	h := &NodeHandle{cfg: cfg, id: id, ctr: &stats.Counters{}, clock: &stats.SimClock{}}
 	// The trace ring exists before the endpoint: the UDP retransmit
 	// hook closes over it.
@@ -99,53 +80,14 @@ func BindNodeAt(cfg Config, id int, bind string) (*NodeHandle, error) {
 	if cfg.Trace {
 		ring = trace.NewRing(id, trace.DefaultWindow)
 	}
-	var (
-		sock socketEndpoint
-		err  error
-	)
-	switch cfg.Transport {
-	case TransportUDP:
-		o := transport.UDPOptions{Counters: h.ctr, Window: cfg.UDPWindow}
-		if ring != nil {
-			o.OnRetransmit = func(frags int) {
-				ring.Instant(trace.Retransmit, 0, uint64(frags), wire.TraceCtx{})
-			}
-		}
-		if cfg.Chaos != nil {
-			o.Chaos = cfg.Chaos
-			o.RTO = chaosUDPRTO
-		}
-		sock, err = transport.NewUDPEndpointDeferred(id, cfg.Nodes, bind, o)
-	case TransportTCP:
-		o := transport.TCPOptions{Counters: h.ctr, Chaos: cfg.Chaos, TLS: cfg.TLS}
-		sock, err = transport.NewTCPEndpointDeferred(id, cfg.Nodes, bind, o)
-	}
+	sock, err := bindRank(&h.cfg, id, bind, h.ctr, ring)
 	if err != nil {
 		return nil, err
 	}
+	// The node runs on whatever assembleRank stacks over the socket;
+	// the handle keeps the socket itself for SetPeers/LocalAddr/Flush.
 	h.sock = sock
-	// Message-level chaos wrapping (the layer NewCluster adds on top of
-	// TCP) still applies — the node runs on the wrapped endpoint while
-	// the handle keeps the concrete socket for SetPeers/LocalAddr.
-	ep := transport.Endpoint(sock)
-	if cfg.Transport == TransportTCP && cfg.Chaos != nil {
-		ep = transport.Chaosify(ep, *cfg.Chaos)
-	}
-	if cfg.Coalesce {
-		clk := h.clock
-		ep = transport.NewBatching(ep, h.ctr, func() int64 { return int64(clk.Now()) })
-	}
-	var store disk.Store
-	if cfg.LargeObjectSpace {
-		if cfg.Store != nil {
-			store = cfg.Store(id)
-		} else {
-			store = disk.NewSimStore(cfg.Platform.DiskFreeBytes)
-		}
-		store = disk.NewAccounted(store, cfg.Platform, h.ctr, h.clock)
-	}
-	h.node = newNode(id, &h.cfg, ep, store, h.ctr, h.clock, ring)
-	go h.node.dispatch()
+	h.node = assembleRank(&h.cfg, id, sock, h.ctr, h.clock, ring)
 	return h, nil
 }
 

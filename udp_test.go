@@ -2,13 +2,23 @@ package lots
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 
 	"repro/internal/disk"
 )
 
+// udpConfig is DefaultConfig(n) over real UDP sockets at addrs (nil =
+// kernel-assigned loopback ports).
+func udpConfig(n int, addrs []string) Config {
+	cfg := DefaultConfig(n)
+	cfg.Transport = TransportUDP
+	cfg.Addrs = addrs
+	return cfg
+}
+
 func TestClusterOverUDPBasic(t *testing.T) {
-	c, err := NewClusterOverUDP(DefaultConfig(3), nil)
+	c, err := NewCluster(udpConfig(3, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +55,7 @@ func TestClusterOverUDPBasic(t *testing.T) {
 func TestClusterOverUDPLargeObject(t *testing.T) {
 	// An object bigger than one 64 KB datagram must fragment and
 	// reassemble across the real socket path when fetched.
-	c, err := NewClusterOverUDP(DefaultConfig(2), nil)
+	c, err := NewCluster(udpConfig(2, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,47 +79,40 @@ func TestClusterOverUDPLargeObject(t *testing.T) {
 	}
 }
 
-func TestClusterOverUDPConfiguredWindow(t *testing.T) {
-	// A deliberately tiny flow-control window must still produce
-	// correct shared state (just with more ack round-trips), proving
-	// Config.UDPWindow reaches the transport.
-	cfg := DefaultConfig(2)
-	cfg.UDPWindow = 2
-	c, err := NewClusterOverUDP(cfg, nil)
-	if err != nil {
-		t.Fatal(err)
+func TestClusterOverUDPAddrValidation(t *testing.T) {
+	if _, err := NewCluster(udpConfig(2, []string{"127.0.0.1:0"})); err == nil {
+		t.Error("addr count mismatch should fail")
 	}
-	defer c.Close()
-	err = c.Run(func(n *Node) {
-		big := Alloc[int32](n, 64<<10) // 256 KB: many fragments through a 2-window
-		if n.ID() == 0 {
-			big.Set(0, 11)
-			big.Set(64<<10-1, 22)
-		}
-		n.Barrier()
-		if big.Get(0) != 11 || big.Get(64<<10-1) != 22 {
-			panic("large object corrupted through a 2-fragment window")
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	bad := DefaultConfig(2)
-	bad.UDPWindow = -1
-	if _, err := NewClusterOverUDP(bad, nil); err == nil {
-		t.Error("negative UDPWindow should fail validation")
+	if _, err := NewCluster(udpConfig(0, nil)); err == nil {
+		t.Error("invalid config should fail")
 	}
 }
 
-func TestClusterOverUDPAddrValidation(t *testing.T) {
-	if _, err := NewClusterOverUDP(DefaultConfig(2), []string{"127.0.0.1:0"}); err == nil {
-		t.Error("addr count mismatch should fail")
+// TestSocketClusterBringUpUnderContention builds and closes socket
+// clusters from many goroutines at once. Every rank binds its
+// kernel-assigned port exactly once and keeps it, so no concurrent
+// bring-up can take a port between its being chosen and being used.
+func TestSocketClusterBringUpUnderContention(t *testing.T) {
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for round := 0; round < 10; round++ {
+				for _, kind := range []TransportKind{TransportUDP, TransportTCP} {
+					cfg := DefaultConfig(2)
+					cfg.Transport = kind
+					c, err := NewCluster(cfg)
+					if err != nil {
+						t.Errorf("goroutine %d round %d over %v: %v", g, round, kind, err)
+						return
+					}
+					c.Close()
+				}
+			}
+		}(g)
 	}
-	bad := DefaultConfig(0)
-	if _, err := NewClusterOverUDP(bad, nil); err == nil {
-		t.Error("invalid config should fail")
-	}
+	wg.Wait()
 }
 
 func TestRemoteSwapOverflow(t *testing.T) {
