@@ -125,8 +125,8 @@ func BenchmarkAccessCheck(b *testing.B) {
 // the identical striped workload: element-wise Ptr.Get/Set (one lock +
 // one check per element) against pinned zero-copy span views (one lock,
 // one check, one pin per span). The `view` cell's sim-ms should run
-// several times below `elem`'s with identical msgs; `lotsbench -exp
-// viewcost` self-asserts the >=3x bar.
+// several times below `elem`'s with identical msgs;
+// TestViewCostSelfAsserts (internal/harness) holds the >=3x bar.
 func BenchmarkViewCost(b *testing.B) {
 	prof := platform.PIV2GFedora()
 	const (

@@ -30,9 +30,14 @@
 // -kill-epoch, the survivors are torn down, and a gang relaunch with
 // -recover must resume from the checkpoints and finish with digests
 // byte-identical to an uninterrupted in-process run (-app and -seed
-// are ignored in this mode; -problem sets words per row):
+// are ignored in this mode; -problem sets words per row). Both
+// generations go through the same fleet path as an app run, so
+// -kill-rank combines with -spawner, -tls and -chaos; the flags that
+// observe an app run (-metrics-base, -stats-interval, -watch, -trace)
+// are refused:
 //
 //	lotslaunch -nodes 4 -transport udp -kill-rank 2 -kill-epoch 3
+//	lotslaunch -nodes 4 -transport tcp -kill-rank 2 -tls -spawner wrap -wrap 'env LOTS_RANK=%r'
 //
 // Exit codes:
 //
@@ -119,19 +124,26 @@ func main() {
 		}
 	}
 
+	fleetOf := func(kind lots.TransportKind) harness.FleetSpec {
+		return harness.FleetSpec{
+			Procs: *nodes, Transport: kind, ChaosSeed: *chaosSeed,
+			Spawner: spawner, TLS: *useTLS,
+			NodeBin: bin, Timeout: *timeout, LogDir: *logDir,
+		}
+	}
+
 	if *killRank >= 0 {
 		if *remote {
 			fatal(fmt.Errorf("-remote-swap does not combine with the recovery deployment"), 1)
 		}
-		if *spawnKind != "exec" || *useTLS || *metrics != 0 || *statsIvl != 0 || *watch || *traceRun {
-			fatal(fmt.Errorf("fleet flags (-spawner/-tls/-metrics-base/-stats-interval/-watch/-trace) do not combine with the recovery deployment"), 1)
+		if *metrics != 0 || *statsIvl != 0 || *watch || *traceRun {
+			fatal(fmt.Errorf("-metrics-base/-stats-interval/-watch/-trace observe an app run and do not combine with the recovery deployment"), 1)
 		}
 		for _, kind := range kinds {
 			spec := harness.RecoveryMultiprocSpec{
-				Procs: *nodes, Rows: *rows, Words: *problem, Epochs: *epochs,
+				FleetSpec: fleetOf(kind),
+				Rows:      *rows, Words: *problem, Epochs: *epochs,
 				KillRank: *killRank, KillEpoch: *killEpoch,
-				Transport: kind, ChaosSeed: *chaosSeed,
-				NodeBin: bin, Timeout: *timeout, LogDir: *logDir,
 			}
 			res, err := harness.RunRecoveryMultiproc(spec)
 			if err != nil {
@@ -149,10 +161,9 @@ func main() {
 	}
 	for _, kind := range kinds {
 		spec := harness.MultiprocSpec{
-			App: appName, Problem: *problem, Procs: *nodes,
-			SORIters: *sorIters, Seed: *seed, ChaosSeed: *chaosSeed, RemoteSwap: *remote,
-			Transport: kind, NodeBin: bin, Timeout: *timeout, LogDir: *logDir,
-			Spawner: spawner, TLS: *useTLS,
+			FleetSpec: fleetOf(kind),
+			App:       appName, Problem: *problem,
+			SORIters: *sorIters, Seed: *seed, RemoteSwap: *remote,
 			MetricsBase: *metrics, StatsInterval: *statsIvl,
 			Trace: *traceRun,
 		}

@@ -1,8 +1,8 @@
 // Command lotsnode runs ONE node of a LOTS cluster as its own OS
 // process — the deployment model of the paper's testbed, where each
-// machine hosts one DSM process. A launcher (cmd/lotslaunch, or
-// lotsbench -exp multiproc) spawns N of these and coordinates them
-// over stdin/stdout with the control protocol of internal/wire:
+// machine hosts one DSM process. A launcher (cmd/lotslaunch) spawns N
+// of these and coordinates them over stdin/stdout with the control
+// protocol of internal/wire:
 //
 //	lotsnode -id 2 -nodes 4 -transport udp -app sor -problem 32
 //

@@ -218,7 +218,7 @@ type Config struct {
 	// spans link causally across ranks. Tracing records wall-clock
 	// time only — it never touches the simulated clock, and final
 	// shared state is byte-identical with tracing on or off (asserted
-	// by `lotsbench -exp tracecost`). The ring doubles as the crash
+	// by TestTraceCostSelfAsserts). The ring doubles as the crash
 	// flight recorder cmd/lotsnode dumps on failure. Off by default.
 	Trace bool
 }

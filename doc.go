@@ -100,8 +100,9 @@
 // single-reader data, or on lock-dominated sharing (lock-scope updates
 // forfeit the holder's lease by design). Final shared state is
 // byte-identical with leases on or off; only the round-trip count
-// changes (see `lotsbench -exp leasecost`, ~4.7x fewer fetches on the
-// read-mostly workload, and DESIGN.md "Lease coherence").
+// changes (see TestLeaseCostSelfAsserts in internal/harness, ~4.7x
+// fewer fetches on the read-mostly workload, and DESIGN.md "Lease
+// coherence").
 //
 // # Fault tolerance: checkpoint and recovery
 //
@@ -116,8 +117,10 @@
 // stores were lost from the buddy replicas, and returns the epoch to
 // resume the application's loop at. Recovery must be invisible in the
 // bytes: the restarted run's final state is byte-identical to an
-// uninterrupted run of the plain protocol (see `lotsbench -exp
-// recovery` and DESIGN.md "Fault tolerance: checkpoint & recovery").
+// uninterrupted run of the plain protocol (see the TestRecovery* suite
+// in recovery_test.go, `lotslaunch -kill-rank` for the same across
+// real process death, and DESIGN.md "Fault tolerance: checkpoint &
+// recovery").
 //
 // # Wire-path performance
 //
@@ -168,9 +171,9 @@
 //	done; wait
 //
 // Every process prints a digest of the final shared state; the
-// launcher (and `lotsbench -exp multiproc`) additionally asserts the
-// digests are byte-identical across the processes and equal to an
-// in-process mem-transport run of the same seed.
+// launcher (cmd/lotslaunch) additionally asserts the digests are
+// byte-identical across the processes and equal to an in-process
+// mem-transport run of the same seed.
 //
 // # Fleet deployment and metrics
 //
@@ -219,8 +222,9 @@
 // arrived last, and which protocol phase dominated its epoch), and on
 // a rank crash it surfaces the casualty's flight-recorder tail — the
 // last events from its ring, dumped to stderr on failure or SIGQUIT.
-// `lotsbench -exp tracecost` prices the subsystem and self-asserts
-// that tracing is an observer: byte-identical final state, identical
-// simulated time and message count, zero allocations when disabled
-// (see DESIGN.md, "Causal tracing and flight recorder").
+// TestTraceCostSelfAsserts (internal/harness) asserts that tracing is
+// an observer — byte-identical final state, identical simulated time
+// and message count — and internal/trace's TestDisabledPathZeroAlloc
+// that it allocates nothing when disabled (see DESIGN.md, "Causal
+// tracing and flight recorder").
 package lots

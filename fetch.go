@@ -163,14 +163,21 @@ func (n *Node) serveRemoteSwapIn(m wire.Message) {
 	}
 	lc := n.svcClock(m)
 	var w wire.Buffer
-	buf := make([]byte, size)
-	if n.store == nil {
+	switch {
+	case n.store == nil:
 		w.Bool(false).Bytes32([]byte("no backing store"))
-	} else if err := n.store.Read(remoteKey(m.From, id), buf); err != nil {
-		w.Bool(false).Bytes32([]byte(err.Error()))
-	} else {
-		w.Bool(true).Bytes32(buf)
-		lc.Advance(n.prof.DiskRead(size))
+	case int64(size) > n.store.Used():
+		// The size is the peer's word, and no spill can be larger than
+		// everything the store holds: refuse before it sizes a buffer.
+		w.Bool(false).Bytes32([]byte("no spill that large"))
+	default:
+		buf := make([]byte, size)
+		if err := n.store.Read(remoteKey(m.From, id), buf); err != nil {
+			w.Bool(false).Bytes32([]byte(err.Error()))
+		} else {
+			w.Bool(true).Bytes32(buf)
+			lc.Advance(n.prof.DiskRead(size))
+		}
 	}
 	n.reply(m, wire.TRemoteSwapReply, w.Bytes(), lc.Now())
 }

@@ -125,7 +125,7 @@ func (d Diff) Encode(w *wire.Buffer) {
 
 // DecodeDiff reads a diff encoded by Encode.
 func DecodeDiff(r *wire.Reader) (Diff, error) {
-	n := int(r.U32())
+	n := r.Count(8) // off + data length
 	if r.Err() != nil {
 		return Diff{}, r.Err()
 	}
@@ -399,7 +399,7 @@ func (d StampedDiff) Encode(w *wire.Buffer) {
 
 // DecodeStampedDiff reads a stamped diff encoded by Encode.
 func DecodeStampedDiff(r *wire.Reader) (StampedDiff, error) {
-	n := int(r.U32())
+	n := r.Count(14) // off + ver + lock + data length
 	if r.Err() != nil {
 		return StampedDiff{}, r.Err()
 	}

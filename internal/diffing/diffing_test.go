@@ -3,6 +3,7 @@ package diffing
 import (
 	"bytes"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -129,6 +130,31 @@ func TestDecodeDiffTruncated(t *testing.T) {
 	b := w.Bytes()
 	if _, err := DecodeDiff(wire.NewReader(b[:len(b)-2])); err == nil {
 		t.Error("truncated decode should fail")
+	}
+}
+
+// TestDecodeCountSizesNoAllocation hands both decoders a four-byte
+// payload claiming 2^32-1 runs, as one TBarrierDiff datagram from an
+// unauthenticated UDP peer could. The count used to size a make before
+// any run was read (~160 GiB for the stamped form); it must instead fail
+// the decode, having allocated next to nothing.
+func TestDecodeCountSizesNoAllocation(t *testing.T) {
+	var w wire.Buffer
+	w.U32(^uint32(0))
+	for name, decode := range map[string]func(*wire.Reader) error{
+		"DecodeDiff":        func(r *wire.Reader) error { _, err := DecodeDiff(r); return err },
+		"DecodeStampedDiff": func(r *wire.Reader) error { _, err := DecodeStampedDiff(r); return err },
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := decode(wire.NewReader(w.Bytes()))
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s accepted a count of 2^32-1 runs in 4 bytes", name)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 16<<10 {
+			t.Errorf("%s allocated %d bytes rejecting the count", name, grew)
+		}
 	}
 }
 

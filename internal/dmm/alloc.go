@@ -120,9 +120,6 @@ func (a *Allocator) Size() int { return a.size }
 // Used returns bytes currently allocated (including slab page padding).
 func (a *Allocator) Used() int { return a.used }
 
-// FreeBytes returns unallocated bytes.
-func (a *Allocator) FreeBytes() int { return a.size - a.used }
-
 func (a *Allocator) insertFree(off, size int) {
 	// Coalesce with successor.
 	if nsz, ok := a.byStart[off+size]; ok {

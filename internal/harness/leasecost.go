@@ -2,7 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"io"
 	"time"
 
 	lots "repro"
@@ -169,17 +168,4 @@ func (r LeaseCostResult) Assert(minRatio float64) error {
 			fr, minRatio, r.Base.Fetches, r.Lease.Fetches)
 	}
 	return nil
-}
-
-// FormatLeaseCost renders the comparison.
-func FormatLeaseCost(w io.Writer, r LeaseCostResult) {
-	fmt.Fprintf(w, "Lease coherence cost — invalidate-at-barrier vs lease+revalidate\n")
-	fmt.Fprintf(w, "  workload: %d nodes x %d rounds over %d rows x %d words; 1 row/round actually changes (mem transport)\n",
-		r.Procs, r.Rounds, r.Rows, r.Words)
-	fmt.Fprintf(w, "  %-22s %14s %10s %10s %10s %10s\n", "coherence", "simTime", "fetches", "hits", "demotes", "msgs")
-	fmt.Fprintf(w, "  %-22s %14v %10d %10s %10s %10d\n", "invalidate (paper)",
-		r.Base.SimTime.Round(time.Microsecond), r.Base.Fetches, "-", "-", r.Base.Msgs)
-	fmt.Fprintf(w, "  %-22s %14v %10d %10d %10d %10d\n", "lease + revalidate",
-		r.Lease.SimTime.Round(time.Microsecond), r.Lease.Fetches, r.Lease.Hits, r.Lease.Demotes, r.Lease.Msgs)
-	fmt.Fprintf(w, "  fetch round-trips: %.1fx fewer; final states byte-identical\n", r.FetchRatio())
 }

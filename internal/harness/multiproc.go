@@ -13,39 +13,31 @@ package harness
 // Failure is first-class: a node process that dies or goes silent is
 // reported as a *PeerDeathError naming the rank and the bring-up
 // phase it died in, never as a hang — the launcher's whole run sits
-// under one deadline.
+// under one deadline. The process handling itself is fleet.go's; this
+// file is the application run's script over it.
 
 import (
 	"errors"
 	"fmt"
-	"io"
 	"os"
-	"os/exec"
 	"path/filepath"
+	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
 	lots "repro"
 	"repro/internal/apps"
-	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
-// ParseApp resolves a lowercase application name.
+// ParseApp resolves an application name, in either case.
 func ParseApp(s string) (AppName, error) {
-	switch s {
-	case "me":
-		return AppME, nil
-	case "lu":
-		return AppLU, nil
-	case "sor":
-		return AppSOR, nil
-	case "rx":
-		return AppRX, nil
-	default:
-		return "", fmt.Errorf("harness: unknown app %q (want me, lu, sor, rx)", s)
+	if a := AppName(strings.ToUpper(s)); slices.Contains(AllApps(), a) {
+		return a, nil
 	}
+	return "", fmt.Errorf("harness: unknown app %q (want me, lu, sor, rx)", s)
 }
 
 // RunAppDigest runs one Fig. 8 application on backend b and returns
@@ -78,24 +70,14 @@ func RunAppDigest(b apps.Backend, app AppName, problem, sorIters int, seed int64
 	return d, dig
 }
 
-// MultiprocSpec describes one multi-process launch.
+// MultiprocSpec describes one multi-process application launch.
 type MultiprocSpec struct {
+	FleetSpec
+
 	App      AppName
 	Problem  int
-	Procs    int
 	SORIters int   // AppSOR only (0 = 4)
 	Seed     int64 // deterministic input (0 = 42)
-
-	// Transport must be lots.TransportUDP or lots.TransportTCP.
-	Transport lots.TransportKind
-
-	// ChaosSeed, when non-zero, enables seeded fault injection in
-	// every node process. Each rank derives its own schedule with the
-	// per-rank convention (lots.RankChaosSeed), so the cross-process
-	// fault cells are deterministic from this one seed while the
-	// in-process mem reference run stays clean — the digests must
-	// match regardless.
-	ChaosSeed int64
 
 	// RemoteSwap gives rank 0 a deliberately tiny DMM area and local
 	// disk and points its overflow at rank 1's disk, so the run
@@ -103,18 +85,6 @@ type MultiprocSpec struct {
 	// boundary. The node self-asserts that at least one spill
 	// happened; digests must still match the mem run.
 	RemoteSwap bool
-
-	// Spawner controls how rank processes are started (nil =
-	// ExecSpawner: plain local exec). SSHSpawner places ranks on real
-	// hosts; WrapSpawner prefixes an arbitrary stream-transparent
-	// wrapper. The control protocol is identical in every case.
-	Spawner Spawner
-
-	// TLS, when true (TCP only), has the launcher act as a fleet CA:
-	// it issues a distinct certificate per rank under LogDir/tls and
-	// the ranks bring their links up with mutual TLS. The in-process
-	// mem reference run is unaffected — digests must match regardless.
-	TLS bool
 
 	// MetricsBase, when > 0, gives rank i a Prometheus endpoint on
 	// 127.0.0.1:(MetricsBase+i). The launcher probes each endpoint
@@ -129,22 +99,6 @@ type MultiprocSpec struct {
 	// behind lotslaunch -watch.
 	StatsInterval time.Duration
 	OnStats       func(node int, c wire.Ctrl)
-
-	// OnLog observes per-rank relayed log lines (ranks send CtrlLog
-	// frames when spawned with -log-frames; the launcher enables that
-	// whenever OnLog is set).
-	OnLog func(node int, line string)
-
-	// NodeBin is the lotsnode binary ("" = build it with `go build`
-	// into a temp dir — fine for CI, where the toolchain exists).
-	NodeBin string
-
-	// Timeout bounds the whole run, spawn to last digest (0 = 2m).
-	Timeout time.Duration
-
-	// LogDir receives one stderr log file per node ("" = temp dir).
-	// The files are kept on failure so CI can upload them.
-	LogDir string
 
 	// Kill, when true, kills rank KillNode's process right after the
 	// readiness handshake — the peer-death regression hook. The
@@ -220,57 +174,46 @@ func (e *PeerDeathError) Error() string {
 // Unwrap exposes the cause to errors.Is/As.
 func (e *PeerDeathError) Unwrap() error { return e.Cause }
 
-// BuildLotsnode compiles cmd/lotsnode into dir and returns the binary
-// path.
-func BuildLotsnode(dir string) (string, error) {
-	bin := filepath.Join(dir, "lotsnode")
-	out, err := exec.Command("go", "build", "-o", bin, "repro/cmd/lotsnode").CombinedOutput()
-	if err != nil {
-		return "", fmt.Errorf("harness: building lotsnode: %v\n%s", err, out)
+// metricsAddr is rank's /metrics endpoint ("" = metrics off).
+func (spec MultiprocSpec) metricsAddr(rank int) string {
+	if spec.MetricsBase == 0 {
+		return ""
 	}
-	return bin, nil
+	return fmt.Sprintf("127.0.0.1:%d", spec.MetricsBase+rank)
 }
 
-// nodeProc tracks one spawned lotsnode process.
-type nodeProc struct {
-	id      int
-	cmd     *exec.Cmd
-	stdin   io.WriteCloser
-	frames  chan wire.Ctrl // closed on stdout EOF
-	readErr error          // set before frames is closed, if the pipe broke mid-frame
-	exited  chan struct{}  // closed once cmd.Wait returned
-	exitErr error          // cmd.Wait's result; valid after exited is closed
-	exitAt  time.Time      // when cmd.Wait returned; valid after exited is closed
-	logPath string
-	logFile *os.File
-
-	// onStats/onLog observe the streaming frames awaitFrame skips past
-	// (CtrlStats, CtrlLog). Nil when nobody is watching.
-	onStats func(wire.Ctrl)
-	onLog   func(string)
-
-	metricsAddr string // rank's /metrics endpoint ("" = metrics off)
+// appArgs is what an application run adds to a rank's fleet argv.
+func (spec MultiprocSpec) appArgs(rank int) []string {
+	args := []string{
+		"-app", strings.ToLower(string(spec.App)),
+		"-problem", strconv.Itoa(spec.Problem),
+		"-sor-iters", strconv.Itoa(spec.SORIters),
+		"-seed", strconv.FormatInt(spec.Seed, 10),
+	}
+	if spec.RemoteSwap && rank == 0 {
+		// Rank 0 gets a 4 KB DMM area and a 1 KB local disk: eviction
+		// churn is guaranteed and the disk fills almost immediately, so
+		// the overflow must take the remote path to rank 1.
+		args = append(args, "-remote-swap", "-dmm", "4096", "-disk", "1024")
+	}
+	if addr := spec.metricsAddr(rank); addr != "" {
+		args = append(args, "-metrics", addr)
+	}
+	if spec.StatsInterval > 0 {
+		args = append(args, "-stats-interval", spec.StatsInterval.String())
+	}
+	if spec.Trace {
+		args = append(args, "-trace", filepath.Join(spec.LogDir, fmt.Sprintf("node-%d.trace.json", rank)))
+	}
+	return args
 }
 
 // RunMultiproc performs one full multi-process launch; see the package
 // comment for the protocol. On success every process exited 0 with
 // identical digests matching the in-process mem run.
 func RunMultiproc(spec MultiprocSpec) (res MultiprocResult, err error) {
-	if spec.Procs < 2 {
-		return res, fmt.Errorf("harness: multiproc needs >= 2 processes, got %d", spec.Procs)
-	}
-	var tname string
-	switch spec.Transport {
-	case lots.TransportUDP, lots.TransportTCP:
-		tname = spec.Transport.String()
-	default:
-		return res, fmt.Errorf("harness: multiproc requires a socket transport, got %v", spec.Transport)
-	}
 	if spec.Kill && (spec.KillNode < 0 || spec.KillNode >= spec.Procs) {
 		return res, fmt.Errorf("harness: KillNode %d out of range for %d processes", spec.KillNode, spec.Procs)
-	}
-	if spec.TLS && spec.Transport != lots.TransportTCP {
-		return res, fmt.Errorf("harness: TLS fleets require the TCP transport, got %v", spec.Transport)
 	}
 	if spec.SORIters == 0 {
 		spec.SORIters = 4
@@ -278,141 +221,40 @@ func RunMultiproc(spec MultiprocSpec) (res MultiprocResult, err error) {
 	if spec.Seed == 0 {
 		spec.Seed = 42
 	}
-	if spec.Timeout == 0 {
-		spec.Timeout = 2 * time.Minute
+	cleanup, err := spec.resolve()
+	if err != nil {
+		return res, err
 	}
-	bin := spec.NodeBin
-	if bin == "" {
-		dir, err := os.MkdirTemp("", "lotsnode-bin-")
-		if err != nil {
-			return res, err
-		}
-		defer os.RemoveAll(dir)
-		if bin, err = BuildLotsnode(dir); err != nil {
-			return res, err
-		}
-	}
-	logDir := spec.LogDir
-	tempLogs := logDir == ""
-	if tempLogs {
-		var err error
-		if logDir, err = os.MkdirTemp("", "lotsnode-logs-"); err != nil {
-			return res, err
-		}
-	}
-	res.LogDir = logDir
-	if spec.TLS {
-		// The launcher is the fleet CA: per-rank leaf pairs plus the
-		// root certificate land under the log dir, and each rank loads
-		// only its own pair (the root's key never touches disk).
-		if err := writeFleetTLS(logDir, spec.Procs); err != nil {
-			return res, err
-		}
-	}
+	// A launcher-owned temp log dir is kept on failure for post-mortem,
+	// and removed on success — unless the run persisted per-rank stats
+	// or trace artifacts, which are the point.
+	defer func() { cleanup(err == nil && spec.MetricsBase == 0 && !spec.Trace) }()
+	res.LogDir = spec.LogDir
 
 	start := time.Now()
-	deadline := time.NewTimer(spec.Timeout)
-	defer deadline.Stop()
-
-	procs := make([]*nodeProc, spec.Procs)
-	defer func() {
-		// Whatever happened, leave no child behind.
-		for _, p := range procs {
-			if p == nil {
-				continue
-			}
-			if p.cmd.Process != nil {
-				p.cmd.Process.Kill() //nolint:errcheck // best-effort teardown
-			}
-		}
-		for _, p := range procs {
-			if p == nil {
-				continue
-			}
-			select {
-			case <-p.exited:
-			case <-time.After(5 * time.Second):
-			}
-			p.logFile.Close()
-		}
-	}()
+	f, err := spec.launch(spec.appArgs)
+	if err != nil {
+		return res, err
+	}
+	defer f.reap() //nolint:errcheck // best-effort teardown
 	if spec.Trace {
 		// Registered after the teardown defer, so it runs first (LIFO):
 		// the survivors are still alive to answer the SIGQUIT.
 		defer func() {
 			var pd *PeerDeathError
 			if errors.As(err, &pd) && pd.FlightTail == "" {
-				attachFlightTail(procs, pd)
+				attachFlightTail(f.procs, pd)
 			}
 		}()
 	}
-
-	// Spawn every rank, collecting ALL failures instead of stopping at
-	// the first: on a multi-host fleet, "rank 3's host refused ssh AND
-	// rank 5's binary is missing" is the actionable report, and every
-	// error names its rank.
-	var spawnErrs []error
-	for i := 0; i < spec.Procs; i++ {
-		p, err := spawnNode(bin, logDir, tname, i, spec)
-		if err != nil {
-			spawnErrs = append(spawnErrs, err)
-			continue
+	if spec.OnStats != nil {
+		for _, p := range f.procs {
+			p.onStats = func(c wire.Ctrl) { spec.OnStats(p.id, c) }
 		}
-		if spec.OnStats != nil {
-			node := i
-			p.onStats = func(c wire.Ctrl) { spec.OnStats(node, c) }
-		}
-		if spec.OnLog != nil {
-			node := i
-			p.onLog = func(line string) { spec.OnLog(node, line) }
-		}
-		procs[i] = p
 	}
-	if len(spawnErrs) > 0 {
-		return res, errors.Join(spawnErrs...)
-	}
-
-	// Phase 1: every node reports its bound address.
-	hellos, _, err := collectPhase(procs, wire.CtrlHello, "hello", deadline.C)
+	offsetNS, err := f.bringUp()
 	if err != nil {
 		return res, err
-	}
-	addrs := make([]string, spec.Procs)
-	for i, c := range hellos {
-		addrs[i] = c.Addr
-	}
-	if err := lots.ValidatePeerAddrs(addrs, spec.Procs); err != nil {
-		return res, err
-	}
-
-	// Phase 2: distribute the list; every node joins and reports ready.
-	// sentAt brackets the round trip from below: the peers frame is the
-	// last launcher->daemon traffic before the daemon's ready frame, so
-	// [sentAt, ready arrival] contains the daemon's WallNS stamp.
-	sentAt := make([]time.Time, spec.Procs)
-	for _, p := range procs {
-		sentAt[p.id] = time.Now()
-		if err := wire.WriteCtrl(p.stdin, wire.Ctrl{Kind: wire.CtrlPeers, Addrs: addrs}); err != nil {
-			return res, &PeerDeathError{Node: p.id, Phase: "ready", Cause: err}
-		}
-	}
-	readies, readyAt, err := collectPhase(procs, wire.CtrlReady, "ready", deadline.C)
-	if err != nil {
-		return res, err
-	}
-	// Per-rank clock offset: the daemon stamped its wall clock WallNS
-	// somewhere inside [sentAt, readyAt] on the launcher's clock, so the
-	// midpoint estimates launcher-time-at-stamp and the difference is
-	// the rank's offset (node clock = launcher clock + offset). The join
-	// barrier dominates the interval, but every rank's interval contains
-	// the same barrier-exit moment, so the midpoints stay comparable.
-	var offsetNS []int64
-	if spec.Trace {
-		offsetNS = make([]int64, spec.Procs)
-		for i, c := range readies {
-			mid := sentAt[i].UnixNano() + readyAt[i].Sub(sentAt[i]).Nanoseconds()/2
-			offsetNS[i] = c.WallNS - mid
-		}
 	}
 
 	// Mid-run reachability probe: every rank's metrics endpoint must
@@ -420,28 +262,28 @@ func RunMultiproc(spec MultiprocSpec) (res MultiprocResult, err error) {
 	// their process open after the digest until stdin EOF, so a fast
 	// application cannot race this probe into a dead endpoint.)
 	if spec.MetricsBase > 0 {
-		for _, p := range procs {
-			if _, _, err := ScrapeMetrics(p.metricsAddr); err != nil {
-				return res, fmt.Errorf("harness: mid-run metrics probe, rank %d: %w", p.id, err)
+		for i := range f.procs {
+			if _, _, err := ScrapeMetrics(spec.metricsAddr(i)); err != nil {
+				return res, fmt.Errorf("harness: mid-run metrics probe, rank %d: %w", i, err)
 			}
 		}
 	}
 
 	if spec.Kill {
-		if err := procs[spec.KillNode].cmd.Process.Kill(); err != nil {
+		if err := f.kill(spec.KillNode); err != nil {
 			return res, err
 		}
 	}
 
-	// Phase 3: the application runs; every node reports its digest.
-	digests, _, err := collectPhase(procs, wire.CtrlDigest, "run", deadline.C)
+	// The application runs; every node reports its digest.
+	digests, _, err := f.collect(wire.CtrlDigest, "run")
 	if err != nil {
 		return res, err
 	}
 	res.Nodes = make([]NodeReport, spec.Procs)
 	for i, c := range digests {
 		res.Nodes[i] = NodeReport{Node: i, Digest: c.Digest, Msgs: c.Msgs, Bytes: c.Bytes,
-			LogPath: procs[i].logPath, MetricsAddr: procs[i].metricsAddr}
+			LogPath: f.procs[i].logPath, MetricsAddr: spec.metricsAddr(i)}
 	}
 
 	// Final scrape: the digests are in but every rank still holds its
@@ -450,15 +292,15 @@ func RunMultiproc(spec MultiprocSpec) (res MultiprocResult, err error) {
 	// and persist each scrape next to the logs as node-<i>.stats.
 	if spec.MetricsBase > 0 {
 		var fleetFetchServes int64
-		for i, p := range procs {
-			m, body, err := ScrapeMetrics(p.metricsAddr)
+		for i := range f.procs {
+			m, body, err := ScrapeMetrics(spec.metricsAddr(i))
 			if err != nil {
 				return res, fmt.Errorf("harness: final metrics scrape, rank %d: %w", i, err)
 			}
 			if err := VerifyRankMetrics(m, i, true); err != nil {
 				return res, err
 			}
-			statsPath := filepath.Join(logDir, fmt.Sprintf("node-%d.stats", i))
+			statsPath := filepath.Join(spec.LogDir, fmt.Sprintf("node-%d.stats", i))
 			if err := os.WriteFile(statsPath, body, 0o644); err != nil {
 				return res, err
 			}
@@ -473,19 +315,8 @@ func RunMultiproc(spec MultiprocSpec) (res MultiprocResult, err error) {
 		}
 	}
 
-	// Every process must exit 0. A fresh per-process timer here, not
-	// the shared deadline: a time.Timer channel delivers once, and an
-	// earlier phase's select may already have consumed the tick.
-	for i, p := range procs {
-		p.stdin.Close()
-		select {
-		case <-p.exited:
-			if p.exitErr != nil {
-				return res, &PeerDeathError{Node: i, Phase: "run", Cause: fmt.Errorf("exit: %w", p.exitErr)}
-			}
-		case <-time.After(10 * time.Second):
-			return res, &PeerDeathError{Node: i, Phase: "run", Cause: errors.New("timeout waiting for exit")}
-		}
+	if err := f.finish(); err != nil {
+		return res, err
 	}
 	res.Wall = time.Since(start)
 
@@ -493,7 +324,7 @@ func RunMultiproc(spec MultiprocSpec) (res MultiprocResult, err error) {
 	// rank exported its file before writing its digest frame, and every
 	// process has exited, so the files are complete.
 	if spec.Trace {
-		report, err := MergeTraces(logDir, spec.Procs, offsetNS)
+		report, err := MergeTraces(spec.LogDir, spec.Procs, offsetNS)
 		if err != nil {
 			return res, fmt.Errorf("harness: merging traces: %w", err)
 		}
@@ -520,305 +351,7 @@ func RunMultiproc(spec MultiprocSpec) (res MultiprocResult, err error) {
 		return res, &DigestMismatchError{Detail: fmt.Sprintf("multi-process digest %s != in-process mem digest %s (state leaked outside the wire?)",
 			res.Digest, mem)}
 	}
-	// A launcher-owned temp log dir is kept on failure (every error
-	// return above) for post-mortem, and removed on success — unless
-	// the run persisted per-rank stats or trace artifacts, which are
-	// the point.
-	if tempLogs && spec.MetricsBase == 0 && !spec.Trace {
-		os.RemoveAll(logDir) //nolint:errcheck // best-effort cleanup
-	}
 	return res, nil
-}
-
-// spawnNode starts one lotsnode process for an application run.
-func spawnNode(bin, logDir, tname string, id int, spec MultiprocSpec) (*nodeProc, error) {
-	args := []string{
-		"-id", strconv.Itoa(id),
-		"-nodes", strconv.Itoa(spec.Procs),
-		"-transport", tname,
-		"-app", appFlag(spec.App),
-		"-problem", strconv.Itoa(spec.Problem),
-		"-sor-iters", strconv.Itoa(spec.SORIters),
-		"-seed", strconv.FormatInt(spec.Seed, 10),
-		"-timeout", spec.Timeout.String(),
-	}
-	if spec.ChaosSeed != 0 {
-		args = append(args, "-chaos", strconv.FormatInt(spec.ChaosSeed, 10))
-	}
-	if spec.RemoteSwap && id == 0 {
-		// Rank 0 gets a 4 KB DMM area and a 1 KB local disk: eviction
-		// churn is guaranteed and the disk fills almost immediately, so
-		// the overflow must take the remote path to rank 1.
-		args = append(args, "-remote-swap", "-dmm", "4096", "-disk", "1024")
-	}
-	var metricsAddr string
-	if spec.MetricsBase > 0 {
-		metricsAddr = fmt.Sprintf("127.0.0.1:%d", spec.MetricsBase+id)
-		args = append(args, "-metrics", metricsAddr)
-	}
-	if spec.StatsInterval > 0 {
-		args = append(args, "-stats-interval", spec.StatsInterval.String())
-	}
-	if spec.Trace {
-		args = append(args, "-trace", filepath.Join(logDir, fmt.Sprintf("node-%d.trace.json", id)))
-	}
-	if spec.OnLog != nil {
-		args = append(args, "-log-frames")
-	}
-	if spec.TLS {
-		tlsDir := filepath.Join(logDir, "tls")
-		args = append(args,
-			"-tls-cert", filepath.Join(tlsDir, fmt.Sprintf("node-%d.crt", id)),
-			"-tls-key", filepath.Join(tlsDir, fmt.Sprintf("node-%d.key", id)),
-			"-tls-ca", filepath.Join(tlsDir, "ca.crt"))
-	}
-	p, err := spawnProc(spec.Spawner, bin, logDir, id, args)
-	if err != nil {
-		return nil, err
-	}
-	p.metricsAddr = metricsAddr
-	return p, nil
-}
-
-// writeFleetTLS generates a fleet CA and writes per-rank leaf pairs
-// plus the root certificate under logDir/tls.
-func writeFleetTLS(logDir string, procs int) error {
-	tlsDir := filepath.Join(logDir, "tls")
-	if err := os.MkdirAll(tlsDir, 0o700); err != nil {
-		return err
-	}
-	ca, err := transport.NewCA()
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(filepath.Join(tlsDir, "ca.crt"), ca.CertPEM(), 0o600); err != nil {
-		return err
-	}
-	for i := 0; i < procs; i++ {
-		certPEM, keyPEM, err := ca.IssueNode(i)
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(filepath.Join(tlsDir, fmt.Sprintf("node-%d.crt", i)), certPEM, 0o600); err != nil {
-			return err
-		}
-		if err := os.WriteFile(filepath.Join(tlsDir, fmt.Sprintf("node-%d.key", i)), keyPEM, 0o600); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// spawnProc starts one lotsnode process through the given spawner
-// (nil = plain local exec), its control pipes and log capture wired
-// up. Every failure path names the rank: a fleet launcher joins these
-// across ranks, and "which rank failed to spawn, and how" is the
-// actionable part.
-func spawnProc(sp Spawner, bin, logDir string, id int, args []string) (*nodeProc, error) {
-	if sp == nil {
-		sp = ExecSpawner{}
-	}
-	logPath := filepath.Join(logDir, fmt.Sprintf("node-%d.log", id))
-	logFile, err := os.Create(logPath)
-	if err != nil {
-		return nil, fmt.Errorf("harness: spawning rank %d via %s: log file: %w", id, sp, err)
-	}
-	argv := sp.Argv(id, bin, args)
-	cmd := exec.Command(argv[0], argv[1:]...)
-	cmd.Stderr = logFile
-	// Manual pipes instead of StdinPipe/StdoutPipe: cmd.Wait closes the
-	// helper pipes, and a node that exits the instant after writing its
-	// digest frame would race Wait into closing the read end before the
-	// frame reader drains it. With explicit os.Pipe ends the parent
-	// owns, the reader always drains to a true EOF.
-	stdoutR, stdoutW, err := os.Pipe()
-	if err != nil {
-		logFile.Close()
-		return nil, fmt.Errorf("harness: spawning rank %d via %s: %w", id, sp, err)
-	}
-	stdinR, stdinW, err := os.Pipe()
-	if err != nil {
-		logFile.Close()
-		stdoutR.Close()
-		stdoutW.Close()
-		return nil, fmt.Errorf("harness: spawning rank %d via %s: %w", id, sp, err)
-	}
-	cmd.Stdout = stdoutW
-	cmd.Stdin = stdinR
-	if err := cmd.Start(); err != nil {
-		logFile.Close()
-		stdoutR.Close()
-		stdoutW.Close()
-		stdinR.Close()
-		stdinW.Close()
-		return nil, fmt.Errorf("harness: spawning rank %d via %s: %w", id, sp, err)
-	}
-	// The child holds its own copies now; drop ours so EOF propagates
-	// when the child exits.
-	stdoutW.Close()
-	stdinR.Close()
-	stdin, stdout := io.WriteCloser(stdinW), io.Reader(stdoutR)
-	p := &nodeProc{
-		id: id, cmd: cmd, stdin: stdin,
-		frames: make(chan wire.Ctrl, 4), exited: make(chan struct{}),
-		logPath: logPath, logFile: logFile,
-	}
-	go func() {
-		defer stdoutR.Close()
-		for {
-			c, err := wire.ReadCtrl(stdout)
-			if err != nil {
-				if err != io.EOF {
-					p.readErr = err
-				}
-				close(p.frames)
-				return
-			}
-			p.frames <- c
-		}
-	}()
-	go func() { p.exitErr = cmd.Wait(); p.exitAt = time.Now(); close(p.exited) }()
-	return p, nil
-}
-
-func appFlag(a AppName) string {
-	switch a {
-	case AppME:
-		return "me"
-	case AppLU:
-		return "lu"
-	case AppSOR:
-		return "sor"
-	case AppRX:
-		return "rx"
-	default:
-		return string(a)
-	}
-}
-
-// collectPhase awaits one frame of the given kind from EVERY process
-// concurrently. Concurrency is what makes peer-death attribution
-// possible at all: when rank k dies mid-barrier, every other rank
-// eventually errors too (its channel to k breaks), so a rank-ordered
-// sequential read would blame whichever lower rank errored while
-// waiting. But "first error outcome observed" is still a race — a
-// survivor's broken pipe can surface before the dead rank's EOF — so
-// on a casualty the launcher drains the stragglers for a grace period
-// and then attributes the death by actual process exit order.
-func collectPhase(procs []*nodeProc, want wire.CtrlKind, phase string, deadline <-chan time.Time) ([]wire.Ctrl, []time.Time, error) {
-	type outcome struct {
-		node int
-		c    wire.Ctrl
-		at   time.Time
-		err  error
-	}
-	ch := make(chan outcome, len(procs))
-	for i, p := range procs {
-		go func(i int, p *nodeProc) {
-			c, err := awaitFrame(p, want, deadline)
-			ch <- outcome{i, c, time.Now(), err}
-		}(i, p)
-	}
-	out := make([]wire.Ctrl, len(procs))
-	at := make([]time.Time, len(procs))
-	var firstErr error
-	firstNode := -1
-	remaining := len(procs)
-	for remaining > 0 {
-		o := <-ch
-		remaining--
-		if o.err != nil {
-			firstErr, firstNode = o.err, o.node
-			break
-		}
-		out[o.node], at[o.node] = o.c, o.at
-	}
-	if firstErr == nil {
-		return out, at, nil
-	}
-	grace := time.After(2 * time.Second)
-	for remaining > 0 {
-		select {
-		case <-ch:
-			remaining--
-		case <-grace:
-			remaining = 0
-		}
-	}
-	node, cause := firstCasualty(procs, firstNode, firstErr)
-	return nil, nil, &PeerDeathError{Node: node, Phase: phase, Cause: cause}
-}
-
-// firstCasualty names the rank that actually died first: among the
-// processes that have already exited abnormally, the one with the
-// earliest exit timestamp. Ranks whose pipes merely broke downstream
-// (or that are still alive, stalled behind the dead peer's barrier)
-// never outrank a real corpse. Falls back to the first observed error
-// when no process has exited abnormally (e.g. a pure timeout).
-func firstCasualty(procs []*nodeProc, fallbackNode int, fallbackErr error) (int, error) {
-	best := -1
-	var bestAt time.Time
-	for _, p := range procs {
-		select {
-		case <-p.exited:
-		default:
-			continue
-		}
-		if p.exitErr == nil {
-			continue
-		}
-		if best < 0 || p.exitAt.Before(bestAt) {
-			best, bestAt = p.id, p.exitAt
-		}
-	}
-	if best < 0 || best == fallbackNode {
-		return fallbackNode, fallbackErr
-	}
-	return best, fmt.Errorf("process exited first: %w (log: %s)", procs[best].exitErr, procs[best].logPath)
-}
-
-// awaitFrame reads control frames from p until one of the given kind
-// arrives. Progress frames (CtrlEpoch) are informational and skipped
-// unless they are what the caller wants. A closed stream (the process
-// died), a CtrlError frame, or the shared deadline all fail with a
-// phase-attributable cause.
-func awaitFrame(p *nodeProc, want wire.CtrlKind, deadline <-chan time.Time) (wire.Ctrl, error) {
-	for {
-		select {
-		case c, ok := <-p.frames:
-			if !ok {
-				cause := p.readErr
-				if cause == nil {
-					cause = errors.New("process closed its control pipe")
-				}
-				return wire.Ctrl{}, fmt.Errorf("%w (log: %s)", cause, p.logPath)
-			}
-			if c.Kind == wire.CtrlError {
-				return wire.Ctrl{}, fmt.Errorf("node reported: %s", c.Err)
-			}
-			if c.Kind == wire.CtrlEpoch && want != wire.CtrlEpoch {
-				continue
-			}
-			if c.Kind == wire.CtrlStats && want != wire.CtrlStats {
-				if p.onStats != nil {
-					p.onStats(c)
-				}
-				continue
-			}
-			if c.Kind == wire.CtrlLog && want != wire.CtrlLog {
-				if p.onLog != nil {
-					p.onLog(c.Log)
-				}
-				continue
-			}
-			if c.Kind != want {
-				return wire.Ctrl{}, fmt.Errorf("expected %v frame, got %v", want, c.Kind)
-			}
-			return c, nil
-		case <-deadline:
-			return wire.Ctrl{}, fmt.Errorf("timeout waiting for %v frame (mid-barrier peer death upstream?)", want)
-		}
-	}
 }
 
 // MemDigest runs the spec's application in-process over the mem

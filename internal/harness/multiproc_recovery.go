@@ -19,13 +19,15 @@ import (
 	"strconv"
 	"time"
 
-	lots "repro"
 	"repro/internal/wire"
 )
 
 // RecoveryMultiprocSpec describes one kill-and-relaunch deployment.
+// The embedded FleetSpec's Procs must be >= 3, and its Timeout bounds
+// each of the two generations.
 type RecoveryMultiprocSpec struct {
-	Procs  int // >= 3
+	FleetSpec
+
 	Rows   int // >= 2
 	Words  int // >= Procs
 	Epochs int // > KillEpoch
@@ -33,17 +35,7 @@ type RecoveryMultiprocSpec struct {
 	KillRank  int // rank that gets SIGKILLed
 	KillEpoch int // workload epoch the kill lands in (>= 1)
 
-	// Transport must be lots.TransportUDP or lots.TransportTCP.
-	Transport lots.TransportKind
-
-	// ChaosSeed, when non-zero, enables per-rank seeded fault injection
-	// in every node process (the lots.RankChaosSeed convention).
-	ChaosSeed int64
-
-	NodeBin string        // lotsnode binary ("" = go build it)
-	Timeout time.Duration // per-phase deadline (0 = 2m)
-	LogDir  string        // per-node stderr logs ("" = temp dir)
-	Root    string        // checkpoint root ("" = temp dir)
+	Root string // checkpoint root ("" = temp dir)
 }
 
 // RecoveryMultiprocResult is a successful kill-and-relaunch outcome.
@@ -58,79 +50,46 @@ type RecoveryMultiprocResult struct {
 	Wall        time.Duration
 }
 
+// recovArgs is what the recovery workload adds to a rank's fleet argv.
+func (spec RecoveryMultiprocSpec) recovArgs(rank int, resume bool) []string {
+	args := []string{
+		"-app", "recov",
+		"-rows", strconv.Itoa(spec.Rows),
+		"-problem", strconv.Itoa(spec.Words),
+		"-epochs", strconv.Itoa(spec.Epochs),
+		"-ckpt-root", spec.Root,
+	}
+	if resume {
+		args = append(args, "-recover")
+	} else if rank == spec.KillRank {
+		// The target freezes mid-write upon entering KillEpoch, so
+		// the SIGKILL lands mid-epoch by construction — a fast fleet
+		// (the whole workload runs in milliseconds) would otherwise
+		// race past the kill and finish cleanly.
+		args = append(args, "-stall-at", strconv.Itoa(spec.KillEpoch))
+	}
+	return args
+}
+
 // RunRecoveryMultiproc performs one full kill-and-relaunch; see the
 // file comment for the protocol.
-func RunRecoveryMultiproc(spec RecoveryMultiprocSpec) (RecoveryMultiprocResult, error) {
-	var res RecoveryMultiprocResult
+func RunRecoveryMultiproc(spec RecoveryMultiprocSpec) (res RecoveryMultiprocResult, err error) {
 	res.Casualty = -1
 	if spec.Procs < 3 || spec.Rows < 2 || spec.Words < spec.Procs ||
 		spec.KillEpoch < 1 || spec.Epochs <= spec.KillEpoch ||
 		spec.KillRank < 0 || spec.KillRank >= spec.Procs {
 		return res, fmt.Errorf("harness: recovery multiproc: need procs >= 3, rows >= 2, words >= procs, 1 <= killEpoch < epochs, killRank in 0..procs-1")
 	}
-	var tname string
-	switch spec.Transport {
-	case lots.TransportUDP, lots.TransportTCP:
-		tname = spec.Transport.String()
-	default:
-		return res, fmt.Errorf("harness: recovery multiproc requires a socket transport, got %v", spec.Transport)
+	cleanup, err := spec.resolve()
+	if err != nil {
+		return res, err
 	}
-	if spec.Timeout == 0 {
-		spec.Timeout = 2 * time.Minute
-	}
-	bin := spec.NodeBin
-	if bin == "" {
-		dir, err := os.MkdirTemp("", "lotsnode-bin-")
-		if err != nil {
+	defer func() { cleanup(err == nil) }()
+	if spec.Root == "" {
+		if spec.Root, err = os.MkdirTemp("", "lots-recovery-mp-*"); err != nil {
 			return res, err
 		}
-		defer os.RemoveAll(dir)
-		if bin, err = BuildLotsnode(dir); err != nil {
-			return res, err
-		}
-	}
-	logDir := spec.LogDir
-	tempLogs := logDir == ""
-	if tempLogs {
-		var err error
-		if logDir, err = os.MkdirTemp("", "lotsnode-logs-"); err != nil {
-			return res, err
-		}
-	}
-	root := spec.Root
-	if root == "" {
-		dir, err := os.MkdirTemp("", "lots-recovery-mp-*")
-		if err != nil {
-			return res, err
-		}
-		defer os.RemoveAll(dir)
-		root = dir
-	}
-	nodeArgs := func(id int, resume bool) []string {
-		args := []string{
-			"-id", strconv.Itoa(id),
-			"-nodes", strconv.Itoa(spec.Procs),
-			"-transport", tname,
-			"-app", "recov",
-			"-rows", strconv.Itoa(spec.Rows),
-			"-problem", strconv.Itoa(spec.Words),
-			"-epochs", strconv.Itoa(spec.Epochs),
-			"-ckpt-root", root,
-			"-timeout", spec.Timeout.String(),
-		}
-		if resume {
-			args = append(args, "-recover")
-		} else if id == spec.KillRank {
-			// The target freezes mid-write upon entering KillEpoch, so
-			// the SIGKILL below lands mid-epoch by construction — a fast
-			// fleet (the whole workload runs in milliseconds) would
-			// otherwise race past the kill and finish cleanly.
-			args = append(args, "-stall-at", strconv.Itoa(spec.KillEpoch))
-		}
-		if spec.ChaosSeed != 0 {
-			args = append(args, "-chaos", strconv.FormatInt(spec.ChaosSeed, 10))
-		}
-		return args
+		defer os.RemoveAll(spec.Root)
 	}
 
 	start := time.Now()
@@ -143,18 +102,16 @@ func RunRecoveryMultiproc(spec RecoveryMultiprocSpec) (RecoveryMultiprocResult, 
 	// past KillEpoch-1 before the target dies. The target itself runs
 	// with -stall-at KillEpoch: it announces the epoch after a partial
 	// write and then freezes, pinning the kill window open.
-	casualty, err := runDoomedFleet(bin, logDir, nodeArgs, spec)
-	if err != nil {
+	if res.Casualty, err = runDoomedFleet(spec); err != nil {
 		return res, err
 	}
-	res.Casualty = casualty
-	if casualty != spec.KillRank {
-		return res, fmt.Errorf("harness: recovery multiproc: death attributed to rank %d, want %d", casualty, spec.KillRank)
+	if res.Casualty != spec.KillRank {
+		return res, fmt.Errorf("harness: recovery multiproc: death attributed to rank %d, want %d", res.Casualty, spec.KillRank)
 	}
 
 	// Phase 2: the gang relaunch. Every rank comes back with -recover,
 	// negotiates the resume epoch from the stores, replays, digests.
-	digests, err := runRelaunchedFleet(bin, logDir, nodeArgs, spec)
+	digests, err := runRelaunchedFleet(spec)
 	if err != nil {
 		return res, err
 	}
@@ -186,28 +143,19 @@ func RunRecoveryMultiproc(spec RecoveryMultiprocSpec) (RecoveryMultiprocResult, 
 	if mem != res.Digest {
 		return res, &DigestMismatchError{Detail: fmt.Sprintf("relaunched digest %s != mem oracle %s (checkpoints did not carry all state?)", res.Digest, mem)}
 	}
-	if tempLogs {
-		os.RemoveAll(logDir) //nolint:errcheck // best-effort cleanup
-	}
 	return res, nil
 }
 
 // runDoomedFleet brings up the full fleet, kills the target once every
 // rank has entered KillEpoch, tears the rest down, and returns the
 // rank the exit order names as the first casualty.
-func runDoomedFleet(bin, logDir string, nodeArgs func(id int, resume bool) []string, spec RecoveryMultiprocSpec) (int, error) {
-	deadline := time.NewTimer(spec.Timeout)
-	defer deadline.Stop()
-	procs := make([]*nodeProc, spec.Procs)
-	defer reapProcs(procs)
-	for i := 0; i < spec.Procs; i++ {
-		p, err := spawnProc(nil, bin, logDir, i, nodeArgs(i, false))
-		if err != nil {
-			return -1, err
-		}
-		procs[i] = p
+func runDoomedFleet(spec RecoveryMultiprocSpec) (int, error) {
+	f, err := spec.launch(func(rank int) []string { return spec.recovArgs(rank, false) })
+	if err != nil {
+		return -1, err
 	}
-	if err := bringUp(procs, spec.Procs, deadline.C); err != nil {
+	defer f.reap() //nolint:errcheck // best-effort teardown
+	if _, err := f.bringUp(); err != nil {
 		return -1, err
 	}
 
@@ -217,10 +165,10 @@ func runDoomedFleet(bin, logDir string, nodeArgs func(id int, resume bool) []str
 		err  error
 	}
 	ch := make(chan outcome, spec.Procs)
-	for i, p := range procs {
+	for i, p := range f.procs {
 		go func(i int, p *nodeProc) {
 			for {
-				c, err := awaitFrame(p, wire.CtrlEpoch, deadline.C)
+				c, err := awaitFrame(p, wire.CtrlEpoch, f.deadline.C)
 				if err != nil {
 					ch <- outcome{i, err}
 					return
@@ -232,7 +180,7 @@ func runDoomedFleet(bin, logDir string, nodeArgs func(id int, resume bool) []str
 			}
 		}(i, p)
 	}
-	for range procs {
+	for range f.procs {
 		o := <-ch
 		if o.err != nil {
 			return -1, &PeerDeathError{Node: o.node, Phase: "doomed-run", Cause: o.err}
@@ -241,7 +189,7 @@ func runDoomedFleet(bin, logDir string, nodeArgs func(id int, resume bool) []str
 	// From here on nobody awaits frames; drain each pipe so a fast
 	// fleet emitting further epoch frames cannot wedge its reader
 	// goroutine on the buffered channel.
-	for _, p := range procs {
+	for _, p := range f.procs {
 		go func(p *nodeProc) {
 			for range p.frames { //nolint:revive // discard
 			}
@@ -252,109 +200,37 @@ func runDoomedFleet(bin, logDir string, nodeArgs func(id int, resume bool) []str
 	// death detector: the target's exit is unambiguous (its control
 	// pipe closes and its process reaps first), and the survivors are
 	// stalled behind a barrier the dead rank will never reach.
-	target := procs[spec.KillRank]
-	if err := target.cmd.Process.Kill(); err != nil {
+	if err := f.kill(spec.KillRank); err != nil {
 		return -1, err
 	}
 	select {
-	case <-target.exited:
+	case <-f.procs[spec.KillRank].exited:
 	case <-time.After(10 * time.Second):
 		return -1, fmt.Errorf("harness: recovery multiproc: killed rank %d did not exit", spec.KillRank)
 	}
-	for i, p := range procs {
-		if i != spec.KillRank && p.cmd.Process != nil {
-			p.cmd.Process.Kill() //nolint:errcheck // gang teardown
-		}
+	if err := f.reap(); err != nil {
+		return -1, err
 	}
-	for _, p := range procs {
-		select {
-		case <-p.exited:
-		case <-time.After(10 * time.Second):
-			return -1, fmt.Errorf("harness: recovery multiproc: rank %d did not exit on teardown", p.id)
-		}
-	}
-	casualty, _ := firstCasualty(procs, -1, nil)
+	casualty, _ := firstCasualty(f.procs, -1, nil)
 	return casualty, nil
 }
 
 // runRelaunchedFleet restarts every rank with -recover and collects
 // their digest frames.
-func runRelaunchedFleet(bin, logDir string, nodeArgs func(id int, resume bool) []string, spec RecoveryMultiprocSpec) ([]wire.Ctrl, error) {
-	deadline := time.NewTimer(spec.Timeout)
-	defer deadline.Stop()
-	procs := make([]*nodeProc, spec.Procs)
-	defer reapProcs(procs)
-	for i := 0; i < spec.Procs; i++ {
-		p, err := spawnProc(nil, bin, logDir, i, nodeArgs(i, true))
-		if err != nil {
-			return nil, err
-		}
-		procs[i] = p
-	}
-	if err := bringUp(procs, spec.Procs, deadline.C); err != nil {
-		return nil, err
-	}
-	digests, _, err := collectPhase(procs, wire.CtrlDigest, "run", deadline.C)
+func runRelaunchedFleet(spec RecoveryMultiprocSpec) ([]wire.Ctrl, error) {
+	f, err := spec.launch(func(rank int) []string { return spec.recovArgs(rank, true) })
 	if err != nil {
 		return nil, err
 	}
-	for i, p := range procs {
-		p.stdin.Close()
-		select {
-		case <-p.exited:
-			if p.exitErr != nil {
-				return nil, &PeerDeathError{Node: i, Phase: "run", Cause: fmt.Errorf("exit: %w", p.exitErr)}
-			}
-		case <-time.After(10 * time.Second):
-			return nil, &PeerDeathError{Node: i, Phase: "run", Cause: fmt.Errorf("timeout waiting for exit")}
-		}
+	defer f.reap() //nolint:errcheck // best-effort teardown
+	if _, err := f.bringUp(); err != nil {
+		return nil, err
 	}
-	return digests, nil
-}
-
-// bringUp runs the hello/peers/ready handshake on a freshly spawned
-// fleet.
-func bringUp(procs []*nodeProc, nodes int, deadline <-chan time.Time) error {
-	hellos, _, err := collectPhase(procs, wire.CtrlHello, "hello", deadline)
+	digests, _, err := f.collect(wire.CtrlDigest, "run")
 	if err != nil {
-		return err
+		return nil, err
 	}
-	addrs := make([]string, nodes)
-	for i, c := range hellos {
-		addrs[i] = c.Addr
-	}
-	if err := lots.ValidatePeerAddrs(addrs, nodes); err != nil {
-		return err
-	}
-	for _, p := range procs {
-		if err := wire.WriteCtrl(p.stdin, wire.Ctrl{Kind: wire.CtrlPeers, Addrs: addrs}); err != nil {
-			return &PeerDeathError{Node: p.id, Phase: "ready", Cause: err}
-		}
-	}
-	_, _, err = collectPhase(procs, wire.CtrlReady, "ready", deadline)
-	return err
-}
-
-// reapProcs kills and reaps whatever is left of a fleet.
-func reapProcs(procs []*nodeProc) {
-	for _, p := range procs {
-		if p == nil {
-			continue
-		}
-		if p.cmd.Process != nil {
-			p.cmd.Process.Kill() //nolint:errcheck // best-effort teardown
-		}
-	}
-	for _, p := range procs {
-		if p == nil {
-			continue
-		}
-		select {
-		case <-p.exited:
-		case <-time.After(5 * time.Second):
-		}
-		p.logFile.Close()
-	}
+	return digests, f.finish()
 }
 
 // FormatRecoveryMultiproc renders a kill-and-relaunch outcome.

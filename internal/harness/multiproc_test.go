@@ -6,7 +6,9 @@ package harness
 
 import (
 	"errors"
+	"fmt"
 	"os"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -39,11 +41,11 @@ func nodeBin(t *testing.T) string {
 
 func testMultiproc(t *testing.T, kind lots.TransportKind, app AppName, problem int) {
 	res, err := RunMultiproc(MultiprocSpec{
-		App: app, Problem: problem, Procs: 4, Seed: 42,
-		Transport: kind,
-		NodeBin:   nodeBin(t),
-		Timeout:   90 * time.Second,
-		LogDir:    t.TempDir(),
+		App: app, Problem: problem, Seed: 42,
+		FleetSpec: FleetSpec{
+			Procs: 4, Transport: kind,
+			NodeBin: nodeBin(t), Timeout: 90 * time.Second, LogDir: t.TempDir(),
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -74,12 +76,11 @@ func TestMultiprocTCP(t *testing.T) { testMultiproc(t, lots.TransportTCP, AppME,
 // against the clean in-process mem run.
 func TestMultiprocUDPChaosDigestIdentity(t *testing.T) {
 	res, err := RunMultiproc(MultiprocSpec{
-		App: AppSOR, Problem: 16, Procs: 4, Seed: 42,
-		ChaosSeed: 7,
-		Transport: lots.TransportUDP,
-		NodeBin:   nodeBin(t),
-		Timeout:   2 * time.Minute,
-		LogDir:    t.TempDir(),
+		App: AppSOR, Problem: 16, Seed: 42,
+		FleetSpec: FleetSpec{
+			Procs: 4, Transport: lots.TransportUDP, ChaosSeed: 7,
+			NodeBin: nodeBin(t), Timeout: 2 * time.Minute, LogDir: t.TempDir(),
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -101,12 +102,12 @@ func TestMultiprocUDPChaosDigestIdentity(t *testing.T) {
 // reference run.
 func TestMultiprocRemoteSwap(t *testing.T) {
 	res, err := RunMultiproc(MultiprocSpec{
-		App: AppSOR, Problem: 32, Procs: 4, Seed: 42,
+		App: AppSOR, Problem: 32, Seed: 42,
 		RemoteSwap: true,
-		Transport:  lots.TransportUDP,
-		NodeBin:    nodeBin(t),
-		Timeout:    2 * time.Minute,
-		LogDir:     t.TempDir(),
+		FleetSpec: FleetSpec{
+			Procs: 4, Transport: lots.TransportUDP,
+			NodeBin: nodeBin(t), Timeout: 2 * time.Minute, LogDir: t.TempDir(),
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -123,12 +124,12 @@ func TestMultiprocRemoteSwap(t *testing.T) {
 func TestMultiprocPeerDeath(t *testing.T) {
 	start := time.Now()
 	_, err := RunMultiproc(MultiprocSpec{
-		App: AppSOR, Problem: 16, Procs: 4, Seed: 42,
-		Transport: lots.TransportUDP,
-		NodeBin:   nodeBin(t),
-		Timeout:   60 * time.Second,
-		LogDir:    t.TempDir(),
-		Kill:      true, KillNode: 2,
+		App: AppSOR, Problem: 16, Seed: 42,
+		FleetSpec: FleetSpec{
+			Procs: 4, Transport: lots.TransportUDP,
+			NodeBin: nodeBin(t), Timeout: 60 * time.Second, LogDir: t.TempDir(),
+		},
+		Kill: true, KillNode: 2,
 	})
 	if err == nil {
 		t.Fatal("launcher succeeded despite a killed node")
@@ -152,20 +153,39 @@ func TestMultiprocPeerDeath(t *testing.T) {
 // TestMultiprocValidation: impossible specs fail fast, before any
 // process is spawned.
 func TestMultiprocValidation(t *testing.T) {
-	if _, err := RunMultiproc(MultiprocSpec{App: AppSOR, Problem: 16, Procs: 1, Transport: lots.TransportUDP}); err == nil {
+	fleetOf := func(procs int, kind lots.TransportKind) FleetSpec {
+		return FleetSpec{Procs: procs, Transport: kind, NodeBin: "/nonexistent/lotsnode", LogDir: t.TempDir()}
+	}
+	if _, err := RunMultiproc(MultiprocSpec{App: AppSOR, Problem: 16, FleetSpec: fleetOf(1, lots.TransportUDP)}); err == nil {
 		t.Error("1-process launch accepted")
 	}
-	if _, err := RunMultiproc(MultiprocSpec{App: AppSOR, Problem: 16, Procs: 4, Transport: lots.TransportMem}); err == nil {
+	if _, err := RunMultiproc(MultiprocSpec{App: AppSOR, Problem: 16, FleetSpec: fleetOf(4, lots.TransportMem)}); err == nil {
 		t.Error("mem-transport launch accepted")
 	}
 	if _, err := RunMultiproc(MultiprocSpec{
-		App: AppSOR, Problem: 16, Procs: 4, Transport: lots.TransportUDP,
-		NodeBin: "/nonexistent/lotsnode", Kill: true, KillNode: 9,
-	}); err == nil {
-		t.Error("out-of-range KillNode accepted")
+		App: AppSOR, Problem: 16, FleetSpec: fleetOf(4, lots.TransportUDP), Kill: true, KillNode: 9,
+	}); err == nil || !strings.Contains(err.Error(), "KillNode 9 out of range") {
+		t.Errorf("out-of-range KillNode: got %v", err)
 	}
 	if _, err := ParseApp("bogus"); err == nil {
 		t.Error("ParseApp accepted bogus app")
+	}
+	for _, a := range AllApps() {
+		if got, err := ParseApp(strings.ToLower(string(a))); err != nil || got != a {
+			t.Errorf("ParseApp(%q) = %q, %v", strings.ToLower(string(a)), got, err)
+		}
+	}
+	// The doomed generation of the recovery deployment goes through the
+	// same spawn path as an app run: every rank's failure is reported,
+	// not only the first.
+	_, err := RunRecoveryMultiproc(RecoveryMultiprocSpec{
+		FleetSpec: fleetOf(3, lots.TransportUDP),
+		Rows:      2, Words: 4, Epochs: 3, KillRank: 1, KillEpoch: 1,
+	})
+	for i := 0; i < 3; i++ {
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("spawning rank %d via exec", i)) {
+			t.Errorf("doomed fleet with an unspawnable binary does not name rank %d: %v", i, err)
+		}
 	}
 }
 
@@ -181,12 +201,28 @@ func TestMultiprocRecovery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process recovery is not short")
 	}
+	testMultiprocRecovery(t, FleetSpec{Procs: 4, Transport: lots.TransportUDP})
+}
+
+// TestMultiprocRecoveryThroughFleetPath is the same deployment with
+// what only the shared launcher path can give it: a non-exec spawner
+// and launcher-issued per-rank TLS, both generations.
+func TestMultiprocRecoveryThroughFleetPath(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-process recovery is not short")
+	}
+	testMultiprocRecovery(t, FleetSpec{
+		Procs: 4, Transport: lots.TransportTCP, TLS: true,
+		Spawner: WrapSpawner{Prefix: []string{"env", "LOTS_RANK=%r"}},
+	})
+}
+
+func testMultiprocRecovery(t *testing.T, fs FleetSpec) {
+	fs.NodeBin, fs.Timeout, fs.LogDir = nodeBin(t), 90*time.Second, t.TempDir()
 	spec := RecoveryMultiprocSpec{
-		Procs: 4, Rows: 4, Words: 16, Epochs: 6,
+		FleetSpec: fs,
+		Rows:      4, Words: 16, Epochs: 6,
 		KillRank: 2, KillEpoch: 3,
-		Transport: lots.TransportUDP,
-		NodeBin:   nodeBin(t),
-		Timeout:   90 * time.Second,
 	}
 	res, err := RunRecoveryMultiproc(spec)
 	if err != nil {

@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -225,24 +224,52 @@ func RunRecoveryNode(n *lots.Node, rows, words, epochs, stallAt int, onEpoch fun
 // transport with no recovery machinery — the oracle a multi-process
 // recovery deployment's final bytes must match.
 func RecoveryMemDigest(procs, rows, words, epochs int) (string, error) {
-	spec := RecoverySpec{Procs: procs, Rows: rows, Words: words, Epochs: epochs}
-	cfg := lots.DefaultConfig(procs)
+	cell, err := RecoverySpec{Procs: procs, Rows: rows, Words: words, Epochs: epochs}.oracle()
+	return cell.Digest, err
+}
+
+// oracle is the uninterrupted run: the paper's plain protocol, no
+// recovery machinery at all, on the deterministic mem transport.
+func (spec RecoverySpec) oracle() (RecoveryCell, error) {
+	cfg := lots.DefaultConfig(spec.Procs)
+	if spec.Platform.Name != "" {
+		cfg.Platform = spec.Platform
+	}
 	c, err := lots.NewCluster(cfg)
 	if err != nil {
-		return "", err
+		return RecoveryCell{}, err
 	}
 	defer c.Close()
-	resumes := make([]string, procs)
-	digests := make([]string, procs)
+	resumes := make([]string, spec.Procs)
+	digests := make([]string, spec.Procs)
 	err = c.Run(func(n *lots.Node) {
 		spec.recoveryWorkload(n, -1, -1, nil, nil, resumes, digests)
 	})
 	if err != nil {
-		return "", err
+		return RecoveryCell{}, fmt.Errorf("recovery: oracle run: %w", err)
 	}
-	for q := 1; q < procs; q++ {
+	d, err := sameDigests("oracle", digests)
+	if err != nil {
+		return RecoveryCell{}, err
+	}
+	return recoveryCell(c, d), nil
+}
+
+// recoveryCell snapshots one phase's cluster-wide counters.
+func recoveryCell(c *lots.Cluster, digest string) RecoveryCell {
+	t := c.Total()
+	return RecoveryCell{
+		SimTime: c.SimTime(), Msgs: t.MsgsSent,
+		Ckpts: t.Ckpts, CkptBytes: t.CkptBytes, CkptSkipped: t.CkptSkipped,
+		Rehomes: t.Rehomes, LeaseHits: t.LeaseHits, Digest: digest,
+	}
+}
+
+// sameDigests returns the digest every node of a phase agreed on.
+func sameDigests(phase string, digests []string) (string, error) {
+	for q := 1; q < len(digests); q++ {
 		if digests[q] != digests[0] {
-			return "", fmt.Errorf("recovery: mem oracle: node %d final state differs from node 0", q)
+			return "", fmt.Errorf("recovery: %s: node %d final state differs from node 0", phase, q)
 		}
 	}
 	return digests[0], nil
@@ -282,46 +309,10 @@ func RecoveryCost(spec RecoverySpec) (RecoveryResult, error) {
 		}
 		return cfg
 	}
-	cell := func(c *lots.Cluster, digest string) RecoveryCell {
-		t := c.Total()
-		return RecoveryCell{
-			SimTime: c.SimTime(), Msgs: t.MsgsSent,
-			Ckpts: t.Ckpts, CkptBytes: t.CkptBytes, CkptSkipped: t.CkptSkipped,
-			Rehomes: t.Rehomes, LeaseHits: t.LeaseHits, Digest: digest,
-		}
-	}
-	sameDigests := func(phase string, digests []string) (string, error) {
-		for q := 1; q < len(digests); q++ {
-			if digests[q] != digests[0] {
-				return "", fmt.Errorf("recovery: %s: node %d final state differs from node 0", phase, q)
-			}
-		}
-		return digests[0], nil
-	}
-
-	// Phase 0: the oracle — the paper's plain protocol, no recovery
-	// machinery at all, on the deterministic mem transport.
-	{
-		cfg := lots.DefaultConfig(spec.Procs)
-		cfg.Platform = spec.Platform
-		c, err := lots.NewCluster(cfg)
-		if err != nil {
-			return res, err
-		}
-		resumes := make([]string, spec.Procs)
-		digests := make([]string, spec.Procs)
-		err = c.Run(func(n *lots.Node) {
-			spec.recoveryWorkload(n, -1, -1, nil, nil, resumes, digests)
-		})
-		c.Close()
-		if err != nil {
-			return res, fmt.Errorf("recovery: oracle run: %w", err)
-		}
-		d, err := sameDigests("oracle", digests)
-		if err != nil {
-			return res, err
-		}
-		res.Clean = cell(c, d)
+	// Phase 0: the oracle.
+	var err error
+	if res.Clean, err = spec.oracle(); err != nil {
+		return res, err
 	}
 
 	// Phase 1: the doomed run. Checkpoints on; KillRank dies mid-epoch.
@@ -362,7 +353,7 @@ func RecoveryCost(spec RecoverySpec) (RecoveryResult, error) {
 		if err == nil {
 			return res, fmt.Errorf("recovery: doomed run completed cleanly — the kill never happened")
 		}
-		res.Doomed = cell(c, "")
+		res.Doomed = recoveryCell(c, "")
 	}
 
 	if spec.WipeKilled {
@@ -405,7 +396,7 @@ func RecoveryCost(spec RecoverySpec) (RecoveryResult, error) {
 		if err != nil {
 			return res, err
 		}
-		res.Resumed = cell(c, d)
+		res.Resumed = recoveryCell(c, d)
 		if _, err := fmt.Sscan(resumes[0], &res.ResumeEpoch); err != nil {
 			return res, fmt.Errorf("recovery: bad resume epoch %q", resumes[0])
 		}
@@ -438,31 +429,4 @@ func (r RecoveryResult) Assert() error {
 		return fmt.Errorf("recovery: %d re-homes on a same-fleet restart with intact stores", r.Resumed.Rehomes)
 	}
 	return nil
-}
-
-// FormatRecovery renders the scenario outcome.
-func FormatRecovery(w io.Writer, r RecoveryResult) {
-	s := r.Spec
-	fmt.Fprintf(w, "Checkpoint/recovery — rank death at epoch %d of %d (%d nodes, %dx%d int32 rows, %s transport)\n",
-		s.KillEpoch, s.Epochs, s.Procs, s.Rows, s.Words, s.Transport)
-	mode := "restart, intact stores"
-	if s.WipeKilled {
-		mode = "restart, killed rank's store wiped"
-	}
-	if s.Degraded {
-		mode = fmt.Sprintf("degraded continue with %d ranks", s.Procs-1)
-		if s.WipeKilled {
-			mode += ", store wiped"
-		}
-	}
-	fmt.Fprintf(w, "  mode: %s; resumed at epoch %d\n", mode, r.ResumeEpoch)
-	fmt.Fprintf(w, "  %-18s %14s %10s %8s %12s %10s %8s\n", "phase", "simTime", "msgs", "ckpts", "ckptBytes", "skipped", "rehomes")
-	row := func(name string, c RecoveryCell) {
-		fmt.Fprintf(w, "  %-18s %14v %10d %8d %12d %10d %8d\n", name,
-			c.SimTime.Round(time.Microsecond), c.Msgs, c.Ckpts, c.CkptBytes, c.CkptSkipped, c.Rehomes)
-	}
-	row("clean (oracle)", r.Clean)
-	row("killed at epoch", r.Doomed)
-	row("gang restart", r.Resumed)
-	fmt.Fprintf(w, "  final states byte-identical to the uninterrupted run\n")
 }

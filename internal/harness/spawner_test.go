@@ -84,11 +84,11 @@ func TestWrapSpawnerArgv(t *testing.T) {
 // multi-host bring-up failure.
 func TestSpawnErrorNamesRank(t *testing.T) {
 	_, err := RunMultiproc(MultiprocSpec{
-		App: AppSOR, Problem: 8, Procs: 2, Seed: 42,
-		Transport: lots.TransportUDP,
-		NodeBin:   "/nonexistent/lotsnode-missing",
-		Timeout:   30 * time.Second,
-		LogDir:    t.TempDir(),
+		App: AppSOR, Problem: 8, Seed: 42,
+		FleetSpec: FleetSpec{
+			Procs: 2, Transport: lots.TransportUDP,
+			NodeBin: "/nonexistent/lotsnode-missing", Timeout: 30 * time.Second, LogDir: t.TempDir(),
+		},
 	})
 	if err == nil {
 		t.Fatal("RunMultiproc succeeded with a nonexistent binary")
@@ -170,10 +170,19 @@ func TestMultiprocObservability(t *testing.T) {
 		sawCounter = make(map[int]bool)
 	)
 	res, err := RunMultiproc(MultiprocSpec{
-		App: AppSOR, Problem: 16, Procs: procs, Seed: 42,
-		Transport:     lots.TransportTCP,
-		Spawner:       WrapSpawner{Prefix: []string{"env", "LOTS_RANK=%r"}},
-		TLS:           true,
+		App: AppSOR, Problem: 16, Seed: 42,
+		FleetSpec: FleetSpec{
+			Procs: procs, Transport: lots.TransportTCP, TLS: true,
+			Spawner: WrapSpawner{Prefix: []string{"env", "LOTS_RANK=%r"}},
+			OnLog: func(node int, line string) {
+				mu.Lock()
+				defer mu.Unlock()
+				if line != "" {
+					logLines[node]++
+				}
+			},
+			NodeBin: nodeBin(t), Timeout: 90 * time.Second, LogDir: t.TempDir(),
+		},
 		MetricsBase:   29310,
 		StatsInterval: 25 * time.Millisecond,
 		OnStats: func(node int, c wire.Ctrl) {
@@ -186,16 +195,6 @@ func TestMultiprocObservability(t *testing.T) {
 				}
 			}
 		},
-		OnLog: func(node int, line string) {
-			mu.Lock()
-			defer mu.Unlock()
-			if line != "" {
-				logLines[node]++
-			}
-		},
-		NodeBin: nodeBin(t),
-		Timeout: 90 * time.Second,
-		LogDir:  t.TempDir(),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -4,26 +4,21 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
-	"testing"
 	"time"
 
 	lots "repro"
 	"repro/internal/platform"
-	"repro/internal/trace"
-	"repro/internal/wire"
 )
 
-// The tracecost experiment prices the causal tracing subsystem and
-// proves it is an observer, not a participant: the same lock-round +
-// barrier workload runs twice on the mem transport — Config.Trace off
-// and on — and the two runs must end with byte-identical final state,
-// identical simulated time (tracing records wall-clock timestamps and
-// never touches the simulated clocks), and an identical message count
-// (the trace context rides existing frames; it never adds one). The
-// disabled path must be literally free: every Ring method on a nil
-// ring must be zero-alloc, and the traced run's wall-clock overhead is
-// bounded.
+// The tracecost experiment proves the causal tracing subsystem is an
+// observer, not a participant: the same lock-round + barrier workload
+// runs twice on the mem transport — Config.Trace off and on — and the
+// two runs must end with byte-identical final state, identical
+// simulated time (tracing records wall-clock timestamps and never
+// touches the simulated clocks), and an identical message count (the
+// trace context rides existing frames; it never adds one), with the
+// traced run's wall-clock overhead bounded. (That the disabled path
+// allocates nothing is internal/trace's TestDisabledPathZeroAlloc.)
 
 // TraceCostCell is one side of the off/on comparison.
 type TraceCostCell struct {
@@ -34,14 +29,10 @@ type TraceCostCell struct {
 	Events  int // trace events recorded across the cluster
 }
 
-// TraceCostResult is the off/on comparison plus the disabled-path
-// allocation measurement.
+// TraceCostResult is the off/on comparison.
 type TraceCostResult struct {
 	Procs, Rounds, Words int
 	Off, On              TraceCostCell
-	// NilRingAllocs is allocations per Begin/End/Instant round on a nil
-	// ring — the cost tracing-compiled-in imposes on an untraced run.
-	NilRingAllocs float64
 }
 
 // Assert self-checks the experiment's claims; any violation is a
@@ -62,9 +53,6 @@ func (r TraceCostResult) Assert() error {
 	if r.On.Events == 0 {
 		return fmt.Errorf("tracecost: traced run recorded no events")
 	}
-	if r.NilRingAllocs != 0 {
-		return fmt.Errorf("tracecost: disabled path allocates (%v allocs/op)", r.NilRingAllocs)
-	}
 	// Wall-clock bound, deliberately loose: the rings are mutex-guarded
 	// preallocated slots, so anything past a generous multiple means a
 	// hot-path regression (allocation per event, export on the hot
@@ -78,7 +66,11 @@ func (r TraceCostResult) Assert() error {
 // TraceCost runs the comparison: procs nodes increment a shared
 // words-long array under one lock for rounds rounds, with barriers
 // fencing the verification sweep — every protocol path the tracer
-// instruments (locks, diffs, fetches, barriers) fires.
+// instruments (locks, diffs, fetches, barriers) fires. Within a round
+// the ranks take the lock one at a time in rank order, an event-only
+// barrier between turns: left to contend, the grant order — and with
+// it the simulated time and even the message count — would follow the
+// goroutine schedule rather than the config.
 func TraceCost(procs, rounds, words int, prof platform.Profile) (TraceCostResult, error) {
 	res := TraceCostResult{Procs: procs, Rounds: rounds, Words: words}
 	if procs < 2 || rounds < 1 || words < 1 {
@@ -100,11 +92,16 @@ func TraceCost(procs, rounds, words int, prof platform.Profile) (TraceCostResult
 			arr := lots.Alloc[int32](n, words)
 			n.Barrier()
 			for r := 0; r < rounds; r++ {
-				n.Acquire(3)
-				for i := 0; i < words; i++ {
-					arr.Set(i, arr.Get(i)+1)
+				for turn := 0; turn < n.N(); turn++ {
+					if n.ID() == turn {
+						n.Acquire(3)
+						for i := 0; i < words; i++ {
+							arr.Set(i, arr.Get(i)+1)
+						}
+						n.Release(3)
+					}
+					n.RunBarrier()
 				}
-				n.Release(3)
 			}
 			n.Barrier()
 			want := int32(rounds * n.N())
@@ -162,24 +159,5 @@ func TraceCost(procs, rounds, words int, prof platform.Profile) (TraceCostResult
 	if res.On, err = run(true); err != nil {
 		return res, err
 	}
-	// The disabled path is a nil ring behind Config.Trace=false; every
-	// record call must be a nil-check and nothing else.
-	var nilRing *trace.Ring
-	res.NilRingAllocs = testing.AllocsPerRun(1000, func() {
-		tc := nilRing.Begin(trace.LockAcquire, 1, 2, wire.TraceCtx{})
-		nilRing.End(tc)
-		nilRing.Instant(trace.Retransmit, 0, 1, wire.TraceCtx{})
-	})
 	return res, res.Assert()
-}
-
-// FormatTraceCost renders the comparison.
-func FormatTraceCost(w io.Writer, r TraceCostResult) {
-	fmt.Fprintf(w, "Trace cost — %d nodes, %d lock rounds, %d words (mem transport)\n",
-		r.Procs, r.Rounds, r.Words)
-	fmt.Fprintf(w, "  %-10s %12s %10s %12s %10s\n", "tracing", "sim time", "msgs", "wall", "events")
-	fmt.Fprintf(w, "  %-10s %12v %10d %12v %10d\n", "off", r.Off.SimTime, r.Off.Msgs, r.Off.Wall.Round(time.Microsecond), r.Off.Events)
-	fmt.Fprintf(w, "  %-10s %12v %10d %12v %10d\n", "on", r.On.SimTime, r.On.Msgs, r.On.Wall.Round(time.Microsecond), r.On.Events)
-	fmt.Fprintf(w, "  verified: byte-identical state, identical sim time and msgs, %d events recorded,\n", r.On.Events)
-	fmt.Fprintf(w, "  disabled path %g allocs/op\n", r.NilRingAllocs)
 }

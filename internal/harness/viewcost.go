@@ -2,7 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"io"
 	"time"
 
 	lots "repro"
@@ -185,18 +184,4 @@ func (r ViewCostResult) Assert(minRatio float64) error {
 			cr, minRatio, r.Elem.Checks, r.View.Checks)
 	}
 	return nil
-}
-
-// FormatViewCost renders the comparison.
-func FormatViewCost(w io.Writer, r ViewCostResult) {
-	fmt.Fprintf(w, "View API cost — element-wise Ptr.Get/Set vs pinned span views\n")
-	fmt.Fprintf(w, "  workload: %d nodes x %d rounds x %d sweeps over a %d-word shared array (mem transport)\n",
-		r.Procs, r.Rounds, r.Passes, r.Words)
-	fmt.Fprintf(w, "  %-18s %14s %12s %12s %10s\n", "access path", "simTime", "checks", "spans", "msgs")
-	fmt.Fprintf(w, "  %-18s %14v %12d %12d %10d\n", "element-wise",
-		r.Elem.SimTime.Round(time.Microsecond), r.Elem.Checks, r.Elem.Views, r.Elem.Msgs)
-	fmt.Fprintf(w, "  %-18s %14v %12d %12d %10d\n", "span views",
-		r.View.SimTime.Round(time.Microsecond), r.View.Checks, r.View.Views, r.View.Msgs)
-	fmt.Fprintf(w, "  sim-time: %.1fx faster; access checks: %.1fx fewer; final states byte-identical\n",
-		r.SimRatio(), r.CheckRatio())
 }

@@ -25,4 +25,17 @@ func TestViewCostSelfAsserts(t *testing.T) {
 	}
 	t.Logf("elem/view sim ratio %.2fx, checks %.1fx, view epoch %v",
 		res.SimRatio(), res.CheckRatio(), res.View.SimTime/rounds)
+
+	// The shape the redesign's acceptance bar was set on (3.8x simulated
+	// time, 264,874x access checks on record): with enough sweeps per
+	// fetch to amortize the coherence traffic, span views must win by at
+	// least 3x on both.
+	bar, err := ViewCost(8192, 4, 64, 3, platform.PIV2GFedora())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := bar.Assert(3.0); err != nil {
+		t.Error(err)
+	}
+	t.Logf("bar shape: sim ratio %.2fx, checks %.1fx", bar.SimRatio(), bar.CheckRatio())
 }

@@ -22,9 +22,9 @@
 //
 // Timestamps are the machine's wall clock (UnixNano), never the
 // deterministic simulated clock: recording an event must not perturb
-// the simulated-time model, and `lotsbench -exp tracecost` asserts
-// exactly that (identical simulated time and final bytes with tracing
-// on or off).
+// the simulated-time model, and internal/harness's
+// TestTraceCostSelfAsserts asserts exactly that (identical simulated
+// time and final bytes with tracing on or off).
 package trace
 
 import (

@@ -73,10 +73,6 @@ func (e *BatchingEndpoint) ID() int { return e.inner.ID() }
 // N returns the cluster size.
 func (e *BatchingEndpoint) N() int { return e.inner.N() }
 
-// Inner returns the wrapped endpoint (for callers that need a
-// transport-specific face, e.g. Flush with a timeout).
-func (e *BatchingEndpoint) Inner() Endpoint { return e.inner }
-
 // Send transmits m immediately. Any batch pending for m.To is flushed
 // first, so a direct send never overtakes messages deferred before it.
 func (e *BatchingEndpoint) Send(m wire.Message) error {

@@ -630,14 +630,6 @@ func encodeDiff(d diffing.Diff) []byte {
 	return w.Bytes()
 }
 
-func decodeDiff(n *Node, p []byte) diffing.Diff {
-	d, err := diffing.DecodeDiff(wire.NewReader(p))
-	if err != nil {
-		n.fatalf("lots: bad diff payload: %v", err)
-	}
-	return d
-}
-
 // ResetClock zeroes this node's simulated clock. The harness uses it at
 // phase boundaries, e.g. to exclude ME's local sorting time from the
 // measured merging time as the paper does (§4.1).

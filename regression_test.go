@@ -126,6 +126,30 @@ func TestRegressionBarrierArriveCountSizesNoAllocation(t *testing.T) {
 	}
 }
 
+// TestRegressionRemoteSwapInSizeSizesNoAllocation sends a twelve-byte
+// swap-in request (id, size) asking for a 2^32-1 byte spill the server
+// never stored. The size used to size a make before the store was
+// consulted — 4 GiB per request; it must instead be refused, as a
+// missing spill is, having allocated next to nothing.
+func TestRegressionRemoteSwapInSizeSizesNoAllocation(t *testing.T) {
+	c := mustCluster(t, DefaultConfig(2))
+	var w wire.Buffer
+	w.U64(7).U32(^uint32(0))
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	reply := c.nodes[1].rpc(0, wire.TRemoteSwapIn, w.Bytes())
+	runtime.ReadMemStats(&after)
+
+	r := wire.NewReader(reply.Payload)
+	if ok, msg := r.Bool(), r.Bytes32(); ok || r.Err() != nil || len(msg) == 0 {
+		t.Fatalf("swap-in of a 2^32-1 byte spill that was never stored: ok=%v msg=%q err=%v", ok, msg, r.Err())
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 16<<10 {
+		t.Fatalf("refusing the request allocated %d bytes", grew)
+	}
+}
+
 // TestRegressionReplyRegistrationAfterClose: once dispatch has drained
 // the pending table, every site that registers a reply channel must
 // fail instead of blocking on a channel nothing will ever signal. The
