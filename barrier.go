@@ -493,7 +493,10 @@ func (n *Node) processBarrierExit(payload []byte) {
 		} else if c.State != object.Invalid {
 			c.State = object.Clean
 		}
-		c.Twin = nil
+		if c.Twin != nil {
+			n.twinFree[len(c.Twin)] = append(n.twinFree[len(c.Twin)], c.Twin)
+			c.Twin = nil
+		}
 		c.WrittenInEpoch = false
 		c.ScopeLocks = nil
 		// Lock knowledge is synchronized below, so per-word stamps of

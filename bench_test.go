@@ -13,6 +13,7 @@
 //	BenchmarkOverhead/*    -> §4.2 large-object-space overhead (LOTS vs LOTS-x)
 //	BenchmarkAccessCheck   -> §4.2 20-25 ns access check measurement
 //	BenchmarkViewCost      -> View API redesign: element-wise vs span views (DESIGN.md)
+//	BenchmarkViewCopy      -> wall-clock CopyFrom+CopyTo of a 64 KiB row view (the out-of-core sweep's copies)
 //	BenchmarkTable1/*      -> Table 1 platform sweep (scaled; sim-ms extrapolates x64)
 //	BenchmarkMaxSpace      -> §4.3 free-disk exhaustion (scaled)
 //	BenchmarkAblation*     -> DESIGN.md ablation index
@@ -145,6 +146,34 @@ func BenchmarkViewCost(b *testing.B) {
 		b.ReportMetric(float64(r.Elem.Checks), "elem-checks")
 		b.ReportMetric(float64(r.View.Checks), "view-checks")
 		b.ReportMetric(r.SimRatio(), "sim-ratio-x")
+	}
+}
+
+// BenchmarkViewCopy is the application's side of an out-of-core sweep:
+// one CopyFrom and one CopyTo of a resident 64 KiB row. Wall-clock, not
+// simulated time.
+func BenchmarkViewCopy(b *testing.B) {
+	const words = 8 << 10
+	c, err := lots.NewCluster(lots.DefaultConfig(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	err = c.Run(func(n *lots.Node) {
+		v := lots.Alloc[int64](n, words).ViewRW(0, words)
+		defer v.Release()
+		buf := make([]int64, words)
+		b.SetBytes(2 * 8 * words)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			buf[0] = int64(i)
+			v.CopyFrom(buf)
+			v.CopyTo(buf)
+		}
+	})
+	if err != nil {
+		b.Fatal(err)
 	}
 }
 

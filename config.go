@@ -155,7 +155,10 @@ type Config struct {
 	Platform platform.Profile
 
 	// Store builds each node's backing store. Nil defaults to an
-	// in-memory simulated disk bounded by Platform.DiskFreeBytes.
+	// in-memory simulated disk bounded by Platform.DiskFreeBytes. The
+	// caller owns what Store returns: the runtime never closes it, so a
+	// store holding files must be closed by the caller once the cluster
+	// is.
 	Store func(node int) disk.Store
 
 	// Protocol holds coherence ablation knobs; the zero value is the

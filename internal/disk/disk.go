@@ -7,14 +7,25 @@
 //
 // Three stores are provided:
 //
-//   - FileStore: real files under a spill directory, proving the code
-//     path against a genuine filesystem.
+//   - FileStore: one real swap file under a spill directory, proving
+//     the code path against a genuine filesystem.
 //   - SimStore: an in-memory store with a capacity limit, standing in
 //     for the paper's hard disks so capacity-exhaustion experiments run
 //     at full "disk" sizes without writing hundreds of gigabytes.
 //   - Accounted: a wrapper adding event counting and simulated-time
 //     charging (seek + transfer at the platform's disk bandwidth) to
 //     any store.
+//
+// FileStore's swap file is opened once and holds each object at its own
+// extent; Read and Write are one positional read or write between the
+// extent and the caller's slice (the DMM slot, for the mapper), under
+// the store's mutex so capacity accounting and the I/O are one step. A
+// same-size rewrite goes in place; Delete and size-changing rewrites
+// hand the old extent to a per-size free list that later writes draw
+// from, so a steady sweep never grows the file. A read the file cannot
+// wholly satisfy is an error, never zeros; a failed write drops the
+// object, so a torn extent is never read back; everything fails after
+// Close.
 package disk
 
 import (
@@ -139,15 +150,28 @@ func (s *SimStore) Close() error {
 	return nil
 }
 
-// FileStore spills each object to its own file under dir.
+// extent is the region of the swap file one object's bytes occupy.
+type extent struct {
+	off, size int64
+}
+
+// FileStore keeps every spilled object in one swap file under dir, each
+// at its own extent, and moves bytes between an extent and the caller's
+// slice with one positional read or write.
 type FileStore struct {
 	mu       sync.Mutex
 	dir      string
-	sizes    map[uint64]int64
+	f        *os.File // nil once closed
+	extents  map[uint64]extent
+	free     map[int64][]int64 // released extent offsets by size
+	end      int64             // offset at which the next new extent starts
 	used     int64
 	capacity int64
 	own      bool // we created dir and should remove it on Close
 }
+
+// swapFileName is the one file a FileStore keeps in its directory.
+const swapFileName = "lots.swap"
 
 // NewFileStore stores spills under dir (created if needed; 0 capacity =
 // unlimited). If dir is empty a fresh temp directory is created and
@@ -164,69 +188,104 @@ func NewFileStore(dir string, capacity int64) (*FileStore, error) {
 	} else if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("disk: %w", err)
 	}
-	return &FileStore{dir: dir, sizes: make(map[uint64]int64), capacity: capacity, own: own}, nil
+	// The extent table lives in memory only, so whatever an earlier
+	// store left in the file is unreachable: start from an empty file.
+	f, err := os.OpenFile(filepath.Join(dir, swapFileName), os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		if own {
+			os.RemoveAll(dir) //nolint:errcheck // already failing with err
+		}
+		return nil, fmt.Errorf("disk: %w", err)
+	}
+	return &FileStore{
+		dir:      dir,
+		f:        f,
+		extents:  make(map[uint64]extent),
+		free:     make(map[int64][]int64),
+		capacity: capacity,
+		own:      own,
+	}, nil
 }
 
-func (s *FileStore) path(id uint64) string {
-	return filepath.Join(s.dir, fmt.Sprintf("obj-%016x.spill", id))
+// errClosed is returned by operations on a closed FileStore.
+var errClosed = fmt.Errorf("disk: file store: %w", os.ErrClosed)
+
+// release returns id's extent to the free list and forgets the object.
+// Caller holds s.mu.
+func (s *FileStore) release(id uint64, e extent) {
+	s.free[e.size] = append(s.free[e.size], e.off)
+	s.used -= e.size
+	delete(s.extents, id)
 }
 
-// Write implements Store.
+// Write implements Store. A same-size rewrite goes in place; any other
+// write takes a free extent of that size, or a new one at the end of the
+// file. If the file write fails, id is dropped from the store: a torn
+// extent is never read back.
 func (s *FileStore) Write(id uint64, data []byte) error {
 	s.mu.Lock()
-	old := s.sizes[id]
-	next := s.used - old + int64(len(data))
-	if s.capacity > 0 && next > s.capacity {
-		s.mu.Unlock()
+	defer s.mu.Unlock()
+	if s.f == nil {
+		return errClosed
+	}
+	size := int64(len(data))
+	old, had := s.extents[id]
+	if next := s.used - old.size + size; s.capacity > 0 && next > s.capacity {
 		return fmt.Errorf("%w: need %d bytes, capacity %d", ErrNoSpace, next, s.capacity)
 	}
-	s.mu.Unlock()
-	if err := os.WriteFile(s.path(id), data, 0o644); err != nil {
-		return fmt.Errorf("disk: %w", err)
+	e := old
+	if !had || old.size != size {
+		if had {
+			s.release(id, old)
+		}
+		e = extent{off: s.end, size: size}
+		if offs := s.free[size]; len(offs) > 0 {
+			e.off = offs[len(offs)-1]
+			s.free[size] = offs[:len(offs)-1]
+		} else {
+			s.end += size
+		}
+		s.extents[id] = e
+		s.used += size
 	}
-	s.mu.Lock()
-	s.used = s.used - s.sizes[id] + int64(len(data))
-	s.sizes[id] = int64(len(data))
-	s.mu.Unlock()
+	if _, err := s.f.WriteAt(data, e.off); err != nil {
+		s.release(id, e)
+		return fmt.Errorf("disk: writing object %d: %w", id, err)
+	}
 	return nil
 }
 
-// Read implements Store.
+// Read implements Store. An extent the file no longer wholly holds is an
+// error, never a zero-filled dst.
 func (s *FileStore) Read(id uint64, dst []byte) error {
 	s.mu.Lock()
-	size, ok := s.sizes[id]
-	s.mu.Unlock()
+	defer s.mu.Unlock()
+	if s.f == nil {
+		return errClosed
+	}
+	e, ok := s.extents[id]
 	if !ok {
 		return fmt.Errorf("%w: id %d", ErrNotFound, id)
 	}
-	if size != int64(len(dst)) {
-		return fmt.Errorf("%w: stored %d, want %d", ErrSizeMismatch, size, len(dst))
+	if e.size != int64(len(dst)) {
+		return fmt.Errorf("%w: stored %d, want %d", ErrSizeMismatch, e.size, len(dst))
 	}
-	d, err := os.ReadFile(s.path(id))
-	if err != nil {
-		return fmt.Errorf("disk: %w", err)
+	if _, err := s.f.ReadAt(dst, e.off); err != nil {
+		return fmt.Errorf("disk: reading object %d: %w", id, err)
 	}
-	if len(d) != len(dst) {
-		return fmt.Errorf("%w: file has %d bytes, want %d", ErrSizeMismatch, len(d), len(dst))
-	}
-	copy(dst, d)
 	return nil
 }
 
-// Delete implements Store.
+// Delete implements Store; the extent becomes reusable by the next
+// write of the same size.
 func (s *FileStore) Delete(id uint64) error {
 	s.mu.Lock()
-	size, ok := s.sizes[id]
-	if ok {
-		s.used -= size
-		delete(s.sizes, id)
+	defer s.mu.Unlock()
+	if s.f == nil {
+		return errClosed
 	}
-	s.mu.Unlock()
-	if !ok {
-		return nil
-	}
-	if err := os.Remove(s.path(id)); err != nil && !os.IsNotExist(err) {
-		return fmt.Errorf("disk: %w", err)
+	if e, ok := s.extents[id]; ok {
+		s.release(id, e)
 	}
 	return nil
 }
@@ -235,7 +294,7 @@ func (s *FileStore) Delete(id uint64) error {
 func (s *FileStore) Has(id uint64) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	_, ok := s.sizes[id]
+	_, ok := s.extents[id]
 	return ok
 }
 
@@ -252,10 +311,24 @@ func (s *FileStore) Capacity() int64 { return s.capacity }
 // Dir returns the spill directory.
 func (s *FileStore) Dir() string { return s.dir }
 
-// Close removes the spill directory if this store created it.
+// Close closes the swap file, and removes the spill directory if this
+// store created it. Closing twice is harmless.
 func (s *FileStore) Close() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.f == nil {
+		return nil
+	}
+	err := s.f.Close()
+	s.f = nil
+	s.extents, s.free, s.used = nil, nil, 0
 	if s.own {
-		return os.RemoveAll(s.dir)
+		if rmErr := os.RemoveAll(s.dir); err == nil {
+			err = rmErr
+		}
+	}
+	if err != nil {
+		return fmt.Errorf("disk: %w", err)
 	}
 	return nil
 }

@@ -314,3 +314,38 @@ func TestMappedAccounting(t *testing.T) {
 		t.Error("accounting after Evict")
 	}
 }
+
+// A map-in over a FileStore reads the swap-file extent straight into
+// the arena slot: no buffer in between, so nothing to allocate.
+func TestMapInOverFileStoreDoesNotAllocate(t *testing.T) {
+	fs, err := disk.NewFileStore(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Close()
+	m := NewMapper(8<<10, fs, nil) // room for one of the two objects
+	objs := []*object.Control{ctl(1, 5000), ctl(2, 5000)}
+	for i, c := range objs {
+		data, err := m.Ensure(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data[0], data[4999] = byte(i+1), 0xEE
+		m.MarkDirty(c)
+	}
+	turn := 0
+	allocs := testing.AllocsPerRun(50, func() {
+		c := objs[turn%2] // the one Ensure of the other just evicted
+		turn++
+		data, err := m.Ensure(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if data[0] != byte(c.ID) || data[4999] != 0xEE {
+			t.Fatalf("object %d mapped in as %#x..%#x", c.ID, data[0], data[4999])
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("evicting map-in allocates %v times, want 0", allocs)
+	}
+}

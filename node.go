@@ -68,6 +68,11 @@ type Node struct {
 	// pendingDiffs counts barrier diffs this node still expects as a
 	// home in the current reconciliation; access waits on cond.
 	pendingDiffs map[object.ID]int
+	// twinFree holds, by size, the twins barriers have retired;
+	// writeCheck draws from it and allocates only when it is empty, so
+	// free and live twins of a size together never exceed the most that
+	// were live in one epoch.
+	twinFree map[int][][]byte
 
 	// Lease coherence state. leaseTab is this node's home-side lease
 	// memory; reconEpoch is E+1 once this node's barrier-exit
@@ -130,6 +135,7 @@ func newNode(id int, cfg *Config, ep transport.Endpoint, store disk.Store,
 		chains:       make(map[object.ID]*diffing.Chain),
 		lmgr:         make(map[uint16]*lockMgr),
 		pendingDiffs: make(map[object.ID]int),
+		twinFree:     make(map[int][][]byte),
 		leaseTab:     newLeaseTable(DefaultLeaseSlots),
 		ph:           phases.NewRing(phases.DefaultWindow),
 	}
@@ -452,7 +458,7 @@ func (n *Node) accessCheck(c *object.Control) []byte {
 func (n *Node) writeCheck(c *object.Control) []byte {
 	data := n.accessCheck(c)
 	if c.Twin == nil {
-		c.Twin = diffing.MakeTwin(data)
+		c.Twin = n.makeTwin(data)
 		n.clock.Advance(n.prof.WordsCost(c.Words()))
 	}
 	c.State = object.Dirty
@@ -475,6 +481,20 @@ func (n *Node) writeCheck(c *object.Control) []byte {
 		}
 	}
 	return data
+}
+
+// makeTwin snapshots data into a twin retired by an earlier barrier if
+// one of that size is free, else into a new one. A recycled twin is
+// overwritten in full. Caller holds n.mu.
+func (n *Node) makeTwin(data []byte) []byte {
+	free := n.twinFree[len(data)]
+	if len(free) == 0 {
+		return diffing.MakeTwin(data)
+	}
+	twin := free[len(free)-1]
+	n.twinFree[len(data)] = free[:len(free)-1]
+	copy(twin, data)
+	return twin
 }
 
 // viewEnter is the span entry protocol shared by the legacy Ptr

@@ -3,6 +3,7 @@ package lots
 import (
 	"encoding/binary"
 	"math"
+	"unsafe"
 
 	"repro/internal/object"
 )
@@ -125,10 +126,7 @@ func (p Ptr[T]) GetN(i, count int) []T {
 	data := n.viewEnter(c, false)
 	n.chargeChecks(count - 1)
 	out := make([]T, count)
-	es := c.Elem
-	for k := 0; k < count; k++ {
-		out[k] = getElem[T](data[base+k*es:])
-	}
+	getElems(out, data[base:base+count*c.Elem])
 	n.viewExit(c, false)
 	return out
 }
@@ -146,10 +144,7 @@ func (p Ptr[T]) SetN(i int, vals []T) {
 	c, base := p.locate(i, len(vals))
 	data := n.viewEnter(c, true)
 	n.chargeChecks(len(vals) - 1)
-	es := c.Elem
-	for k, v := range vals {
-		putElem(data[base+k*es:], v)
-	}
+	putElems(data[base:base+len(vals)*c.Elem], vals)
 	n.viewExit(c, true)
 }
 
@@ -256,14 +251,7 @@ func (m Matrix[T]) SetRow(r int, vals []T) {
 // elemSize returns the byte size of T.
 func elemSize[T Elem]() int {
 	var z T
-	switch any(z).(type) {
-	case byte:
-		return 1
-	case int32, uint32, float32:
-		return 4
-	default: // int64, uint64, float64
-		return 8
-	}
+	return int(unsafe.Sizeof(z))
 }
 
 func putElem[T Elem](b []byte, v T) {
@@ -282,6 +270,52 @@ func putElem[T Elem](b []byte, v T) {
 		binary.LittleEndian.PutUint64(b, x)
 	case float64:
 		binary.LittleEndian.PutUint64(b, math.Float64bits(x))
+	}
+}
+
+// hostLittleEndian reports that a []T's memory on this host is already
+// the arena's little-endian element layout, so a span of elements moves
+// with one copy.
+var hostLittleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// elemBytes returns the memory of s as bytes.
+func elemBytes[T Elem](s []T) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(s))), len(s)*elemSize[T]())
+}
+
+// getElems decodes len(dst) elements from b, which holds exactly that
+// many.
+func getElems[T Elem](dst []T, b []byte) {
+	if hostLittleEndian {
+		copy(elemBytes(dst), b)
+		return
+	}
+	getElemsEach(dst, b)
+}
+
+// putElems encodes src into b, which holds exactly len(src) elements.
+func putElems[T Elem](b []byte, src []T) {
+	if hostLittleEndian {
+		copy(b, elemBytes(src))
+		return
+	}
+	putElemsEach(b, src)
+}
+
+// getElemsEach and putElemsEach are the element-by-element codec: the
+// big-endian host's path, and the reference the bulk copy is tested
+// against.
+func getElemsEach[T Elem](dst []T, b []byte) {
+	es := elemSize[T]()
+	for k := range dst {
+		dst[k] = getElem[T](b[k*es:])
+	}
+}
+
+func putElemsEach[T Elem](b []byte, src []T) {
+	es := elemSize[T]()
+	for k, v := range src {
+		putElem(b[k*es:], v)
 	}
 }
 

@@ -146,9 +146,7 @@ func (v View[T]) Slice(lo, hi int) View[T] {
 func (v View[T]) CopyTo(dst []T) int {
 	v.use()
 	m := min(len(dst), v.Len())
-	for k := 0; k < m; k++ {
-		dst[k] = getElem[T](v.bytes[k*v.elem:])
-	}
+	getElems(dst[:m], v.bytes[:m*v.elem])
 	return m
 }
 
@@ -161,9 +159,7 @@ func (v View[T]) CopyFrom(src []T) int {
 		v.n.fatalf("lots: node %d: CopyFrom through read-only view of object %d", v.n.id, v.c.ID)
 	}
 	m := min(len(src), v.Len())
-	for k := 0; k < m; k++ {
-		putElem(v.bytes[k*v.elem:], src[k])
-	}
+	putElems(v.bytes[:m*v.elem], src[:m])
 	return m
 }
 

@@ -1,7 +1,10 @@
 package lots
 
 import (
+	"bytes"
+	"crypto/sha256"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 )
@@ -486,6 +489,131 @@ func TestRunJoinsAllNodeErrors(t *testing.T) {
 	for _, want := range []string{"node 1", "boom-one", "node 2", "boom-two"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("joined error missing %q: %v", want, err)
+		}
+	}
+}
+
+// checkViewCopy holds the bulk CopyFrom/CopyTo/SetN/GetN to the
+// element-by-element codec, bit for bit: on whole views, on Slice'd
+// views, and with src/dst shorter and longer than the view. The
+// per-element functions are called directly, so that path keeps running
+// on little-endian hosts, where the accessors never take it.
+func checkViewCopy[T Elem](n *Node, vals []T) {
+	var z T
+	name := fmt.Sprintf("%T", z)
+	es := elemSize[T]()
+	a := Alloc[T](n, len(vals)+5)
+	for _, span := range [][2]int{{0, len(vals) + 5}, {3, len(vals)}, {2, 2 + len(vals)}} {
+		whole := a.ViewRW(0, len(vals)+5)
+		v := whole.Slice(span[0], span[1])
+		want := bytes.Clone(v.bytes)
+		m := min(len(vals), v.Len())
+		putElemsEach(want[:m*es], vals[:m])
+		if got := v.CopyFrom(vals); got != m {
+			panic(fmt.Sprintf("%s: CopyFrom over %v copied %d, want %d", name, span, got, m))
+		}
+		if !bytes.Equal(v.bytes, want) {
+			panic(fmt.Sprintf("%s: CopyFrom over %v wrote\n%x, per-element codec writes\n%x", name, span, v.bytes, want))
+		}
+		for _, dl := range []int{m - 1, v.Len(), v.Len() + 3} {
+			dst, ref := make([]T, dl), make([]T, dl)
+			k := min(dl, v.Len())
+			getElemsEach(ref[:k], v.bytes[:k*es])
+			if got := v.CopyTo(dst); got != k {
+				panic(fmt.Sprintf("%s: CopyTo into %d copied %d, want %d", name, dl, got, k))
+			}
+			if !bytes.Equal(elemBytes(dst), elemBytes(ref)) {
+				panic(fmt.Sprintf("%s: CopyTo over %v read %v, per-element codec reads %v", name, span, dst, ref))
+			}
+		}
+		buf := make([]T, v.Len())
+		if allocs := testing.AllocsPerRun(20, func() { v.CopyTo(buf); v.CopyFrom(buf) }); allocs != 0 {
+			panic(fmt.Sprintf("%s: CopyTo+CopyFrom allocate %v times, want 0", name, allocs))
+		}
+		whole.Release()
+	}
+	a.SetN(1, vals)
+	ref := make([]byte, len(vals)*es)
+	putElemsEach(ref, vals)
+	if got := a.GetN(1, len(vals)); !bytes.Equal(elemBytes(got), elemBytes(vals)) {
+		panic(fmt.Sprintf("%s: GetN after SetN = %v, want %v", name, got, vals))
+	}
+	r := a.View(1, len(vals))
+	if !bytes.Equal(r.bytes, ref) {
+		panic(fmt.Sprintf("%s: SetN wrote %x, per-element codec writes %x", name, r.bytes, ref))
+	}
+	r.Release()
+}
+
+func TestViewCopyMatchesPerElementCodec(t *testing.T) {
+	c := mustCluster(t, DefaultConfig(1))
+	err := c.Run(func(n *Node) {
+		checkViewCopy(n, []byte{0, 1, 0x7F, 0x80, 0xFF, 7, 9})
+		checkViewCopy(n, []int32{0, -1, math.MinInt32, math.MaxInt32, 0x01020304, -0x01020304, 5})
+		checkViewCopy(n, []uint32{0, 1, math.MaxUint32, 0x80000000, 0x01020304, 0xFFFEFDFC, 5})
+		checkViewCopy(n, []int64{0, -1, math.MinInt64, math.MaxInt64, 0x0102030405060708, -0x0102030405060708, 5})
+		checkViewCopy(n, []uint64{0, 1, math.MaxUint64, 1 << 63, 0x0102030405060708, 0xFFFEFDFCFBFAF9F8, 5})
+		checkViewCopy(n, []float32{0, float32(math.Copysign(0, -1)), float32(math.Inf(-1)), math.MaxFloat32,
+			math.SmallestNonzeroFloat32, math.Float32frombits(0x7FC00001), math.Float32frombits(0xFFA5A5A5)})
+		checkViewCopy(n, []float64{0, math.Copysign(0, -1), math.Inf(-1), math.MaxFloat64,
+			math.SmallestNonzeroFloat64, math.Float64frombits(0x7FF8000000000001), math.Float64frombits(0xFFF5A5A5A5A5A5A5)})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A twin retired at one barrier becomes the twin of another object of
+// the same size in the next epoch, so it must be overwritten in full
+// first. Two write-shared objects are written in alternating epochs,
+// every rank its own stripe: a twin still holding the other object's
+// bytes would yield diffs that drop this rank's words or carry the
+// other ranks' stale ones. The digest is the one the pre-recycling
+// runtime produced for this workload.
+func TestRecycledTwinIsOverwrittenBeforeUse(t *testing.T) {
+	const nodes, words, epochs = 3, 96, 8
+	const seedDigest = "1f3b15a1323ba211365f1f6b21a35c7d1f8ca7688b7df169abc50e1065427d79"
+	c := mustCluster(t, DefaultConfig(nodes))
+	digests := make([]string, nodes)
+	err := c.Run(func(n *Node) {
+		objs := [2]Ptr[int64]{Alloc[int64](n, words), Alloc[int64](n, words)}
+		n.Barrier()
+		lo, hi := n.ID()*words/nodes, (n.ID()+1)*words/nodes
+		for e := 0; e < epochs; e++ {
+			v := objs[e%2].ViewRW(lo, hi-lo)
+			for k := 0; k < v.Len(); k += 1 + e%3 { // sparse, so diffs have gaps
+				v.Set(k, int64(e)<<32|int64(lo+k))
+			}
+			v.Release()
+			n.Barrier()
+			if e > 0 {
+				n.mu.Lock()
+				recycled := len(n.twinFree[words*8])
+				n.mu.Unlock()
+				if recycled != 1 {
+					panic(fmt.Sprintf("epoch %d: %d free twins, want the one recycled each epoch", e, recycled))
+				}
+			}
+		}
+		h := sha256.New()
+		buf := make([]int64, words)
+		for _, p := range objs {
+			v := p.View(0, words)
+			v.CopyTo(buf)
+			v.Release()
+			for _, x := range buf {
+				fmt.Fprintf(h, "%d ", x)
+			}
+		}
+		digests[n.ID()] = fmt.Sprintf("%x", h.Sum(nil))
+		n.Barrier()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, d := range digests {
+		if d != seedDigest {
+			t.Errorf("node %d digest %s, want %s", i, d, seedDigest)
 		}
 	}
 }
