@@ -436,7 +436,7 @@ func (n *Node) processBarrierExit(payload []byte) {
 	// equivalent: acks are awaited with a commutative clock merge, and
 	// each home applies diffs independently.
 	if bs, ok := n.ep.(batchSender); ok && len(jobs) > 1 {
-		acks := make([]chan wire.Message, len(jobs))
+		acks := make([]<-chan wire.Message, len(jobs))
 		for i := range jobs {
 			jobs[i].reqID, acks[i] = n.expectReply(jobs[i].dest, wire.TBarrierDiff)
 		}
@@ -444,7 +444,7 @@ func (n *Node) processBarrierExit(payload []byte) {
 			tc := n.tr.Instant(trace.DiffSend, epoch, uint64(j.dest), wire.TraceCtx{})
 			n.deferSendT(bs, j.dest, wire.TBarrierDiff, j.reqID, j.payload, tc)
 		}
-		if err := bs.Flush(); err != nil && !n.closed.Load() {
+		if err := bs.Flush(); err != nil && !n.mux.Closed() {
 			n.fatalf("lots: node %d: flushing barrier diffs: %v", n.id, err)
 		}
 		for i, ch := range acks {

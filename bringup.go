@@ -19,12 +19,11 @@ import (
 
 // socketEndpoint is the deferred-capable face shared by the UDP and
 // TCP endpoints: bind first, report the bound address, wire peers
-// later, flush before exiting.
+// later.
 type socketEndpoint interface {
 	transport.Endpoint
 	SetPeers([]string) error
 	LocalAddr() string
-	Flush(timeout time.Duration) error
 }
 
 // chaosUDPRTO is the shortened retransmission timeout used when fault
@@ -100,6 +99,6 @@ func assembleRank(cfg *Config, id int, base transport.Endpoint, ctr *stats.Count
 		store = disk.NewAccounted(store, cfg.Platform, ctr, clk)
 	}
 	nd := newNode(id, cfg, ep, store, ctr, clk, ring)
-	go nd.dispatch()
+	go nd.mux.Serve()
 	return nd
 }

@@ -173,11 +173,11 @@ type Config struct {
 	// transports. Nil requests kernel-assigned loopback ports.
 	Addrs []string
 
-	// Chaos, when non-nil, injects seeded faults (drop, duplication,
-	// reordering, delay, transient partitions) into the interconnect:
-	// datagram-level for UDP, connection kills plus message-level for
-	// TCP, message-level for mem. The protocol must still produce
-	// byte-identical results; see the conformance suite.
+	// Chaos, when non-nil, injects seeded faults into the interconnect:
+	// drop, duplication, reordering, delay and transient partitions of
+	// datagrams for UDP; connection kills for TCP; and, above TCP and
+	// mem — already exactly-once FIFO — a seeded delay per message. The
+	// protocol must still produce byte-identical results.
 	Chaos *Chaos
 
 	// TLS, when non-nil, encrypts every TCP link: listeners serve the

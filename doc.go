@@ -45,12 +45,12 @@
 //     Config.TLS upgrades every TCP link to TLS 1.3 (see
 //     SelfSignedTLS for a test-grade certificate pair).
 //
-// Setting Config.Chaos injects seeded faults — drop, duplication,
-// reordering, delay, transient partitions, connection kills — beneath
-// each transport's recovery machinery; the protocol must (and, per the
-// cross-transport conformance suite, does) produce byte-identical
-// shared state in every {mem, udp, tcp} x {clean, chaos} cell. See the
-// examples directory and DESIGN.md for the system inventory.
+// Setting Config.Chaos injects seeded faults: drop, duplication,
+// reordering, delay and partitions of UDP datagrams beneath the window,
+// TCP connection kills, and seeded per-message delay above mem and TCP
+// (all a link can do to a reliable FIFO channel). The protocol produces
+// byte-identical shared state in every {mem, udp, tcp} x {clean, chaos}
+// cell. See the examples directory and DESIGN.md for the inventory.
 //
 // # Quick start
 //
@@ -150,7 +150,7 @@
 //	cfg.Transport = lots.TransportUDP
 //	h, err := lots.BindNode(cfg, rank) // binds an ephemeral port
 //	if err != nil { ... }
-//	defer h.Close()                    // flushes acks, then closes
+//	defer h.Close()                    // drains the endpoint, then closes
 //	// distribute h.LocalAddr(); collect all four addresses ...
 //	if err := h.Join(addrs); err != nil { ... } // barrier-0 handshake
 //	err = h.Run(func(n *lots.Node) { /* SPMD body as above */ })

@@ -1,7 +1,7 @@
 // Package mustcheck enforces the transport error discipline: the
-// error results of Send, Flush and Close on anything that is (or
+// error results of Send, Flush, Drain and Close on anything that is (or
 // implements) transport.Endpoint are never discarded. A dropped Send
-// error silently strands a protocol peer; a dropped Flush or Close on
+// error silently strands a protocol peer; a dropped Drain or Close on
 // a node-exit path lets a rank exit before its last replies are acked
 // (the exact failure class the PR 4 flush-before-exit work closed).
 // Discarding means: calling as a bare statement, assigning to blank,
@@ -18,12 +18,12 @@ import (
 
 const transportPath = "repro/internal/transport"
 
-var watched = map[string]bool{"Send": true, "Flush": true, "Close": true}
+var watched = map[string]bool{"Send": true, "Flush": true, "Drain": true, "Close": true}
 
 // Analyzer is the mustcheck pass.
 var Analyzer = &lint.Analyzer{
 	Name: "mustcheck",
-	Doc:  "Send/Flush/Close errors on transport.Endpoint values must not be discarded",
+	Doc:  "Send/Flush/Drain/Close errors on transport.Endpoint values must not be discarded",
 	Run:  run,
 }
 
@@ -66,7 +66,7 @@ func run(pass *lint.Pass) error {
 	return nil
 }
 
-// report flags call if it is Send/Flush/Close on an Endpoint-shaped
+// report flags call if it is Send/Flush/Drain/Close on an Endpoint-shaped
 // receiver returning a single error.
 func report(pass *lint.Pass, iface *types.Interface, call *ast.CallExpr, how string) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
@@ -86,7 +86,7 @@ func report(pass *lint.Pass, iface *types.Interface, call *ast.CallExpr, how str
 	if !ok || sig.Results().Len() != 1 || !isError(sig.Results().At(0).Type()) {
 		return
 	}
-	pass.Reportf(call.Pos(), "(%s).%s called but %s (endpoint Send/Flush/Close errors must be handled or surfaced)",
+	pass.Reportf(call.Pos(), "(%s).%s called but %s (endpoint Send/Flush/Drain/Close errors must be handled or surfaced)",
 		recvName(recv), sel.Sel.Name, how)
 }
 

@@ -1,4 +1,4 @@
-// Golden for mustcheck: Send/Flush/Close errors on transport.Endpoint
+// Golden for mustcheck: Send/Flush/Drain/Close errors on transport.Endpoint
 // values are never discarded.
 package endpoint
 
@@ -17,6 +17,7 @@ func handled(ep transport.Endpoint, m wire.Message) error {
 
 func discarded(ep transport.Endpoint, m wire.Message) {
 	ep.Send(m)       // want `\(transport.Endpoint\).Send called but its error is discarded`
+	ep.Drain(0)      // want `\(transport.Endpoint\).Drain called but its error is discarded`
 	_ = ep.Close()   // want `\(transport.Endpoint\).Close called but assigning it to _ discards its error`
 	defer ep.Close() // want `\(transport.Endpoint\).Close called but defer discards its error`
 	go ep.Close()    // want `\(transport.Endpoint\).Close called but go discards its error`

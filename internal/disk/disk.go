@@ -354,7 +354,7 @@ func (a *Accounted) Write(id uint64, data []byte) error {
 	}
 	if a.ctr != nil {
 		a.ctr.DiskWrites.Add(1)
-		a.ctr.DiskWriteByte.Add(int64(len(data)))
+		a.ctr.DiskWriteBytes.Add(int64(len(data)))
 	}
 	if a.clock != nil {
 		a.clock.Advance(a.prof.DiskWrite(len(data)))

@@ -418,7 +418,7 @@ func TestAccountedCountsAndCharges(t *testing.T) {
 	if err := s.Write(5, data); err != nil {
 		t.Fatal(err)
 	}
-	if ctr.DiskWrites.Load() != 1 || ctr.DiskWriteByte.Load() != 1<<20 {
+	if ctr.DiskWrites.Load() != 1 || ctr.DiskWriteBytes.Load() != 1<<20 {
 		t.Error("write counters wrong")
 	}
 	wTime := clk.Now()

@@ -220,37 +220,34 @@ func (a *Allocator) allocSmall(size int) (int, bool) {
 		sc = &slabClass{slot: size}
 		a.slabs[size] = sc
 	}
-	// Reuse a partial page of this exact size class: objects of the
-	// same size land in the same page (§3.2).
-	for len(sc.partial) > 0 {
-		pOff := sc.partial[len(sc.partial)-1]
-		p := a.pageOf[pOff]
-		if p == nil || len(p.free) == 0 {
-			sc.partial = sc.partial[:len(sc.partial)-1]
-			continue
+	if len(sc.partial) == 0 {
+		// Open a new page placed toward high addresses (the upper half).
+		off, bsz, ok := a.findBest(PageSize, placeHigh)
+		if !ok {
+			return 0, false
 		}
-		slot := p.free[len(p.free)-1]
-		p.free = p.free[:len(p.free)-1]
-		p.inUse++
-		a.slotPage[slot] = pOff
-		return slot, true
+		p := &slabPage{off: a.carve(off, bsz, PageSize, placeHigh), slot: size}
+		for s := p.off + PageSize - size; s >= p.off; s -= size {
+			p.free = append(p.free, s)
+		}
+		a.pageOf[p.off] = p
+		sc.partial = append(sc.partial, p.off)
 	}
-	// Open a new page placed toward high addresses (the upper half).
-	off, bsz, ok := a.findBest(PageSize, placeHigh)
-	if !ok {
-		return 0, false
-	}
-	pOff := a.carve(off, bsz, PageSize, placeHigh)
-	p := &slabPage{off: pOff, slot: size}
-	for s := pOff + PageSize - size; s >= pOff; s -= size {
-		p.free = append(p.free, s)
-	}
-	a.pageOf[pOff] = p
-	sc.partial = append(sc.partial, pOff)
+	// Objects of the same size land in the same page (§3.2): take a
+	// slot of the class's newest partial page. A page that fills leaves
+	// the list here and freeSmall lists it again, so a page is listed at
+	// most once and a listed page is always this class's own — an entry
+	// outliving its page would hand out another class's slots once the
+	// region is recarved.
+	last := len(sc.partial) - 1
+	p := a.pageOf[sc.partial[last]]
 	slot := p.free[len(p.free)-1]
 	p.free = p.free[:len(p.free)-1]
 	p.inUse++
-	a.slotPage[slot] = pOff
+	a.slotPage[slot] = p.off
+	if len(p.free) == 0 {
+		sc.partial = sc.partial[:last]
+	}
 	return slot, true
 }
 
@@ -295,7 +292,7 @@ func (a *Allocator) freeSmall(off, size int) error {
 		return nil
 	}
 	if len(p.free) == 1 {
-		// Page just became partial again.
+		// A full page just became partial again.
 		sc.partial = append(sc.partial, pOff)
 	}
 	return nil

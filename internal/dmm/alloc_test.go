@@ -253,8 +253,55 @@ func TestAllocatorInvariants(t *testing.T) {
 		fb := a.FreeBlocks()
 		return len(fb) == 1 && fb[0].Size == 1<<18
 	}
+	// The seed that first showed a slab page listed twice (see
+	// TestSlabPageListedOnce) is replayed before the random ones.
+	if !f(1166775418441485458) {
+		t.Error("seed 1166775418441485458 failed")
+	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestSlabPageListedOnce: a slab page that filled and became partial
+// again used to sit in its class's partial list twice; emptying it
+// removed one entry, and once the region was recarved as a page of
+// another slot size the stale entry handed that page's slots out as the
+// old class's — overlapping memory, and a Free that fails.
+func TestSlabPageListedOnce(t *testing.T) {
+	a := NewAllocator(1 << 18)
+	alloc := func(size int) int {
+		t.Helper()
+		off, ok := a.Alloc(size)
+		if !ok {
+			t.Fatalf("Alloc(%d) failed", size)
+		}
+		return off
+	}
+	x, y := alloc(1536), alloc(1536)  // fills a two-slot page
+	for _, off := range []int{x, y} { // partial again, then empty
+		if err := a.Free(off, 1536); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p := alloc(1272) // recarves the region with three-slot pages
+	q := alloc(1536)
+	r := alloc(1272)
+	live := []struct{ off, size int }{{p, 1272}, {q, 1536}, {r, 1272}}
+	for i, u := range live {
+		for _, v := range live[:i] {
+			if u.off < v.off+v.size && v.off < u.off+u.size {
+				t.Errorf("[%d,%d) overlaps [%d,%d)", u.off, u.off+u.size, v.off, v.off+v.size)
+			}
+		}
+	}
+	for _, u := range live {
+		if err := a.Free(u.off, u.size); err != nil {
+			t.Error(err)
+		}
+	}
+	if a.Used() != 0 {
+		t.Errorf("Used = %d after freeing all", a.Used())
 	}
 }
 

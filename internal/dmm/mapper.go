@@ -161,7 +161,7 @@ func (m *Mapper) evictOne() error {
 	for _, c := range m.mapped {
 		if c.Pins > 0 {
 			if m.ctr != nil {
-				m.ctr.PinDenials.Add(1)
+				m.ctr.PinDenls.Add(1)
 			}
 			continue
 		}

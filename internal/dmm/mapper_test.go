@@ -120,7 +120,7 @@ func TestPinningPreventsEviction(t *testing.T) {
 	if _, err := m.Ensure(c); !errors.Is(err, ErrArenaExhausted) {
 		t.Fatalf("err = %v, want ErrArenaExhausted", err)
 	}
-	if ctr.PinDenials.Load() == 0 {
+	if ctr.PinDenls.Load() == 0 {
 		t.Error("pin denials not counted")
 	}
 	// Unpinning a lets the eviction proceed.

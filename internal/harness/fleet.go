@@ -111,6 +111,9 @@ func (s *FleetSpec) resolve() (cleanup func(removeLogs bool), err error) {
 			return nil, err
 		}
 		s.LogDir = tempLogs
+	} else if err := os.MkdirAll(s.LogDir, 0o755); err != nil {
+		cleanup(false)
+		return nil, fmt.Errorf("harness: log dir: %w", err)
 	}
 	if s.TLS {
 		// The launcher is the fleet CA: per-rank leaf pairs plus the

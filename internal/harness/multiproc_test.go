@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -95,6 +96,29 @@ func TestMultiprocUDPChaosDigestIdentity(t *testing.T) {
 	}
 }
 
+// TestMultiprocTCPChaosRanksExitClean: TCP injects at the message
+// level, in a wrapper above the socket, and a rank's exit must not
+// discard what that wrapper still holds — a peer waiting on one of
+// those replies would sit until the watchdog. Seeds 1 and 42 hung that
+// way in most runs when NodeHandle.Close flushed only the socket.
+func TestMultiprocTCPChaosRanksExitClean(t *testing.T) {
+	for _, seed := range []int64{1, 7, 42} {
+		res, err := RunMultiproc(MultiprocSpec{
+			App: AppSOR, Problem: 32, Seed: 42,
+			FleetSpec: FleetSpec{
+				Procs: 4, Transport: lots.TransportTCP, ChaosSeed: seed,
+				NodeBin: nodeBin(t), Timeout: 15 * time.Second, LogDir: t.TempDir(),
+			},
+		})
+		if err != nil {
+			t.Fatalf("chaos seed %d: %v", seed, err)
+		}
+		if res.Digest != res.MemDigest {
+			t.Errorf("chaos seed %d: multi-process digest %q != clean mem digest %q", seed, res.Digest, res.MemDigest)
+		}
+	}
+}
+
 // TestMultiprocRemoteSwap runs the remote-disk-swapping extension
 // across a real process boundary: rank 0's overflow spills to rank 1
 // over the wire (the node process self-asserts at least one spill and
@@ -175,10 +199,21 @@ func TestMultiprocValidation(t *testing.T) {
 			t.Errorf("ParseApp(%q) = %q, %v", strings.ToLower(string(a)), got, err)
 		}
 	}
+	// A log directory that does not exist yet is created, not reported
+	// once per rank as a log file that cannot be opened.
+	missing := fleetOf(2, lots.TransportUDP)
+	missing.LogDir = filepath.Join(t.TempDir(), "not", "yet")
+	_, err := RunMultiproc(MultiprocSpec{App: AppSOR, Problem: 16, FleetSpec: missing})
+	if err == nil || strings.Contains(err.Error(), "log file") {
+		t.Errorf("launch into a missing log dir: %v", err)
+	}
+	if st, serr := os.Stat(missing.LogDir); serr != nil || !st.IsDir() {
+		t.Errorf("missing log dir not created: %v", serr)
+	}
 	// The doomed generation of the recovery deployment goes through the
 	// same spawn path as an app run: every rank's failure is reported,
 	// not only the first.
-	_, err := RunRecoveryMultiproc(RecoveryMultiprocSpec{
+	_, err = RunRecoveryMultiproc(RecoveryMultiprocSpec{
 		FleetSpec: fleetOf(3, lots.TransportUDP),
 		Rows:      2, Words: 4, Epochs: 3, KillRank: 1, KillEpoch: 1,
 	})

@@ -26,7 +26,6 @@ import (
 	"math"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/diffing"
@@ -88,7 +87,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		c.nodes[i] = newNode(i, &c.cfg, c.mem.Endpoint(i), c.counters[i], c.clocks[i])
 	}
 	for _, n := range c.nodes {
-		go n.dispatch()
+		go n.mux.Serve()
 	}
 	return c, nil
 }
@@ -110,12 +109,7 @@ func (c *Cluster) Run(fn func(n *Node)) error {
 		}(i)
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return errors.Join(errs...)
 }
 
 // Node returns node i.
@@ -162,8 +156,7 @@ func (c *Cluster) Close() error {
 	c.once.Do(func() {
 		c.mem.Close()
 		for _, n := range c.nodes {
-			n.closed.Store(true)
-			if err := n.ep.Close(); err != nil {
+			if err := n.mux.Close(); err != nil {
 				errs = append(errs, err)
 			}
 		}
@@ -223,12 +216,7 @@ type Node struct {
 	barrierMaxArrive time.Duration
 	barrierPages     map[uint32]map[int]bool
 
-	reqSeq  atomic.Uint64
-	pending struct {
-		sync.Mutex
-		m map[uint64]chan wire.Message
-	}
-	closed atomic.Bool
+	mux *transport.Mux // request/reply layer over ep, shared with lots.Node
 }
 
 func newNode(id int, cfg *Config, ep transport.Endpoint, ctr *stats.Counters, clk *stats.SimClock) *Node {
@@ -247,7 +235,7 @@ func newNode(id int, cfg *Config, ep transport.Endpoint, ctr *stats.Counters, cl
 		barrierPages: make(map[uint32]map[int]bool),
 		homeOverride: make(map[uint32]uint16),
 	}
-	n.pending.m = make(map[uint64]chan wire.Message)
+	n.mux = transport.NewMux(ep, n.serve)
 	return n
 }
 
@@ -618,14 +606,10 @@ func (n *Node) Barrier() {
 
 // ---- message service ------------------------------------------------------
 
-const replyBit = uint64(1) << 63
-
-func (n *Node) newReqID() uint64 { return uint64(n.id)<<48 | n.reqSeq.Add(1) }
-
 func (n *Node) send(to int, typ wire.Type, reqID uint64, payload []byte, at time.Duration) {
 	err := n.ep.Send(wire.Message{Type: typ, To: uint16(to), ReqID: reqID,
 		SimTime: int64(at), Payload: payload})
-	if err != nil && !n.closed.Load() {
+	if err != nil && !n.mux.Closed() {
 		n.fatalf("jiajia: send %v to %d: %v", typ, to, err)
 	}
 }
@@ -641,59 +625,19 @@ func (n *Node) svcClock(m wire.Message) *stats.SimClock {
 }
 
 func (n *Node) rpc(to int, typ wire.Type, payload []byte) wire.Message {
-	id := n.newReqID()
-	ch := make(chan wire.Message, 1)
-	n.pending.Lock()
-	n.pending.m[id] = ch
-	n.pending.Unlock()
-	n.send(to, typ, id, payload, 0)
-	reply := <-ch
-	if reply.Type == wire.TInvalid {
-		n.fatalf("jiajia: rpc %v to %d: endpoint closed", typ, to)
+	reply, err := n.mux.Call(wire.Message{Type: typ, To: uint16(to), Payload: payload})
+	if err != nil {
+		n.fatalf("jiajia: rpc %v to %d: %v", typ, to, err)
 	}
 	n.clock.MergeTo(transport.Arrival(n.prof, reply))
 	return reply
 }
 
 func (n *Node) reply(req wire.Message, typ wire.Type, payload []byte, at time.Duration) {
-	n.send(int(req.From), typ, req.ReqID|replyBit, payload, at)
-}
-
-func (n *Node) dispatch() {
-	for {
-		m, ok := n.ep.Recv()
-		if !ok {
-			n.pending.Lock()
-			for id, ch := range n.pending.m {
-				ch <- wire.Message{}
-				delete(n.pending.m, id)
-			}
-			n.pending.Unlock()
-			return
-		}
-		if m.ReqID&replyBit != 0 {
-			id := m.ReqID &^ replyBit
-			n.pending.Lock()
-			ch, mine := n.pending.m[id]
-			if mine {
-				delete(n.pending.m, id)
-			}
-			n.pending.Unlock()
-			if mine {
-				ch <- m
-			}
-			continue
-		}
-		go n.serve(m)
-	}
+	n.send(int(req.From), typ, transport.ReplyID(req.ReqID), payload, at)
 }
 
 func (n *Node) serve(m wire.Message) {
-	defer func() {
-		if r := recover(); r != nil && !n.closed.Load() {
-			panic(r)
-		}
-	}()
 	switch m.Type {
 	case wire.TJPageReq:
 		n.serveJPageReq(m)
@@ -706,7 +650,7 @@ func (n *Node) serve(m wire.Message) {
 	case wire.TBarrierArrive:
 		n.serveBarrierArrive(m)
 	default:
-		if !n.closed.Load() {
+		if !n.mux.Closed() {
 			n.fatalf("jiajia: node %d: unexpected %v from %d", n.id, m.Type, m.From)
 		}
 	}

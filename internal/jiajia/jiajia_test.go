@@ -2,6 +2,7 @@ package jiajia
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/platform"
@@ -213,6 +214,22 @@ func TestOutOfBoundsAccessFails(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("out-of-heap access should fail")
+	}
+}
+
+// TestRunReportsEveryFailedNode: a multi-node failure names all of its
+// casualties, not only the lowest rank.
+func TestRunReportsEveryFailedNode(t *testing.T) {
+	c := mustCluster(t, 3)
+	err := c.Run(func(n *Node) {
+		if n.ID() != 1 {
+			panic(fmt.Sprintf("boom %d", n.ID()))
+		}
+	})
+	for _, want := range []string{"node 0: boom 0", "node 2: boom 2"} {
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Run error %v does not report %q", err, want)
+		}
 	}
 }
 

@@ -5,13 +5,12 @@ package stats
 // Stdlib only: the text format is a handful of lines per metric and
 // needs no client library.
 //
-// Every Counters field is exported (snapshotFields is the single
-// source of truth; TestSnapshotFieldsCoverEverything pins it to the
-// Snapshot struct by reflection, so adding a counter without a metric
-// fails the build's tests, and CI's fleet job fails a scrape missing
-// any of these names). Counter values are cumulative and monotonic,
-// so everything renders as a Prometheus counter; the per-epoch phase
-// ring renders as gauges keyed by an epoch label.
+// Every Counters field is exported under the metric name its Snapshot
+// field's struct tag carries (a counter without one stops the package
+// from loading, and CI's fleet job fails a scrape missing any of
+// FieldNames). Counter values are cumulative and monotonic, so
+// everything renders as a Prometheus counter; the per-epoch phase ring
+// renders as gauges keyed by an epoch label.
 
 import (
 	"fmt"
@@ -23,76 +22,6 @@ import (
 
 	"repro/internal/stats/phases"
 )
-
-// Field is one named counter value of a Snapshot, in canonical order.
-type Field struct {
-	Name  string
-	Value int64
-}
-
-// snapshotFields maps every Snapshot field to its metric name, in
-// exposition order. The reflection test enforces exhaustiveness.
-var snapshotFields = []struct {
-	name string
-	get  func(*Snapshot) int64
-}{
-	{"msgs_sent", func(s *Snapshot) int64 { return s.MsgsSent }},
-	{"msgs_recv", func(s *Snapshot) int64 { return s.MsgsRecv }},
-	{"batches_sent", func(s *Snapshot) int64 { return s.BatchesSent }},
-	{"batched_msgs", func(s *Snapshot) int64 { return s.BatchedMsgs }},
-	{"frags_sent", func(s *Snapshot) int64 { return s.FragsSent }},
-	{"frags_retrans", func(s *Snapshot) int64 { return s.FragsRetrans }},
-	{"fast_retrans", func(s *Snapshot) int64 { return s.FastRetrans }},
-	{"rtt_samples", func(s *Snapshot) int64 { return s.RTTSamples }},
-	{"bytes_sent", func(s *Snapshot) int64 { return s.BytesSent }},
-	{"bytes_recv", func(s *Snapshot) int64 { return s.BytesRecv }},
-	{"access_checks", func(s *Snapshot) int64 { return s.AccessChecks }},
-	{"views", func(s *Snapshot) int64 { return s.Views }},
-	{"map_ins", func(s *Snapshot) int64 { return s.MapIns }},
-	{"swap_outs", func(s *Snapshot) int64 { return s.SwapOuts }},
-	{"disk_reads", func(s *Snapshot) int64 { return s.DiskReads }},
-	{"disk_writes", func(s *Snapshot) int64 { return s.DiskWrites }},
-	{"disk_read_bytes", func(s *Snapshot) int64 { return s.DiskReadBytes }},
-	{"disk_write_bytes", func(s *Snapshot) int64 { return s.DiskWriteBytes }},
-	{"diffs_made", func(s *Snapshot) int64 { return s.DiffsMade }},
-	{"diff_bytes", func(s *Snapshot) int64 { return s.DiffBytes }},
-	{"obj_fetches", func(s *Snapshot) int64 { return s.ObjFetches }},
-	{"lock_acquires", func(s *Snapshot) int64 { return s.LockAcquires }},
-	{"barriers", func(s *Snapshot) int64 { return s.Barriers }},
-	{"home_migrations", func(s *Snapshot) int64 { return s.HomeMigrates }},
-	{"invalidations", func(s *Snapshot) int64 { return s.Invalidations }},
-	{"leases_granted", func(s *Snapshot) int64 { return s.LeasesGranted }},
-	{"lease_hits", func(s *Snapshot) int64 { return s.LeaseHits }},
-	{"lease_demotes", func(s *Snapshot) int64 { return s.LeaseDemotes }},
-	{"ckpts", func(s *Snapshot) int64 { return s.Ckpts }},
-	{"ckpt_bytes", func(s *Snapshot) int64 { return s.CkptBytes }},
-	{"ckpt_skipped", func(s *Snapshot) int64 { return s.CkptSkipped }},
-	{"rehomes", func(s *Snapshot) int64 { return s.Rehomes }},
-	{"page_faults", func(s *Snapshot) int64 { return s.PageFaults }},
-	{"false_sharing_faults", func(s *Snapshot) int64 { return s.FalseShares }},
-	{"pin_denials", func(s *Snapshot) int64 { return s.PinDenls }},
-}
-
-// Fields returns every counter of the snapshot as (name, value) pairs
-// in canonical order — the encoding the LCTL stat frame streams and
-// the metric names the Prometheus surface exposes.
-func (s Snapshot) Fields() []Field {
-	out := make([]Field, len(snapshotFields))
-	for i, f := range snapshotFields {
-		out[i] = Field{Name: f.name, Value: f.get(&s)}
-	}
-	return out
-}
-
-// FieldNames returns the canonical counter metric names (without the
-// lots_ prefix or _total suffix) — what a scrape verifier must find.
-func FieldNames() []string {
-	out := make([]string, len(snapshotFields))
-	for i, f := range snapshotFields {
-		out[i] = f.name
-	}
-	return out
-}
 
 // MetricPrefix namespaces every exposed metric.
 const MetricPrefix = "lots_"

@@ -3,7 +3,6 @@ package stats
 import (
 	"io"
 	"net/http/httptest"
-	"reflect"
 	"strconv"
 	"strings"
 	"sync"
@@ -12,43 +11,6 @@ import (
 
 	"repro/internal/stats/phases"
 )
-
-// TestSnapshotFieldsCoverEverything pins snapshotFields to the
-// Snapshot struct by reflection: every int64 field must be read by
-// exactly one table entry. Adding a counter without a metric (or a
-// metric reading a stale field twice) fails here, which is what lets
-// CI assert "no gauge is missing" against FieldNames.
-func TestSnapshotFieldsCoverEverything(t *testing.T) {
-	var s Snapshot
-	v := reflect.ValueOf(&s).Elem()
-	want := make(map[int64]bool)
-	for i := 0; i < v.NumField(); i++ {
-		v.Field(i).SetInt(int64(i + 1))
-		want[int64(i+1)] = true
-	}
-	fields := s.Fields()
-	if len(fields) != v.NumField() {
-		t.Fatalf("Fields() returned %d entries for %d Snapshot fields", len(fields), v.NumField())
-	}
-	seen := make(map[int64]bool)
-	names := make(map[string]bool)
-	for _, f := range fields {
-		if !want[f.Value] {
-			t.Errorf("field %q read value %d not present in the sentinel snapshot", f.Name, f.Value)
-		}
-		if seen[f.Value] {
-			t.Errorf("two table entries read the same Snapshot field (value %d, second name %q)", f.Value, f.Name)
-		}
-		seen[f.Value] = true
-		if names[f.Name] {
-			t.Errorf("duplicate metric name %q", f.Name)
-		}
-		names[f.Name] = true
-	}
-	if got := FieldNames(); len(got) != len(fields) {
-		t.Errorf("FieldNames() returned %d names, want %d", len(got), len(fields))
-	}
-}
 
 // TestWritePrometheusGolden pins the exact text encoding of a pinned
 // snapshot + phase ring. The scrape surface is a wire format: tools

@@ -13,6 +13,7 @@ package stats
 
 import (
 	"fmt"
+	"reflect"
 	"sort"
 	"strings"
 	"sync"
@@ -23,145 +24,129 @@ import (
 // Counters aggregates protocol events for one node. All fields are
 // manipulated atomically so that the node's application goroutine and its
 // message-service goroutine can update them concurrently.
+//
+// The counter list is written twice — here, and in Snapshot with the
+// same names in the same order (checked when the package loads). Snap,
+// Sub, Add, String, Fields, FieldNames and Table iterate it.
 type Counters struct {
-	MsgsSent      atomic.Int64 // logical protocol messages sent
-	MsgsRecv      atomic.Int64
-	BatchesSent   atomic.Int64 // coalesced TBatch envelopes flushed
-	BatchedMsgs   atomic.Int64 // protocol messages carried inside batches
-	FragsSent     atomic.Int64 // wire fragments after 64 KB splitting
-	FragsRetrans  atomic.Int64 // fragments retransmitted (timeout + fast)
-	FastRetrans   atomic.Int64 // dup-ack fast retransmissions (subset of FragsRetrans)
-	RTTSamples    atomic.Int64 // RTT measurements fed to the adaptive RTO
-	BytesSent     atomic.Int64
-	BytesRecv     atomic.Int64
-	AccessChecks  atomic.Int64 // Ptr access-check invocations (§4.2)
-	Views         atomic.Int64 // pinned spans opened (View API + legacy span accessors)
-	MapIns        atomic.Int64 // objects mapped into the DMM area
-	SwapOuts      atomic.Int64 // objects evicted from the DMM area
-	DiskReads     atomic.Int64 // backing-store read operations
-	DiskWrites    atomic.Int64
-	DiskReadBytes atomic.Int64
-	DiskWriteByte atomic.Int64
-	DiffsMade     atomic.Int64
-	DiffBytes     atomic.Int64
-	ObjFetches    atomic.Int64 // whole-object (or page) fetches
-	LockAcquires  atomic.Int64
-	Barriers      atomic.Int64
-	HomeMigrates  atomic.Int64
-	Invalidations atomic.Int64
-	LeasesGranted atomic.Int64 // read leases handed out with fetch replies (home side)
-	LeaseHits     atomic.Int64 // leased copies kept valid across a barrier (zero data transfer)
-	LeaseDemotes  atomic.Int64 // revalidations that fell back to invalidate-and-fetch
-	Ckpts         atomic.Int64 // barrier-time checkpoints written
-	CkptBytes     atomic.Int64 // object bytes serialized into checkpoints
-	CkptSkipped   atomic.Int64 // checkpoint segments skipped as unchanged (zero bytes)
-	Rehomes       atomic.Int64 // owners restored from a peer's checkpoint store
-	PageFaults    atomic.Int64 // JIAJIA baseline: simulated SIGSEGV faults
-	FalseShares   atomic.Int64 // JIAJIA baseline: write faults on pages holding >1 object
-	PinDenials    atomic.Int64 // evictions skipped because the victim was pinned
+	MsgsSent       atomic.Int64 // logical protocol messages sent
+	MsgsRecv       atomic.Int64
+	BatchesSent    atomic.Int64 // coalesced TBatch envelopes flushed
+	BatchedMsgs    atomic.Int64 // protocol messages carried inside batches
+	FragsSent      atomic.Int64 // wire fragments after 64 KB splitting
+	FragsRetrans   atomic.Int64 // fragments retransmitted (timeout + fast)
+	FastRetrans    atomic.Int64 // dup-ack fast retransmissions (subset of FragsRetrans)
+	RTTSamples     atomic.Int64 // RTT measurements fed to the adaptive RTO
+	BytesSent      atomic.Int64
+	BytesRecv      atomic.Int64
+	AccessChecks   atomic.Int64 // Ptr access-check invocations (§4.2)
+	Views          atomic.Int64 // pinned spans opened (View API + legacy span accessors)
+	MapIns         atomic.Int64 // objects mapped into the DMM area
+	SwapOuts       atomic.Int64 // objects evicted from the DMM area
+	DiskReads      atomic.Int64 // backing-store read operations
+	DiskWrites     atomic.Int64
+	DiskReadBytes  atomic.Int64
+	DiskWriteBytes atomic.Int64
+	DiffsMade      atomic.Int64
+	DiffBytes      atomic.Int64
+	ObjFetches     atomic.Int64 // whole-object (or page) fetches
+	LockAcquires   atomic.Int64
+	Barriers       atomic.Int64
+	HomeMigrates   atomic.Int64
+	Invalidations  atomic.Int64
+	LeasesGranted  atomic.Int64 // read leases handed out with fetch replies (home side)
+	LeaseHits      atomic.Int64 // leased copies kept valid across a barrier (zero data transfer)
+	LeaseDemotes   atomic.Int64 // revalidations that fell back to invalidate-and-fetch
+	Ckpts          atomic.Int64 // barrier-time checkpoints written
+	CkptBytes      atomic.Int64 // object bytes serialized into checkpoints
+	CkptSkipped    atomic.Int64 // checkpoint segments skipped as unchanged (zero bytes)
+	Rehomes        atomic.Int64 // owners restored from a peer's checkpoint store
+	PageFaults     atomic.Int64 // JIAJIA baseline: simulated SIGSEGV faults
+	FalseShares    atomic.Int64 // JIAJIA baseline: write faults on pages holding >1 object
+	PinDenls       atomic.Int64 // evictions skipped because the victim was pinned
 }
 
 // Snapshot is a plain-value copy of Counters, safe to compare and print.
+// A field's metric tag is its name in String, Fields, the LCTL stat
+// frame and the Prometheus exposition; a col tag gives it a column in
+// Table.
 type Snapshot struct {
-	MsgsSent, MsgsRecv, FragsSent     int64
-	BatchesSent, BatchedMsgs          int64
-	FragsRetrans, FastRetrans         int64
-	RTTSamples                        int64
-	BytesSent, BytesRecv              int64
-	AccessChecks, Views               int64
-	MapIns, SwapOuts                  int64
-	DiskReads, DiskWrites             int64
-	DiskReadBytes, DiskWriteBytes     int64
-	DiffsMade, DiffBytes, ObjFetches  int64
-	LockAcquires, Barriers            int64
-	HomeMigrates, Invalidations       int64
-	LeasesGranted                     int64
-	LeaseHits, LeaseDemotes           int64
-	Ckpts, CkptBytes                  int64
-	CkptSkipped, Rehomes              int64
-	PageFaults, FalseShares, PinDenls int64
+	MsgsSent       int64 `metric:"msgs_sent" col:"msgs"`
+	MsgsRecv       int64 `metric:"msgs_recv"`
+	BatchesSent    int64 `metric:"batches_sent"`
+	BatchedMsgs    int64 `metric:"batched_msgs"`
+	FragsSent      int64 `metric:"frags_sent"`
+	FragsRetrans   int64 `metric:"frags_retrans"`
+	FastRetrans    int64 `metric:"fast_retrans"`
+	RTTSamples     int64 `metric:"rtt_samples"`
+	BytesSent      int64 `metric:"bytes_sent" col:"bytes"`
+	BytesRecv      int64 `metric:"bytes_recv"`
+	AccessChecks   int64 `metric:"access_checks" col:"checks"`
+	Views          int64 `metric:"views"`
+	MapIns         int64 `metric:"map_ins" col:"mapins"`
+	SwapOuts       int64 `metric:"swap_outs" col:"swaps"`
+	DiskReads      int64 `metric:"disk_reads" col:"dskRd"`
+	DiskWrites     int64 `metric:"disk_writes" col:"dskWr"`
+	DiskReadBytes  int64 `metric:"disk_read_bytes"`
+	DiskWriteBytes int64 `metric:"disk_write_bytes"`
+	DiffsMade      int64 `metric:"diffs_made" col:"diffs"`
+	DiffBytes      int64 `metric:"diff_bytes"`
+	ObjFetches     int64 `metric:"obj_fetches" col:"fetch"`
+	LockAcquires   int64 `metric:"lock_acquires" col:"locks"`
+	Barriers       int64 `metric:"barriers" col:"barr"`
+	HomeMigrates   int64 `metric:"home_migrations" col:"migr"`
+	Invalidations  int64 `metric:"invalidations" col:"inval"`
+	LeasesGranted  int64 `metric:"leases_granted"`
+	LeaseHits      int64 `metric:"lease_hits" col:"lhit"`
+	LeaseDemotes   int64 `metric:"lease_demotes" col:"ldem"`
+	Ckpts          int64 `metric:"ckpts" col:"ckpt"`
+	CkptBytes      int64 `metric:"ckpt_bytes"`
+	CkptSkipped    int64 `metric:"ckpt_skipped"`
+	Rehomes        int64 `metric:"rehomes" col:"rehom"`
+	PageFaults     int64 `metric:"page_faults" col:"fault"`
+	FalseShares    int64 `metric:"false_sharing_faults"`
+	PinDenls       int64 `metric:"pin_denials"`
 }
+
+// fields is the counter list, in declaration order: index i is field i
+// of both Counters and Snapshot. Building it is the drift check — a
+// counter missing from one struct, out of order, or without a metric
+// name of its own stops every binary and test at start-up.
+var fields = func() []struct{ metric, col string } {
+	ct, st := reflect.TypeOf((*Counters)(nil)).Elem(), reflect.TypeOf(Snapshot{})
+	if ct.NumField() != st.NumField() {
+		panic("stats: Counters and Snapshot list different counters")
+	}
+	out := make([]struct{ metric, col string }, st.NumField())
+	seen := make(map[string]bool)
+	for i := range out {
+		f := st.Field(i)
+		out[i].metric, out[i].col = f.Tag.Get("metric"), f.Tag.Get("col")
+		if f.Name != ct.Field(i).Name || out[i].metric == "" || seen[out[i].metric] {
+			panic("stats: Snapshot." + f.Name + " is not Counters' field " + fmt.Sprint(i) + " or has no metric name of its own")
+		}
+		seen[out[i].metric] = true
+	}
+	return out
+}()
 
 // Snap returns a point-in-time copy of the counters.
 func (c *Counters) Snap() Snapshot {
-	return Snapshot{
-		MsgsSent:       c.MsgsSent.Load(),
-		MsgsRecv:       c.MsgsRecv.Load(),
-		BatchesSent:    c.BatchesSent.Load(),
-		BatchedMsgs:    c.BatchedMsgs.Load(),
-		FragsSent:      c.FragsSent.Load(),
-		FragsRetrans:   c.FragsRetrans.Load(),
-		FastRetrans:    c.FastRetrans.Load(),
-		RTTSamples:     c.RTTSamples.Load(),
-		BytesSent:      c.BytesSent.Load(),
-		BytesRecv:      c.BytesRecv.Load(),
-		AccessChecks:   c.AccessChecks.Load(),
-		Views:          c.Views.Load(),
-		MapIns:         c.MapIns.Load(),
-		SwapOuts:       c.SwapOuts.Load(),
-		DiskReads:      c.DiskReads.Load(),
-		DiskWrites:     c.DiskWrites.Load(),
-		DiskReadBytes:  c.DiskReadBytes.Load(),
-		DiskWriteBytes: c.DiskWriteByte.Load(),
-		DiffsMade:      c.DiffsMade.Load(),
-		DiffBytes:      c.DiffBytes.Load(),
-		ObjFetches:     c.ObjFetches.Load(),
-		LockAcquires:   c.LockAcquires.Load(),
-		Barriers:       c.Barriers.Load(),
-		HomeMigrates:   c.HomeMigrates.Load(),
-		Invalidations:  c.Invalidations.Load(),
-		LeasesGranted:  c.LeasesGranted.Load(),
-		LeaseHits:      c.LeaseHits.Load(),
-		LeaseDemotes:   c.LeaseDemotes.Load(),
-		Ckpts:          c.Ckpts.Load(),
-		CkptBytes:      c.CkptBytes.Load(),
-		CkptSkipped:    c.CkptSkipped.Load(),
-		Rehomes:        c.Rehomes.Load(),
-		PageFaults:     c.PageFaults.Load(),
-		FalseShares:    c.FalseShares.Load(),
-		PinDenls:       c.PinDenials.Load(),
+	var s Snapshot
+	cv, sv := reflect.ValueOf(c).Elem(), reflect.ValueOf(&s).Elem()
+	for i := range fields {
+		sv.Field(i).SetInt(cv.Field(i).Addr().Interface().(*atomic.Int64).Load())
 	}
+	return s
 }
 
 // Sub returns s - o field-wise, for measuring a region of execution.
 func (s Snapshot) Sub(o Snapshot) Snapshot {
-	return Snapshot{
-		MsgsSent:       s.MsgsSent - o.MsgsSent,
-		MsgsRecv:       s.MsgsRecv - o.MsgsRecv,
-		BatchesSent:    s.BatchesSent - o.BatchesSent,
-		BatchedMsgs:    s.BatchedMsgs - o.BatchedMsgs,
-		FragsSent:      s.FragsSent - o.FragsSent,
-		FragsRetrans:   s.FragsRetrans - o.FragsRetrans,
-		FastRetrans:    s.FastRetrans - o.FastRetrans,
-		RTTSamples:     s.RTTSamples - o.RTTSamples,
-		BytesSent:      s.BytesSent - o.BytesSent,
-		BytesRecv:      s.BytesRecv - o.BytesRecv,
-		AccessChecks:   s.AccessChecks - o.AccessChecks,
-		Views:          s.Views - o.Views,
-		MapIns:         s.MapIns - o.MapIns,
-		SwapOuts:       s.SwapOuts - o.SwapOuts,
-		DiskReads:      s.DiskReads - o.DiskReads,
-		DiskWrites:     s.DiskWrites - o.DiskWrites,
-		DiskReadBytes:  s.DiskReadBytes - o.DiskReadBytes,
-		DiskWriteBytes: s.DiskWriteBytes - o.DiskWriteBytes,
-		DiffsMade:      s.DiffsMade - o.DiffsMade,
-		DiffBytes:      s.DiffBytes - o.DiffBytes,
-		ObjFetches:     s.ObjFetches - o.ObjFetches,
-		LockAcquires:   s.LockAcquires - o.LockAcquires,
-		Barriers:       s.Barriers - o.Barriers,
-		HomeMigrates:   s.HomeMigrates - o.HomeMigrates,
-		Invalidations:  s.Invalidations - o.Invalidations,
-		LeasesGranted:  s.LeasesGranted - o.LeasesGranted,
-		LeaseHits:      s.LeaseHits - o.LeaseHits,
-		LeaseDemotes:   s.LeaseDemotes - o.LeaseDemotes,
-		Ckpts:          s.Ckpts - o.Ckpts,
-		CkptBytes:      s.CkptBytes - o.CkptBytes,
-		CkptSkipped:    s.CkptSkipped - o.CkptSkipped,
-		Rehomes:        s.Rehomes - o.Rehomes,
-		PageFaults:     s.PageFaults - o.PageFaults,
-		FalseShares:    s.FalseShares - o.FalseShares,
-		PinDenls:       s.PinDenls - o.PinDenls,
+	sv, ov := reflect.ValueOf(&s).Elem(), reflect.ValueOf(&o).Elem()
+	for i := range fields {
+		sv.Field(i).SetInt(sv.Field(i).Int() - ov.Field(i).Int())
 	}
+	return s
 }
 
 // Add returns s + o field-wise, for aggregating across nodes.
@@ -169,38 +154,40 @@ func (s Snapshot) Add(o Snapshot) Snapshot {
 	return s.Sub(Snapshot{}.Sub(o))
 }
 
-// String renders the non-zero counters compactly, one per line.
+// Field is one named counter value of a Snapshot, in canonical order.
+type Field struct {
+	Name  string
+	Value int64
+}
+
+// Fields returns every counter of the snapshot as (name, value) pairs
+// in canonical order — the encoding the LCTL stat frame streams and
+// the metric names the Prometheus surface exposes.
+func (s Snapshot) Fields() []Field {
+	sv := reflect.ValueOf(&s).Elem()
+	out := make([]Field, len(fields))
+	for i, f := range fields {
+		out[i] = Field{Name: f.metric, Value: sv.Field(i).Int()}
+	}
+	return out
+}
+
+// FieldNames returns the canonical counter metric names (without the
+// lots_ prefix or _total suffix) — what a scrape verifier must find.
+func FieldNames() []string {
+	out := make([]string, len(fields))
+	for i, f := range fields {
+		out[i] = f.metric
+	}
+	return out
+}
+
+// String renders the non-zero counters compactly.
 func (s Snapshot) String() string {
 	var b strings.Builder
-	type kv struct {
-		k string
-		v int64
-	}
-	rows := []kv{
-		{"msgs_sent", s.MsgsSent}, {"msgs_recv", s.MsgsRecv},
-		{"batches_sent", s.BatchesSent}, {"batched_msgs", s.BatchedMsgs},
-		{"frags_sent", s.FragsSent},
-		{"frags_retrans", s.FragsRetrans}, {"fast_retrans", s.FastRetrans},
-		{"rtt_samples", s.RTTSamples},
-		{"bytes_sent", s.BytesSent}, {"bytes_recv", s.BytesRecv},
-		{"access_checks", s.AccessChecks}, {"views", s.Views},
-		{"map_ins", s.MapIns}, {"swap_outs", s.SwapOuts},
-		{"disk_reads", s.DiskReads}, {"disk_writes", s.DiskWrites},
-		{"disk_read_bytes", s.DiskReadBytes}, {"disk_write_bytes", s.DiskWriteBytes},
-		{"diffs", s.DiffsMade}, {"diff_bytes", s.DiffBytes},
-		{"obj_fetches", s.ObjFetches},
-		{"lock_acquires", s.LockAcquires}, {"barriers", s.Barriers},
-		{"home_migrations", s.HomeMigrates}, {"invalidations", s.Invalidations},
-		{"leases_granted", s.LeasesGranted}, {"lease_hits", s.LeaseHits},
-		{"lease_demotes", s.LeaseDemotes},
-		{"ckpts", s.Ckpts}, {"ckpt_bytes", s.CkptBytes},
-		{"ckpt_skipped", s.CkptSkipped}, {"rehomes", s.Rehomes},
-		{"page_faults", s.PageFaults}, {"false_sharing_faults", s.FalseShares},
-		{"pin_denials", s.PinDenls},
-	}
-	for _, r := range rows {
-		if r.v != 0 {
-			fmt.Fprintf(&b, "%s=%d ", r.k, r.v)
+	for _, f := range s.Fields() {
+		if f.Value != 0 {
+			fmt.Fprintf(&b, "%s=%d ", f.Name, f.Value)
 		}
 	}
 	return strings.TrimSpace(b.String())
@@ -265,53 +252,32 @@ func MaxOf(ts ...time.Duration) time.Duration {
 // Table formats a slice of per-node snapshots as an aligned text table.
 // Only columns with at least one non-zero value are included.
 func Table(snaps []Snapshot) string {
-	type col struct {
-		name string
-		get  func(Snapshot) int64
+	rows := make([][]Field, len(snaps))
+	for i, s := range snaps {
+		rows[i] = s.Fields()
 	}
-	cols := []col{
-		{"msgs", func(s Snapshot) int64 { return s.MsgsSent }},
-		{"bytes", func(s Snapshot) int64 { return s.BytesSent }},
-		{"checks", func(s Snapshot) int64 { return s.AccessChecks }},
-		{"mapins", func(s Snapshot) int64 { return s.MapIns }},
-		{"swaps", func(s Snapshot) int64 { return s.SwapOuts }},
-		{"dskRd", func(s Snapshot) int64 { return s.DiskReads }},
-		{"dskWr", func(s Snapshot) int64 { return s.DiskWrites }},
-		{"diffs", func(s Snapshot) int64 { return s.DiffsMade }},
-		{"fetch", func(s Snapshot) int64 { return s.ObjFetches }},
-		{"locks", func(s Snapshot) int64 { return s.LockAcquires }},
-		{"barr", func(s Snapshot) int64 { return s.Barriers }},
-		{"migr", func(s Snapshot) int64 { return s.HomeMigrates }},
-		{"inval", func(s Snapshot) int64 { return s.Invalidations }},
-		{"lhit", func(s Snapshot) int64 { return s.LeaseHits }},
-		{"ldem", func(s Snapshot) int64 { return s.LeaseDemotes }},
-		{"ckpt", func(s Snapshot) int64 { return s.Ckpts }},
-		{"rehom", func(s Snapshot) int64 { return s.Rehomes }},
-		{"fault", func(s Snapshot) int64 { return s.PageFaults }},
-	}
-	live := cols[:0]
-	for _, c := range cols {
-		any := false
-		for _, s := range snaps {
-			if c.get(s) != 0 {
-				any = true
+	var live []int // indices into fields
+	for i, f := range fields {
+		if f.col == "" {
+			continue
+		}
+		for _, r := range rows {
+			if r[i].Value != 0 {
+				live = append(live, i)
 				break
 			}
-		}
-		if any {
-			live = append(live, c)
 		}
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-5s", "node")
-	for _, c := range live {
-		fmt.Fprintf(&b, " %10s", c.name)
+	for _, i := range live {
+		fmt.Fprintf(&b, " %10s", fields[i].col)
 	}
 	b.WriteByte('\n')
-	for i, s := range snaps {
-		fmt.Fprintf(&b, "%-5d", i)
-		for _, c := range live {
-			fmt.Fprintf(&b, " %10d", c.get(s))
+	for n, r := range rows {
+		fmt.Fprintf(&b, "%-5d", n)
+		for _, i := range live {
+			fmt.Fprintf(&b, " %10d", r[i].Value)
 		}
 		b.WriteByte('\n')
 	}

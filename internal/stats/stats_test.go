@@ -1,8 +1,10 @@
 package stats
 
 import (
+	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -25,6 +27,32 @@ func TestCountersSnapSub(t *testing.T) {
 	}
 	if d.DiskReads != 2 {
 		t.Errorf("DiskReads delta = %d, want 2", d.DiskReads)
+	}
+}
+
+// TestSnapCoversEveryCounter: each counter lands in the Snapshot field
+// of its own name and in its own Fields entry, and Sub/Add touch all of
+// them.
+func TestSnapCoversEveryCounter(t *testing.T) {
+	var c Counters
+	cv := reflect.ValueOf(&c).Elem()
+	for i := 0; i < cv.NumField(); i++ {
+		cv.Field(i).Addr().Interface().(*atomic.Int64).Store(int64(i + 1))
+	}
+	s := c.Snap()
+	sv := reflect.ValueOf(s)
+	fs := s.Fields()
+	if len(fs) != cv.NumField() || len(FieldNames()) != len(fs) {
+		t.Fatalf("%d counters, %d fields, %d names", cv.NumField(), len(fs), len(FieldNames()))
+	}
+	for i, f := range fs {
+		name := cv.Type().Field(i).Name
+		if got := sv.FieldByName(name).Int(); got != int64(i+1) || f.Value != got {
+			t.Errorf("counter %s = %d: Snapshot.%s = %d, Fields()[%d] = %s %d", name, i+1, name, got, i, f.Name, f.Value)
+		}
+	}
+	if s.Sub(s) != (Snapshot{}) || s.Add(s).Sub(s) != s {
+		t.Errorf("Sub/Add miss a field: s-s = %+v", s.Sub(s))
 	}
 }
 

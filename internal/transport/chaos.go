@@ -11,22 +11,22 @@ package transport
 //     datagrams. The window/ack/retransmission machinery must recover,
 //     so this is the direct torture test of §3.6's flow control.
 //
-//   - Message level (any Endpoint): Chaosify wraps an Endpoint in a
-//     lossy-link emulation plus its own reliability shim. Each logical
-//     message is stamped with a per-destination sequence number, then
-//     delayed, duplicated, reordered, or held across a partition window
-//     by a per-link pump; the receiving wrapper deduplicates and
-//     resequences, so the protocol above still sees an exactly-once
-//     FIFO channel while every message crossed a hostile link. Because
-//     the underlying transport is reliable, a "drop" manifests as the
-//     retransmission latency it would cost on a real link.
+//   - Message level (any Endpoint): Chaosify wraps an Endpoint whose
+//     delivery is already exactly-once and FIFO per link (mem, TCP), so
+//     the only thing a hostile link can do to the protocol above is
+//     delay it. Each message waits on a per-link FIFO pump for what its
+//     seeded fault plan costs — the rest of a partition window, a drawn
+//     latency, a retransmission timeout for a "drop", a step-aside for
+//     a "reorder", nothing for a duplicate the receiver would discard —
+//     and is then sent unchanged, once. Nothing is stamped, rewritten,
+//     deduplicated or resequenced.
 //
 // All random decisions come from rand.Rand instances seeded from
 // Chaos.Seed and the link's (src, dst) pair, so a fixed seed yields a
 // reproducible fault schedule per link regardless of scheduling.
 
 import (
-	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -43,13 +43,14 @@ type Chaos struct {
 
 	// Drop is the probability a transmission is lost. At packet level
 	// the datagram vanishes (retransmission recovers it); at message
-	// level the first transmission is suppressed and the reliability
-	// shim redelivers after RetransmitDelay.
+	// level it arrives a retransmission timeout late.
 	Drop float64
-	// Dup is the probability a transmission is delivered twice.
+	// Dup is the probability a transmission is delivered twice (packet
+	// level; at message level it is counted and costs nothing).
 	Dup float64
-	// Reorder is the probability a transmission is held back and
-	// released after the following one on the same link.
+	// Reorder is the probability a transmission is held back: at packet
+	// level released after the following one on the same link, at
+	// message level held for a moment with the link's FIFO behind it.
 	Reorder float64
 
 	// DelayMin/DelayMax bound the uniform per-transmission latency.
@@ -59,11 +60,6 @@ type Chaos struct {
 	// windows out of the timeline: every PartitionEvery, all links are
 	// dead for PartitionFor. Zero disables partitions.
 	PartitionEvery, PartitionFor time.Duration
-
-	// RetransmitDelay is the simulated recovery latency of a dropped
-	// message-level transmission (the reliable underlay actually
-	// carries it after this pause). Zero defaults to 5ms.
-	RetransmitDelay time.Duration
 
 	// ConnKillEvery makes the TCP transport sever one live peer
 	// connection roughly this often, exercising reconnect-and-resume.
@@ -117,13 +113,6 @@ func (c *Chaos) stats() *ChaosStats {
 		c.Stats = &ChaosStats{}
 	}
 	return c.Stats
-}
-
-func (c *Chaos) retransmitDelay() time.Duration {
-	if c.RetransmitDelay > 0 {
-		return c.RetransmitDelay
-	}
-	return 5 * time.Millisecond
 }
 
 // linkSeed derives a per-link RNG seed so each (src, dst) pair has an
@@ -293,13 +282,18 @@ func (p *packetChaos) flush(peer int, frame []byte) {
 
 // ---- Message-level chaos (any Endpoint) ---------------------------------
 
-// chaosTrailerLen is the per-message sequencing trailer the wrapper
-// appends to payloads in flight: one u64 per-link sequence number.
-const chaosTrailerLen = 8
+const (
+	// chaosRetransmitDelay is what a "dropped" message-level
+	// transmission costs: the recovery latency of a lossy link.
+	chaosRetransmitDelay = 5 * time.Millisecond
+	// chaosStepAside is how long a "reordered" transmission is held.
+	chaosStepAside = 2 * time.Millisecond
+)
 
 // ChaosEndpoint wraps an Endpoint in seeded fault injection while
 // still presenting an exactly-once, per-link FIFO channel to the
-// protocol above. See the package comment in this file for the model.
+// protocol above. See the comment at the top of this file for the
+// model.
 type ChaosEndpoint struct {
 	inner Endpoint
 	cfg   Chaos
@@ -309,39 +303,26 @@ type ChaosEndpoint struct {
 	mu      sync.Mutex
 	closed  bool
 	sendErr error
-	nextSeq []uint64
-	queues  []*chaosQueue
-
-	rmu      sync.Mutex
-	expected []uint64
-	future   []map[uint64]wire.Message
+	links   []chaosLink
 }
 
-// chaosItem is one stamped message waiting on a link pump.
-type chaosItem struct {
-	m   wire.Message
-	seq uint64
+// chaosLink is one destination's FIFO. The head is the message its
+// pump is carrying; it leaves the queue only once the inner endpoint
+// has it, so an empty queue means nothing is held here.
+type chaosLink struct {
+	cond  *sync.Cond // on ChaosEndpoint.mu; nil until the first Send starts the pump
+	queue []wire.Message
 }
 
-// Chaosify wraps ep in message-level fault injection. All endpoints of
-// one cluster must be wrapped (the sequencing trailer is stripped by
-// the receiving wrapper).
+// Chaosify wraps ep in message-level fault injection.
 func Chaosify(ep Endpoint, cfg Chaos) *ChaosEndpoint {
-	n := ep.N()
-	e := &ChaosEndpoint{
-		inner:    ep,
-		cfg:      cfg,
-		stats:    cfg.stats(),
-		start:    time.Now(),
-		nextSeq:  make([]uint64, n),
-		queues:   make([]*chaosQueue, n),
-		expected: make([]uint64, n),
-		future:   make([]map[uint64]wire.Message, n),
+	return &ChaosEndpoint{
+		inner: ep,
+		cfg:   cfg,
+		stats: cfg.stats(),
+		start: time.Now(),
+		links: make([]chaosLink, ep.N()),
 	}
-	for i := range e.future {
-		e.future[i] = make(map[uint64]wire.Message)
-	}
-	return e
 }
 
 // WrapEndpoints chaosifies every endpoint of a cluster with one shared
@@ -361,71 +342,64 @@ func (e *ChaosEndpoint) ID() int { return e.inner.ID() }
 // N returns the cluster size.
 func (e *ChaosEndpoint) N() int { return e.inner.N() }
 
-// Stats returns the fault counters this endpoint reports into.
-func (e *ChaosEndpoint) Stats() *ChaosStats { return e.stats }
-
-// Send stamps m with a per-link sequence number and hands it to the
-// destination link's pump, which transmits it through the inner
-// endpoint under the configured fault schedule.
+// Send queues m on the destination link's pump, which hands it to the
+// inner endpoint after the pause its seeded fault plan calls for. The
+// payload is copied: callers (the coalescer's pooled batch slab) may
+// reuse it as soon as Send returns.
 func (e *ChaosEndpoint) Send(m wire.Message) error {
-	if int(m.To) >= e.inner.N() {
+	if int(m.To) >= len(e.links) {
 		return ErrBadDest
 	}
+	m.Payload = append([]byte(nil), m.Payload...)
 	e.mu.Lock()
+	defer e.mu.Unlock()
 	if e.closed {
-		e.mu.Unlock()
 		return ErrClosed
 	}
 	if e.sendErr != nil {
-		err := e.sendErr
-		e.mu.Unlock()
-		return err
+		return e.sendErr
 	}
-	dst := int(m.To)
-	seq := e.nextSeq[dst]
-	e.nextSeq[dst]++
-	q := e.queues[dst]
-	if q == nil {
-		q = newChaosQueue()
-		e.queues[dst] = q
-		go e.pump(q, e.cfg.linkSeed(e.inner.ID(), dst))
+	l := &e.links[m.To]
+	if l.cond == nil {
+		l.cond = sync.NewCond(&e.mu)
+		go e.pump(l, e.cfg.linkSeed(e.inner.ID(), int(m.To)))
 	}
-	e.mu.Unlock()
-
-	p := make([]byte, len(m.Payload)+chaosTrailerLen)
-	copy(p, m.Payload)
-	binary.LittleEndian.PutUint64(p[len(m.Payload):], seq)
-	m.Payload = p
-	q.put(chaosItem{m: m, seq: seq})
+	l.queue = append(l.queue, m)
+	l.cond.Signal()
 	return nil
 }
 
-// pump is the per-link sender: it applies each message's seeded fault
-// plan and transmits through the inner endpoint.
-func (e *ChaosEndpoint) pump(q *chaosQueue, linkSeed int64) {
-	for {
-		it, ok := q.get()
-		if !ok {
+// pump is the per-link sender: it carries the link's messages across
+// in order, the seq-th after the pause of the seq-th fault plan.
+func (e *ChaosEndpoint) pump(l *chaosLink, linkSeed int64) {
+	for seq := uint64(0); ; seq++ {
+		e.mu.Lock()
+		for len(l.queue) == 0 && !e.closed {
+			l.cond.Wait()
+		}
+		if e.closed {
+			e.mu.Unlock()
 			return
 		}
-		dec := e.cfg.decideMsg(linkSeed, it.seq)
-		if dec.reorder {
-			// Step aside: transmit late from a side goroutine so the
-			// following messages overtake it through the inner
-			// transport. The receiving wrapper resequences.
-			e.stats.Reordered.Add(1)
-			go func(it chaosItem, dec decision) {
-				e.sleep(2 * time.Millisecond)
-				e.transmit(it.m, dec)
-			}(it, dec)
-			continue
+		m := l.queue[0]
+		e.mu.Unlock()
+
+		time.Sleep(e.pause(e.cfg.decideMsg(linkSeed, seq)))
+		err := e.inner.Send(m)
+
+		e.mu.Lock()
+		l.queue[0] = wire.Message{}
+		l.queue = l.queue[1:]
+		if err != nil && e.sendErr == nil && !e.closed {
+			e.sendErr = err
 		}
-		e.transmit(it.m, dec)
+		e.mu.Unlock()
 	}
 }
 
-// transmit carries one stamped message across the emulated lossy link.
-func (e *ChaosEndpoint) transmit(m wire.Message, dec decision) {
+// pause counts the faults of one transmission and returns what they
+// cost on a link whose underlay delivers exactly once and in order.
+func (e *ChaosEndpoint) pause(dec decision) time.Duration {
 	var wait time.Duration
 	if in, left := e.cfg.inPartition(time.Since(e.start)); in {
 		// The link is down: nothing crosses until the window lifts.
@@ -437,141 +411,55 @@ func (e *ChaosEndpoint) transmit(m wire.Message, dec decision) {
 		wait += dec.delay
 	}
 	if dec.drop {
-		// Lost on the wire; the reliability shim redelivers after the
-		// simulated retransmission timeout.
 		e.stats.Dropped.Add(1)
-		wait += e.cfg.retransmitDelay()
+		wait += chaosRetransmitDelay
 	}
-	e.sleep(wait)
-	if err := e.innerSend(m); err != nil {
-		return
+	if dec.reorder {
+		e.stats.Reordered.Add(1)
+		wait += chaosStepAside
 	}
 	if dec.dup {
+		// The receiver would discard the second copy: no cost.
 		e.stats.Duplicated.Add(1)
-		e.innerSend(m) //nolint:errcheck // duplicate best-effort by design
 	}
+	return wait
 }
 
-func (e *ChaosEndpoint) innerSend(m wire.Message) error {
-	err := e.inner.Send(m)
-	if err != nil {
-		e.mu.Lock()
-		if e.sendErr == nil && !e.closed {
-			e.sendErr = err
-		}
-		e.mu.Unlock()
-	}
-	return err
-}
+// Recv returns the inner endpoint's next message.
+func (e *ChaosEndpoint) Recv() (wire.Message, bool) { return e.inner.Recv() }
 
-func (e *ChaosEndpoint) sleep(d time.Duration) {
-	if d > 0 {
-		time.Sleep(d)
-	}
-}
-
-// Recv returns the next message in per-link sequence order, discarding
-// duplicates and buffering messages that arrive early.
-func (e *ChaosEndpoint) Recv() (wire.Message, bool) {
-	e.rmu.Lock()
-	defer e.rmu.Unlock()
+// Drain waits for the pumps to hand everything queued to the inner
+// endpoint, then drains that for what is left of the timeout.
+func (e *ChaosEndpoint) Drain(timeout time.Duration) error {
+	deadline := time.Now().Add(timeout)
 	for {
-		// Deliver buffered in-order messages first.
-		for src := range e.future {
-			if m, ok := e.future[src][e.expected[src]]; ok {
-				delete(e.future[src], e.expected[src])
-				e.expected[src]++
-				return m, true
-			}
+		queued := 0
+		e.mu.Lock()
+		for i := range e.links {
+			queued += len(e.links[i].queue)
 		}
-		m, ok := e.inner.Recv()
-		if !ok {
-			return wire.Message{}, false
+		closed := e.closed
+		e.mu.Unlock()
+		if queued == 0 || closed {
+			return e.inner.Drain(time.Until(deadline))
 		}
-		if len(m.Payload) < chaosTrailerLen {
-			// Not ours (possible only if an unwrapped endpoint leaked a
-			// message in); surface as-is rather than corrupting it.
-			return m, true
+		if time.Now().After(deadline) {
+			return fmt.Errorf("transport: drain timeout with %d messages queued in chaos pumps", queued)
 		}
-		cut := len(m.Payload) - chaosTrailerLen
-		seq := binary.LittleEndian.Uint64(m.Payload[cut:])
-		m.Payload = m.Payload[:cut]
-		if len(m.Payload) == 0 {
-			m.Payload = nil
-		}
-		src := int(m.From)
-		switch {
-		case seq < e.expected[src]:
-			// Duplicate of something already delivered.
-			continue
-		case seq > e.expected[src]:
-			e.future[src][seq] = m
-			continue
-		default:
-			e.expected[src]++
-			return m, true
-		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
-// Close shuts the wrapper and the inner endpoint down.
+// Close shuts the wrapper and the inner endpoint down; what the pumps
+// still hold is dropped (Drain first to deliver it).
 func (e *ChaosEndpoint) Close() error {
 	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		return nil
-	}
 	e.closed = true
-	qs := append([]*chaosQueue(nil), e.queues...)
-	e.mu.Unlock()
-	for _, q := range qs {
-		if q != nil {
-			q.close()
+	for i := range e.links {
+		if c := e.links[i].cond; c != nil {
+			c.Broadcast()
 		}
 	}
+	e.mu.Unlock()
 	return e.inner.Close()
-}
-
-// chaosQueue is the per-link FIFO feeding a pump goroutine.
-type chaosQueue struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	items  []chaosItem
-	closed bool
-}
-
-func newChaosQueue() *chaosQueue {
-	q := &chaosQueue{}
-	q.cond = sync.NewCond(&q.mu)
-	return q
-}
-
-func (q *chaosQueue) put(it chaosItem) {
-	q.mu.Lock()
-	if !q.closed {
-		q.items = append(q.items, it)
-		q.cond.Signal()
-	}
-	q.mu.Unlock()
-}
-
-func (q *chaosQueue) get() (chaosItem, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for len(q.items) == 0 && !q.closed {
-		q.cond.Wait()
-	}
-	if len(q.items) == 0 {
-		return chaosItem{}, false
-	}
-	it := q.items[0]
-	q.items = q.items[1:]
-	return it, true
-}
-
-func (q *chaosQueue) close() {
-	q.mu.Lock()
-	q.closed = true
-	q.cond.Broadcast()
-	q.mu.Unlock()
 }

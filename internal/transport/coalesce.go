@@ -19,6 +19,7 @@ package transport
 
 import (
 	"sync"
+	"time"
 
 	"repro/internal/stats"
 	"repro/internal/wire"
@@ -138,8 +139,8 @@ func (e *BatchingEndpoint) Flush() error {
 // flushPeerLocked ships pb's pending messages. Caller holds pb.mu.
 // A pending count of one goes out as a plain message (an envelope
 // would only add bytes); two or more become one TBatch whose payload
-// is built in a pooled slab, released once the inner transport has
-// encoded it (every transport copies synchronously during Send).
+// is built in a pooled slab, released once the inner endpoint has
+// encoded or copied it (every Endpoint does so before Send returns).
 func (e *BatchingEndpoint) flushPeerLocked(pb *peerBuf, to int) error {
 	n := len(pb.msgs)
 	if n == 0 {
@@ -200,6 +201,14 @@ func (e *BatchingEndpoint) Recv() (wire.Message, bool) {
 			panic("transport: malformed batch envelope: " + err.Error())
 		}
 	}
+}
+
+// Drain ships every pending batch, then drains the inner endpoint.
+func (e *BatchingEndpoint) Drain(timeout time.Duration) error {
+	if err := e.Flush(); err != nil {
+		return err
+	}
+	return e.inner.Drain(timeout)
 }
 
 // Close shuts the inner endpoint down; pending deferred messages are

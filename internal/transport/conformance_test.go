@@ -10,6 +10,7 @@ package transport
 
 import (
 	"bytes"
+	"encoding/binary"
 	"net"
 	"sync"
 	"testing"
@@ -515,7 +516,7 @@ func TestUDPForgedAckDoesNotWedgeWindow(t *testing.T) {
 	if !bytes.Equal(m.Payload, payload) {
 		t.Fatal("payload corrupted after forged ack")
 	}
-	if err := e0.Flush(5 * time.Second); err != nil {
+	if err := e0.Drain(5 * time.Second); err != nil {
 		t.Fatal(err)
 	}
 	checkBytes("after transfer")
@@ -711,5 +712,43 @@ func TestChaosDeterministicSchedule(t *testing.T) {
 	}
 	if d1+u1+r1 == 0 {
 		t.Error("no faults fired; determinism check is vacuous")
+	}
+}
+
+// TestChaosDrainDeliversEverythingQueued: Drain on a chaos-wrapped
+// endpoint returns only once every message its pumps held has reached
+// the peer, and Send has copied the payload by the time it returns (the
+// coalescer recycles its batch slab right after Send).
+func TestChaosDrainDeliversEverythingQueued(t *testing.T) {
+	c := NewMemCluster(2, platform.Test(), nil, nil)
+	defer c.Close()
+	cc := DefaultChaos(42)
+	cc.PartitionEvery = 0
+	eps := WrapEndpoints(c.Endpoints(), cc)
+	const msgs = 40
+	buf := make([]byte, 8)
+	for i := 0; i < msgs; i++ {
+		binary.LittleEndian.PutUint64(buf, uint64(i))
+		if err := eps[0].Send(wire.Message{Type: wire.TAck, To: 1, Payload: buf}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	binary.LittleEndian.PutUint64(buf, ^uint64(0)) // a retained payload would now read as this
+	if err := eps[0].Drain(30 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	// Everything is in the peer's mailbox: closing the sender (which
+	// drops whatever its pumps still hold) must lose nothing.
+	if err := eps[0].Close(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < msgs; i++ {
+		m, ok := recvDeadline(t, eps[1], 5*time.Second)
+		if !ok {
+			t.Fatalf("stream closed after %d of %d messages", i, msgs)
+		}
+		if got := binary.LittleEndian.Uint64(m.Payload); got != uint64(i) {
+			t.Fatalf("message %d carries %d: payload not copied at Send, or link not FIFO", i, got)
+		}
 	}
 }

@@ -524,7 +524,7 @@ func TestUDPByteWindowStopsSelfInflictedLoss(t *testing.T) {
 			if float64(retrans)/float64(sent) >= 0.02 {
 				t.Errorf("n=%d sender %d: %d of %d fragments retransmitted (>= 2%%)", n, i, retrans, sent)
 			}
-			if err := eps[i].Flush(5 * time.Second); err != nil {
+			if err := eps[i].Drain(5 * time.Second); err != nil {
 				t.Error(err)
 			}
 			inFly, hw, table := eps[i].byteWindow(0)
@@ -558,7 +558,7 @@ func TestUDPByteWindowSmallGrantDoesNotWedge(t *testing.T) {
 	if !ok || !bytes.Equal(m.Payload, payload) {
 		t.Fatal("transfer wedged or corrupted under a sub-datagram share")
 	}
-	if err := e0.Flush(5 * time.Second); err != nil {
+	if err := e0.Drain(5 * time.Second); err != nil {
 		t.Fatal(err)
 	}
 	inFly, hw, table := e0.byteWindow(1)

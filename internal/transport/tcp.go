@@ -338,11 +338,10 @@ func (e *TCPEndpoint) Send(m wire.Message) error {
 	return err
 }
 
-// Flush blocks until every enqueued frame has been written and
+// Drain blocks until every enqueued frame has been written and
 // acknowledged by its receiver (broken or closed links excluded), or
-// the timeout passes. See UDPEndpoint.Flush for why a process flushes
-// before exiting.
-func (e *TCPEndpoint) Flush(timeout time.Duration) error {
+// the timeout passes.
+func (e *TCPEndpoint) Drain(timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	for {
 		pending := 0
@@ -360,7 +359,7 @@ func (e *TCPEndpoint) Flush(timeout time.Duration) error {
 			return nil
 		}
 		if time.Now().After(deadline) {
-			return fmt.Errorf("transport: flush timeout with %d frames unacked", pending)
+			return fmt.Errorf("transport: drain timeout with %d frames unacked", pending)
 		}
 		time.Sleep(time.Millisecond)
 	}

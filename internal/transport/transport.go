@@ -21,11 +21,11 @@
 //     connection retransmits exactly the unprocessed suffix and
 //     delivers exactly once.
 //
-// On top of any of these, chaos.go supplies seeded fault injection —
-// drop, duplication, reordering, delay, transient partitions,
-// connection kills — at the layer where each transport's own recovery
-// machinery must absorb it (see the Chaos type for the knobs). A
-// typical chaos-hardened cluster:
+// On top of any of these, chaos.go supplies seeded fault injection at
+// the layer where it means something: drop, duplication, reordering,
+// delay and partitions of UDP datagrams, TCP connection kills, and —
+// above mem and TCP, which already deliver exactly once in order — a
+// per-link FIFO delay (see the Chaos type). A chaos-hardened cluster:
 //
 //	addrs, _ := transport.FreeLocalTCPAddrs(n)
 //	cc := transport.DefaultChaos(seed)
@@ -34,7 +34,10 @@
 //		eps[i], _ = transport.NewTCPEndpointOptions(i, addrs,
 //			transport.TCPOptions{Chaos: &cc}) // connection killer
 //	}
-//	eps = transport.WrapEndpoints(eps, cc) // message-level faults
+//	eps = transport.WrapEndpoints(eps, cc) // message-level delay
+//
+// Mux (mux.go) is the request/reply layer a DSM node runs on an
+// Endpoint: request IDs, pending calls, reply routing, dispatch.
 //
 // The conformance suite (conformance_test.go here, plus the top-level
 // protocol conformance matrix) certifies that all six {mem, udp, tcp}
@@ -67,6 +70,15 @@ type Endpoint interface {
 	// Recv blocks for the next fully reassembled message. It returns
 	// ok=false after Close.
 	Recv() (wire.Message, bool)
+	// Drain blocks until every message handed to Send so far has
+	// reached its peer's transport (acknowledged, on a socket), or the
+	// timeout passes. A process about to exit drains the endpoint its
+	// node runs on first: its last protocol replies may still sit in a
+	// wrapper's queue or a send window, and a rank that dies with them
+	// undelivered strands the receiving rank forever. Every wrapper
+	// empties itself and then drains inward, so no layer can hold a
+	// message the closing rank forgot.
+	Drain(timeout time.Duration) error
 	// Close shuts the endpoint down and wakes blocked receivers.
 	Close() error
 }
@@ -278,6 +290,9 @@ func (e *memEndpoint) Send(m wire.Message) error {
 func (e *memEndpoint) Recv() (wire.Message, bool) {
 	return e.cluster.boxes[e.id].get()
 }
+
+// Drain has nothing to wait for: Send delivers before it returns.
+func (e *memEndpoint) Drain(time.Duration) error { return nil }
 
 func (e *memEndpoint) Close() error {
 	e.cluster.boxes[e.id].close()

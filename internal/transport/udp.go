@@ -959,16 +959,13 @@ func (e *UDPEndpoint) oooHighWater(from int) int {
 	return rs.oooHW
 }
 
-// Flush blocks until every transmitted frame has been acknowledged by
-// its receiver (broken channels excluded), or the timeout passes. A
-// process about to exit flushes first: its last protocol replies may
-// still sit in the window, and a sender that dies with them unacked
-// strands the receiving rank forever.
-func (e *UDPEndpoint) Flush(timeout time.Duration) error {
+// Drain blocks until every transmitted frame has been acknowledged by
+// its receiver (broken channels excluded), or the timeout passes.
+func (e *UDPEndpoint) Drain(timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	for e.inFlight.Load() > 0 {
 		if time.Now().After(deadline) {
-			return fmt.Errorf("transport: flush timeout with %d frames unacked", e.inFlight.Load())
+			return fmt.Errorf("transport: drain timeout with %d frames unacked", e.inFlight.Load())
 		}
 		time.Sleep(time.Millisecond)
 	}

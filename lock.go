@@ -8,6 +8,7 @@ import (
 	"repro/internal/object"
 	"repro/internal/stats"
 	"repro/internal/trace"
+	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
@@ -229,13 +230,13 @@ func (n *Node) grantFromManagerLocked(mg *lockMgr, lk uint16, wtr lockWaiter, lc
 		// data is already at the homes.
 		payload := n.encodeHomeBasedGrant(mg, lk)
 		n.mu.Unlock()
-		n.send(int(wtr.from), wire.TLockGrant, wtr.reqID|replyBit, payload, lc.Now())
+		n.send(int(wtr.from), wire.TLockGrant, transport.ReplyID(wtr.reqID), payload, lc.Now())
 	case mg.lastReleaser < 0 || mg.lastReleaser == int(wtr.from):
 		// First acquire ever, or re-acquire by the last releaser: no
 		// updates to transfer; the manager grants directly.
 		payload := encodeEmptyGrant(lk, mg.ver, mg.scope)
 		n.mu.Unlock()
-		n.send(int(wtr.from), wire.TLockGrant, wtr.reqID|replyBit, payload, lc.Now())
+		n.send(int(wtr.from), wire.TLockGrant, transport.ReplyID(wtr.reqID), payload, lc.Now())
 	default:
 		// Forward to the last releaser, which holds the freshest data
 		// and serves the grant point-to-point (homeless protocol).
@@ -338,7 +339,7 @@ func (n *Node) sendGrant(to int, reqID uint64, lk uint16, known uint32, lc *stat
 	}
 	restore()
 	n.mu.Unlock()
-	n.send(to, wire.TLockGrant, reqID|replyBit, w.Bytes(), lc.Now())
+	n.send(to, wire.TLockGrant, transport.ReplyID(reqID), w.Bytes(), lc.Now())
 }
 
 // onDemandDiffLocked computes the grant diff for one object from the

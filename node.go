@@ -3,7 +3,6 @@ package lots
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/diffing"
@@ -96,17 +95,9 @@ type Node struct {
 	ckptVers   map[object.ID]uint32
 	rmgr       *recoverMgr
 
-	// RPC plumbing. dead is set when dispatch drains the table on
-	// endpoint closure: an RPC registering after that point would wait
-	// on a channel nothing will ever signal, so it must fail instead.
-	reqSeq  atomic.Uint64
-	pending struct {
-		sync.Mutex
-		m    map[uint64]chan wire.Message
-		dead bool
-	}
-
-	closed atomic.Bool
+	// mux is the request/reply layer over ep: request IDs, pending
+	// calls, the dispatch loop that runs serve, and the closed flag.
+	mux *transport.Mux
 }
 
 // csState tracks one held critical section.
@@ -139,13 +130,13 @@ func newNode(id int, cfg *Config, ep transport.Endpoint, store disk.Store,
 		leaseTab:     newLeaseTable(DefaultLeaseSlots),
 		ph:           phases.NewRing(phases.DefaultWindow),
 	}
+	n.mux = transport.NewMux(ep, n.serve)
 	n.cond = sync.NewCond(&n.mu)
 	n.curClock = clock
 	if cfg.LargeObjectSpace {
 		n.mapper = dmm.NewMapper(cfg.DMMSize, store, ctr)
 		n.mapper.SetEvictPolicy(cfg.Protocol.Evict == EvictFIFO)
 	}
-	n.pending.m = make(map[uint64]chan wire.Message)
 	if id == 0 {
 		n.bmgr = newBarrierMgr(cfg.Nodes)
 	}
@@ -168,10 +159,7 @@ func (n *Node) Phases() *phases.Ring { return n.ph }
 // Config.Trace is off (a nil ring is a valid no-op recorder).
 func (n *Node) Trace() *trace.Ring { return n.tr }
 
-func (n *Node) close() error {
-	n.closed.Store(true)
-	return n.ep.Close()
-}
+func (n *Node) close() error { return n.mux.Close() }
 
 // fatalf aborts the application function; Cluster.Run converts the
 // panic into an error. Runtime failures (disk full, protocol breakage)
@@ -181,16 +169,6 @@ func (n *Node) fatalf(format string, args ...any) {
 }
 
 // ---- RPC plumbing -------------------------------------------------------
-
-// replyBit marks a message as an RPC reply; without it a node's request
-// to itself (e.g. node 0's own barrier arrival) would be mis-routed to
-// its own pending-reply table.
-const replyBit = uint64(1) << 63
-
-// newReqID returns a cluster-unique request ID (rank in high bits).
-func (n *Node) newReqID() uint64 {
-	return uint64(n.id)<<48 | n.reqSeq.Add(1)
-}
 
 // send transmits a one-way message. at is the explicit causal
 // timestamp for messages sent from a service timeline; 0 stamps the
@@ -204,7 +182,7 @@ func (n *Node) send(to int, typ wire.Type, reqID uint64, payload []byte, at time
 func (n *Node) sendT(to int, typ wire.Type, reqID uint64, payload []byte, at time.Duration, tc wire.TraceCtx) {
 	err := n.ep.Send(wire.Message{Type: typ, To: uint16(to), ReqID: reqID,
 		SimTime: int64(at), Payload: payload, Trace: tc})
-	if err != nil && !n.closed.Load() {
+	if err != nil && !n.mux.Closed() {
 		n.fatalf("lots: send %v to node %d: %v", typ, to, err)
 	}
 }
@@ -224,7 +202,7 @@ type batchSender interface {
 // survives coalescing.
 func (n *Node) deferSendT(bs batchSender, to int, typ wire.Type, reqID uint64, payload []byte, tc wire.TraceCtx) {
 	err := bs.Defer(wire.Message{Type: typ, To: uint16(to), ReqID: reqID, Payload: payload, Trace: tc})
-	if err != nil && !n.closed.Load() {
+	if err != nil && !n.mux.Closed() {
 		n.fatalf("lots: defer %v to node %d: %v", typ, to, err)
 	}
 }
@@ -244,22 +222,14 @@ func (n *Node) useClock(c *stats.SimClock) func() {
 	return func() { n.curClock = prev }
 }
 
-// expectReply allocates a request ID for a typ request to node to and
-// registers the channel dispatch will deliver its reply on. It fails
-// once dispatch has drained the table on endpoint closure: a channel
-// registered after that point would never be signalled, and send
-// errors are swallowed while the node is closing, so the caller would
-// block forever.
-func (n *Node) expectReply(to int, typ wire.Type) (uint64, chan wire.Message) {
-	id := n.newReqID()
-	ch := make(chan wire.Message, 1)
-	n.pending.Lock()
-	if n.pending.dead {
-		n.pending.Unlock()
-		n.fatalf("lots: rpc %v to node %d: endpoint closed", typ, to)
+// expectReply registers a reply channel for a typ request to node to
+// that the caller sends itself (the coalesced barrier fan-out); see
+// transport.Mux.Expect for why it must fail on a closed endpoint.
+func (n *Node) expectReply(to int, typ wire.Type) (uint64, <-chan wire.Message) {
+	id, ch, err := n.mux.Expect()
+	if err != nil {
+		n.fatalf("lots: rpc %v to node %d: %v", typ, to, err)
 	}
-	n.pending.m[id] = ch
-	n.pending.Unlock()
 	return id, ch
 }
 
@@ -272,73 +242,22 @@ func (n *Node) rpc(to int, typ wire.Type, payload []byte) wire.Message {
 // rpcT is rpc with a causal trace context stamped on the request, so
 // the serving rank can link its span to the caller's.
 func (n *Node) rpcT(to int, typ wire.Type, payload []byte, tc wire.TraceCtx) wire.Message {
-	id, ch := n.expectReply(to, typ)
-	n.sendT(to, typ, id, payload, 0, tc)
-	reply, ok := <-ch, true
-	if reply.Type == wire.TInvalid {
-		ok = false
-	}
-	if !ok {
-		n.fatalf("lots: rpc %v to node %d: endpoint closed", typ, to)
+	reply, err := n.mux.Call(wire.Message{Type: typ, To: uint16(to), Payload: payload, Trace: tc})
+	if err != nil {
+		n.fatalf("lots: rpc %v to node %d: %v", typ, to, err)
 	}
 	n.clock.MergeTo(transport.Arrival(n.prof, reply))
 	return reply
 }
 
-// reply answers a request at the given service-timeline timestamp; the
-// reply bit routes it to the requester's pending-RPC table rather than
-// its request handler.
+// reply answers a request at the given service-timeline timestamp.
 func (n *Node) reply(req wire.Message, typ wire.Type, payload []byte, at time.Duration) {
-	n.send(int(req.From), typ, req.ReqID|replyBit, payload, at)
+	n.send(int(req.From), typ, transport.ReplyID(req.ReqID), payload, at)
 }
 
-// dispatch is the node's message loop: replies are routed to waiting
-// RPCs; requests are served in their own goroutines (so a handler that
-// must wait — e.g. a fetch gated on in-flight barrier diffs — cannot
-// stall the loop).
-func (n *Node) dispatch() {
-	for {
-		m, ok := n.ep.Recv()
-		if !ok {
-			// Wake any still-pending RPCs with a zero message, and fail
-			// RPCs that would register from now on.
-			n.pending.Lock()
-			n.pending.dead = true
-			for id, ch := range n.pending.m {
-				ch <- wire.Message{}
-				delete(n.pending.m, id)
-			}
-			n.pending.Unlock()
-			return
-		}
-		if m.ReqID&replyBit != 0 {
-			id := m.ReqID &^ replyBit
-			n.pending.Lock()
-			ch, mine := n.pending.m[id]
-			if mine {
-				delete(n.pending.m, id)
-			}
-			n.pending.Unlock()
-			if mine {
-				ch <- m
-				continue
-			}
-			// Stale reply (RPC abandoned); drop it.
-			continue
-		}
-		go n.serve(m)
-	}
-}
-
-// serve handles one protocol request. It merges the node clock to the
-// message's causal arrival time first (the SIGIO handler runs on this
-// machine's timeline).
+// serve handles one protocol request; the mux runs it in its own
+// goroutine per message (the SIGIO handler of the original).
 func (n *Node) serve(m wire.Message) {
-	defer func() {
-		if r := recover(); r != nil && !n.closed.Load() {
-			panic(r)
-		}
-	}()
 	switch m.Type {
 	case wire.TLockReq:
 		n.serveLockReq(m)
@@ -370,7 +289,7 @@ func (n *Node) serve(m wire.Message) {
 	default:
 		// Unknown requests are dropped; the requester's RPC would hang,
 		// so this indicates a version mismatch — surface loudly.
-		if !n.closed.Load() {
+		if !n.mux.Closed() {
 			n.fatalf("lots: node %d: unexpected message %v from %d", n.id, m.Type, m.From)
 		}
 	}

@@ -6,7 +6,9 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/jiajia"
 	"repro/internal/wire"
 )
 
@@ -150,26 +152,49 @@ func TestRegressionRemoteSwapInSizeSizesNoAllocation(t *testing.T) {
 	}
 }
 
-// TestRegressionReplyRegistrationAfterClose: once dispatch has drained
-// the pending table, every site that registers a reply channel must
-// fail instead of blocking on a channel nothing will ever signal. The
-// coalesced barrier fan-out used to register its acks without the
-// check and hang in a closing node, where send errors are swallowed.
+// TestRegressionReplyRegistrationAfterClose: once a node's endpoint has
+// closed and its dispatch loop has drained the pending table, every
+// site that registers a reply channel must fail instead of blocking on
+// a channel nothing will ever signal — in both DSMs, which share
+// transport.Mux. The coalesced barrier fan-out used to register its
+// acks without the check and hang in a closing node, where send errors
+// are swallowed; JIAJIA's own copy of the plumbing never had the check.
 func TestRegressionReplyRegistrationAfterClose(t *testing.T) {
 	c := mustCluster(t, DefaultConfig(2))
-	n := c.Node(0)
-	n.pending.Lock()
-	n.pending.dead = true
-	n.pending.Unlock()
-	wantPanic := func(name string, f func()) {
-		t.Helper()
-		defer func() {
-			if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "endpoint closed") {
-				t.Errorf("%s on a dead pending table: recovered %v, want an \"endpoint closed\" panic", name, r)
-			}
-		}()
-		f()
+	jc, err := jiajia.NewCluster(jiajia.Config{Nodes: 2})
+	if err != nil {
+		t.Fatal(err)
 	}
-	wantPanic("expectReply", func() { n.expectReply(1, wire.TBarrierDiff) })
-	wantPanic("rpcT", func() { n.rpcT(1, wire.TBarrierDiff, nil, wire.TraceCtx{}) })
+	c.Close()
+	if err := jc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	n := c.Node(0)
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		if _, _, err := n.mux.Expect(); err != nil {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("dispatch loop never drained after Close")
+		}
+	}
+	for name, f := range map[string]func(){
+		"lots expectReply": func() { n.expectReply(1, wire.TBarrierDiff) },
+		"lots rpcT":        func() { n.rpcT(1, wire.TBarrierDiff, nil, wire.TraceCtx{}) },
+		"jiajia Barrier":   jc.Node(0).Barrier,
+	} {
+		done := make(chan any, 1)
+		go func() {
+			defer func() { done <- recover() }()
+			f()
+		}()
+		select {
+		case r := <-done:
+			if r == nil || !strings.Contains(fmt.Sprint(r), "endpoint closed") {
+				t.Errorf("%s on a closed endpoint: recovered %v, want an \"endpoint closed\" panic", name, r)
+			}
+		case <-time.After(10 * time.Second):
+			t.Errorf("%s on a closed endpoint blocks", name)
+		}
+	}
 }

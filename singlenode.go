@@ -79,7 +79,7 @@ func BindNodeAt(cfg Config, id int, bind string) (*NodeHandle, error) {
 		return nil, err
 	}
 	// The node runs on whatever assembleRank stacks over the socket;
-	// the handle keeps the socket itself for SetPeers/LocalAddr/Flush.
+	// the handle keeps the socket itself for SetPeers/LocalAddr.
 	h.sock = sock
 	h.node = assembleRank(&h.cfg, id, sock, h.ctr, h.clock, ring)
 	return h, nil
@@ -155,14 +155,15 @@ func (h *NodeHandle) Phases() *phases.Ring { return h.node.Phases() }
 // is off (the ring's methods are nil-safe, so callers need not check).
 func (h *NodeHandle) Trace() *trace.Ring { return h.node.Trace() }
 
-// Close flushes the transport and shuts the node down. The flush is
-// what lets this process exit safely: its final protocol replies must
-// be acknowledged by their receivers first, or a peer rank still
-// waiting on one would hang against a dead process (bounded — a dead
-// peer cannot stall Close beyond the flush budget).
+// Close drains the node's endpoint — the top of the stack, so every
+// wrapper above the socket empties too — and shuts the node down. The
+// drain is what lets this process exit safely: its final protocol
+// replies must be acknowledged by their receivers first, or a peer
+// rank still waiting on one would hang against a dead process (bounded
+// — a dead peer cannot stall Close beyond the drain budget).
 func (h *NodeHandle) Close() {
 	h.closeOnce.Do(func() {
-		h.sock.Flush(2 * time.Second) //lint:allow mustcheck best-effort teardown flush: a dead peer must not wedge Close, and there is no caller to surface the error to
+		h.node.ep.Drain(2 * time.Second) //lint:allow mustcheck best-effort teardown drain: a dead peer must not wedge Close, and there is no caller to surface the error to
 		// Nor is there one for the endpoint's close error; Cluster.Close
 		// drops it too.
 		h.node.close() //nolint:errcheck
