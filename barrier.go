@@ -33,6 +33,13 @@ import (
 // rather than an epoch reconciliation (only the latter counts against
 // barrier expectations).
 
+// lv is one (lock, version) pair of the lock knowledge a barrier
+// synchronizes.
+type lv struct {
+	l uint16
+	v uint32
+}
+
 // barrierMgr is the global barrier state, hosted on node 0.
 type barrierMgr struct {
 	n int
@@ -72,10 +79,6 @@ func (n *Node) Barrier() {
 		}
 	})
 	sort.Slice(writeIDs, func(i, j int) bool { return writeIDs[i] < writeIDs[j] })
-	type lv struct {
-		l uint16
-		v uint32
-	}
 	var lockVers []lv
 	for l, mg := range n.lmgr {
 		lockVers = append(lockVers, lv{l, mg.ver})
@@ -179,10 +182,6 @@ func (n *Node) serveBarrierArrive(m wire.Message) {
 		writeIDs = append(writeIDs, object.ID(r.U64()))
 	}
 	nl := r.Count(2 + 4)
-	type lv struct {
-		l uint16
-		v uint32
-	}
 	lvs := make([]lv, 0, nl)
 	for i := 0; i < nl; i++ {
 		lvs = append(lvs, lv{r.U16(), r.U32()})
@@ -216,18 +215,13 @@ func (n *Node) serveBarrierArrive(m wire.Message) {
 	}
 
 	// Everyone has arrived: decide homes, orders, and expectations.
-	type objPlan struct {
-		id      object.ID
-		newHome int
-		writers []int
-	}
 	objIDs := make([]object.ID, 0, len(bm.writers))
 	for id := range bm.writers {
 		objIDs = append(objIDs, id)
 	}
 	sort.Slice(objIDs, func(i, j int) bool { return objIDs[i] < objIDs[j] })
 
-	plans := make([]objPlan, 0, len(objIDs))
+	plans := make([]barrierPlan, 0, len(objIDs))
 	orders := make([][]exitOrder, bm.n)        // per sender node
 	expects := make([]map[object.ID]int, bm.n) // per receiver node
 	for i := range expects {
@@ -283,7 +277,7 @@ func (n *Node) serveBarrierArrive(m wire.Message) {
 			}
 		}
 		bm.homes[id] = newHome
-		plans = append(plans, objPlan{id: id, newHome: newHome, writers: writers})
+		plans = append(plans, barrierPlan{id: id, home: newHome})
 	}
 
 	lockList := make([]lv, 0, len(bm.lockVers))
@@ -305,7 +299,7 @@ func (n *Node) serveBarrierArrive(m wire.Message) {
 		w.Bool(false) // not run-only
 		w.U32(uint32(len(plans)))
 		for _, p := range plans {
-			w.U64(uint64(p.id)).U16(uint16(p.newHome))
+			w.U64(uint64(p.id)).U16(uint16(p.home))
 		}
 		w.U32(uint32(len(orders[v])))
 		for _, o := range orders[v] {
@@ -365,10 +359,6 @@ func (n *Node) processBarrierExit(payload []byte) {
 		expects = append(expects, expectEntry{object.ID(r.U64()), int(r.U32())})
 	}
 	nl := r.Count(2 + 4)
-	type lv struct {
-		l uint16
-		v uint32
-	}
 	lvs := make([]lv, 0, nl)
 	for i := 0; i < nl; i++ {
 		lvs = append(lvs, lv{r.U16(), r.U32()})
@@ -402,12 +392,7 @@ func (n *Node) processBarrierExit(payload []byte) {
 	// (its expectations are registered and its own bumps are settled).
 	n.reconEpoch = epoch + 1
 	n.cond.Broadcast()
-	type diffJob struct {
-		dest    int
-		payload []byte
-		reqID   uint64 // filled by the coalesced fan-out path
-	}
-	jobs := make([]diffJob, 0, len(orders))
+	diffs := make([]call, 0, len(orders))
 	for _, o := range orders {
 		c := n.lookup(o.obj)
 		if c.Twin == nil {
@@ -425,44 +410,18 @@ func (n *Node) processBarrierExit(payload []byte) {
 		var w wire.Buffer
 		w.U32(epoch).U8(0).U64(uint64(o.obj))
 		d.Encode(&w)
-		jobs = append(jobs, diffJob{dest: int(o.dest), payload: w.Bytes()})
+		diffs = append(diffs, call{to: int(o.dest), typ: wire.TBarrierDiff, payload: w.Bytes()})
 	}
 	n.mu.Unlock()
 
-	// Ship the diffs. On a coalescing endpoint the whole fan-out is
-	// deferred first — per-peer runs of diffs pack into single batched
-	// datagrams/writes — then flushed once and awaited; the serial
-	// request/reply loop below is the classic path. Both orders are
-	// equivalent: acks are awaited with a commutative clock merge, and
-	// each home applies diffs independently.
-	if bs, ok := n.ep.(batchSender); ok && len(jobs) > 1 {
-		acks := make([]<-chan wire.Message, len(jobs))
-		for i := range jobs {
-			jobs[i].reqID, acks[i] = n.expectReply(jobs[i].dest, wire.TBarrierDiff)
-		}
-		for _, j := range jobs {
-			tc := n.tr.Instant(trace.DiffSend, epoch, uint64(j.dest), wire.TraceCtx{})
-			n.deferSendT(bs, j.dest, wire.TBarrierDiff, j.reqID, j.payload, tc)
-		}
-		if err := bs.Flush(); err != nil && !n.mux.Closed() {
-			n.fatalf("lots: node %d: flushing barrier diffs: %v", n.id, err)
-		}
-		for i, ch := range acks {
-			reply := <-ch
-			if reply.Type == wire.TInvalid {
-				n.fatalf("lots: node %d: barrier diff to node %d: endpoint closed", n.id, jobs[i].dest)
-			}
-			n.clock.MergeTo(transport.Arrival(n.prof, reply))
-			if reply.Type != wire.TBarrierDiffAck {
-				n.fatalf("lots: node %d: barrier diff rejected: %v", n.id, reply.Type)
-			}
-		}
-	} else {
-		for _, j := range jobs {
-			tc := n.tr.Instant(trace.DiffSend, epoch, uint64(j.dest), wire.TraceCtx{})
-			if reply := n.rpcT(j.dest, wire.TBarrierDiff, j.payload, tc); reply.Type != wire.TBarrierDiffAck {
-				n.fatalf("lots: node %d: barrier diff rejected: %v", n.id, reply.Type)
-			}
+	// Ship the diffs as one burst. Each home applies its diffs
+	// independently, so their order does not matter.
+	for i := range diffs {
+		diffs[i].tc = n.tr.Instant(trace.DiffSend, epoch, uint64(diffs[i].to), wire.TraceCtx{})
+	}
+	for _, reply := range n.callAll(diffs) {
+		if reply.Type != wire.TBarrierDiffAck {
+			n.fatalf("lots: node %d: barrier diff rejected: %v", n.id, reply.Type)
 		}
 	}
 
@@ -515,26 +474,12 @@ func (n *Node) processBarrierExit(payload []byte) {
 			n.knownVer[e.l] = e.v
 		}
 	}
-	for id, ch := range n.chains {
-		ch.Truncate(n.knownVer[n.lockFor(id)])
-		if ch.Len() == 0 {
-			delete(n.chains, id)
-		}
-	}
+	// Every chain entry is pre-barrier and every requester's knownVer is
+	// now the cluster maximum, so no grant can ask for one again.
+	clear(n.chains)
 	n.epoch++
 	n.cond.Broadcast()
 	n.mu.Unlock()
-}
-
-// lockFor returns an arbitrary lock known to scope id (chains are
-// per-object; truncation just needs a consistent version floor).
-func (n *Node) lockFor(id object.ID) uint16 {
-	for l, s := range n.scope {
-		if s[id] {
-			return l
-		}
-	}
-	return 0
 }
 
 // pendingDrainedLocked reports whether all expected barrier diffs have

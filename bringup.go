@@ -74,21 +74,20 @@ func bindRank(cfg *Config, id int, bind string, ctr *stats.Counters, ring *trace
 // assembleRank builds rank id's node on base — a mem endpoint or a
 // bound socket — and starts its dispatcher. cfg.Chaos wraps mem and
 // TCP endpoints in message-level fault injection here (UDP injects
-// below the window, in its socket); the caller keeps base for whatever
-// the concrete endpoint offers beyond transport.Endpoint.
+// below the window, in its socket), and frame coalescing wraps the
+// result; the caller keeps base for whatever the concrete endpoint
+// offers beyond transport.Endpoint.
 func assembleRank(cfg *Config, id int, base transport.Endpoint, ctr *stats.Counters, clk *stats.SimClock, ring *trace.Ring) *Node {
 	ep := base
 	if cfg.Chaos != nil && cfg.Transport != TransportUDP {
 		ep = transport.Chaosify(ep, *cfg.Chaos)
 	}
-	if cfg.Coalesce {
-		// Coalescing wraps outermost — above chaos — so a batch crosses
-		// the faulty layer as one unit, exactly like the single datagram
-		// or write it becomes on a socket transport. Deferred messages
-		// are stamped from the node's clock at Defer time, the moment
-		// Send would have stamped them.
-		ep = transport.NewBatching(ep, ctr, func() int64 { return int64(clk.Now()) })
-	}
+	// Coalescing wraps outermost — above chaos — so a batch crosses the
+	// faulty layer as one unit, exactly like the single datagram or
+	// write it becomes on a socket transport. Deferred messages are
+	// stamped from the node's clock at Defer time, the moment Send would
+	// have stamped them.
+	top := transport.NewBatching(ep, ctr, func() int64 { return int64(clk.Now()) })
 	var store disk.Store
 	if cfg.LargeObjectSpace {
 		if cfg.Store != nil {
@@ -98,7 +97,7 @@ func assembleRank(cfg *Config, id int, base transport.Endpoint, ctr *stats.Count
 		}
 		store = disk.NewAccounted(store, cfg.Platform, ctr, clk)
 	}
-	nd := newNode(id, cfg, ep, store, ctr, clk, ring)
+	nd := newNode(id, cfg, top, store, ctr, clk, ring)
 	go nd.mux.Serve()
 	return nd
 }

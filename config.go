@@ -195,16 +195,6 @@ type Config struct {
 	// data transfer. Off by default (the paper's protocol).
 	Leases bool
 
-	// Coalesce enables frame coalescing: a node's burst of protocol
-	// messages to one peer within a barrier round (its fan-out of
-	// reconciliation diffs) is packed into a single batched
-	// datagram/write instead of one per message, flushed at the round
-	// end or when the batch nears the single-fragment budget. Final
-	// shared state is byte-identical with or without it (see the
-	// conformance suite); only the datagram/write count changes. Off by
-	// default.
-	Coalesce bool
-
 	// Recovery, when non-nil, enables the checkpoint/recovery
 	// subsystem: every rank writes an incremental checkpoint of its
 	// homed objects at each barrier exit (and pushes it to a buddy

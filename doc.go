@@ -127,11 +127,11 @@
 // The encode/fragment/reassemble path recycles its buffers through a
 // size-classed slab pool: the send side allocates nothing in steady
 // state and the receive side allocates once per delivered message
-// (handlers retain payloads). Setting Config.Coalesce = true
-// additionally packs each node's per-peer burst of barrier-round
-// messages into single batched datagrams (fewer wire round-trips,
-// identical final state; identical simulated time on the default
-// protocol — see DESIGN.md, "Wire path: pooling and coalescing").
+// (handlers retain payloads). Every burst of requests a barrier or
+// release round issues — diffs to homes, lease revalidations — goes
+// out pipelined, each peer's run packed into one batched datagram, and
+// is charged on the simulated clock as serial sends and one parallel
+// wait (see DESIGN.md, "Wire path: pooling and coalescing").
 //
 // The ownership and lifetime contracts this package states in prose —
 // release views before the next barrier, never let pooled wire buffers

@@ -298,13 +298,18 @@ func (n *Node) leaseRevalidate(epoch uint32, plans []barrierPlan) map[object.ID]
 		homes = append(homes, h)
 	}
 	sort.Ints(homes)
-	kept := make(map[object.ID]bool)
-	for _, home := range homes {
+	queries := make([]call, len(homes))
+	for i, home := range homes {
 		var w wire.Buffer
 		wire.LeaseQ{Epoch: epoch, Items: batches[home]}.Encode(&w)
 		qtc := n.tr.Begin(trace.LeaseReval, epoch, uint64(len(batches[home])), wire.TraceCtx{})
-		reply := n.rpcT(home, wire.TLeaseQ, w.Bytes(), qtc)
-		n.tr.End(qtc)
+		queries[i] = call{to: home, typ: wire.TLeaseQ, payload: w.Bytes(), tc: qtc}
+	}
+	replies := n.callAll(queries)
+	kept := make(map[object.ID]bool)
+	for i, home := range homes {
+		reply := replies[i]
+		n.tr.End(queries[i].tc)
 		if reply.Type != wire.TLeaseReply {
 			n.fatalf("lots: node %d: lease revalidation with node %d: reply %v", n.id, home, reply.Type)
 		}
@@ -319,11 +324,11 @@ func (n *Node) leaseRevalidate(epoch uint32, plans []barrierPlan) map[object.ID]
 			n.fatalf("lots: node %d: lease reply from node %d has %d verdicts for %d queries",
 				n.id, home, len(rep.Items), len(batches[home]))
 		}
-		for i, it := range batches[home] {
-			v := rep.Items[i]
+		for j, it := range batches[home] {
+			v := rep.Items[j]
 			if v.ID != it.ID {
 				n.fatalf("lots: node %d: lease reply from node %d out of order: verdict %d is for object %d, want %d",
-					n.id, home, i, v.ID, it.ID)
+					n.id, home, j, v.ID, it.ID)
 			}
 			if v.OK {
 				kept[object.ID(it.ID)] = true

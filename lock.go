@@ -100,13 +100,12 @@ func (n *Node) Release(l int) {
 		newVer++
 	}
 	written := make([]object.ID, 0, len(cs.written))
-	type homeFlush struct {
-		dest    int
-		payload []byte
-	}
-	var flushes []homeFlush
 	for id := range cs.written {
 		written = append(written, id)
+	}
+	sort.Slice(written, func(i, j int) bool { return written[i] < written[j] })
+	var flushes []call
+	for _, id := range written {
 		c := n.lookup(id)
 		data := n.objData(c)
 		twin := cs.csTwins[id]
@@ -137,10 +136,9 @@ func (n *Node) Release(l int) {
 			var w wire.Buffer
 			w.U32(n.epoch).U8(1).U64(uint64(id))
 			sd.Encode(&w)
-			flushes = append(flushes, homeFlush{dest: c.Home, payload: w.Bytes()})
+			flushes = append(flushes, call{to: c.Home, typ: wire.TBarrierDiff, payload: w.Bytes()})
 		}
 	}
-	sort.Slice(written, func(i, j int) bool { return written[i] < written[j] })
 	n.knownVer[lk] = newVer
 	delete(n.held, lk)
 	for i, h := range n.csStack {
@@ -153,9 +151,11 @@ func (n *Node) Release(l int) {
 	epoch := n.epoch
 	n.mu.Unlock()
 
-	for _, f := range flushes {
-		tc := n.tr.Instant(trace.DiffSend, epoch, uint64(f.dest), wire.TraceCtx{})
-		if reply := n.rpcT(f.dest, wire.TBarrierDiff, f.payload, tc); reply.Type != wire.TBarrierDiffAck {
+	for i := range flushes {
+		flushes[i].tc = n.tr.Instant(trace.DiffSend, epoch, uint64(flushes[i].to), wire.TraceCtx{})
+	}
+	for _, reply := range n.callAll(flushes) {
+		if reply.Type != wire.TBarrierDiffAck {
 			n.fatalf("lots: node %d: home flush rejected: %v", n.id, reply.Type)
 		}
 	}
@@ -378,7 +378,8 @@ func (n *Node) applyGrant(lk uint16, payload []byte) {
 	r := wire.NewReader(payload)
 	glk := r.U16()
 	ver := r.U32()
-	count := int(r.U32())
+	// Counts come off the wire: Count bounds each by the payload left.
+	count := r.Count(8 + 4)
 	if r.Err() != nil || glk != lk {
 		n.fatalf("lots: node %d: bad grant for lock %d: %v", n.id, lk, r.Err())
 	}
@@ -393,30 +394,36 @@ func (n *Node) applyGrant(lk uint16, payload []byte) {
 		ver = n.knownVer[lk]
 	}
 	homeBased := n.cfg.Protocol.Lock == LockHomeBased
+	accumulate := n.cfg.Protocol.Diff == DiffAccumulate
 	for i := 0; i < count; i++ {
 		id := object.ID(r.U64())
+		var lastWrite uint32
+		nd := 0
+		if homeBased {
+			lastWrite = r.U32()
+		} else {
+			nd = r.Count(4)
+		}
+		if r.Err() != nil {
+			break // a short read yields ID 0: a bad grant, not an undeclared object
+		}
 		c := n.lookup(id)
 		n.addScope(lk, id)
 		if homeBased {
-			lastWrite := r.U32()
-			if r.Err() != nil {
-				n.fatalf("lots: node %d: bad home-based grant: %v", n.id, r.Err())
-			}
 			n.homeBasedInvalidate(c, lk, lastWrite)
 			continue
 		}
-		nd := int(r.U32())
 		for j := 0; j < nd; j++ {
 			dv := ver
-			if n.cfg.Protocol.Diff == DiffAccumulate {
+			if accumulate {
 				dv = r.U32()
 			}
 			d, err := diffing.DecodeDiff(r)
 			if err != nil {
-				n.fatalf("lots: node %d: bad grant diff: %v", n.id, err)
+				break // err is r.Err(), which ends the outer loop too
 			}
 			n.applyScopeDiff(c, lk, dv, d)
-			if n.cfg.Protocol.Diff == DiffAccumulate {
+			if accumulate {
 				// Accumulation compounds: the acquirer must keep the
 				// received history to serve future grants (Figure 7a).
 				ch := n.chains[id]
@@ -427,6 +434,9 @@ func (n *Node) applyGrant(lk uint16, payload []byte) {
 				ch.Append(dv, d)
 			}
 		}
+	}
+	if r.Err() != nil {
+		n.fatalf("lots: node %d: bad grant for lock %d: %v", n.id, lk, r.Err())
 	}
 	if ver > n.knownVer[lk] {
 		n.knownVer[lk] = ver

@@ -25,9 +25,11 @@ import (
 // All node state is guarded by mu (the original runtime is a single
 // thread plus signal handlers; the big lock reproduces that atomicity).
 type Node struct {
-	id    int
-	cfg   *Config
-	ep    transport.Endpoint
+	id  int
+	cfg *Config
+	// ep is the rank's endpoint stack under its coalescing top layer:
+	// Send for single messages, Defer/Flush for bursts (callAll).
+	ep    *transport.BatchingEndpoint
 	ctr   *stats.Counters
 	clock *stats.SimClock
 	prof  platform.Profile
@@ -108,7 +110,7 @@ type csState struct {
 	csTwins  map[object.ID][]byte // data snapshot at first write in this CS
 }
 
-func newNode(id int, cfg *Config, ep transport.Endpoint, store disk.Store,
+func newNode(id int, cfg *Config, ep *transport.BatchingEndpoint, store disk.Store,
 	ctr *stats.Counters, clock *stats.SimClock, tr *trace.Ring) *Node {
 	n := &Node{
 		id:           id,
@@ -187,26 +189,6 @@ func (n *Node) sendT(to int, typ wire.Type, reqID uint64, payload []byte, at tim
 	}
 }
 
-// batchSender is the coalescing face an endpoint may offer (see
-// transport.BatchingEndpoint): Defer queues a message for a batched
-// per-peer flush, Flush ships everything pending. Protocol fan-out
-// sites type-assert n.ep against it and fall back to serial sends.
-type batchSender interface {
-	Defer(m wire.Message) error
-	Flush() error
-}
-
-// deferSendT queues a one-way message on a coalescing endpoint; the
-// caller must Flush (via the batchSender) before awaiting any reply.
-// Batch entries carry full encoded messages, so the trace context
-// survives coalescing.
-func (n *Node) deferSendT(bs batchSender, to int, typ wire.Type, reqID uint64, payload []byte, tc wire.TraceCtx) {
-	err := bs.Defer(wire.Message{Type: typ, To: uint16(to), ReqID: reqID, Payload: payload, Trace: tc})
-	if err != nil && !n.mux.Closed() {
-		n.fatalf("lots: defer %v to node %d: %v", typ, to, err)
-	}
-}
-
 // svcClock builds a service timeline starting at m's causal arrival.
 func (n *Node) svcClock(m wire.Message) *stats.SimClock {
 	c := &stats.SimClock{}
@@ -220,17 +202,6 @@ func (n *Node) useClock(c *stats.SimClock) func() {
 	prev := n.curClock
 	n.curClock = c
 	return func() { n.curClock = prev }
-}
-
-// expectReply registers a reply channel for a typ request to node to
-// that the caller sends itself (the coalesced barrier fan-out); see
-// transport.Mux.Expect for why it must fail on a closed endpoint.
-func (n *Node) expectReply(to int, typ wire.Type) (uint64, <-chan wire.Message) {
-	id, ch, err := n.mux.Expect()
-	if err != nil {
-		n.fatalf("lots: rpc %v to node %d: %v", typ, to, err)
-	}
-	return id, ch
 }
 
 // rpc sends a request and blocks for the correlated reply, merging the
@@ -248,6 +219,53 @@ func (n *Node) rpcT(to int, typ wire.Type, payload []byte, tc wire.TraceCtx) wir
 	}
 	n.clock.MergeTo(transport.Arrival(n.prof, reply))
 	return reply
+}
+
+// call is one request of a callAll burst.
+type call struct {
+	to      int
+	typ     wire.Type
+	payload []byte
+	tc      wire.TraceCtx
+}
+
+// callAll issues a burst of requests and blocks for every reply, in
+// request order; it is the only way the runtime has more than one
+// request in flight. Each reply is registered with the mux before its
+// request is deferred, per-peer runs of requests pack into single
+// batched datagrams/writes, one Flush ends the burst, and reply
+// arrivals merge into the application clock with max, which commutes.
+// Defer stamps each request with the application clock, which then
+// advances by the time the sender is busy with it — the per-message
+// fixed cost plus the payload's serialization at link bandwidth — so a
+// burst costs its sends in series and its waits in parallel, every byte
+// put on the wire is paid for, and a one-request burst costs what rpcT
+// costs. The caller must NOT hold n.mu.
+func (n *Node) callAll(calls []call) []wire.Message {
+	acks := make([]<-chan wire.Message, len(calls))
+	for i, c := range calls {
+		id, ch, err := n.mux.Expect()
+		if err == nil {
+			err = n.ep.Defer(wire.Message{Type: c.typ, To: uint16(c.to), ReqID: id, Payload: c.payload, Trace: c.tc})
+		}
+		if err != nil {
+			n.fatalf("lots: rpc %v to node %d: %v", c.typ, c.to, err)
+		}
+		acks[i] = ch
+		n.clock.Advance(n.prof.NetXfer(len(c.payload)) - n.prof.NetLatency)
+	}
+	if err := n.ep.Flush(); err != nil {
+		n.fatalf("lots: node %d: flushing %d requests: %v", n.id, len(calls), err)
+	}
+	replies := make([]wire.Message, len(calls))
+	for i, ch := range acks {
+		replies[i] = <-ch
+		if replies[i].Type == wire.TInvalid {
+			n.fatalf("lots: rpc %v to node %d: %v", calls[i].typ, calls[i].to, transport.ErrClosed)
+		}
+		n.clock.MergeTo(transport.Arrival(n.prof, replies[i]))
+	}
+	return replies
 }
 
 // reply answers a request at the given service-timeline timestamp.

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/object"
 )
@@ -121,6 +122,106 @@ func TestBroadcastBarrierKeepsCopiesValid(t *testing.T) {
 	}
 	if total.DiffsMade < 2 {
 		t.Error("writer should broadcast to every peer")
+	}
+}
+
+// TestFanoutChargesSenderOccupancy pins the simulated cost of a k-diff
+// barrier burst between the two models it replaced: more than the
+// single wait a fan-out stamped at one instant would cost (each diff
+// occupies the sender for its fixed cost and its bytes), less than the
+// k round trips of a request/reply loop (the waits overlap).
+func TestFanoutChargesSenderOccupancy(t *testing.T) {
+	prof := paperPlatform()
+	barrierCost := func(k int) time.Duration {
+		cfg := DefaultConfig(2)
+		cfg.Platform = prof
+		c := mustCluster(t, cfg)
+		var cost time.Duration
+		err := c.Run(func(n *Node) {
+			// IDs alternate homes; keep the k objects homed on node 0.
+			var objs []Ptr[int32]
+			for len(objs) < k {
+				if p := Alloc[int32](n, 16); p.ObjectID()%2 == 0 {
+					objs = append(objs, p)
+				}
+			}
+			n.Barrier()
+			for _, p := range objs {
+				p.Set(n.ID(), int32(n.ID()+1)) // two writers: node 1 owes node 0 a diff
+			}
+			at := n.SimNow()
+			n.Barrier()
+			if n.ID() == 1 {
+				cost = n.SimNow() - at
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := c.Snapshots()[1].DiffsMade; got != int64(k) {
+			t.Fatalf("k=%d: node 1 made %d diffs", k, got)
+		}
+		return cost
+	}
+	one, four := barrierCost(1), barrierCost(4)
+	// Bounds from empty messages: a real diff occupies the sender for
+	// longer than the fixed cost and its round trip takes longer too.
+	occupancy := prof.NetXfer(0) - prof.NetLatency
+	roundTrip := 2 * prof.NetXfer(0)
+	t.Logf("barrier with 1 diff %v, with 4 diffs %v", one, four)
+	if extra := four - one; extra < 3*occupancy || extra >= 3*roundTrip {
+		t.Errorf("3 more diffs add %v to the barrier (%v -> %v): want at least 3 occupancies (%v), under 3 round trips (%v)",
+			extra, one, four, 3*occupancy, 3*roundTrip)
+	}
+}
+
+// TestBarrierClearsAccumulatedChains: under DiffAccumulate a barrier
+// leaves no chain behind, whichever locks an object was written under.
+// Truncating each chain to the version of one arbitrarily chosen lock
+// of its scope kept the entries of a lock with a higher version.
+func TestBarrierClearsAccumulatedChains(t *testing.T) {
+	cfg := DefaultConfig(2)
+	cfg.Protocol.Diff = DiffAccumulate
+	c := mustCluster(t, cfg)
+	err := c.Run(func(n *Node) {
+		x := Alloc[int32](n, 8)
+		n.Barrier()
+		if n.ID() == 0 {
+			for r := 0; r < 3; r++ { // lock 1 reaches version 3 ...
+				n.Acquire(1)
+				x.Set(0, x.Get(0)+1)
+				n.Release(1)
+			}
+			n.Acquire(2) // ... lock 2 only version 1
+			x.Set(1, 7)
+			n.Release(2)
+		}
+		n.RunBarrier()
+		if n.ID() == 1 { // the grants hand node 1 both histories
+			n.Acquire(1)
+			n.Release(1)
+			n.Acquire(2)
+			n.Release(2)
+		}
+		n.mu.Lock()
+		held := len(n.chains)
+		n.mu.Unlock()
+		if held == 0 {
+			panic(fmt.Sprintf("node %d holds no chain before the barrier: test is vacuous", n.ID()))
+		}
+		n.Barrier()
+		n.mu.Lock()
+		held = len(n.chains)
+		n.mu.Unlock()
+		if held != 0 {
+			panic(fmt.Sprintf("node %d keeps %d chains across the barrier", n.ID(), held))
+		}
+		if x.Get(0) != 3 || x.Get(1) != 7 {
+			panic(fmt.Sprintf("node %d: x = %d, %d, want 3, 7", n.ID(), x.Get(0), x.Get(1)))
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -128,6 +128,43 @@ func TestRegressionBarrierArriveCountSizesNoAllocation(t *testing.T) {
 	}
 }
 
+// TestRegressionGrantCountsBounded feeds applyGrant grants whose
+// peer-supplied counts promise more than the payload holds. Both loops
+// used to run on int(r.U32()) and die on a lookup of the zero ID a
+// short read returns ("access to undeclared object 0"); every such
+// grant must fail as a bad grant, and leave the lock usable.
+func TestRegressionGrantCountsBounded(t *testing.T) {
+	c := mustCluster(t, DefaultConfig(1))
+	var id uint64
+	if err := c.Run(func(n *Node) { id = Alloc[int32](n, 4).ObjectID() }); err != nil {
+		t.Fatal(err)
+	}
+	const lk = 3
+	grant := func() *wire.Buffer { return (&wire.Buffer{}).U16(lk).U32(1) }
+	oneRun := func(w *wire.Buffer) *wire.Buffer { // entry: id, 1 diff of 1 run of 1 word
+		return w.U64(id).U32(1).U32(1).U32(0).Bytes32([]byte{1, 0, 0, 0})
+	}
+	for name, payload := range map[string][]byte{
+		"2^32-1 scope entries": grant().U32(^uint32(0)).Bytes(),
+		"2^32-1 diffs":         grant().U32(1).U64(id).U32(^uint32(0)).Bytes(),
+		// The first entry is long enough for the count to pass at 12
+		// bytes each; the second is not there.
+		"second entry missing": oneRun(grant().U32(2)).Bytes(),
+	} {
+		var rejected any
+		func() {
+			defer func() { rejected = recover() }()
+			c.nodes[0].applyGrant(lk, payload)
+		}()
+		if msg, _ := rejected.(string); !strings.Contains(msg, "bad grant for lock") {
+			t.Errorf("grant with %s: applyGrant said %v, want a bad grant for lock", name, rejected)
+		}
+	}
+	if err := c.Run(func(n *Node) { n.Acquire(lk); n.Release(lk) }); err != nil {
+		t.Errorf("lock unusable after the rejected grants: %v", err)
+	}
+}
+
 // TestRegressionRemoteSwapInSizeSizesNoAllocation sends a twelve-byte
 // swap-in request (id, size) asking for a 2^32-1 byte spill the server
 // never stored. The size used to size a make before the store was
@@ -156,9 +193,9 @@ func TestRegressionRemoteSwapInSizeSizesNoAllocation(t *testing.T) {
 // closed and its dispatch loop has drained the pending table, every
 // site that registers a reply channel must fail instead of blocking on
 // a channel nothing will ever signal — in both DSMs, which share
-// transport.Mux. The coalesced barrier fan-out used to register its
-// acks without the check and hang in a closing node, where send errors
-// are swallowed; JIAJIA's own copy of the plumbing never had the check.
+// transport.Mux. The barrier fan-out used to register its acks without
+// the check and hang in a closing node, where send errors were
+// swallowed; JIAJIA's own copy of the plumbing never had the check.
 func TestRegressionReplyRegistrationAfterClose(t *testing.T) {
 	c := mustCluster(t, DefaultConfig(2))
 	jc, err := jiajia.NewCluster(jiajia.Config{Nodes: 2})
@@ -179,9 +216,9 @@ func TestRegressionReplyRegistrationAfterClose(t *testing.T) {
 		}
 	}
 	for name, f := range map[string]func(){
-		"lots expectReply": func() { n.expectReply(1, wire.TBarrierDiff) },
-		"lots rpcT":        func() { n.rpcT(1, wire.TBarrierDiff, nil, wire.TraceCtx{}) },
-		"jiajia Barrier":   jc.Node(0).Barrier,
+		"lots callAll":   func() { n.callAll([]call{{to: 1, typ: wire.TBarrierDiff}}) },
+		"lots rpcT":      func() { n.rpcT(1, wire.TBarrierDiff, nil, wire.TraceCtx{}) },
+		"jiajia Barrier": jc.Node(0).Barrier,
 	} {
 		done := make(chan any, 1)
 		go func() {
