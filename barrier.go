@@ -1,6 +1,8 @@
 package lots
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"time"
 
@@ -40,15 +42,25 @@ type lv struct {
 	v uint32
 }
 
+// writeNotice is one rank's report that it wrote an object this epoch.
+type writeNotice struct {
+	id   object.ID
+	from int
+}
+
 // barrierMgr is the global barrier state, hosted on node 0.
 type barrierMgr struct {
 	n int
 
 	arrivedMsgs []wire.Message
 	maxArrive   time.Duration // latest simulated arrival this epoch
-	writers     map[object.ID]map[int]bool
-	lockVers    map[uint16]uint32
-	homes       map[object.ID]int // persistent across epochs
+	// notices collects the epoch's write notices as they arrive; the
+	// last arrival sorts them by (id, from) and plans from the groups.
+	// Both it and writers (one group's ranks) are reused across epochs.
+	notices  []writeNotice
+	writers  []int
+	lockVers map[uint16]uint32
+	homes    map[object.ID]int // persistent across epochs
 
 	rbMsgs      []wire.Message
 	rbMaxArrive time.Duration
@@ -57,7 +69,6 @@ type barrierMgr struct {
 func newBarrierMgr(n int) *barrierMgr {
 	return &barrierMgr{
 		n:        n,
-		writers:  make(map[object.ID]map[int]bool),
 		lockVers: make(map[uint16]uint32),
 		homes:    make(map[object.ID]int),
 	}
@@ -91,6 +102,7 @@ func (n *Node) Barrier() {
 	n.mu.Unlock()
 
 	var w wire.Buffer
+	w.Grow(4 + 1 + 4 + 8*len(writeIDs) + 4 + (2+4)*len(lockVers))
 	w.U32(epoch).Bool(false) // not run-only
 	w.U32(uint32(len(writeIDs)))
 	for _, id := range writeIDs {
@@ -174,39 +186,28 @@ func (n *Node) serveBarrierArrive(m wire.Message) {
 		return
 	}
 
-	// Counts come off the datagram: Count bounds each by the payload
-	// left before it sizes a make.
-	nw := r.Count(8)
-	writeIDs := make([]object.ID, 0, nw)
-	for i := 0; i < nw; i++ {
-		writeIDs = append(writeIDs, object.ID(r.U64()))
+	// The notices decode straight into the manager's reused slice, so
+	// under its lock. Counts come off the datagram: Count bounds each by
+	// the payload left, so the reads after a good count cannot fail.
+	n.mu.Lock()
+	from := int(m.From)
+	mark := len(bm.notices)
+	for i, nw := 0, r.Count(8); i < nw; i++ {
+		bm.notices = append(bm.notices, writeNotice{object.ID(r.U64()), from})
 	}
 	nl := r.Count(2 + 4)
-	lvs := make([]lv, 0, nl)
-	for i := 0; i < nl; i++ {
-		lvs = append(lvs, lv{r.U16(), r.U32()})
-	}
 	if r.Err() != nil {
+		bm.notices = bm.notices[:mark]
+		n.mu.Unlock()
 		n.fatalf("lots: bad barrier arrival: %v", r.Err())
 	}
-
-	n.mu.Lock()
+	for i := 0; i < nl; i++ {
+		if l, v := r.U16(), r.U32(); v > bm.lockVers[l] {
+			bm.lockVers[l] = v
+		}
+	}
 	if arr > bm.maxArrive {
 		bm.maxArrive = arr
-	}
-	from := int(m.From)
-	for _, id := range writeIDs {
-		ws := bm.writers[id]
-		if ws == nil {
-			ws = make(map[int]bool)
-			bm.writers[id] = ws
-		}
-		ws[from] = true
-	}
-	for _, e := range lvs {
-		if e.v > bm.lockVers[e.l] {
-			bm.lockVers[e.l] = e.v
-		}
 	}
 	bm.arrivedMsgs = append(bm.arrivedMsgs, m)
 	if len(bm.arrivedMsgs) < bm.n {
@@ -215,70 +216,8 @@ func (n *Node) serveBarrierArrive(m wire.Message) {
 	}
 
 	// Everyone has arrived: decide homes, orders, and expectations.
-	objIDs := make([]object.ID, 0, len(bm.writers))
-	for id := range bm.writers {
-		objIDs = append(objIDs, id)
-	}
-	sort.Slice(objIDs, func(i, j int) bool { return objIDs[i] < objIDs[j] })
-
-	plans := make([]barrierPlan, 0, len(objIDs))
-	orders := make([][]exitOrder, bm.n)        // per sender node
-	expects := make([]map[object.ID]int, bm.n) // per receiver node
-	for i := range expects {
-		expects[i] = make(map[object.ID]int)
-	}
-	mode := n.cfg.Protocol.Barrier
-	for _, id := range objIDs {
-		ws := bm.writers[id]
-		writers := make([]int, 0, len(ws))
-		for wtr := range ws {
-			writers = append(writers, wtr)
-		}
-		sort.Ints(writers)
-		home, ok := bm.homes[id]
-		if !ok {
-			home = int(uint64(id) % uint64(bm.n))
-		}
-		newHome := home
-		switch mode {
-		case BarrierMigratingHome:
-			if len(writers) == 1 {
-				// Sole writer: migrate the home; no data transfer.
-				if writers[0] != home {
-					newHome = writers[0]
-					n.ctr.HomeMigrates.Add(1)
-				} else {
-					newHome = home
-				}
-			} else {
-				for _, wtr := range writers {
-					if wtr != home {
-						orders[wtr] = append(orders[wtr], exitOrder{obj: id, dest: uint16(home)})
-						expects[home][id]++
-					}
-				}
-			}
-		case BarrierFixedHome:
-			for _, wtr := range writers {
-				if wtr != home {
-					orders[wtr] = append(orders[wtr], exitOrder{obj: id, dest: uint16(home)})
-					expects[home][id]++
-				}
-			}
-		case BarrierUpdateBroadcast:
-			for _, wtr := range writers {
-				for v := 0; v < bm.n; v++ {
-					if v == wtr {
-						continue
-					}
-					orders[wtr] = append(orders[wtr], exitOrder{obj: id, dest: uint16(v)})
-					expects[v][id]++
-				}
-			}
-		}
-		bm.homes[id] = newHome
-		plans = append(plans, barrierPlan{id: id, home: newHome})
-	}
+	plans, orders, expects, migrations := bm.plan(n.cfg.Protocol.Barrier)
+	n.ctr.HomeMigrates.Add(int64(migrations))
 
 	lockList := make([]lv, 0, len(bm.lockVers))
 	for l, v := range bm.lockVers {
@@ -290,12 +229,13 @@ func (n *Node) serveBarrierArrive(m wire.Message) {
 	exitAt := bm.maxArrive
 	bm.arrivedMsgs = nil
 	bm.maxArrive = 0
-	bm.writers = make(map[object.ID]map[int]bool)
 	n.mu.Unlock()
 
 	for _, am := range msgs {
 		v := int(am.From)
 		var w wire.Buffer
+		w.Grow(1 + 4 + (8+2)*len(plans) + 4 + (8+2)*len(orders[v]) +
+			4 + (8+4)*len(expects[v]) + 4 + (2+4)*len(lockList))
 		w.Bool(false) // not run-only
 		w.U32(uint32(len(plans)))
 		for _, p := range plans {
@@ -305,14 +245,9 @@ func (n *Node) serveBarrierArrive(m wire.Message) {
 		for _, o := range orders[v] {
 			w.U64(uint64(o.obj)).U16(o.dest)
 		}
-		exIDs := make([]object.ID, 0, len(expects[v]))
-		for id := range expects[v] {
-			exIDs = append(exIDs, id)
-		}
-		sort.Slice(exIDs, func(i, j int) bool { return exIDs[i] < exIDs[j] })
-		w.U32(uint32(len(exIDs)))
-		for _, id := range exIDs {
-			w.U64(uint64(id)).U32(uint32(expects[v][id]))
+		w.U32(uint32(len(expects[v])))
+		for _, e := range expects[v] {
+			w.U64(uint64(e.id)).U32(uint32(e.cnt))
 		}
 		w.U32(uint32(len(lockList)))
 		for _, e := range lockList {
@@ -322,11 +257,85 @@ func (n *Node) serveBarrierArrive(m wire.Message) {
 	}
 }
 
+// plan turns the epoch's write notices into the barrier's decisions:
+// the new home of every written object (ascending ids), per sender the
+// diffs it must ship, per receiver how many diffs to expect of which
+// object (ascending ids, like the orders), and how many homes migrated.
+// It records the new homes and empties the notices for the next epoch.
+// Caller holds the manager node's mu.
+func (bm *barrierMgr) plan(mode BarrierMode) (plans []barrierPlan, orders [][]exitOrder, expects [][]expectEntry, migrations int) {
+	slices.SortFunc(bm.notices, func(a, b writeNotice) int {
+		return cmp.Or(cmp.Compare(a.id, b.id), cmp.Compare(a.from, b.from))
+	})
+	plans = make([]barrierPlan, 0, len(bm.notices)) // one per object, at most one per notice
+	orders = make([][]exitOrder, bm.n)
+	expects = make([][]expectEntry, bm.n)
+	// ship orders wtr to send its diff of id to dest. Ids only grow, so
+	// dest's entry for id, if it has one, is its last.
+	ship := func(id object.ID, wtr, dest int) {
+		orders[wtr] = append(orders[wtr], exitOrder{obj: id, dest: uint16(dest)})
+		if ex := expects[dest]; len(ex) > 0 && ex[len(ex)-1].id == id {
+			ex[len(ex)-1].cnt++
+		} else {
+			expects[dest] = append(ex, expectEntry{id, 1})
+		}
+	}
+	for rest := bm.notices; len(rest) > 0; {
+		id := rest[0].id
+		writers := bm.writers[:0]
+		for ; len(rest) > 0 && rest[0].id == id; rest = rest[1:] {
+			// A rank names an object once; a repeat would be a duplicate
+			// arrival and, sorted, sits next to the original.
+			if k := len(writers); k == 0 || writers[k-1] != rest[0].from {
+				writers = append(writers, rest[0].from)
+			}
+		}
+		bm.writers = writers
+		home, ok := bm.homes[id]
+		if !ok {
+			home = int(uint64(id) % uint64(bm.n))
+		}
+		newHome := home
+		switch {
+		case mode == BarrierMigratingHome && len(writers) == 1:
+			// Sole writer: migrate the home; no data transfer.
+			if writers[0] != home {
+				newHome = writers[0]
+				migrations++
+			}
+		case mode == BarrierUpdateBroadcast:
+			for _, wtr := range writers {
+				for v := 0; v < bm.n; v++ {
+					if v != wtr {
+						ship(id, wtr, v)
+					}
+				}
+			}
+		default: // fixed home, or a migrating home with several writers
+			for _, wtr := range writers {
+				if wtr != home {
+					ship(id, wtr, home)
+				}
+			}
+		}
+		bm.homes[id] = newHome
+		plans = append(plans, barrierPlan{id: id, home: newHome})
+	}
+	bm.notices = bm.notices[:0]
+	return plans, orders, expects, migrations
+}
+
 // barrierPlan is one home decision from the barrier manager: object id
 // is homed at home for the next epoch.
 type barrierPlan struct {
 	id   object.ID
 	home int
+}
+
+// expectEntry tells a node to wait for cnt diffs of object id.
+type expectEntry struct {
+	id  object.ID
+	cnt int
 }
 
 // processBarrierExit applies the manager's decisions on this node:
@@ -350,10 +359,6 @@ func (n *Node) processBarrierExit(payload []byte) {
 		orders = append(orders, exitOrder{object.ID(r.U64()), r.U16()})
 	}
 	ne := r.Count(8 + 4)
-	type expectEntry struct {
-		id  object.ID
-		cnt int
-	}
 	expects := make([]expectEntry, 0, ne)
 	for i := 0; i < ne; i++ {
 		expects = append(expects, expectEntry{object.ID(r.U64()), int(r.U32())})

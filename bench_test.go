@@ -14,6 +14,8 @@
 //	BenchmarkAccessCheck   -> §4.2 20-25 ns access check measurement
 //	BenchmarkViewCost      -> View API redesign: element-wise vs span views (DESIGN.md)
 //	BenchmarkViewCopy      -> wall-clock CopyFrom+CopyTo of a 64 KiB row view (the out-of-core sweep's copies)
+//	BenchmarkStencilRow    -> wall-clock four-view relax of one 1024-element row (benchmark/'s stencil inner loop)
+//	BenchmarkStencilEpoch  -> wall-clock and allocations of benchmark/'s stencil epoch: 2 ranks, 1024², relax + barrier twice
 //	BenchmarkTable1/*      -> Table 1 platform sweep (scaled; sim-ms extrapolates x64)
 //	BenchmarkMaxSpace      -> §4.3 free-disk exhaustion (scaled)
 //	BenchmarkAblation*     -> DESIGN.md ablation index
@@ -170,6 +172,91 @@ func BenchmarkViewCopy(b *testing.B) {
 			buf[0] = int64(i)
 			v.CopyFrom(buf)
 			v.CopyTo(buf)
+		}
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+}
+
+// relaxRow is the statement benchmark/'s stencil workload runs per row:
+// open the three source rows and the destination row as views, relax
+// the interior, release.
+func relaxRow(dst, src lots.Matrix[float64], row int) {
+	up, mid, down := src.RowView(row-1), src.RowView(row), src.RowView(row+1)
+	out := dst.RowViewRW(row)
+	for c := 1; c < src.Cols()-1; c++ {
+		out.Set(c, 0.25*(up.At(c)+down.At(c)+mid.At(c-1)+mid.At(c+1)))
+	}
+	out.Release()
+	down.Release()
+	mid.Release()
+	up.Release()
+}
+
+// BenchmarkStencilRow is one rank relaxing one resident 1024-element
+// row: four opens, 1022 Sets and 4088 Ats, four releases. Wall-clock.
+func BenchmarkStencilRow(b *testing.B) {
+	const dim = 1024
+	c, err := lots.NewCluster(lots.DefaultConfig(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	err = c.Run(func(n *lots.Node) {
+		src, dst := lots.AllocMatrix[float64](n, 3, dim), lots.AllocMatrix[float64](n, 3, dim)
+		relaxRow(dst, src, 1) // map in, twin
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			relaxRow(dst, src, 1)
+		}
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+}
+
+// BenchmarkStencilEpoch is the shape of benchmark/'s `stencil` workload
+// as a root-package benchmark: 2 ranks over mem, two 1024² matrices
+// striped by rows, and per epoch a relax a→b, a barrier, a relax b→a, a
+// barrier. allocs/op is the workload's allocs_per_epoch. Wall-clock.
+func BenchmarkStencilEpoch(b *testing.B) {
+	const dim, ranks = 1024, 2
+	cfg := lots.DefaultConfig(ranks)
+	cfg.DMMSize = 64 << 20 // both grids resident, as in the workload
+	c, err := lots.NewCluster(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	err = c.Run(func(n *lots.Node) {
+		a, bb := lots.AllocMatrix[float64](n, dim, dim), lots.AllocMatrix[float64](n, dim, dim)
+		lo, hi := n.ID()*dim/ranks, (n.ID()+1)*dim/ranks
+		row := make([]float64, dim)
+		for r := lo; r < hi; r++ {
+			for c := range row {
+				row[c] = float64(r*dim+c) / (dim * dim)
+			}
+			a.SetRow(r, row)
+			bb.SetRow(r, row)
+		}
+		epoch := func() {
+			for _, m := range [2][2]lots.Matrix[float64]{{a, bb}, {bb, a}} {
+				for r := max(lo, 1); r < min(hi, dim-1); r++ {
+					relaxRow(m[1], m[0], r)
+				}
+				n.Barrier()
+			}
+		}
+		n.Barrier()
+		epoch() // fetch the halo rows once, settle the homes
+		if n.ID() == 0 {
+			b.ReportAllocs()
+			b.ResetTimer()
+		}
+		for i := 0; i < b.N; i++ {
+			epoch()
 		}
 	})
 	if err != nil {

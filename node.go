@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 	"time"
+	"unsafe"
 
 	"repro/internal/diffing"
 	"repro/internal/disk"
@@ -74,6 +75,10 @@ type Node struct {
 	// free and live twins of a size together never exceed the most that
 	// were live in one epoch.
 	twinFree map[int][][]byte
+	// viewFree holds the view states of released views; makeView draws
+	// from it, so opening a view allocates only while more are open at
+	// once than ever before.
+	viewFree []*viewState
 
 	// Lease coherence state. leaseTab is this node's home-side lease
 	// memory; reconEpoch is E+1 once this node's barrier-exit
@@ -453,6 +458,11 @@ func (n *Node) viewEnter(c *object.Control, rw bool) []byte {
 	}
 	if n.mapper != nil {
 		n.mapper.Pin(c)
+	}
+	// Element access is one typed load or store (getElem); this is the
+	// alignment it relies on, checked where the bytes are handed out.
+	if uintptr(unsafe.Pointer(unsafe.SliceData(data)))&uintptr(c.Elem-1) != 0 {
+		n.fatalf("lots: node %d: object %d mapped off its %d-byte element alignment", n.id, c.ID, c.Elem)
 	}
 	n.ctr.Views.Add(1)
 	return data

@@ -1,8 +1,11 @@
 package lots
 
 import (
+	"cmp"
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -472,5 +475,143 @@ func TestControlStateAfterBarrier(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// planByMaps is the barrier manager's planning as it stood before the
+// notices were kept in one sorted slice: a set of writers per object,
+// object ids and writers sorted on the way out, a count map per
+// receiver. The reference TestBarrierPlanMatchesMapReference compares
+// barrierMgr.plan against.
+func planByMaps(nodes int, mode BarrierMode, homes map[object.ID]int, notices []writeNotice) (plans []barrierPlan, orders [][]exitOrder, expects [][]expectEntry, migrations int) {
+	writersOf := make(map[object.ID]map[int]bool)
+	for _, wn := range notices {
+		if writersOf[wn.id] == nil {
+			writersOf[wn.id] = make(map[int]bool)
+		}
+		writersOf[wn.id][wn.from] = true
+	}
+	ids := make([]object.ID, 0, len(writersOf))
+	for id := range writersOf {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	orders = make([][]exitOrder, nodes)
+	counts := make([]map[object.ID]int, nodes)
+	for i := range counts {
+		counts[i] = make(map[object.ID]int)
+	}
+	for _, id := range ids {
+		var writers []int
+		for w := range writersOf[id] {
+			writers = append(writers, w)
+		}
+		slices.Sort(writers)
+		home, ok := homes[id]
+		if !ok {
+			home = int(uint64(id) % uint64(nodes))
+		}
+		newHome := home
+		switch mode {
+		case BarrierMigratingHome:
+			if len(writers) == 1 {
+				if writers[0] != home {
+					newHome = writers[0]
+					migrations++
+				}
+			} else {
+				for _, w := range writers {
+					if w != home {
+						orders[w] = append(orders[w], exitOrder{obj: id, dest: uint16(home)})
+						counts[home][id]++
+					}
+				}
+			}
+		case BarrierFixedHome:
+			for _, w := range writers {
+				if w != home {
+					orders[w] = append(orders[w], exitOrder{obj: id, dest: uint16(home)})
+					counts[home][id]++
+				}
+			}
+		case BarrierUpdateBroadcast:
+			for _, w := range writers {
+				for v := 0; v < nodes; v++ {
+					if v != w {
+						orders[w] = append(orders[w], exitOrder{obj: id, dest: uint16(v)})
+						counts[v][id]++
+					}
+				}
+			}
+		}
+		homes[id] = newHome
+		plans = append(plans, barrierPlan{id: id, home: newHome})
+	}
+	expects = make([][]expectEntry, nodes)
+	for v, m := range counts {
+		for id, cnt := range m {
+			expects[v] = append(expects[v], expectEntry{id, cnt})
+		}
+		slices.SortFunc(expects[v], func(a, b expectEntry) int { return cmp.Compare(a.id, b.id) })
+	}
+	return plans, orders, expects, migrations
+}
+
+// TestBarrierPlanMatchesMapReference: three ranks reporting overlapping
+// write sets, in arrival order rather than id order, must yield the
+// plans, orders, expectations, migration count and recorded homes the
+// map-based planning did, under each barrier protocol. The epochs run
+// back to back on one manager so migrated homes and the reused notice
+// slice carry over.
+func TestBarrierPlanMatchesMapReference(t *testing.T) {
+	const nodes = 3
+	rng := rand.New(rand.NewSource(7))
+	var random []writeNotice
+	for id := object.ID(1); id <= 40; id++ {
+		for from := 0; from < nodes; from++ {
+			if rng.Intn(3) == 0 {
+				random = append(random, writeNotice{id, from})
+			}
+		}
+	}
+	rng.Shuffle(len(random), func(i, j int) { random[i], random[j] = random[j], random[i] })
+	epochs := [][]writeNotice{
+		// Rank 2 arrives first with {2,3,4,7}, then rank 0 with {1,2,3,5}:
+		// 2 and 3 have two writers, 1, 4, 5 and 7 one. Rank 0's notice of
+		// 3 is there twice, as a duplicated arrival would leave it.
+		{{2, 2}, {3, 2}, {4, 2}, {7, 2}, {1, 0}, {2, 0}, {3, 0}, {5, 0}, {3, 0}},
+		// Same objects from other ranks: sole writers meet migrated homes.
+		{{1, 1}, {4, 2}, {5, 1}, {5, 2}, {2, 1}, {7, 0}},
+		random,
+		{}, // an epoch nobody wrote in
+	}
+	for _, mode := range []BarrierMode{BarrierMigratingHome, BarrierFixedHome, BarrierUpdateBroadcast} {
+		bm := newBarrierMgr(nodes)
+		refHomes := make(map[object.ID]int)
+		for e, notices := range epochs {
+			bm.notices = append(bm.notices, notices...)
+			plans, orders, expects, migrations := bm.plan(mode)
+			wantPlans, wantOrders, wantExpects, wantMigrations := planByMaps(nodes, mode, refHomes, notices)
+			if !slices.Equal(plans, wantPlans) {
+				t.Errorf("mode %v epoch %d: plans %v, want %v", mode, e, plans, wantPlans)
+			}
+			for v := 0; v < nodes; v++ {
+				if !slices.Equal(orders[v], wantOrders[v]) {
+					t.Errorf("mode %v epoch %d: orders for node %d %v, want %v", mode, e, v, orders[v], wantOrders[v])
+				}
+				if !slices.Equal(expects[v], wantExpects[v]) {
+					t.Errorf("mode %v epoch %d: expects for node %d %v, want %v", mode, e, v, expects[v], wantExpects[v])
+				}
+			}
+			if migrations != wantMigrations {
+				t.Errorf("mode %v epoch %d: %d migrations, want %d", mode, e, migrations, wantMigrations)
+			}
+			if !maps.Equal(bm.homes, refHomes) {
+				t.Errorf("mode %v epoch %d: homes %v, want %v", mode, e, bm.homes, refHomes)
+			}
+			if len(bm.notices) != 0 {
+				t.Errorf("mode %v epoch %d: %d notices left for the next epoch", mode, e, len(bm.notices))
+			}
+		}
 	}
 }

@@ -89,7 +89,7 @@ func (p Ptr[T]) Get(i int) T {
 	defer n.mu.Unlock()
 	c, base := p.locate(i, 1)
 	data := n.viewEnter(c, false)
-	v := getElem[T](data[base:])
+	v := getElem[T](data, base)
 	n.viewExit(c, false)
 	return v
 }
@@ -101,7 +101,7 @@ func (p Ptr[T]) Set(i int, v T) {
 	defer n.mu.Unlock()
 	c, base := p.locate(i, 1)
 	data := n.viewEnter(c, true)
-	putElem(data[base:], v)
+	putElem(data, base, v)
 	n.viewExit(c, true)
 }
 
@@ -177,7 +177,8 @@ func (p Ptr[T]) Pin() (unpin func()) {
 func (p Ptr[T]) locate(i, count int) (*object.Control, int) {
 	c := p.n.lookup(p.id)
 	first := p.off + i
-	if first < 0 || count < 0 || (first+count)*c.Elem > c.Size {
+	// Compared without multiplying: (first+count)*c.Elem can overflow.
+	if first < 0 || count < 0 || count > c.Size/c.Elem-first {
 		p.n.fatalf("lots: node %d: object %d: access [%d,%d) out of bounds (len %d)",
 			p.n.id, p.id, first, first+count, c.Size/c.Elem)
 	}
@@ -254,29 +255,27 @@ func elemSize[T Elem]() int {
 	return int(unsafe.Sizeof(z))
 }
 
-func putElem[T Elem](b []byte, v T) {
-	switch x := any(v).(type) {
-	case byte:
-		b[0] = x
-	case int32:
-		binary.LittleEndian.PutUint32(b, uint32(x))
-	case uint32:
-		binary.LittleEndian.PutUint32(b, x)
-	case float32:
-		binary.LittleEndian.PutUint32(b, math.Float32bits(x))
-	case int64:
-		binary.LittleEndian.PutUint64(b, uint64(x))
-	case uint64:
-		binary.LittleEndian.PutUint64(b, x)
-	case float64:
-		binary.LittleEndian.PutUint64(b, math.Float64bits(x))
+// getElem reads the element at byte offset off of b. b must hold whole
+// elements of T from its first byte, element-aligned in memory
+// (viewEnter asserts it), and off must be a multiple of the element
+// size: the bounds check on b[off] then covers the whole element, and
+// on a little-endian host the access is one typed load. View.At and
+// Ptr.Get share it.
+func getElem[T Elem](b []byte, off int) T {
+	if hostLittleEndian {
+		return *(*T)(unsafe.Pointer(&b[off]))
 	}
+	return decodeElem[T](b[off:])
 }
 
-// hostLittleEndian reports that a []T's memory on this host is already
-// the arena's little-endian element layout, so a span of elements moves
-// with one copy.
-var hostLittleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+// putElem writes v at byte offset off of b, under getElem's conditions.
+func putElem[T Elem](b []byte, off int, v T) {
+	if hostLittleEndian {
+		*(*T)(unsafe.Pointer(&b[off])) = v
+		return
+	}
+	encodeElem(b[off:], v)
+}
 
 // elemBytes returns the memory of s as bytes.
 func elemBytes[T Elem](s []T) []byte {
@@ -303,23 +302,42 @@ func putElems[T Elem](b []byte, src []T) {
 }
 
 // getElemsEach and putElemsEach are the element-by-element codec: the
-// big-endian host's path, and the reference the bulk copy is tested
-// against.
+// big-endian host's path, and the reference the typed accesses and the
+// bulk copy are tested against.
 func getElemsEach[T Elem](dst []T, b []byte) {
 	es := elemSize[T]()
 	for k := range dst {
-		dst[k] = getElem[T](b[k*es:])
+		dst[k] = decodeElem[T](b[k*es:])
 	}
 }
 
 func putElemsEach[T Elem](b []byte, src []T) {
 	es := elemSize[T]()
 	for k, v := range src {
-		putElem(b[k*es:], v)
+		encodeElem(b[k*es:], v)
 	}
 }
 
-func getElem[T Elem](b []byte) T {
+func encodeElem[T Elem](b []byte, v T) {
+	switch x := any(v).(type) {
+	case byte:
+		b[0] = x
+	case int32:
+		binary.LittleEndian.PutUint32(b, uint32(x))
+	case uint32:
+		binary.LittleEndian.PutUint32(b, x)
+	case float32:
+		binary.LittleEndian.PutUint32(b, math.Float32bits(x))
+	case int64:
+		binary.LittleEndian.PutUint64(b, uint64(x))
+	case uint64:
+		binary.LittleEndian.PutUint64(b, x)
+	case float64:
+		binary.LittleEndian.PutUint64(b, math.Float64bits(x))
+	}
+}
+
+func decodeElem[T Elem](b []byte) T {
 	var z T
 	switch any(z).(type) {
 	case byte:

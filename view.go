@@ -1,6 +1,11 @@
 package lots
 
-import "repro/internal/object"
+import (
+	"fmt"
+	"unsafe"
+
+	"repro/internal/object"
+)
 
 // Pinned zero-copy views (§3.3, statement-scope pinning generalized).
 //
@@ -40,24 +45,60 @@ import "repro/internal/object"
 // covers the view's writes is safe — that send does not block on
 // peers. This is exactly the discipline of the paper's statement-scope
 // pinning: open the spans a statement needs, access, release.
+//
+// Cost of an access. §3.3's "just a table lookup" pays off only if what
+// follows the check is a memory access, so At and Set must inline into
+// the caller's loop as a compare, a bounds check and one typed load or
+// store (DESIGN.md "What an element access costs" has the numbers):
+//
+//   - The handle is five words — the span's bytes, a *viewState, a
+//     generation — and travels in registers. What an access does not
+//     read (node, control block, rw) lives in the viewState, recycled
+//     through Node.viewFree: a resident open allocates nothing.
+//   - A handle is live iff its generation equals its state's. Release
+//     bumps the state's, so every alias of a released view fails the
+//     compare: Slice aliases too, and also once the state has gone to a
+//     later open of another object.
+//   - The inliner's budget is 80; At costs 39 and Set 52. One call on
+//     any path costs 57 plus its arguments and puts them over (n.fatalf
+//     on At's failure branch: 104; the per-element codec behind a
+//     run-time endianness test: 108 and 124). Hence hostLittleEndian is
+//     a constant — the codec branch is dead code before the inliner
+//     counts — and the failure branches panic with a viewError, a
+//     struct literal to the inliner and an error that panicError passes
+//     into the *NodeError. CI greps the -m output for At and Set.
+//   - The typed access needs element alignment. Mapped bytes start on
+//     the DMM's 8-byte granule (under LOTS-x, on a Go heap allocation
+//     of whole elements) and spans start whole elements in; viewEnter
+//     asserts it once per open, and nothing assumes it per access.
 
 // View is a pinned window onto count elements of a shared object. The
 // zero value is invalid; obtain Views from Ptr.View/Ptr.ViewRW (or
 // Matrix.RowView/RowViewRW) and Release them when done.
 type View[T Elem] struct {
-	n     *Node
-	c     *object.Control
-	bytes []byte // the span's mapped bytes, len == count*elem
-	elem  int
-	rw    bool
-	rel   *viewRelease // shared by Slice aliases
+	bytes []byte // the span's mapped bytes, len == count*elemSize[T]()
+	s     *viewState
+	gen   uint64 // s.gen at open; the view is live while they are equal
 }
 
-// viewRelease is the release state shared between a View and its
-// Slice-derived aliases: releasing any alias releases the span once.
-type viewRelease struct {
-	released bool
+// viewState is the part of an open view that its accesses do not read,
+// shared by the View and its Slice aliases. It belongs to one node for
+// good and moves between opens through Node.viewFree.
+type viewState struct {
+	n   *Node
+	c   *object.Control
+	gen uint64 // bumped by Release
+	rw  bool
 }
+
+// viewError is the panic value of a view misuse: a struct literal where
+// n.fatalf would be a call, which At and Set cannot afford.
+type viewError struct {
+	node int
+	what string
+}
+
+func (e viewError) Error() string { return fmt.Sprintf("lots: node %d: %s", e.node, e.what) }
 
 // View returns a read-only pinned view of elements [i, i+count). It
 // performs the span's single access check (fetching a clean copy if the
@@ -80,13 +121,17 @@ func (p Ptr[T]) makeView(i, count int, rw bool) View[T] {
 	defer n.mu.Unlock()
 	c, base := p.locate(i, count)
 	data := n.viewEnter(c, rw)
+	var s *viewState
+	if k := len(n.viewFree) - 1; k >= 0 {
+		s, n.viewFree = n.viewFree[k], n.viewFree[:k]
+	} else {
+		s = &viewState{n: n}
+	}
+	s.c, s.rw = c, rw
 	return View[T]{
-		n:     n,
-		c:     c,
 		bytes: data[base : base+count*c.Elem : base+count*c.Elem],
-		elem:  c.Elem,
-		rw:    rw,
-		rel:   &viewRelease{},
+		s:     s,
+		gen:   s.gen,
 	}
 }
 
@@ -94,39 +139,53 @@ func (p Ptr[T]) makeView(i, count int, rw bool) View[T] {
 // the object. Releasing twice (through any Slice alias) is a fatal
 // runtime error, like an unbalanced unpin.
 func (v View[T]) Release() {
-	n := v.n
+	s := v.s
+	n := s.n
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if v.rel.released {
-		n.fatalf("lots: node %d: double Release of view on object %d", n.id, v.c.ID)
+	if v.gen != s.gen {
+		panic(viewError{n.id, "double Release of view"})
 	}
-	v.rel.released = true
-	n.viewExit(v.c, v.rw)
+	s.gen++
+	n.viewExit(s.c, s.rw)
+	n.viewFree = append(n.viewFree, s)
 }
 
 // Len returns the number of elements in the view.
-func (v View[T]) Len() int { return len(v.bytes) / v.elem }
+func (v View[T]) Len() int { return len(v.bytes) / elemSize[T]() }
 
-// RW reports whether the view permits writes.
-func (v View[T]) RW() bool { return v.rw }
+// RW reports whether the view permits writes. Like ObjectID, it is
+// meaningful until Release.
+func (v View[T]) RW() bool { return v.s.rw }
 
 // ObjectID exposes the underlying shared object ID (diagnostics).
-func (v View[T]) ObjectID() uint64 { return uint64(v.c.ID) }
+func (v View[T]) ObjectID() uint64 { return uint64(v.s.c.ID) }
 
 // At reads element k. No lock, no access check: the span was checked
-// and pinned at creation.
+// and pinned at creation. Kept inlinable — see the header before adding
+// anything to the body. The liveness check is use()'s, written out:
+// through the helper At and Set still inline (45 and 58), but
+// BenchmarkStencilRow ran 1.1–1.6× slower in 5 of 5 alternating runs.
+// Likewise unsafe.Sizeof for elemSize[T](): a generic call carries a
+// dictionary argument, 7 more each.
 func (v View[T]) At(k int) T {
-	v.use()
-	return getElem[T](v.bytes[k*v.elem:])
+	if v.gen != v.s.gen {
+		panic(viewError{v.s.n.id, "access through released view"})
+	}
+	var z T
+	return getElem[T](v.bytes, k*int(unsafe.Sizeof(z)))
 }
 
 // Set writes element k. The view must have been created with ViewRW.
+// Kept inlinable, like At.
 func (v View[T]) Set(k int, x T) {
-	v.use()
-	if !v.rw {
-		v.n.fatalf("lots: node %d: Set through read-only view of object %d", v.n.id, v.c.ID)
+	if v.gen != v.s.gen {
+		panic(viewError{v.s.n.id, "access through released view"})
 	}
-	putElem(v.bytes[k*v.elem:], x)
+	if !v.s.rw {
+		panic(viewError{v.s.n.id, "write through read-only view"})
+	}
+	putElem(v.bytes, k*int(unsafe.Sizeof(x)), x)
 }
 
 // Slice returns a sub-view of elements [lo, hi) sharing this view's pin
@@ -135,9 +194,10 @@ func (v View[T]) Set(k int, x T) {
 func (v View[T]) Slice(lo, hi int) View[T] {
 	v.use()
 	if lo < 0 || hi < lo || hi > v.Len() {
-		v.n.fatalf("lots: node %d: view slice [%d,%d) of %d elements", v.n.id, lo, hi, v.Len())
+		v.s.n.fatalf("lots: node %d: view slice [%d,%d) of %d elements", v.s.n.id, lo, hi, v.Len())
 	}
-	v.bytes = v.bytes[lo*v.elem : hi*v.elem : hi*v.elem]
+	es := elemSize[T]()
+	v.bytes = v.bytes[lo*es : hi*es : hi*es]
 	return v
 }
 
@@ -146,7 +206,7 @@ func (v View[T]) Slice(lo, hi int) View[T] {
 func (v View[T]) CopyTo(dst []T) int {
 	v.use()
 	m := min(len(dst), v.Len())
-	getElems(dst[:m], v.bytes[:m*v.elem])
+	getElems(dst[:m], v.bytes[:m*elemSize[T]()])
 	return m
 }
 
@@ -155,19 +215,20 @@ func (v View[T]) CopyTo(dst []T) int {
 // ViewRW.
 func (v View[T]) CopyFrom(src []T) int {
 	v.use()
-	if !v.rw {
-		v.n.fatalf("lots: node %d: CopyFrom through read-only view of object %d", v.n.id, v.c.ID)
+	if !v.s.rw {
+		panic(viewError{v.s.n.id, "write through read-only view"})
 	}
 	m := min(len(src), v.Len())
-	putElems(v.bytes[:m*v.elem], src[:m])
+	putElems(v.bytes[:m*elemSize[T]()], src[:m])
 	return m
 }
 
 // use aborts on access through a released view — the one residual
-// per-access branch, which costs a load and a predictable compare
-// rather than a mutex and a table lookup.
+// per-access branch: a load and a predictable compare against the
+// state's generation rather than a mutex and a table lookup. At and Set
+// carry their own copy.
 func (v View[T]) use() {
-	if v.rel.released {
-		v.n.fatalf("lots: node %d: access through released view of object %d", v.n.id, v.c.ID)
+	if v.gen != v.s.gen {
+		panic(viewError{v.s.n.id, "access through released view"})
 	}
 }

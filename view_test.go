@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -424,6 +425,31 @@ func TestViewOutOfBounds(t *testing.T) {
 		a := Alloc[int32](n, 16)
 		a.Add(8).View(8, 1) // pointer arithmetic past the end
 	})
+	// (first+count)*8 wraps to 0 and to 8: the multiplied check let both
+	// through and returned a view of Len() 0.
+	for _, first := range []int{0, 1} {
+		runExpectError(t, "out of bounds", func(n *Node) {
+			a := Alloc[int64](n, 1024)
+			a.View(first, 1<<61)
+		})
+	}
+}
+
+func TestViewIndexOutOfRange(t *testing.T) {
+	for _, k := range []int{-1, 8} { // 8 == Len(): the span is [2,10) of 16
+		runExpectError(t, "index out of range", func(n *Node) {
+			a := Alloc[int32](n, 16)
+			v := a.View(2, 8)
+			defer v.Release()
+			v.At(k)
+		})
+		runExpectError(t, "index out of range", func(n *Node) {
+			a := Alloc[int32](n, 16)
+			v := a.ViewRW(2, 8)
+			defer v.Release()
+			v.Set(k, 1)
+		})
+	}
 }
 
 func TestViewDoubleReleaseFails(t *testing.T) {
@@ -450,6 +476,89 @@ func TestViewUseAfterReleaseFails(t *testing.T) {
 		v.Release()
 		v.At(0)
 	})
+}
+
+// expectPanic runs f on the application goroutine and panics unless f
+// panicked with a value mentioning want, so a test can provoke one view
+// failure and go on using the node.
+func expectPanic(want string, f func()) {
+	defer func() {
+		r := recover()
+		if r == nil || !strings.Contains(fmt.Sprint(r), want) {
+			panic(fmt.Sprintf("panic value %v, want mention of %q", r, want))
+		}
+	}()
+	f()
+}
+
+// A released view's state goes back to the node's free list and the
+// next open — of any object — takes it. Every alias of the released
+// view must still fail, by generation, and failing must leave the new
+// owner of the state untouched.
+func TestViewStaleAliasAfterStateRecycled(t *testing.T) {
+	c := mustCluster(t, DefaultConfig(1))
+	err := c.Run(func(n *Node) {
+		a, b := Alloc[int32](n, 8), Alloc[int64](n, 8)
+		v := a.ViewRW(0, 8)
+		alias := v.Slice(2, 6)
+		v.Release()
+		w := b.ViewRW(0, 8)
+		if w.s != v.s {
+			panic("the open after a Release did not recycle its view state")
+		}
+		w.Set(3, 33)
+		expectPanic("released view", func() { v.At(0) })
+		expectPanic("released view", func() { alias.Set(0, 1) })
+		expectPanic("released view", func() { alias.Slice(0, 1) })
+		expectPanic("released view", func() { v.CopyTo(make([]int32, 1)) })
+		expectPanic("double Release", func() { v.Release() })
+		expectPanic("double Release", func() { alias.Release() })
+		// None of that released, wrote through or unpinned w.
+		if got := w.At(3); got != 33 || w.ObjectID() != b.ObjectID() || !w.RW() {
+			panic(fmt.Sprintf("w after stale accesses: At(3)=%d object %d rw %v", got, w.ObjectID(), w.RW()))
+		}
+		w.Release()
+		if got := a.Get(2); got != 0 {
+			panic(fmt.Sprintf("a[2] = %d: a stale alias wrote", got))
+		}
+		if len(n.viewFree) != 1 {
+			panic(fmt.Sprintf("%d free view states, want the one state both opens used", len(n.viewFree)))
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Opening, using and releasing a view of a resident object allocates
+// nothing: the state is recycled, and At/Set are a load and a store.
+func TestViewOpenAccessReleaseAllocatesNothing(t *testing.T) {
+	for _, los := range []bool{true, false} {
+		cfg := DefaultConfig(1)
+		cfg.LargeObjectSpace = los
+		c := mustCluster(t, cfg)
+		err := c.Run(func(n *Node) {
+			a := Alloc[float64](n, 64)
+			a.Set(0, 1) // mapped in, twinned for the epoch
+			var sum float64
+			ro := testing.AllocsPerRun(50, func() {
+				v := a.View(8, 16)
+				sum += v.At(3)
+				v.Release()
+			})
+			rw := testing.AllocsPerRun(50, func() {
+				v := a.ViewRW(8, 16)
+				v.Set(3, v.At(3)+1)
+				v.Release()
+			})
+			if ro != 0 || rw != 0 {
+				panic(fmt.Sprintf("LargeObjectSpace=%v: open+access+release allocates %v (RO) / %v (RW) times, want 0", los, ro, rw))
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
 func TestViewWriteThroughReadOnlyFails(t *testing.T) {
@@ -545,21 +654,106 @@ func checkViewCopy[T Elem](n *Node, vals []T) {
 	r.Release()
 }
 
+// checkViewElems holds the typed At/Set (and Ptr.Get/Set, which share
+// their load and store) to the element-by-element codec, bit for bit,
+// through views opened at odd Ptr.Add offsets and narrowed by Slice:
+// what Set writes, getElemsEach reads back, and what putElemsEach
+// writes, At reads back.
+func checkViewElems[T Elem](n *Node, vals []T) {
+	var z T
+	name := fmt.Sprintf("%T", z)
+	es := elemSize[T]()
+	a := Alloc[T](n, len(vals)+7)
+	rev := slices.Clone(vals)
+	slices.Reverse(rev)
+	same := func(x, y T) bool { return bytes.Equal(elemBytes([]T{x}), elemBytes([]T{y})) }
+	for _, at := range [][3]int{{0, 0, 0}, {3, 1, 0}, {1, 2, 3}, {5, 0, 1}} { // Add, View first, Slice lo
+		whole := a.Add(at[0]).ViewRW(at[1], len(vals)+at[2])
+		v := whole.Slice(at[2], at[2]+len(vals))
+		for k, x := range vals {
+			v.Set(k, x)
+		}
+		want := make([]byte, len(vals)*es)
+		putElemsEach(want, vals)
+		if !bytes.Equal(v.bytes, want) {
+			panic(fmt.Sprintf("%s at %v: Set wrote\n%x, per-element codec writes\n%x", name, at, v.bytes, want))
+		}
+		back := make([]T, len(vals))
+		getElemsEach(back, v.bytes)
+		if !bytes.Equal(elemBytes(back), elemBytes(vals)) {
+			panic(fmt.Sprintf("%s at %v: per-element codec reads %v back from Set's %v", name, at, back, vals))
+		}
+		putElemsEach(v.bytes, rev)
+		for k, x := range rev {
+			if got := v.At(k); !same(got, x) {
+				panic(fmt.Sprintf("%s at %v: At(%d) = %v, per-element codec wrote %v", name, at, k, got, x))
+			}
+		}
+		whole.Release()
+		// The same elements through the one-element accessors.
+		first := at[0] + at[1] + at[2]
+		for k, x := range rev {
+			if got := a.Get(first + k); !same(got, x) {
+				panic(fmt.Sprintf("%s at %v: Get(%d) = %v, want %v", name, at, first+k, got, x))
+			}
+			a.Set(first+k, vals[k])
+		}
+		r := a.View(first, len(vals))
+		if !bytes.Equal(r.bytes, want) {
+			panic(fmt.Sprintf("%s at %v: Ptr.Set wrote\n%x, per-element codec writes\n%x", name, at, r.bytes, want))
+		}
+		r.Release()
+	}
+}
+
+// The codec tests' values, per element type: zeros, sign and exponent
+// extremes, byte patterns that read differently in either byte order,
+// and NaNs with payloads.
+var (
+	codecByte    = []byte{0, 1, 0x7F, 0x80, 0xFF, 7, 9}
+	codecInt32   = []int32{0, -1, math.MinInt32, math.MaxInt32, 0x01020304, -0x01020304, 5}
+	codecUint32  = []uint32{0, 1, math.MaxUint32, 0x80000000, 0x01020304, 0xFFFEFDFC, 5}
+	codecInt64   = []int64{0, -1, math.MinInt64, math.MaxInt64, 0x0102030405060708, -0x0102030405060708, 5}
+	codecUint64  = []uint64{0, 1, math.MaxUint64, 1 << 63, 0x0102030405060708, 0xFFFEFDFCFBFAF9F8, 5}
+	codecFloat32 = []float32{0, float32(math.Copysign(0, -1)), float32(math.Inf(-1)), math.MaxFloat32,
+		math.SmallestNonzeroFloat32, math.Float32frombits(0x7FC00001), math.Float32frombits(0xFFA5A5A5)}
+	codecFloat64 = []float64{0, math.Copysign(0, -1), math.Inf(-1), math.MaxFloat64,
+		math.SmallestNonzeroFloat64, math.Float64frombits(0x7FF8000000000001), math.Float64frombits(0xFFF5A5A5A5A5A5A5)}
+)
+
 func TestViewCopyMatchesPerElementCodec(t *testing.T) {
 	c := mustCluster(t, DefaultConfig(1))
 	err := c.Run(func(n *Node) {
-		checkViewCopy(n, []byte{0, 1, 0x7F, 0x80, 0xFF, 7, 9})
-		checkViewCopy(n, []int32{0, -1, math.MinInt32, math.MaxInt32, 0x01020304, -0x01020304, 5})
-		checkViewCopy(n, []uint32{0, 1, math.MaxUint32, 0x80000000, 0x01020304, 0xFFFEFDFC, 5})
-		checkViewCopy(n, []int64{0, -1, math.MinInt64, math.MaxInt64, 0x0102030405060708, -0x0102030405060708, 5})
-		checkViewCopy(n, []uint64{0, 1, math.MaxUint64, 1 << 63, 0x0102030405060708, 0xFFFEFDFCFBFAF9F8, 5})
-		checkViewCopy(n, []float32{0, float32(math.Copysign(0, -1)), float32(math.Inf(-1)), math.MaxFloat32,
-			math.SmallestNonzeroFloat32, math.Float32frombits(0x7FC00001), math.Float32frombits(0xFFA5A5A5)})
-		checkViewCopy(n, []float64{0, math.Copysign(0, -1), math.Inf(-1), math.MaxFloat64,
-			math.SmallestNonzeroFloat64, math.Float64frombits(0x7FF8000000000001), math.Float64frombits(0xFFF5A5A5A5A5A5A5)})
+		checkViewCopy(n, codecByte)
+		checkViewCopy(n, codecInt32)
+		checkViewCopy(n, codecUint32)
+		checkViewCopy(n, codecInt64)
+		checkViewCopy(n, codecUint64)
+		checkViewCopy(n, codecFloat32)
+		checkViewCopy(n, codecFloat64)
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestViewElemMatchesPerElementCodec(t *testing.T) {
+	for _, los := range []bool{true, false} { // DMM arena slots, then Go-heap objects
+		cfg := DefaultConfig(1)
+		cfg.LargeObjectSpace = los
+		c := mustCluster(t, cfg)
+		err := c.Run(func(n *Node) {
+			checkViewElems(n, codecByte)
+			checkViewElems(n, codecInt32)
+			checkViewElems(n, codecUint32)
+			checkViewElems(n, codecInt64)
+			checkViewElems(n, codecUint64)
+			checkViewElems(n, codecFloat32)
+			checkViewElems(n, codecFloat64)
+		})
+		if err != nil {
+			t.Fatalf("LargeObjectSpace=%v: %v", los, err)
+		}
 	}
 }
 
