@@ -83,13 +83,11 @@ func (n *Node) Barrier() {
 	// node manages) current lock versions.
 	n.mu.Lock()
 	epoch := n.epoch
-	var writeIDs []object.ID
-	n.table.ForEach(func(c *object.Control) {
-		if c.WrittenInEpoch {
-			writeIDs = append(writeIDs, c.ID)
-		}
-	})
-	sort.Slice(writeIDs, func(i, j int) bool { return writeIDs[i] < writeIDs[j] })
+	writeIDs := make([]object.ID, len(n.dirty))
+	for i, c := range n.dirty {
+		writeIDs[i] = c.ID
+	}
+	slices.Sort(writeIDs)
 	var lockVers []lv
 	for l, mg := range n.lmgr {
 		lockVers = append(lockVers, lv{l, mg.ver})
@@ -408,13 +406,13 @@ func (n *Node) processBarrierExit(payload []byte) {
 		// Stamped diffs: each run carries the lock version under which
 		// its words were written, so the home merges concurrent
 		// writers' diffs newest-wins instead of arrival-order-wins.
-		d := diffing.ComputeStamped(data, c.Twin, c.Stamps, epoch)
-		n.clock.Advance(n.prof.WordsCost(c.Words()))
-		n.ctr.DiffsMade.Add(1)
-		n.ctr.DiffBytes.Add(int64(d.Bytes()))
+		// It is encoded from the object's bytes straight into the payload.
 		var w wire.Buffer
 		w.U32(epoch).U8(0).U64(uint64(o.obj))
-		d.Encode(&w)
+		bytes := diffing.AppendStamped(&w, data, c.Twin, c.Stamps, epoch)
+		n.clock.Advance(n.prof.WordsCost(c.Words()))
+		n.ctr.DiffsMade.Add(1)
+		n.ctr.DiffBytes.Add(int64(bytes))
 		diffs = append(diffs, call{to: int(o.dest), typ: wire.TBarrierDiff, payload: w.Bytes()})
 	}
 	n.mu.Unlock()
@@ -472,6 +470,9 @@ func (n *Node) processBarrierExit(payload []byte) {
 		// them over a post-barrier fetch would resurrect stale values.
 		c.PendingDiffs = nil
 	}
+	// Every object this node wrote was in its arrival, so in the plans,
+	// and had its flag cleared above.
+	n.dirty = n.dirty[:0]
 	// Synchronize lock knowledge: after a barrier every node has seen
 	// every update, so grant diffs restart empty (§3.5 bookkeeping).
 	for _, e := range lvs {
@@ -514,9 +515,8 @@ func (n *Node) serveBarrierDiff(m wire.Message) {
 	defer n.tr.End(dtc)
 	lockScope := r.U8() == 1
 	id := object.ID(r.U64())
-	d, err := diffing.DecodeStampedDiff(r)
-	if err != nil {
-		n.fatalf("lots: node %d: bad barrier diff: %v", n.id, err)
+	if r.Err() != nil {
+		n.fatalf("lots: node %d: bad barrier diff: %v", n.id, r.Err())
 	}
 	lc := n.svcClock(m)
 	n.mu.Lock()
@@ -535,11 +535,19 @@ func (n *Node) serveBarrierDiff(m wire.Message) {
 	// bytes. An incoming diff whose words all lose the newest-wins
 	// merge (or re-assert values already present) leaves the copy
 	// byte-identical, and leased readers must be allowed to keep it.
+	// The shadow needs the runs up front, so this path alone decodes
+	// them, from a second cursor over the payload; a diff that does not
+	// decode fails in the apply below.
+	var d diffing.StampedDiff
 	var shadow [][]byte
 	if n.trackVer() {
+		peek := *r
+		d, _ = diffing.DecodeStampedDiff(&peek)
 		shadow = stampedRunShadow(data, d)
 	}
-	if _, err := diffing.ApplyStamped(data, c.EnsureStamps(), d, epoch); err != nil {
+	// The runs go from the payload to the object and nowhere in between.
+	diffBytes, err := diffing.ApplyStampedEncoded(data, c, r, epoch)
+	if err != nil {
 		restore()
 		n.mu.Unlock()
 		n.fatalf("lots: node %d: applying barrier diff to %d: %v", n.id, id, err)
@@ -550,7 +558,7 @@ func (n *Node) serveBarrierDiff(m wire.Message) {
 	if n.mapper != nil {
 		n.mapper.MarkDirty(c)
 	}
-	lc.Advance(n.prof.WordsCost(d.Bytes() / object.WordSize))
+	lc.Advance(n.prof.WordsCost(diffBytes / object.WordSize))
 	restore()
 	if int64(lc.Now()) > c.ReconcileNS {
 		c.ReconcileNS = int64(lc.Now())

@@ -16,6 +16,7 @@
 //	BenchmarkViewCopy      -> wall-clock CopyFrom+CopyTo of a 64 KiB row view (the out-of-core sweep's copies)
 //	BenchmarkStencilRow    -> wall-clock four-view relax of one 1024-element row (benchmark/'s stencil inner loop)
 //	BenchmarkStencilEpoch  -> wall-clock and allocations of benchmark/'s stencil epoch: 2 ranks, 1024², relax + barrier twice
+//	BenchmarkMultiwriterEpoch -> wall-clock and allocations of benchmark/'s multiwriter epoch: 2 ranks over UDP, 16 write-shared 256 KiB objects, one barrier
 //	BenchmarkTable1/*      -> Table 1 platform sweep (scaled; sim-ms extrapolates x64)
 //	BenchmarkMaxSpace      -> §4.3 free-disk exhaustion (scaled)
 //	BenchmarkAblation*     -> DESIGN.md ablation index
@@ -257,6 +258,66 @@ func BenchmarkStencilEpoch(b *testing.B) {
 		}
 		for i := 0; i < b.N; i++ {
 			epoch()
+		}
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+}
+
+// BenchmarkMultiwriterEpoch is the shape of benchmark/'s `multiwriter`
+// workload as a root-package benchmark: 2 ranks over UDP sockets, 16
+// objects of 64 Ki int32 that both ranks write every epoch — even
+// objects a dense stripe by CopyFrom, odd objects every 16th word of the
+// stripe by Set — then one barrier, so every epoch twins, diffs, ships,
+// applies, invalidates and refetches each object. allocs/op is the
+// workload's allocs_per_epoch. Wall-clock.
+func BenchmarkMultiwriterEpoch(b *testing.B) {
+	const objects, words, ranks, sparseStep = 16, 64 << 10, 2, 16
+	cfg := lots.DefaultConfig(ranks)
+	cfg.DMMSize = 64 << 20
+	cfg.Transport = lots.TransportUDP
+	c, err := lots.NewCluster(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	err = c.Run(func(n *lots.Node) {
+		objs := make([]lots.Ptr[int32], objects)
+		for o := range objs {
+			objs[o] = lots.Alloc[int32](n, words)
+		}
+		lo, hi := n.ID()*words/ranks, (n.ID()+1)*words/ranks
+		src := make([]int32, hi-lo)
+		for i := range src {
+			src[i] = int32(i*ranks + n.ID())
+		}
+		epoch := func(e int) {
+			src[0] = int32(e)
+			for o, p := range objs {
+				v := p.ViewRW(lo, hi-lo)
+				if o%2 == 0 {
+					src[1] = int32(o)
+					v.CopyFrom(src)
+				} else {
+					for i := 0; i < v.Len(); i += sparseStep {
+						v.Set(i, int32(e*31+o*7+i))
+					}
+				}
+				v.Release()
+			}
+			n.Barrier()
+		}
+		n.Barrier()
+		for e := 0; e < 3; e++ { // settle the homes, fill the twin and slab pools
+			epoch(e)
+		}
+		if n.ID() == 0 {
+			b.ReportAllocs()
+			b.ResetTimer()
+		}
+		for i := 0; i < b.N; i++ {
+			epoch(3 + i)
 		}
 	})
 	if err != nil {

@@ -55,3 +55,60 @@ func BenchmarkFilterByStamp(b *testing.B) {
 		_ = FilterByStamp(cur, stamps, include)
 	}
 }
+
+// The benchmark/ cells' shapes, 256 KiB: every 16th word, every word,
+// and the stamped diff of a modified eighth against a blank table.
+func BenchmarkCompute256K(b *testing.B) {
+	const size = 256 << 10
+	for _, tc := range []struct {
+		name string
+		step int
+	}{{"sparse", 64}, {"dense", 4}, {"clean", size}} {
+		cur, twin := benchData(size, tc.step)
+		if tc.step == size {
+			cur[0] = 0
+		}
+		b.Run(tc.name, func(b *testing.B) {
+			b.SetBytes(size)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				_ = Compute(cur, twin)
+			}
+		})
+	}
+}
+
+func BenchmarkComputeStamped256K(b *testing.B) {
+	const size = 256 << 10
+	twin := make([]byte, size)
+	cur := MakeTwin(twin)
+	for i := 0; i < size/8; i += 4 {
+		cur[i] = 0xFF
+	}
+	stamps := make([]object.WordStamp, size/4)
+	b.SetBytes(size)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		_ = ComputeStamped(cur, twin, stamps, 1)
+	}
+}
+
+func BenchmarkScanOnly256K(b *testing.B) {
+	const size = 256 << 10
+	for _, tc := range []struct {
+		name string
+		step int
+	}{{"sparse", 64}, {"dense", 4}, {"clean", size}} {
+		cur, twin := benchData(size, tc.step)
+		if tc.step == size {
+			cur[0] = 0
+		}
+		runs := make([]span, 0, size/8)
+		b.Run(tc.name, func(b *testing.B) {
+			b.SetBytes(size)
+			for i := 0; i < b.N; i++ {
+				runs = scan(runs[:0], cur, twin, nil, 0)
+			}
+		})
+	}
+}

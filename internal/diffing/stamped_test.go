@@ -2,7 +2,9 @@ package diffing
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -192,5 +194,136 @@ func TestSinceEntriesVersions(t *testing.T) {
 	}
 	if entries[0].Ver != 3 || entries[1].Ver != 4 {
 		t.Errorf("versions = %d, %d", entries[0].Ver, entries[1].Ver)
+	}
+}
+
+// TestBarrierDiffOntoStamplessHome pins what ApplyStampedEncoded does
+// at a barrier home against the per-word oracle. A diff whose runs all
+// carry version 0, onto an object with no stamp table, moves exactly
+// the oracle's bytes, leaves the object without a table and allocates
+// nothing, decode included. The same diff onto an object that holds
+// current-epoch lock stamps loses exactly the words the oracle says it
+// loses. And a run with a version allocates the table and records it.
+func TestBarrierDiffOntoStamplessHome(t *testing.T) {
+	const size, epoch = 4096, 3
+	twin := make([]byte, size)
+	cur := make([]byte, size)
+	for i := 0; i < size; i += 24 { // runs of one, two and three words, and an unaligned tail
+		for k := 0; k < 4*(1+i/24%3) && i+k < size-1; k++ {
+			cur[i+k] = byte(1 + i + k)
+		}
+	}
+	var w wire.Buffer
+	AppendStamped(&w, cur, twin, nil, epoch)
+	enc := w.Bytes()
+	d, err := DecodeStampedDiff(wire.NewReader(enc))
+	if err != nil || len(d.Runs) < 100 {
+		t.Fatalf("fixture: %d runs, err %v", len(d.Runs), err)
+	}
+	base := bytes.Repeat([]byte{0xEE}, size)
+
+	// No table: a copy, no table afterwards, no allocation.
+	c := &object.Control{Size: size}
+	dst := append([]byte(nil), base...)
+	want := append([]byte(nil), base...)
+	if _, err := oracleApplyStamped(want, nil, d, epoch); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := ApplyStampedEncoded(dst, c, wire.NewReader(enc), epoch); err != nil || n != d.Bytes() {
+		t.Fatalf("apply: %d bytes, err %v; want %d", n, err, d.Bytes())
+	}
+	if !bytes.Equal(dst, want) {
+		t.Error("version-0 diff onto a stampless object moved different bytes than the oracle")
+	}
+	if c.Stamps != nil {
+		t.Error("version-0 diff allocated a stamp table")
+	}
+	var r wire.Reader
+	if got := testing.AllocsPerRun(50, func() {
+		r = *wire.NewReader(enc)
+		if _, err := ApplyStampedEncoded(dst, c, &r, epoch); err != nil {
+			panic(err)
+		}
+	}); got != 0 {
+		t.Errorf("decode+apply of a version-0 diff onto a stampless object: %.0f allocations, want 0", got)
+	}
+
+	// A table with this epoch's lock stamps on every third word, a
+	// foreign epoch's on the next: the former hold their bytes.
+	locked := func() []object.WordStamp {
+		st := make([]object.WordStamp, size/object.WordSize)
+		for w := range st {
+			switch w % 3 {
+			case 0:
+				st[w] = object.WordStamp{Ver: 2, Lock: 1, Epoch: epoch}
+			case 1:
+				st[w] = object.WordStamp{Ver: 2, Lock: 1, Epoch: epoch - 1}
+			}
+		}
+		return st
+	}
+	c = &object.Control{Size: size, Stamps: locked()}
+	dst = append(dst[:0], base...)
+	want = append(want[:0], base...)
+	wantStamps := locked()
+	if _, err := oracleApplyStamped(want, wantStamps, d, epoch); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ApplyStampedEncoded(dst, c, wire.NewReader(enc), epoch); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(dst, want) || !reflect.DeepEqual(c.Stamps, wantStamps) {
+		t.Error("version-0 diff onto lock-stamped words differs from the oracle's merge")
+	}
+	if bytes.Equal(dst, cur) || bytes.Equal(dst, base) {
+		t.Error("fixture is vacuous: the merge kept everything or nothing")
+	}
+
+	// A run with a version needs the table, on an object that had none.
+	vd := StampedDiff{Runs: []StampedRun{{Off: 8, Data: []byte{1, 2, 3, 4, 5, 6, 7, 8}, Ver: 4, Lock: 9}, {Off: 64, Data: []byte{9, 9, 9, 9}}}}
+	var vw wire.Buffer
+	vd.Encode(&vw)
+	c = &object.Control{Size: size}
+	dst = append(dst[:0], base...)
+	want = append(want[:0], base...)
+	wantStamps = make([]object.WordStamp, size/object.WordSize)
+	if _, err := oracleApplyStamped(want, wantStamps, vd, epoch); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ApplyStampedEncoded(dst, c, wire.NewReader(vw.Bytes()), epoch); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(dst, want) || !reflect.DeepEqual(c.Stamps, wantStamps) {
+		t.Error("versioned diff onto a stampless object differs from the oracle's merge")
+	}
+}
+
+// TestApplyStampedEncodedRejects: counts and lengths are a peer's word.
+// A run past the object's end is ApplyStamped's error; a count or a
+// length the payload cannot hold is a decode error; neither panics.
+func TestApplyStampedEncodedRejects(t *testing.T) {
+	enc := encStamped
+	past := enc(StampedDiff{Runs: []StampedRun{{Off: 60, Data: make([]byte, 8)}}})
+	c := &object.Control{Size: 64}
+	_, err := ApplyStampedEncoded(make([]byte, 64), c, wire.NewReader(past), 1)
+	_, wantErr := oracleApplyStamped(make([]byte, 64), nil, StampedDiff{Runs: []StampedRun{{Off: 60, Data: make([]byte, 8)}}}, 1)
+	if err == nil || err.Error() != wantErr.Error() {
+		t.Errorf("run past the end: %v, want %v", err, wantErr)
+	}
+	good := enc(StampedDiff{Runs: []StampedRun{{Off: 0, Data: []byte{1, 2, 3, 4}}, {Off: 8, Data: []byte{5, 6, 7, 8}}}})
+	for cut := 0; cut < len(good); cut++ {
+		if _, err := ApplyStampedEncoded(make([]byte, 64), c, wire.NewReader(good[:cut]), 1); !errors.Is(err, wire.ErrPayload) {
+			t.Errorf("payload cut at %d of %d: %v, want a payload error", cut, len(good), err)
+		}
+	}
+	huge := append([]byte(nil), good...)
+	huge[0], huge[1], huge[2], huge[3] = 0xFF, 0xFF, 0xFF, 0xFF // run count
+	if _, err := ApplyStampedEncoded(make([]byte, 64), c, wire.NewReader(huge), 1); !errors.Is(err, wire.ErrPayload) {
+		t.Errorf("run count 2^32-1: %v, want a payload error", err)
+	}
+	huge = append(huge[:0], good...)
+	huge[14], huge[15], huge[16], huge[17] = 0xFF, 0xFF, 0xFF, 0xFF // first run's data length
+	if _, err := ApplyStampedEncoded(make([]byte, 64), c, wire.NewReader(huge), 1); !errors.Is(err, wire.ErrPayload) {
+		t.Errorf("data length 2^32-1: %v, want a payload error", err)
 	}
 }

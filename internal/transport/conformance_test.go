@@ -261,8 +261,9 @@ func TestConformanceLargeMessage(t *testing.T) {
 			t.Parallel()
 			eps, cleanup := cell.make(t, 2)
 			defer cleanup()
+			tc := wire.TraceCtx{Rank: 0, Epoch: 4, Seq: 17} // rides after the payload, in the last fragment
 			go func() {
-				if err := eps[0].Send(wire.Message{Type: wire.TObjFetchReply, To: 1, Payload: payload}); err != nil {
+				if err := eps[0].Send(wire.Message{Type: wire.TObjFetchReply, To: 1, Payload: payload, Trace: tc}); err != nil {
 					t.Error(err)
 				}
 			}()
@@ -270,8 +271,8 @@ func TestConformanceLargeMessage(t *testing.T) {
 			if !ok {
 				t.Fatal("large message never arrived")
 			}
-			if !bytes.Equal(m.Payload, payload) {
-				t.Fatal("payload corrupted in flight")
+			if !bytes.Equal(m.Payload, payload) || m.Trace != tc {
+				t.Fatal("message corrupted in flight")
 			}
 		})
 	}
@@ -289,6 +290,14 @@ func TestConformanceSelfSend(t *testing.T) {
 			m, ok := recvDeadline(t, eps[0], 30*time.Second)
 			if !ok || m.From != 0 || string(m.Payload) != "self" {
 				t.Fatalf("self-send: ok=%v %+v", ok, m)
+			}
+			// Several fragments, fed to the same reassembler the network
+			// path feeds.
+			large := bytes.Repeat([]byte("self"), 50<<10)
+			go eps[0].Send(wire.Message{Type: wire.TObjFetchReply, To: 0, Payload: large})
+			m, ok = recvDeadline(t, eps[0], 30*time.Second)
+			if !ok || m.From != 0 || !bytes.Equal(m.Payload, large) {
+				t.Fatalf("large self-send: ok=%v, %d bytes", ok, len(m.Payload))
 			}
 		})
 	}

@@ -47,18 +47,36 @@ func newUDPPair(t *testing.T, o UDPOptions) (*UDPEndpoint, *UDPEndpoint, [2]*sta
 // TestUDPOOOBufferBounded injects data frames far beyond the receive
 // window, as a hostile or wildly reordering peer could, and checks the
 // out-of-order buffer never grows past the window. Regression for
-// handleData accepting any seq >= expected into rs.ooo.
+// handleData accepting any seq >= expected into rs.ooo. The frames are
+// handed over as the read loop hands them — the whole datagram in its
+// read slab — so with slab poison on the test also sees who owns each
+// slab afterwards: a buffered datagram is intact, a refused one has gone
+// back to the pool.
 func TestUDPOOOBufferBounded(t *testing.T) {
 	e0, _, _ := newUDPPair(t, UDPOptions{})
 	win := int(e0.window)
+	wire.SetSlabPoison(true)
+	defer wire.SetSlabPoison(false)
 	// seq 0 is never delivered, so nothing drains and every accepted
 	// fragment stays buffered.
+	dgrams := make(map[uint32][]byte)
 	for seq := uint32(1); seq < uint32(win*10); seq++ {
-		e0.handleData(1, seq, []byte{byte(seq)})
+		d := append(wire.GetSlab(wire.MaxDatagram)[:flowHeaderLen], byte(seq), 0x55)
+		dgrams[seq] = d
+		e0.handleData(1, seq, d)
 	}
 	rs := e0.recvsts[1]
 	rs.mu.Lock()
 	got, hw := len(rs.ooo), rs.oooHW
+	for seq, d := range dgrams {
+		want := []byte{0xDB, 0xDB} // refused: released, so poisoned
+		if int(seq) < win {
+			want = []byte{byte(seq), 0x55} // buffered: still the endpoint's, untouched
+		}
+		if !bytes.Equal(d[flowHeaderLen:], want) {
+			t.Errorf("seq %d: datagram reads %x after hand-over, want %x", seq, d[flowHeaderLen:], want)
+		}
+	}
 	rs.mu.Unlock()
 	if got > win || hw > win {
 		t.Fatalf("ooo buffer grew to %d (high water %d), want <= window %d", got, hw, win)
@@ -75,7 +93,7 @@ func TestUDPOOOBufferBounded(t *testing.T) {
 	rs.expected = 0
 	rs.mu.Unlock()
 	seq := uint32(0)
-	_ = wire.ForEachFragment(wire.EncodeInto(nil, m), 7, 0, func(f []byte) error {
+	_ = wire.FragmentMessage(m, 7, flowHeaderLen, func(f []byte) error {
 		e0.handleData(1, seq, f)
 		seq++
 		return nil

@@ -300,41 +300,36 @@ func (e *TCPEndpoint) Send(m wire.Message) error {
 		return ErrBadDest
 	}
 	m.From = uint16(e.id)
-	// Pooled wire path: the encode slab is released once the fragments
-	// are cut; each data frame is built with TCP framing headroom in its
-	// own pooled slab and released when acked (see pframe).
-	enc := wire.EncodePooled(m)
+	// Each data frame is cut straight from the message into its own
+	// pooled slab, with TCP framing headroom, and released when acked
+	// (see pframe).
 	if e.counters != nil {
 		e.counters.MsgsSent.Add(1)
-		e.counters.FragsSent.Add(int64(wire.NumFragments(len(enc))))
-		e.counters.BytesSent.Add(int64(len(enc)))
+		e.counters.FragsSent.Add(int64(wire.NumFragments(wire.EncodedLen(m))))
+		e.counters.BytesSent.Add(int64(wire.EncodedLen(m)))
 	}
-	var err error
-	if int(m.To) == e.id {
-		// Loopback short-circuit: deliver without touching the network.
-		rs := e.rstates[e.id]
-		rs.mu.Lock()
-		err = wire.ForEachFragment(enc, msgID, 0, func(f []byte) error {
-			got, done, ferr := rs.reasm.Feed(f)
-			wire.PutSlab(f)
-			if ferr != nil {
-				return ferr
-			}
-			if done {
-				if e.counters != nil {
-					e.counters.MsgsRecv.Add(1)
-					e.counters.BytesRecv.Add(int64(len(enc)))
-				}
-				e.inbox.put(got)
-			}
-			return nil
-		})
-		rs.mu.Unlock()
-	} else {
-		l := e.links[m.To]
-		err = wire.ForEachFragment(enc, msgID, tcpFrameHeadroom, l.enqueue)
+	if int(m.To) != e.id {
+		return wire.FragmentMessage(m, msgID, tcpFrameHeadroom, e.links[m.To].enqueue)
 	}
-	wire.PutSlab(enc)
+	// Loopback short-circuit: deliver without touching the network.
+	rs := e.rstates[e.id]
+	rs.mu.Lock()
+	err := wire.FragmentMessage(m, msgID, 0, func(f []byte) error {
+		got, done, ferr := rs.reasm.Feed(f)
+		wire.PutSlab(f)
+		if ferr != nil {
+			return ferr
+		}
+		if done {
+			if e.counters != nil {
+				e.counters.MsgsRecv.Add(1)
+				e.counters.BytesRecv.Add(int64(wire.EncodedLen(got)))
+			}
+			e.inbox.put(got)
+		}
+		return nil
+	})
+	rs.mu.Unlock()
 	return err
 }
 

@@ -244,25 +244,24 @@ func (e *memEndpoint) Send(m wire.Message) error {
 	if c.clocks != nil && m.SimTime == 0 {
 		m.SimTime = int64(c.clocks[e.id].Now())
 	}
-	// Run the real encode/fragment/reassemble path so wire behaviour
-	// (and its accounting) is identical to the UDP transport. Every
-	// buffer is pooled and released here: the encode slab once the
-	// fragments are cut, each fragment frame once the reassembler has
-	// copied it (the delivered payload is an independent copy).
-	enc := wire.EncodePooled(m)
+	// Run the real fragment/reassemble path so wire behaviour (and its
+	// accounting) is identical to the UDP transport. Each fragment frame
+	// is pooled and released here, once the reassembler has copied it
+	// (the delivered payload is an independent copy).
 	if c.counters != nil {
+		size := int64(wire.EncodedLen(m))
 		snd := c.counters[e.id]
 		snd.MsgsSent.Add(1)
-		snd.FragsSent.Add(int64(wire.NumFragments(len(enc))))
-		snd.BytesSent.Add(int64(len(enc)))
+		snd.FragsSent.Add(int64(wire.NumFragments(int(size))))
+		snd.BytesSent.Add(size)
 		rcv := c.counters[m.To]
 		rcv.MsgsRecv.Add(1)
-		rcv.BytesRecv.Add(int64(len(enc)))
+		rcv.BytesRecv.Add(size)
 	}
 	rs := c.reasms[m.To]
 	delivered := false
 	rs.mu.Lock()
-	err := wire.ForEachFragment(enc, c.msgID(), 0, func(f []byte) error {
+	err := wire.FragmentMessage(m, c.msgID(), 0, func(f []byte) error {
 		got, done, ferr := rs.r.Feed(f)
 		wire.PutSlab(f)
 		if ferr != nil {
@@ -277,7 +276,6 @@ func (e *memEndpoint) Send(m wire.Message) error {
 		return nil
 	})
 	rs.mu.Unlock()
-	wire.PutSlab(enc)
 	if err != nil {
 		return err
 	}

@@ -245,7 +245,7 @@ func (ss *sendState) drop(seq uint32, fl *flight) {
 type recvState struct {
 	mu       sync.Mutex
 	expected uint32
-	ooo      map[uint32][]byte // buffered out-of-order fragments
+	ooo      map[uint32][]byte // buffered out-of-order datagrams, each in its read slab
 	oooHW    int               // high-water mark of len(ooo), for tests
 	reasm    *wire.Reassembler
 }
@@ -450,43 +450,39 @@ func (e *UDPEndpoint) Send(m wire.Message) error {
 		return ErrBadDest
 	}
 	m.From = uint16(e.id)
-	// Pooled wire path: the encode slab is released once the fragments
-	// are cut; each fragment frame is built with flow-header headroom in
-	// its own pooled slab and released when acked (see flight).
-	enc := wire.EncodePooled(m)
+	// Each fragment frame is cut straight from the message into its own
+	// pooled slab, with flow-header headroom, and released when acked
+	// (see flight).
 	if e.counters != nil {
 		e.counters.MsgsSent.Add(1)
-		e.counters.FragsSent.Add(int64(wire.NumFragments(len(enc))))
-		e.counters.BytesSent.Add(int64(len(enc)))
+		e.counters.FragsSent.Add(int64(wire.NumFragments(wire.EncodedLen(m))))
+		e.counters.BytesSent.Add(int64(wire.EncodedLen(m)))
 	}
-	var err error
-	if int(m.To) == e.id {
-		// Loopback short-circuit: deliver without touching the socket.
-		re := e.recvsts[e.id]
-		re.mu.Lock()
-		err = wire.ForEachFragment(enc, msgID, 0, func(f []byte) error {
-			got, done, ferr := re.reasm.Feed(f)
-			wire.PutSlab(f)
-			if ferr != nil {
-				return ferr
-			}
-			if done {
-				if e.counters != nil {
-					e.counters.MsgsRecv.Add(1)
-					e.counters.BytesRecv.Add(int64(wire.EncodedLen(got)))
-				}
-				e.inbox.put(got)
-			}
-			return nil
-		})
-		re.mu.Unlock()
-	} else {
+	if int(m.To) != e.id {
 		ss := e.sendsts[m.To]
-		err = wire.ForEachFragment(enc, msgID, flowHeaderLen, func(f []byte) error {
+		return wire.FragmentMessage(m, msgID, flowHeaderLen, func(f []byte) error {
 			return e.sendFrame(ss, m.To, f)
 		})
 	}
-	wire.PutSlab(enc)
+	// Loopback short-circuit: deliver without touching the socket.
+	re := e.recvsts[e.id]
+	re.mu.Lock()
+	err := wire.FragmentMessage(m, msgID, 0, func(f []byte) error {
+		got, done, ferr := re.reasm.Feed(f)
+		wire.PutSlab(f)
+		if ferr != nil {
+			return ferr
+		}
+		if done {
+			if e.counters != nil {
+				e.counters.MsgsRecv.Add(1)
+				e.counters.BytesRecv.Add(int64(wire.EncodedLen(got)))
+			}
+			e.inbox.put(got)
+		}
+		return nil
+	})
+	re.mu.Unlock()
 	return err
 }
 
@@ -606,10 +602,18 @@ func parseFlowFrame(buf []byte) (flowFrame, bool) {
 
 func (e *UDPEndpoint) readLoop() {
 	defer close(e.readDone)
-	buf := make([]byte, wire.MaxDatagram+flowHeaderLen+64)
+	// Every datagram is read into a pooled slab. A data frame's slab is
+	// handed to handleData whole, which releases it once the reassembler
+	// has taken the fragment, and the next read gets a fresh one; any
+	// other datagram leaves the slab for the next read.
+	var slab []byte
+	defer func() { wire.PutSlab(slab) }()
 	consecErrs := 0
 	for {
-		n, _, err := e.conn.ReadFromUDP(buf)
+		if slab == nil {
+			slab = wire.GetSlab(wire.MaxDatagram)[:wire.MaxDatagram]
+		}
+		n, _, err := e.conn.ReadFromUDP(slab)
 		if err != nil {
 			select {
 			case <-e.done:
@@ -638,7 +642,7 @@ func (e *UDPEndpoint) readLoop() {
 			continue
 		}
 		consecErrs = 0
-		f, ok := parseFlowFrame(buf[:n])
+		f, ok := parseFlowFrame(slab[:n])
 		if !ok || int(f.src) >= e.n {
 			continue
 		}
@@ -646,11 +650,8 @@ func (e *UDPEndpoint) readLoop() {
 		case frameAck:
 			e.handleAck(int(f.src), f.ack, f.sack, f.share)
 		case frameData:
-			// The fragment must be copied out of the read buffer before
-			// the next socket read; the copy is pooled and released by
-			// handleData once consumed (or dropped).
-			payload := append(wire.GetSlab(len(f.payload)), f.payload...)
-			e.handleData(int(f.src), f.seq, payload)
+			e.handleData(int(f.src), f.seq, slab[:n])
+			slab = nil
 		}
 	}
 }
@@ -784,7 +785,13 @@ func (e *UDPEndpoint) handleAck(from int, ackTo uint32, sack uint64, share uint3
 	}
 }
 
-func (e *UDPEndpoint) handleData(from int, seq uint32, payload []byte) {
+// handleData takes one data frame from a peer: dgram is the whole
+// datagram, flow header included, in a pooled slab that handleData now
+// owns. The slab itself waits in the out-of-order buffer — nothing is
+// copied until the reassembler copies the fragment to its place in the
+// message — and is released once the reassembler has seen it, or at once
+// if the frame is a duplicate or outside the window.
+func (e *UDPEndpoint) handleData(from int, seq uint32, dgram []byte) {
 	rs := e.recvsts[from]
 	rs.mu.Lock()
 	// Accept only fragments inside the receive window. Anything at or
@@ -793,18 +800,15 @@ func (e *UDPEndpoint) handleData(from int, seq uint32, payload []byte) {
 	// hostile or wildly delayed peer grow rs.ooo without bound; it is
 	// dropped here and the ack below tells the sender where we stand.
 	if seq >= rs.expected && seq-rs.expected < e.window && rs.ooo[seq] == nil {
-		rs.ooo[seq] = payload
+		rs.ooo[seq] = dgram
 		if len(rs.ooo) > rs.oooHW {
 			rs.oooHW = len(rs.ooo)
 		}
 	} else {
-		// Duplicate or out-of-window fragment: the pooled copy goes
-		// straight back (the ack below still tells the sender where we
-		// stand).
-		wire.PutSlab(payload)
+		wire.PutSlab(dgram)
 	}
-	// Drain the in-order prefix into the reassembler; each pooled
-	// fragment copy is released once the reassembler has consumed it.
+	// Drain the in-order prefix into the reassembler, which copies what
+	// it keeps.
 	var completed []wire.Message
 	for {
 		p, ok := rs.ooo[rs.expected]
@@ -813,7 +817,7 @@ func (e *UDPEndpoint) handleData(from int, seq uint32, payload []byte) {
 		}
 		delete(rs.ooo, rs.expected)
 		rs.expected++
-		m, done, err := rs.reasm.Feed(p)
+		m, done, err := rs.reasm.Feed(p[flowHeaderLen:])
 		wire.PutSlab(p)
 		if err == nil && done {
 			completed = append(completed, m)

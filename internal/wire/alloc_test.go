@@ -112,8 +112,19 @@ func TestFragmentPathAllocs(t *testing.T) {
 				PutSlab(enc)
 			}
 		}
+		// The transports' form: frames cut from the message itself.
+		sendDirect := func(sink func([]byte) error) func() {
+			return func() {
+				msgID++
+				if err := FragmentMessage(m, msgID, 16, sink); err != nil {
+					panic(err)
+				}
+			}
+		}
 		assertZeroAllocs(t, "encode+fragment ("+tc.name+")", send(discard))
 		assertAllocs(t, "fragment path ("+tc.name+")", 1, send(feed))
+		assertZeroAllocs(t, "fragment from message ("+tc.name+")", sendDirect(discard))
+		assertAllocs(t, "fragment path from message ("+tc.name+")", 1, sendDirect(feed))
 		if delivered == 0 || frames != delivered*tc.frags {
 			t.Errorf("%s: %d frames delivered %d messages, want %d frames each", tc.name, frames, delivered, tc.frags)
 		}

@@ -99,7 +99,9 @@ func (r *Reader) need(n int) bool {
 	if r.err != nil {
 		return false
 	}
-	if r.off+n > len(r.b) {
+	// n can be a peer's word cast to int: negative where int is 32 bits,
+	// or so large that r.off+n would wrap.
+	if n < 0 || n > len(r.b)-r.off {
 		r.err = fmt.Errorf("%w: need %d bytes at offset %d of %d", ErrPayload, n, r.off, len(r.b))
 		return false
 	}
@@ -189,10 +191,6 @@ func (r *Reader) Bytes32InPlace() []byte {
 
 // Raw reads n raw bytes (copied).
 func (r *Reader) Raw(n int) []byte {
-	if n < 0 {
-		r.err = fmt.Errorf("%w: negative raw length %d", ErrPayload, n)
-		return nil
-	}
 	if !r.need(n) {
 		return nil
 	}

@@ -75,6 +75,25 @@ func TestReaderBytes32Truncated(t *testing.T) {
 	}
 }
 
+// TestReaderBytes32HugeLength: a length prefix of 2^31 or more is a
+// negative int where int is 32 bits (386, arm, mipsle, wasm), and one
+// just below it wraps offset+length. Either must fail the read, not
+// slice out of range. CI runs this package under GOARCH=386 too.
+func TestReaderBytes32HugeLength(t *testing.T) {
+	for _, prefix := range [][]byte{
+		{0xff, 0xff, 0xff, 0xff},
+		{0x00, 0x00, 0x00, 0x80},
+		{0xfd, 0xff, 0xff, 0x7f},
+	} {
+		for _, read := range []func(*Reader) []byte{(*Reader).Bytes32, (*Reader).Bytes32InPlace} {
+			r := NewReader(append(append([]byte(nil), prefix...), 1, 2, 3))
+			if v := read(r); v != nil || r.Err() == nil {
+				t.Errorf("length prefix %x: read %v, err %v; want nil and an error", prefix, v, r.Err())
+			}
+		}
+	}
+}
+
 func TestReaderNegativeRaw(t *testing.T) {
 	r := NewReader([]byte{1, 2, 3})
 	if v := r.Raw(-1); v != nil {

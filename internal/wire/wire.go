@@ -7,12 +7,27 @@
 // the header layout, the fragmentation/reassembly machinery, and small
 // sticky-error payload encode/decode helpers shared by the LOTS runtime
 // and the JIAJIA baseline.
+//
+// A payload byte is copied once on each side of a link. The sender
+// cuts fragment frames straight from the message (FragmentMessage), with
+// room in front for the transport's framing, so there is no encoded copy
+// of the whole message; the receiver's Reassembler copies each fragment
+// from the transport's read buffer to its place in the one heap buffer
+// the delivered message then owns. Frames and parked fragments come from
+// the slab pool (pool.go) and are released at the transport seams;
+// delivered payloads never do, because protocol handlers keep them —
+// and may alias them (Reader.Bytes32InPlace, diffing.DecodeDiff).
+// Every count and length read from a peer is bounded by the bytes
+// actually present before it sizes anything (Reader.Count, Reader.need,
+// the reassembler's clamp on the length a first fragment states).
 package wire
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 )
 
 // Type identifies a protocol message.
@@ -193,13 +208,11 @@ func EncodedLen(m Message) int {
 	return n
 }
 
-// EncodeInto appends the encoded form of m (header + payload + optional
-// trace extension) to dst and returns the extended slice. With a dst of
-// sufficient capacity it performs no allocation.
-func EncodeInto(dst []byte, m Message) []byte {
+// appendHeader appends m's fixed header: type (with the trace flag),
+// from, to, request ID, simulated time, payload length.
+func appendHeader(dst []byte, m Message) []byte {
 	t := byte(m.Type)
-	traced := !m.Trace.Zero()
-	if traced {
+	if !m.Trace.Zero() {
 		t |= traceFlag
 	}
 	dst = append(dst, t)
@@ -207,14 +220,26 @@ func EncodeInto(dst []byte, m Message) []byte {
 	dst = binary.LittleEndian.AppendUint16(dst, m.To)
 	dst = binary.LittleEndian.AppendUint64(dst, m.ReqID)
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(m.SimTime))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(m.Payload)))
-	dst = append(dst, m.Payload...)
-	if traced {
-		dst = binary.LittleEndian.AppendUint16(dst, m.Trace.Rank)
-		dst = binary.LittleEndian.AppendUint32(dst, m.Trace.Epoch)
-		dst = binary.LittleEndian.AppendUint64(dst, m.Trace.Seq)
+	return binary.LittleEndian.AppendUint32(dst, uint32(len(m.Payload)))
+}
+
+// appendTraceExt appends m's trace extension, if it carries one.
+func appendTraceExt(dst []byte, m Message) []byte {
+	if m.Trace.Zero() {
+		return dst
 	}
-	return dst
+	dst = binary.LittleEndian.AppendUint16(dst, m.Trace.Rank)
+	dst = binary.LittleEndian.AppendUint32(dst, m.Trace.Epoch)
+	return binary.LittleEndian.AppendUint64(dst, m.Trace.Seq)
+}
+
+// EncodeInto appends the encoded form of m (header + payload + optional
+// trace extension) to dst and returns the extended slice. With a dst of
+// sufficient capacity it performs no allocation.
+func EncodeInto(dst []byte, m Message) []byte {
+	dst = appendHeader(dst, m)
+	dst = append(dst, m.Payload...)
+	return appendTraceExt(dst, m)
 }
 
 // EncodePooled encodes m into a slab from the pool. The caller owns
@@ -307,20 +332,40 @@ func NumFragments(n int) int {
 // with PutSlab; if fn returns an error, iteration stops (frames already
 // handed over stay owned by fn).
 func ForEachFragment(encoded []byte, msgID uint64, headroom int, fn func(frame []byte) error) error {
-	nFrags := NumFragments(len(encoded))
+	return cutFragments(&[3][]byte{encoded}, msgID, headroom, fn)
+}
+
+// FragmentMessage is ForEachFragment(EncodeInto(nil, m), ...) without
+// the encoded message in between: each frame is filled straight from
+// m's header, payload and trace extension, so a payload byte is copied
+// once, into the frame that carries it. It is how the transports send.
+func FragmentMessage(m Message, msgID uint64, headroom int, fn func(frame []byte) error) error {
+	var hdr [headerLen]byte
+	var ext [traceExtLen]byte
+	return cutFragments(&[3][]byte{appendHeader(hdr[:0], m), m.Payload, appendTraceExt(ext[:0], m)}, msgID, headroom, fn)
+}
+
+// cutFragments cuts the concatenation of parts into fragment frames.
+func cutFragments(parts *[3][]byte, msgID uint64, headroom int, fn func(frame []byte) error) error {
+	total := len(parts[0]) + len(parts[1]) + len(parts[2])
+	nFrags := NumFragments(total)
+	part, rest := 0, parts[0] // rest is what is uncut of parts[part]
 	for i := 0; i < nFrags; i++ {
-		lo := i * MaxFragPayload
-		hi := lo + MaxFragPayload
-		if hi > len(encoded) {
-			hi = len(encoded)
-		}
-		chunk := encoded[lo:hi]
-		f := GetSlab(headroom + fragHeaderLen + len(chunk))[:headroom+fragHeaderLen]
+		n := min(MaxFragPayload, total-i*MaxFragPayload)
+		f := GetSlab(headroom + fragHeaderLen + n)[:headroom+fragHeaderLen]
 		binary.LittleEndian.PutUint64(f[headroom:], msgID)
 		binary.LittleEndian.PutUint16(f[headroom+8:], uint16(i))
 		binary.LittleEndian.PutUint16(f[headroom+10:], uint16(nFrags))
-		binary.LittleEndian.PutUint32(f[headroom+12:], uint32(len(chunk)))
-		f = append(f, chunk...)
+		binary.LittleEndian.PutUint32(f[headroom+12:], uint32(n))
+		for n > 0 {
+			for len(rest) == 0 {
+				part++
+				rest = parts[part]
+			}
+			k := min(n, len(rest))
+			f = append(f, rest[:k]...)
+			rest, n = rest[k:], n-k
+		}
 		if err := fn(f); err != nil {
 			return err
 		}
@@ -332,21 +377,35 @@ func ForEachFragment(encoded []byte, msgID uint64, headroom int, fn func(frame [
 // (§5) that the receiver must collect all fragments of a message before
 // decoding; this reassembler reproduces that behaviour (and its memory
 // cost is visible to the harness via PendingBytes).
-// Fragment copies come from the slab pool and are released as each
-// message completes. A multi-fragment message is joined straight into
-// the one heap buffer its delivered payload then owns, and a
-// single-fragment message is copied out of the caller's frame: one
-// allocation per delivered message, because protocol handlers retain
-// payloads.
+//
+// A delivered message owns one heap buffer, allocated once: a
+// single-fragment message is copied out of the caller's frame, and a
+// multi-fragment message is joined in a buffer sized from the payload
+// length its first fragment's message header states, each fragment that
+// arrives in order copied from the caller's frame straight to its place.
+// Only fragments that arrive ahead of order wait in pooled slabs.
 type Reassembler struct {
 	pending map[uint64]*partial
 	free    []*partial // released partials, reused by the next message
 }
 
+// maxJoinTrust is the most a first fragment's stated length may commit
+// before the bytes arrive: the largest slab class. A longer message
+// grows its buffer as it fills.
+const maxJoinTrust = 1 << 20
+
 type partial struct {
-	frags    [][]byte
-	received int
-	bytes    int
+	count int
+	// whole holds fragments [0, next) joined; its capacity is the stated
+	// message length, clamped.
+	whole []byte
+	next  int
+	// want is the stated message length, unclamped by maxJoinTrust: as
+	// far as whole's growth beyond maxJoinTrust may reach in one step.
+	want int
+	// ahead holds pooled copies of fragments past next, by index.
+	ahead map[int][]byte
+	bytes int
 }
 
 // NewReassembler returns an empty reassembler. Delivered payloads are
@@ -355,32 +414,59 @@ func NewReassembler() *Reassembler {
 	return &Reassembler{pending: make(map[uint64]*partial)}
 }
 
+// recycle returns p's slabs to the pool and p to the free list; p.whole
+// is dropped, not pooled — on completion the delivered message owns it.
 func (r *Reassembler) recycle(p *partial) {
-	for i, f := range p.frags {
-		if f != nil {
-			PutSlab(f)
-			p.frags[i] = nil
-		}
+	for _, f := range p.ahead {
+		PutSlab(f)
 	}
-	p.received, p.bytes = 0, 0
+	clear(p.ahead)
+	*p = partial{ahead: p.ahead}
 	r.free = append(r.free, p)
 }
 
 func (r *Reassembler) newPartial(count int) *partial {
-	var p *partial
-	if k := len(r.free); k > 0 {
-		p = r.free[k-1]
-		r.free[k-1] = nil
-		r.free = r.free[:k-1]
-	} else {
-		p = &partial{}
+	k := len(r.free)
+	if k == 0 {
+		return &partial{count: count}
 	}
-	if cap(p.frags) < count {
-		p.frags = make([][]byte, count)
-	} else {
-		p.frags = p.frags[:count]
-	}
+	p := r.free[k-1]
+	r.free[k-1] = nil
+	r.free = r.free[:k-1]
+	p.count = count
 	return p
+}
+
+// statedLen is the encoded length the message header at the start of
+// chunk (a message's first fragment) states, or len(chunk) if chunk is
+// too short to hold a header. It is a peer's word: callers clamp it.
+func statedLen(chunk []byte) int64 {
+	if len(chunk) < headerLen {
+		return int64(len(chunk))
+	}
+	n := headerLen + int64(binary.LittleEndian.Uint32(chunk[headerLen-4:]))
+	if chunk[0]&traceFlag != 0 {
+		n += traceExtLen
+	}
+	return n
+}
+
+// join appends chunk, the next fragment in order, to p.whole.
+func (p *partial) join(chunk []byte) {
+	switch {
+	case p.next == 0:
+		p.want = int(min(statedLen(chunk), int64(p.count)*MaxFragPayload, math.MaxInt))
+		p.whole = make([]byte, 0, max(min(p.want, maxJoinTrust), len(chunk)))
+	case len(p.whole)+len(chunk) > cap(p.whole):
+		// Past what the header was trusted for, or past what it stated:
+		// at least double, so a long message is copied a bounded number
+		// of times, but never reserve beyond the stated length more than
+		// this chunk needs.
+		grow := max(len(chunk), min(len(p.whole), p.want-len(p.whole)))
+		p.whole = slices.Grow(p.whole, grow)
+	}
+	p.whole = append(p.whole, chunk...)
+	p.next++
 }
 
 // Feed consumes one wire fragment. When the fragment completes a
@@ -393,45 +479,69 @@ func (r *Reassembler) Feed(frag []byte) (Message, bool, error) {
 	msgID := binary.LittleEndian.Uint64(frag[0:])
 	idx := int(binary.LittleEndian.Uint16(frag[8:]))
 	count := int(binary.LittleEndian.Uint16(frag[10:]))
-	n := int(binary.LittleEndian.Uint32(frag[12:]))
+	n := int64(binary.LittleEndian.Uint32(frag[12:]))
 	if count == 0 || idx >= count {
 		return Message{}, false, fmt.Errorf("wire: bad fragment index %d/%d", idx, count)
 	}
-	if len(frag) < fragHeaderLen+n {
+	if int64(len(frag)-fragHeaderLen) < n {
 		return Message{}, false, ErrTruncated
 	}
-	p := r.pending[msgID]
-	if p == nil && count == 1 {
+	chunk := frag[fragHeaderLen : fragHeaderLen+int(n)]
+	if count == 1 && r.pending[msgID] == nil {
 		// Single-fragment fast path (the common case): decode straight
 		// out of the caller's frame, never touching the pending map.
-		m, err := Decode(frag[fragHeaderLen : fragHeaderLen+n])
+		m, err := Decode(chunk)
 		return m, err == nil, err
 	}
+	return r.feedPartial(msgID, idx, count, chunk)
+}
+
+// feedPartial is Feed for a fragment of a multi-fragment message. It is
+// a function of its own so that Feed's frame, which sits on every
+// receive path's stack, stays the size the common case needs.
+func (r *Reassembler) feedPartial(msgID uint64, idx, count int, chunk []byte) (Message, bool, error) {
+	p := r.pending[msgID]
 	if p == nil {
 		p = r.newPartial(count)
 		r.pending[msgID] = p
 	}
-	if len(p.frags) != count {
+	if p.count != count {
 		return Message{}, false, fmt.Errorf("wire: fragment count mismatch for msg %d", msgID)
 	}
-	if p.frags[idx] == nil {
-		p.frags[idx] = append(GetSlab(n), frag[fragHeaderLen:fragHeaderLen+n]...)
-		p.received++
-		p.bytes += n
+	switch {
+	case idx == p.next:
+		p.join(chunk)
+		p.bytes += len(chunk)
+		for f, ok := p.ahead[p.next]; ok; f, ok = p.ahead[p.next] {
+			delete(p.ahead, p.next)
+			p.join(f)
+			PutSlab(f)
+		}
+	case idx > p.next && p.ahead[idx] == nil:
+		if p.ahead == nil {
+			p.ahead = make(map[int][]byte)
+		}
+		p.ahead[idx] = append(GetSlab(len(chunk)), chunk...)
+		p.bytes += len(chunk)
 	}
-	if p.received < count {
+	if p.next < count {
 		return Message{}, false, nil
 	}
 	delete(r.pending, msgID)
-	// The joined buffer is built for this message alone, so the
+	// The joined buffer was built for this message alone, so the
 	// delivered payload aliases it for good.
-	whole := make([]byte, 0, p.bytes)
-	for _, f := range p.frags {
-		whole = append(whole, f...)
-	}
+	whole := p.whole
 	r.recycle(p)
 	m, err := DecodeInPlace(whole)
-	return m, err == nil, err
+	if err == nil && EncodedLen(m) != len(whole) {
+		// The header sized the buffer; bytes beyond what it states are
+		// a framing error, not slack to carry around.
+		err = fmt.Errorf("wire: %d fragments carry %d bytes for a message of %d", count, len(whole), EncodedLen(m))
+	}
+	if err != nil {
+		return Message{}, false, err
+	}
+	return m, true, nil
 }
 
 // PendingBytes reports the bytes currently buffered in incomplete

@@ -231,6 +231,15 @@ func TestReassemblerPendingAccounting(t *testing.T) {
 	if r.PendingBytes() == 0 {
 		t.Error("PendingBytes should be > 0 with a partial message")
 	}
+	// A fragment ahead of order is held once however often it arrives.
+	for rep := 0; rep < 3; rep++ {
+		if _, done, err := r.Feed(frags[2]); done || err != nil {
+			t.Fatalf("last frag ahead of order: done=%v err=%v", done, err)
+		}
+	}
+	if want := len(frags[0]) + len(frags[2]) - 2*fragHeaderLen; r.PendingBytes() != want {
+		t.Errorf("PendingBytes = %d after duplicates, want %d", r.PendingBytes(), want)
+	}
 }
 
 func TestReassemblerRejectsMalformed(t *testing.T) {

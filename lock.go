@@ -132,10 +132,9 @@ func (n *Node) Release(l int) {
 		if n.cfg.Protocol.Lock == LockHomeBased && c.Home != n.id {
 			// Home-based ablation: flush the diff to the object's home
 			// eagerly at release, like JIAJIA.
-			sd := diffing.ComputeStamped(data, twin, c.Stamps, n.epoch)
 			var w wire.Buffer
 			w.U32(n.epoch).U8(1).U64(uint64(id))
-			sd.Encode(&w)
+			diffing.AppendStamped(&w, data, twin, c.Stamps, n.epoch)
 			flushes = append(flushes, call{to: c.Home, typ: wire.TBarrierDiff, payload: w.Bytes()})
 		}
 	}

@@ -70,6 +70,10 @@ type Node struct {
 	// pendingDiffs counts barrier diffs this node still expects as a
 	// home in the current reconciliation; access waits on cond.
 	pendingDiffs map[object.ID]int
+	// dirty lists the objects this node wrote since the last barrier —
+	// those with WrittenInEpoch set, appended where writeCheck sets it —
+	// so the barrier's arrival costs what was written, not what exists.
+	dirty []*object.Control
 	// twinFree holds, by size, the twins barriers have retired;
 	// writeCheck draws from it and allocates only when it is empty, so
 	// free and live twins of a size together never exceed the most that
@@ -404,7 +408,10 @@ func (n *Node) writeCheck(c *object.Control) []byte {
 		n.clock.Advance(n.prof.WordsCost(c.Words()))
 	}
 	c.State = object.Dirty
-	c.WrittenInEpoch = true
+	if !c.WrittenInEpoch {
+		c.WrittenInEpoch = true
+		n.dirty = append(n.dirty, c)
+	}
 	// A write forfeits any read lease: the copy is no longer the pure
 	// fetched image the lease vouched for (RW views enter here too).
 	c.Lease = false

@@ -450,6 +450,7 @@ func protoScenarios() []protoScenario {
 		scenarioLeaseReadMostly(),
 		scenarioLeaseLockMix(),
 		scenarioCoalesceFanout(),
+		scenarioLockAndLockFree(),
 	}
 }
 
@@ -829,6 +830,64 @@ func scenarioCoalesceFanout() protoScenario {
 			}
 			return b.String()
 		}}
+}
+
+// scenarioLockAndLockFree puts both ways a barrier diff can land on a
+// home into one barrier, on one object. Every epoch all three nodes
+// write their stripe of each object; one of them (a different node per
+// object) does so under a lock, so its diff carries that lock's version
+// and the other two carry version 0 — a plain copy onto a home that has
+// no stamp table, a per-word merge onto one that has. The lock writer
+// also overwrites the first word of the next node's stripe, which that
+// node writes lock-free in the same epoch: the versioned write must win
+// at the home whichever diff arrives first, and when the home is either
+// of the two writers. Consecutive objects have consecutive homes and
+// every three share a lock writer, so every pairing of home and lock
+// writer occurs.
+func scenarioLockAndLockFree() protoScenario {
+	const nodes, epochs, objs, words = 3, 4, 9, 24
+	const stripe = words / nodes
+	val := func(e, o, node, i int) int32 { return int32(10000*(e+1) + 1000*o + 100*node + i) }
+	lockWriter := func(o int) int { return o / nodes }
+	contested := func(o int) int { return (lockWriter(o)*stripe + stripe) % words }
+	return protoScenario{name: "lock-and-lock-free", nodes: nodes, body: func(n *Node) string {
+		ptrs := make([]Ptr[int32], objs)
+		for o := range ptrs {
+			ptrs[o] = Alloc[int32](n, words)
+		}
+		n.Barrier()
+		lo := n.ID() * stripe
+		for e := 0; e < epochs; e++ {
+			for o, p := range ptrs {
+				locked := lockWriter(o) == n.ID()
+				if locked {
+					n.Acquire(5 + o)
+				}
+				for i := lo; i < lo+stripe; i++ {
+					p.Set(i, val(e, o, n.ID(), i))
+				}
+				if locked {
+					p.Set(contested(o), -val(e, o, n.ID(), contested(o)))
+					n.Release(5 + o)
+				}
+			}
+			n.Barrier()
+		}
+		var b strings.Builder
+		for o, p := range ptrs {
+			for i := 0; i < words; i++ {
+				want := val(epochs-1, o, i/stripe, i)
+				if i == contested(o) {
+					want = -val(epochs-1, o, lockWriter(o), i)
+				}
+				if got := p.Get(i); got != want {
+					panic(fmt.Sprintf("node %d: obj %d word %d = %d, want %d", n.ID(), o, i, got, want))
+				}
+			}
+			b.WriteString(digestInts(fmt.Sprintf("obj%d", o), p, words))
+		}
+		return b.String()
+	}}
 }
 
 // TestCoalescingNotVacuous asserts the fan-out scenario actually

@@ -447,6 +447,60 @@ func TestStateStringsAndHandles(t *testing.T) {
 	}
 }
 
+// TestDirtyListIsTheWrittenSet: the barrier's arrival is built from
+// n.dirty, so it must hold exactly the objects whose WrittenInEpoch is
+// set — each once however often it is written, none that was only read
+// — and be empty again after the barrier, epoch after epoch.
+func TestDirtyListIsTheWrittenSet(t *testing.T) {
+	c := mustCluster(t, DefaultConfig(2))
+	err := c.Run(func(n *Node) {
+		objs := make([]Ptr[int32], 8)
+		for i := range objs {
+			objs[i] = Alloc[int32](n, 16)
+		}
+		n.Barrier()
+		for e := 0; e < 3; e++ {
+			want := map[object.ID]bool{}
+			for i, p := range objs {
+				if (i+e)%2 == n.ID() { // a different half each epoch, by Set and by view
+					p.Set(1, int32(e))
+					v := p.ViewRW(2, 4)
+					v.Set(0, int32(i))
+					v.Release()
+					want[object.ID(p.ObjectID())] = true
+				} else if i%3 == 0 {
+					_ = p.Get(0)
+				}
+			}
+			n.mu.Lock()
+			if len(n.dirty) != len(want) {
+				panic(fmt.Sprintf("epoch %d: %d dirty entries, %d objects written", e, len(n.dirty), len(want)))
+			}
+			for _, ctl := range n.dirty {
+				if !want[ctl.ID] || !ctl.WrittenInEpoch {
+					panic(fmt.Sprintf("epoch %d: object %d listed dirty (written %v, flag %v)", e, ctl.ID, want[ctl.ID], ctl.WrittenInEpoch))
+				}
+			}
+			n.mu.Unlock()
+			n.Barrier()
+			n.mu.Lock()
+			flagged := 0
+			n.table.ForEach(func(ctl *object.Control) {
+				if ctl.WrittenInEpoch {
+					flagged++
+				}
+			})
+			if len(n.dirty) != 0 || flagged != 0 {
+				panic(fmt.Sprintf("epoch %d: after the barrier %d dirty entries, %d flags", e, len(n.dirty), flagged))
+			}
+			n.mu.Unlock()
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestControlStateAfterBarrier(t *testing.T) {
 	// White-box: after a barrier, the sole writer is the home with a
 	// clean copy; other nodes are invalid; twins and epoch flags clear.

@@ -426,11 +426,12 @@ func TestViewOutOfBounds(t *testing.T) {
 		a.Add(8).View(8, 1) // pointer arithmetic past the end
 	})
 	// (first+count)*8 wraps to 0 and to 8: the multiplied check let both
-	// through and returned a view of Len() 0.
+	// through and returned a view of Len() 0. The count is 1<<61 where
+	// int is 64 bits and 1<<29 where it is 32.
 	for _, first := range []int{0, 1} {
 		runExpectError(t, "out of bounds", func(n *Node) {
 			a := Alloc[int64](n, 1024)
-			a.View(first, 1<<61)
+			a.View(first, math.MaxInt/4+1)
 		})
 	}
 }
