@@ -460,7 +460,6 @@ func (n *Node) processBarrierExit(payload []byte) {
 			c.Twin = nil
 		}
 		c.WrittenInEpoch = false
-		c.ScopeLocks = nil
 		// Lock knowledge is synchronized below, so per-word stamps of
 		// reconciled objects restart clean; this also keeps the next
 		// epoch's stamped barrier diffs comparable.
@@ -468,7 +467,7 @@ func (n *Node) processBarrierExit(payload []byte) {
 		// Deferred lock-scope updates are all pre-barrier (locks cannot
 		// span a barrier) and the reconciliation supersedes them; applying
 		// them over a post-barrier fetch would resurrect stale values.
-		c.PendingDiffs = nil
+		delete(n.deferred, p.id)
 	}
 	// Every object this node wrote was in its arrival, so in the plans,
 	// and had its flag cleared above.
@@ -530,29 +529,18 @@ func (n *Node) serveBarrierDiff(m wire.Message) {
 		n.cond.Wait()
 	}
 	restore := n.useClock(lc)
-	data := n.objData(c)
-	// Lease versioning: bump only when the application actually moves
-	// bytes. An incoming diff whose words all lose the newest-wins
-	// merge (or re-assert values already present) leaves the copy
-	// byte-identical, and leased readers must be allowed to keep it.
-	// The shadow needs the runs up front, so this path alone decodes
-	// them, from a second cursor over the payload; a diff that does not
-	// decode fails in the apply below.
-	var d diffing.StampedDiff
-	var shadow [][]byte
-	if n.trackVer() {
-		peek := *r
-		d, _ = diffing.DecodeStampedDiff(&peek)
-		shadow = stampedRunShadow(data, d)
-	}
 	// The runs go from the payload to the object and nowhere in between.
-	diffBytes, err := diffing.ApplyStampedEncoded(data, c, r, epoch)
+	// Lease versioning bumps only when the apply actually moved bytes: a
+	// diff whose words all lose the newest-wins merge (or re-assert
+	// values already present) leaves the copy byte-identical, and leased
+	// readers must be allowed to keep it.
+	diffBytes, moved, err := diffing.ApplyStampedEncoded(n.objData(c), c, r, epoch, n.trackVer())
 	if err != nil {
 		restore()
 		n.mu.Unlock()
 		n.fatalf("lots: node %d: applying barrier diff to %d: %v", n.id, id, err)
 	}
-	if shadow != nil && stampedRunsChanged(data, d, shadow) {
+	if moved {
 		c.Ver++
 	}
 	if n.mapper != nil {

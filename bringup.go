@@ -8,8 +8,6 @@ package lots
 // SetPeers left to Join.
 
 import (
-	"time"
-
 	"repro/internal/disk"
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -25,11 +23,6 @@ type socketEndpoint interface {
 	SetPeers([]string) error
 	LocalAddr() string
 }
-
-// chaosUDPRTO is the shortened retransmission timeout used when fault
-// injection is enabled over UDP, so injected losses heal within test
-// budgets instead of the production 50ms clock.
-const chaosUDPRTO = 15 * time.Millisecond
 
 // bindRank binds rank id's socket on cfg's socket transport (UDP or
 // TCP) without contacting any peer. bind "" means cfg.Addrs[id] when
@@ -56,10 +49,7 @@ func bindRank(cfg *Config, id int, bind string, ctr *stats.Counters, ring *trace
 				ring.Instant(trace.Retransmit, 0, uint64(frags), wire.TraceCtx{})
 			}
 		}
-		if cfg.Chaos != nil {
-			o.Chaos = cfg.Chaos
-			o.RTO = chaosUDPRTO
-		}
+		o.Chaos = cfg.Chaos
 		sock, err = transport.NewUDPEndpointDeferred(id, cfg.Nodes, bind, o)
 	case TransportTCP:
 		o := transport.TCPOptions{Counters: ctr, Chaos: cfg.Chaos, TLS: cfg.TLS}

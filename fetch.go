@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/diffing"
 	"repro/internal/object"
 	"repro/internal/stats/phases"
 	"repro/internal/trace"
@@ -17,7 +16,8 @@ import (
 // for keeping a home: updates are never scattered across processes.
 
 // fetchObject retrieves a clean copy of c from its home and applies any
-// lock-scope updates that arrived while the copy was invalid. Caller
+// lock-scope updates that arrived while the copy was invalid; a copy
+// installs once, so a reply that finds it valid again is dropped. Caller
 // holds n.mu; it is released around the RPC.
 func (n *Node) fetchObject(c *object.Control) {
 	if c.Home == n.id {
@@ -44,32 +44,28 @@ func (n *Node) fetchObject(c *object.Control) {
 		n.fatalf("lots: node %d: fetch of object %d: bad payload (%d bytes, want %d)",
 			n.id, id, len(data), c.Size)
 	}
+	if c.State != object.Invalid {
+		// Another fetch of c ran while n.mu was dropped — the application's
+		// and a grant service's can overlap — and installed its image and
+		// replayed the deferred updates, which this image lacks.
+		return
+	}
 	c.State = object.Clean
 	c.Ver = ver
 	c.Lease = leased
-	local := n.objData(c)
-	copy(local, data)
+	copy(n.objData(c), data)
 	if n.mapper != nil {
 		n.mapper.MarkDirty(c)
 	}
 	n.ctr.ObjFetches.Add(1)
 	n.clock.Advance(n.prof.WordsCost(c.Words()))
 
-	// Apply updates that were deferred while the copy was invalid.
-	// They move the copy past the fetched image, so the lease (which
-	// vouches for that exact image) is forfeited with them.
-	for _, pd := range c.PendingDiffs {
-		d, err := diffing.DecodeDiff(wire.NewReader(pd.Data))
-		if err != nil {
-			n.fatalf("lots: node %d: bad pending diff for object %d: %v", n.id, id, err)
-		}
-		if err := diffing.Apply(local, d); err != nil {
-			n.fatalf("lots: node %d: pending diff for object %d: %v", n.id, id, err)
-		}
-		n.stampDiffWords(c, pd.Lock, pd.Ver, d)
-		c.Lease = false
+	// Replay the updates deferred while the copy was invalid, uncharged:
+	// the charge above paid for writing the whole object.
+	for _, p := range n.deferred[id] {
+		n.applyScopeDiff(c, p.lock, p.ver, p.d)
 	}
-	c.PendingDiffs = nil
+	delete(n.deferred, id)
 }
 
 // serveFetch runs at the object's home. It gates on the barrier

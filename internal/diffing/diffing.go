@@ -20,11 +20,14 @@
 // encoding from the object's bytes into the outgoing payload, and
 // ApplyStampedEncoded merges an incoming payload's runs into the home's
 // bytes in place, allocating a stamp table only when a run carries a
-// lock version. The encoded bytes are the contract; oracle_test.go keeps
-// the word-at-a-time loops they are tested against.
+// lock version. Every apply copies through put, which can also report
+// whether the copies changed any byte — the data version leases rely on.
+// The encoded bytes are the contract; oracle_test.go keeps the
+// word-at-a-time loops they are tested against.
 package diffing
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"sync"
@@ -206,14 +209,37 @@ func Compute(cur, twin []byte) (d Diff) {
 
 // Apply writes the diff's runs into dst.
 func Apply(dst []byte, d Diff) error {
+	_, err := ApplyMoved(dst, d, false)
+	return err
+}
+
+// ApplyMoved is Apply that, with track set, also reports whether any
+// byte it wrote differed from the byte it replaced — whether the apply
+// changed dst at all.
+func ApplyMoved(dst []byte, d Diff, track bool) (moved bool, err error) {
+	var mv *bool
+	if track {
+		mv = &moved
+	}
 	for _, r := range d.Runs {
 		end := int(r.Off) + len(r.Data)
 		if end > len(dst) {
-			return fmt.Errorf("diffing: run [%d,%d) exceeds object size %d", r.Off, end, len(dst))
+			return moved, fmt.Errorf("diffing: run [%d,%d) exceeds object size %d", r.Off, end, len(dst))
 		}
-		copy(dst[r.Off:end], r.Data)
+		put(dst[r.Off:end], r.Data, mv)
 	}
-	return nil
+	return moved, nil
+}
+
+// put copies src over dst, of equal length. With moved non-nil and
+// still false it compares them first and sets *moved if they differ, so
+// tracking whether an apply moved bytes costs one compare per copy until
+// the first that does, and nothing with moved nil.
+func put(dst, src []byte, moved *bool) {
+	if moved != nil && !*moved && !bytes.Equal(dst, src) {
+		*moved = true
+	}
+	copy(dst, src)
 }
 
 // Encode appends the diff to w: [runCount][off,len,data]...
@@ -308,26 +334,16 @@ func (c *Chain) Append(ver uint32, d Diff) {
 	c.entries = append(c.entries, chainEntry{ver: ver, diff: d})
 }
 
-// Since returns every diff with version > known, in version order, and
-// the total bytes that must travel (including redundancy).
-func (c *Chain) Since(known uint32) ([]Diff, int) {
-	entries, bytes := c.SinceEntries(known)
-	out := make([]Diff, 0, len(entries))
-	for _, e := range entries {
-		out = append(out, e.Diff)
-	}
-	return out, bytes
-}
-
 // Entry is a versioned chain element.
 type Entry struct {
 	Ver  uint32
 	Diff Diff
 }
 
-// SinceEntries is Since with the version of each diff, for protocols
-// that must forward the history (the acquirer stores what it receives,
-// so accumulation compounds exactly as in Figure 7a).
+// SinceEntries returns every diff with version > known, in version
+// order, with its version, and the total bytes that must travel
+// (including redundancy). The acquirer stores what it receives, so
+// accumulation compounds exactly as in Figure 7a.
 func (c *Chain) SinceEntries(known uint32) ([]Entry, int) {
 	var out []Entry
 	bytes := 0
@@ -338,32 +354,6 @@ func (c *Chain) SinceEntries(known uint32) ([]Entry, int) {
 		}
 	}
 	return out, bytes
-}
-
-// Truncate discards entries with version <= upTo (after a barrier has
-// reconciled everything).
-func (c *Chain) Truncate(upTo uint32) {
-	keep := c.entries[:0]
-	for _, e := range c.entries {
-		if e.ver > upTo {
-			keep = append(keep, e)
-		}
-	}
-	c.entries = keep
-}
-
-// Len returns the number of stored diffs.
-func (c *Chain) Len() int { return len(c.entries) }
-
-// StoredBytes returns the bytes held across all stored diffs — the
-// bookkeeping cost the migrating-home barrier protocol lets LOTS free
-// (§3.4, third benefit).
-func (c *Chain) StoredBytes() int {
-	n := 0
-	for _, e := range c.entries {
-		n += e.diff.Bytes()
-	}
-	return n
 }
 
 // StampedRun is a run of modified bytes carrying the synchronization
@@ -445,7 +435,7 @@ func AppendStamped(w *wire.Buffer, cur, twin []byte, stamps []object.WordStamp, 
 func ApplyStamped(dst []byte, stamps []object.WordStamp, d StampedDiff, epoch uint32) (int, error) {
 	applied := 0
 	for _, r := range d.Runs {
-		n, err := applyStampedRun(dst, stamps, r, epoch)
+		n, err := applyStampedRun(dst, stamps, r, epoch, nil)
 		applied += n
 		if err != nil {
 			return applied, err
@@ -454,16 +444,16 @@ func ApplyStamped(dst []byte, stamps []object.WordStamp, d StampedDiff, epoch ui
 	return applied, nil
 }
 
-// applyStampedRun is ApplyStamped for one run. Where stamps cover
-// nothing no word can be held back and none is recorded, so the run is
-// one copy.
-func applyStampedRun(dst []byte, stamps []object.WordStamp, r StampedRun, epoch uint32) (int, error) {
+// applyStampedRun is ApplyStamped for one run, each copy made by put
+// with moved. Where stamps cover nothing no word can be held back and
+// none is recorded, so the run is one copy.
+func applyStampedRun(dst []byte, stamps []object.WordStamp, r StampedRun, epoch uint32, moved *bool) (int, error) {
 	end := int(r.Off) + len(r.Data)
 	if end > len(dst) {
 		return 0, fmt.Errorf("diffing: stamped run [%d,%d) exceeds object size %d", r.Off, end, len(dst))
 	}
 	if len(stamps) == 0 {
-		copy(dst[r.Off:end], r.Data)
+		put(dst[r.Off:end], r.Data, moved)
 		return (len(r.Data) + object.WordSize - 1) / object.WordSize, nil
 	}
 	applied := 0
@@ -483,7 +473,7 @@ func applyStampedRun(dst []byte, stamps []object.WordStamp, r StampedRun, epoch 
 			continue
 		}
 		hi := min(off+object.WordSize, end)
-		copy(dst[off:hi], r.Data[off-int(r.Off):hi-int(r.Off)])
+		put(dst[off:hi], r.Data[off-int(r.Off):hi-int(r.Off)], moved)
 		if w < len(stamps) {
 			stamps[w] = object.WordStamp{Ver: r.Ver, Lock: r.Lock, Epoch: epoch}
 		}
@@ -500,11 +490,15 @@ func applyStampedRun(dst []byte, stamps []object.WordStamp, r StampedRun, epoch 
 // {Ver: 0, Lock: 0, Epoch: epoch} reads as blank to every reader — the
 // merge above, ComputeStamped's run splitting, and a lock grant's "newer
 // than the requester knows". It returns the bytes of data the diff
-// carried; on an error the runs before the bad one stay applied, as with
-// ApplyStamped.
-func ApplyStampedEncoded(dst []byte, c *object.Control, r *wire.Reader, epoch uint32) (int, error) {
-	bytes := 0
-	for i, n := 0, r.Count(stampedRunHeader); i < n; i++ {
+// carried and, with track set, whether any word it wrote differed from
+// what was there (words that lose the merge are not written). On an
+// error the runs before the bad one stay applied, as with ApplyStamped.
+func ApplyStampedEncoded(dst []byte, c *object.Control, r *wire.Reader, epoch uint32, track bool) (n int, moved bool, err error) {
+	var mv *bool
+	if track {
+		mv = &moved
+	}
+	for i, runs := 0, r.Count(stampedRunHeader); i < runs; i++ {
 		off, ver, lock := r.U32(), r.U32(), r.U16()
 		run := StampedRun{Off: off, Data: r.Bytes32InPlace(), Ver: ver, Lock: lock}
 		if r.Err() != nil {
@@ -513,12 +507,12 @@ func ApplyStampedEncoded(dst []byte, c *object.Control, r *wire.Reader, epoch ui
 		if run.Ver != 0 {
 			c.EnsureStamps()
 		}
-		if _, err := applyStampedRun(dst, c.Stamps, run, epoch); err != nil {
-			return bytes, err
+		if _, err := applyStampedRun(dst, c.Stamps, run, epoch, mv); err != nil {
+			return n, moved, err
 		}
-		bytes += len(run.Data)
+		n += len(run.Data)
 	}
-	return bytes, r.Err()
+	return n, moved, r.Err()
 }
 
 // Encode appends the stamped diff to w.

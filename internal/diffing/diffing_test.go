@@ -193,7 +193,7 @@ func TestStampChanged(t *testing.T) {
 	cur[0] = 1  // word 0
 	cur[13] = 1 // word 3
 	stamps := make([]object.WordStamp, 8)
-	st := object.WordStamp{Ver: 5, Lock: 2, Node: 1}
+	st := object.WordStamp{Ver: 5, Lock: 2, Epoch: 1}
 	n := StampChanged(stamps, cur, twin, st)
 	if n != 2 {
 		t.Fatalf("stamped %d words, want 2", n)
@@ -244,49 +244,31 @@ func TestChainAccumulation(t *testing.T) {
 		d := Diff{Runs: []Run{{Off: 0, Data: []byte{byte(ver), 0, 0, 0}}}}
 		c.Append(ver, d)
 	}
-	diffs, total := c.Since(0)
-	if len(diffs) != 5 || total != 20 {
-		t.Errorf("Since(0) = %d diffs %d bytes, want 5 diffs 20 bytes", len(diffs), total)
-	}
-	// A requester at ver 3 still gets redundant traffic for vers 4,5.
-	diffs, total = c.Since(3)
-	if len(diffs) != 2 || total != 8 {
-		t.Errorf("Since(3) = %d diffs %d bytes", len(diffs), total)
+	entries, total := c.SinceEntries(0)
+	if len(entries) != 5 || total != 20 {
+		t.Errorf("SinceEntries(0) = %d diffs %d bytes, want 5 diffs 20 bytes", len(entries), total)
 	}
 	// Applying in order yields the latest value.
 	dst := make([]byte, 4)
-	all, _ := c.Since(0)
-	for _, d := range all {
-		if err := Apply(dst, d); err != nil {
+	for _, e := range entries {
+		if err := Apply(dst, e.Diff); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if dst[0] != 5 {
 		t.Errorf("final value = %d, want 5", dst[0])
 	}
-}
-
-func TestChainTruncate(t *testing.T) {
-	var c Chain
-	for ver := uint32(1); ver <= 4; ver++ {
-		c.Append(ver, Diff{Runs: []Run{{Off: 0, Data: make([]byte, 4)}}})
-	}
-	if c.StoredBytes() != 16 {
-		t.Errorf("StoredBytes = %d", c.StoredBytes())
-	}
-	c.Truncate(2)
-	if c.Len() != 2 {
-		t.Errorf("Len after truncate = %d, want 2", c.Len())
-	}
-	if _, total := c.Since(0); total != 8 {
-		t.Errorf("bytes after truncate = %d, want 8", total)
+	// A requester at ver 3 still gets redundant traffic for vers 4,5.
+	entries, total = c.SinceEntries(3)
+	if len(entries) != 2 || total != 8 {
+		t.Errorf("SinceEntries(3) = %d diffs %d bytes", len(entries), total)
 	}
 }
 
 func TestChainIgnoresEmptyDiffs(t *testing.T) {
 	var c Chain
 	c.Append(1, Diff{})
-	if c.Len() != 0 {
+	if entries, _ := c.SinceEntries(0); len(entries) != 0 {
 		t.Error("empty diff stored")
 	}
 }
@@ -313,7 +295,7 @@ func TestOnDemandBeatsChain(t *testing.T) {
 	}
 
 	// A requester that saw nothing: chain sends 10x the object.
-	_, chainBytes := chain.Since(0)
+	_, chainBytes := chain.SinceEntries(0)
 	onDemand := FilterByStamp(cur, stamps, func(s object.WordStamp) bool { return s.Ver > 0 })
 	if onDemand.Bytes() != size {
 		t.Errorf("on-demand bytes = %d, want %d", onDemand.Bytes(), size)

@@ -7,6 +7,7 @@ package diffing
 // word. Slow and obviously right.
 
 import (
+	"bytes"
 	"fmt"
 
 	"repro/internal/object"
@@ -168,4 +169,49 @@ func oracleApplyStamped(dst []byte, stamps []object.WordStamp, d StampedDiff, ep
 		}
 	}
 	return applied, nil
+}
+
+// The byte-change detection the lease path used before applies reported
+// it themselves: snapshot the bytes every run covers, apply, compare.
+// Out-of-range runs snapshot nothing (the apply rejects them).
+
+func stampedRunShadow(data []byte, d StampedDiff) [][]byte {
+	out := make([][]byte, len(d.Runs))
+	for i, r := range d.Runs {
+		lo, hi := int(r.Off), int(r.Off)+len(r.Data)
+		if lo >= len(data) || hi > len(data) {
+			continue
+		}
+		out[i] = append([]byte(nil), data[lo:hi]...)
+	}
+	return out
+}
+
+func stampedRunsChanged(data []byte, d StampedDiff, shadow [][]byte) bool {
+	for i, r := range d.Runs {
+		if shadow[i] == nil {
+			continue
+		}
+		if !bytes.Equal(data[int(r.Off):int(r.Off)+len(shadow[i])], shadow[i]) {
+			return true
+		}
+	}
+	return false
+}
+
+func diffRunShadow(data []byte, d Diff) [][]byte {
+	return stampedRunShadow(data, plainAsStamped(d))
+}
+
+func diffRunsChanged(data []byte, d Diff, shadow [][]byte) bool {
+	return stampedRunsChanged(data, plainAsStamped(d), shadow)
+}
+
+// plainAsStamped is d's runs at version 0.
+func plainAsStamped(d Diff) StampedDiff {
+	s := StampedDiff{Runs: make([]StampedRun, len(d.Runs))}
+	for i, r := range d.Runs {
+		s.Runs[i] = StampedRun{Off: r.Off, Data: r.Data}
+	}
+	return s
 }

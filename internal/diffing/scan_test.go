@@ -54,7 +54,7 @@ func checkAgainstOracle(t *testing.T, c scanCase) {
 	}
 	words := (len(c.cur) + object.WordSize - 1) / object.WordSize
 	gotSt, wantSt := make([]object.WordStamp, words), make([]object.WordStamp, words)
-	st := object.WordStamp{Ver: 9, Lock: 3, Node: 1, Epoch: c.epoch}
+	st := object.WordStamp{Ver: 9, Lock: 3, Epoch: c.epoch}
 	gotN, wantN := StampChanged(gotSt, c.cur, c.twin, st), oracleStampChanged(wantSt, c.cur, c.twin, st)
 	if gotN != wantN || !reflect.DeepEqual(gotSt, wantSt) {
 		t.Fatalf("StampChanged stamped %d words, oracle %d (tables equal: %v)", gotN, wantN, reflect.DeepEqual(gotSt, wantSt))

@@ -229,7 +229,7 @@ func TestBarrierDiffOntoStamplessHome(t *testing.T) {
 	if _, err := oracleApplyStamped(want, nil, d, epoch); err != nil {
 		t.Fatal(err)
 	}
-	if n, err := ApplyStampedEncoded(dst, c, wire.NewReader(enc), epoch); err != nil || n != d.Bytes() {
+	if n, _, err := ApplyStampedEncoded(dst, c, wire.NewReader(enc), epoch, false); err != nil || n != d.Bytes() {
 		t.Fatalf("apply: %d bytes, err %v; want %d", n, err, d.Bytes())
 	}
 	if !bytes.Equal(dst, want) {
@@ -241,7 +241,7 @@ func TestBarrierDiffOntoStamplessHome(t *testing.T) {
 	var r wire.Reader
 	if got := testing.AllocsPerRun(50, func() {
 		r = *wire.NewReader(enc)
-		if _, err := ApplyStampedEncoded(dst, c, &r, epoch); err != nil {
+		if _, _, err := ApplyStampedEncoded(dst, c, &r, epoch, true); err != nil {
 			panic(err)
 		}
 	}); got != 0 {
@@ -269,7 +269,7 @@ func TestBarrierDiffOntoStamplessHome(t *testing.T) {
 	if _, err := oracleApplyStamped(want, wantStamps, d, epoch); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ApplyStampedEncoded(dst, c, wire.NewReader(enc), epoch); err != nil {
+	if _, _, err := ApplyStampedEncoded(dst, c, wire.NewReader(enc), epoch, false); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(dst, want) || !reflect.DeepEqual(c.Stamps, wantStamps) {
@@ -290,7 +290,7 @@ func TestBarrierDiffOntoStamplessHome(t *testing.T) {
 	if _, err := oracleApplyStamped(want, wantStamps, vd, epoch); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ApplyStampedEncoded(dst, c, wire.NewReader(vw.Bytes()), epoch); err != nil {
+	if _, _, err := ApplyStampedEncoded(dst, c, wire.NewReader(vw.Bytes()), epoch, false); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(dst, want) || !reflect.DeepEqual(c.Stamps, wantStamps) {
@@ -305,25 +305,138 @@ func TestApplyStampedEncodedRejects(t *testing.T) {
 	enc := encStamped
 	past := enc(StampedDiff{Runs: []StampedRun{{Off: 60, Data: make([]byte, 8)}}})
 	c := &object.Control{Size: 64}
-	_, err := ApplyStampedEncoded(make([]byte, 64), c, wire.NewReader(past), 1)
+	_, _, err := ApplyStampedEncoded(make([]byte, 64), c, wire.NewReader(past), 1, false)
 	_, wantErr := oracleApplyStamped(make([]byte, 64), nil, StampedDiff{Runs: []StampedRun{{Off: 60, Data: make([]byte, 8)}}}, 1)
 	if err == nil || err.Error() != wantErr.Error() {
 		t.Errorf("run past the end: %v, want %v", err, wantErr)
 	}
 	good := enc(StampedDiff{Runs: []StampedRun{{Off: 0, Data: []byte{1, 2, 3, 4}}, {Off: 8, Data: []byte{5, 6, 7, 8}}}})
 	for cut := 0; cut < len(good); cut++ {
-		if _, err := ApplyStampedEncoded(make([]byte, 64), c, wire.NewReader(good[:cut]), 1); !errors.Is(err, wire.ErrPayload) {
+		if _, _, err := ApplyStampedEncoded(make([]byte, 64), c, wire.NewReader(good[:cut]), 1, false); !errors.Is(err, wire.ErrPayload) {
 			t.Errorf("payload cut at %d of %d: %v, want a payload error", cut, len(good), err)
 		}
 	}
 	huge := append([]byte(nil), good...)
 	huge[0], huge[1], huge[2], huge[3] = 0xFF, 0xFF, 0xFF, 0xFF // run count
-	if _, err := ApplyStampedEncoded(make([]byte, 64), c, wire.NewReader(huge), 1); !errors.Is(err, wire.ErrPayload) {
+	if _, _, err := ApplyStampedEncoded(make([]byte, 64), c, wire.NewReader(huge), 1, false); !errors.Is(err, wire.ErrPayload) {
 		t.Errorf("run count 2^32-1: %v, want a payload error", err)
 	}
 	huge = append(huge[:0], good...)
 	huge[14], huge[15], huge[16], huge[17] = 0xFF, 0xFF, 0xFF, 0xFF // first run's data length
-	if _, err := ApplyStampedEncoded(make([]byte, 64), c, wire.NewReader(huge), 1); !errors.Is(err, wire.ErrPayload) {
+	if _, _, err := ApplyStampedEncoded(make([]byte, 64), c, wire.NewReader(huge), 1, false); !errors.Is(err, wire.ErrPayload) {
 		t.Errorf("data length 2^32-1: %v, want a payload error", err)
+	}
+}
+
+// TestMovedMatchesShadowOracle holds what the two version-tracking
+// applies report — ApplyStampedEncoded for a barrier diff, ApplyMoved for
+// a grant diff at the home — to the shadow oracle: snapshot what every
+// run covers, apply, compare. The runs are random in place and length,
+// and their bytes are the object's own (nothing moves), the object's with
+// one byte changed, or random; the home's stamps are blank, of this
+// epoch (so some words lose the merge) or of another. With tracking off
+// nothing is reported, and the bytes applied are the oracle's either way.
+func TestMovedMatchesShadowOracle(t *testing.T) {
+	const epoch = 5
+	rng := rand.New(rand.NewSource(7))
+	var reported, unmoved int
+	for iter := 0; iter < 3000; iter++ {
+		size := 1 + rng.Intn(200)
+		base := make([]byte, size)
+		rng.Read(base)
+		var stamps []object.WordStamp
+		if rng.Intn(4) > 0 {
+			stamps = make([]object.WordStamp, (size+object.WordSize-1)/object.WordSize)
+			for w := range stamps {
+				switch rng.Intn(3) {
+				case 1:
+					stamps[w] = object.WordStamp{Ver: uint32(1 + rng.Intn(4)), Lock: 1, Epoch: epoch}
+				case 2:
+					stamps[w] = object.WordStamp{Ver: uint32(1 + rng.Intn(9)), Lock: 1, Epoch: epoch - 1}
+				}
+			}
+		}
+		// A third of the diffs re-assert the object's bytes in every run.
+		reassert := rng.Intn(3) == 0
+		var d StampedDiff
+		for off := 0; off < size; {
+			off += object.WordSize * rng.Intn(4)
+			if off >= size {
+				break
+			}
+			end := min(off+object.WordSize*(1+rng.Intn(4)), size)
+			data := append([]byte(nil), base[off:end]...)
+			switch k := rng.Intn(3); {
+			case reassert:
+			case k == 1:
+				data[rng.Intn(len(data))]++
+			case k == 2:
+				rng.Read(data)
+			}
+			ver := uint32(0)
+			if rng.Intn(2) == 0 {
+				ver = uint32(1 + rng.Intn(5))
+			}
+			d.Runs = append(d.Runs, StampedRun{Off: uint32(off), Data: data, Ver: ver, Lock: 1})
+			off = end
+		}
+		cloneStamps := func() []object.WordStamp { return append([]object.WordStamp(nil), stamps...) }
+
+		want := append([]byte(nil), base...)
+		shadow := stampedRunShadow(want, d)
+		wantStamps := cloneStamps()
+		if wantStamps == nil {
+			wantStamps = make([]object.WordStamp, (size+object.WordSize-1)/object.WordSize)
+		}
+		if _, err := oracleApplyStamped(want, wantStamps, d, epoch); err != nil {
+			t.Fatal(err)
+		}
+		wantMoved := stampedRunsChanged(want, d, shadow)
+		for _, track := range []bool{true, false} {
+			dst := append([]byte(nil), base...)
+			c := &object.Control{Size: size, Stamps: cloneStamps()}
+			_, moved, err := ApplyStampedEncoded(dst, c, wire.NewReader(encStamped(d)), epoch, track)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if moved != (track && wantMoved) {
+				t.Fatalf("iter %d: barrier apply (track %v) reported moved=%v, oracle %v; runs %+v", iter, track, moved, wantMoved, d.Runs)
+			}
+			if !bytes.Equal(dst, want) {
+				t.Fatalf("iter %d: barrier apply (track %v) wrote other bytes than the oracle", iter, track)
+			}
+		}
+		if wantMoved {
+			reported++
+		} else {
+			unmoved++
+		}
+
+		pd := Diff{Runs: make([]Run, len(d.Runs))}
+		for i, r := range d.Runs {
+			pd.Runs[i] = Run{Off: r.Off, Data: r.Data}
+		}
+		want = append(want[:0], base...)
+		shadow = diffRunShadow(want, pd)
+		if err := Apply(want, pd); err != nil {
+			t.Fatal(err)
+		}
+		wantMoved = diffRunsChanged(want, pd, shadow)
+		for _, track := range []bool{true, false} {
+			dst := append([]byte(nil), base...)
+			moved, err := ApplyMoved(dst, pd, track)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if moved != (track && wantMoved) {
+				t.Fatalf("iter %d: grant apply (track %v) reported moved=%v, oracle %v", iter, track, moved, wantMoved)
+			}
+			if !bytes.Equal(dst, want) {
+				t.Fatalf("iter %d: grant apply (track %v) wrote other bytes than the oracle", iter, track)
+			}
+		}
+	}
+	if reported < 1000 || unmoved < 1000 {
+		t.Errorf("fixture is lopsided: %d barrier diffs moved bytes, %d did not", reported, unmoved)
 	}
 }

@@ -62,24 +62,18 @@ func (s CopyState) String() string {
 }
 
 // WordStamp records, for one 4-byte word, the synchronization event that
-// last wrote it: the version counter of the guarding lock (or the
-// barrier epoch), the lock's ID (LockNone for barrier-epoch writes), and
-// the writing node. Storing the last-updated time for each field of the
-// object is what lets LOTS compute diffs on demand and eliminate the
-// diff accumulation problem (§3.5, Figure 7b).
+// last wrote it: the version counter of the guarding lock and the lock's
+// ID (both 0 for a write under no lock). Storing the last-updated time
+// for each field of the object is what lets LOTS compute diffs on demand
+// and eliminate the diff accumulation problem (§3.5, Figure 7b).
 type WordStamp struct {
 	Ver  uint32
 	Lock uint16
-	Node uint16
 	// Epoch is the barrier interval in which the write happened. Lock
 	// versions are only comparable within one epoch: barriers reconcile
 	// everything, so stamps from earlier epochs are treated as blank.
 	Epoch uint32
 }
-
-// LockNone marks a stamp produced by barrier-epoch synchronization
-// rather than a lock scope.
-const LockNone uint16 = 0xFFFF
 
 // Control is the per-node control information for one shared object —
 // the only part of an object that is always resident (§3.1). Everything
@@ -151,15 +145,6 @@ type Control struct {
 	// last barrier (used to build barrier write notices).
 	WrittenInEpoch bool
 
-	// ScopeLocks lists the lock IDs under which this node wrote the
-	// object in the current epoch (used to attach objects to scopes).
-	ScopeLocks map[uint16]bool
-
-	// PendingDiffs queues lock-scope updates that arrived while the
-	// local copy was invalid; they are applied, in receipt order, on
-	// top of the next copy fetched from the home.
-	PendingDiffs []PendingDiff
-
 	// ReconcileNS is the simulated time (ns) of the last barrier diff
 	// applied to this copy at its home; fetch services cannot serve
 	// data from before it.
@@ -168,10 +153,11 @@ type Control struct {
 	// Ver is the data version this node's copy corresponds to. The
 	// home bumps it whenever a synchronization event actually mutates
 	// the object's bytes (a non-trivial barrier diff, a home-based
-	// lock flush, or the home's own epoch writes); cachers record the
-	// version carried by their last fetch. A leased copy whose version
-	// still matches the home's at barrier time is byte-identical to
-	// the home's and may stay valid without a re-fetch.
+	// lock flush, a lock grant diff, or the home's own epoch writes);
+	// cachers record the version carried by their last fetch. A leased
+	// copy whose version still matches the home's at barrier time is
+	// byte-identical to the home's and may stay valid without a
+	// re-fetch.
 	Ver uint32
 
 	// Lease marks that this node holds a read lease on its copy,
@@ -180,14 +166,6 @@ type Control struct {
 	// a local write (element Set or RW view), an applied lock-scope
 	// diff, or an invalidation all clear it.
 	Lease bool
-}
-
-// PendingDiff is a deferred lock-scope update (encoded diff bytes plus
-// the stamp to apply once a base copy exists).
-type PendingDiff struct {
-	Lock uint16
-	Ver  uint32
-	Data []byte
 }
 
 // Words returns the number of stamp words covering the object.
@@ -199,14 +177,6 @@ func (c *Control) EnsureStamps() []WordStamp {
 		c.Stamps = make([]WordStamp, c.Words())
 	}
 	return c.Stamps
-}
-
-// MarkScopeLock records that the object was written under lock l.
-func (c *Control) MarkScopeLock(l uint16) {
-	if c.ScopeLocks == nil {
-		c.ScopeLocks = make(map[uint16]bool)
-	}
-	c.ScopeLocks[l] = true
 }
 
 // Table maps object IDs to control blocks for one node. Lookup is the

@@ -3,6 +3,7 @@ package object
 import (
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 func TestDeclareDeterministicSequence(t *testing.T) {
@@ -72,7 +73,7 @@ func TestEnsureStampsLazyAndStable(t *testing.T) {
 	if len(s1) != 25 {
 		t.Fatalf("len(stamps) = %d, want 25", len(s1))
 	}
-	s1[3] = WordStamp{Ver: 9, Lock: 2, Node: 1}
+	s1[3] = WordStamp{Ver: 9, Lock: 2, Epoch: 1}
 	s2 := c.EnsureStamps()
 	if &s1[0] != &s2[0] {
 		t.Error("EnsureStamps reallocated")
@@ -82,13 +83,15 @@ func TestEnsureStampsLazyAndStable(t *testing.T) {
 	}
 }
 
-func TestMarkScopeLock(t *testing.T) {
-	c := &Control{}
-	c.MarkScopeLock(3)
-	c.MarkScopeLock(3)
-	c.MarkScopeLock(5)
-	if len(c.ScopeLocks) != 2 || !c.ScopeLocks[3] || !c.ScopeLocks[5] {
-		t.Errorf("ScopeLocks = %v", c.ScopeLocks)
+// TestControlBytes pins the size of the one per-object structure that is
+// always resident (§3.1): every declared object costs this much on every
+// rank, mapped or not. CI's size ledger prints the logged number.
+func TestControlBytes(t *testing.T) {
+	const limit = 192
+	size := unsafe.Sizeof(Control{})
+	t.Logf("per-object control bytes: %d", size)
+	if size > limit {
+		t.Errorf("object.Control is %d bytes, over the %d-byte budget", size, limit)
 	}
 }
 

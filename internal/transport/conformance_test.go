@@ -76,7 +76,6 @@ func udpCell(chaos bool) transportCell {
 			if chaos {
 				cc := testChaos()
 				o.Chaos = &cc
-				o.RTO = 15 * time.Millisecond
 			}
 			ep, err := NewUDPEndpointOptions(i, addrs, o)
 			if err != nil {
@@ -311,7 +310,7 @@ func TestConformanceBadDestAndClose(t *testing.T) {
 			t.Parallel()
 			eps, cleanup := cell.make(t, 2)
 			defer cleanup()
-			if err := eps[0].Send(wire.Message{Type: wire.TAck, To: 9}); err != ErrBadDest {
+			if err := eps[0].Send(wire.Message{Type: wire.TLockFree, To: 9}); err != ErrBadDest {
 				t.Errorf("bad dest: err = %v, want ErrBadDest", err)
 			}
 			if eps[0].ID() != 0 || eps[0].N() != 2 || eps[1].ID() != 1 {
@@ -349,7 +348,7 @@ func TestConformanceChaosActuallyFires(t *testing.T) {
 			for i := range eps {
 				cc := testChaos()
 				cc.Stats = st
-				ep, err := NewUDPEndpointOptions(i, addrs, UDPOptions{Chaos: &cc, RTO: 15 * time.Millisecond})
+				ep, err := NewUDPEndpointOptions(i, addrs, UDPOptions{Chaos: &cc})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -600,7 +599,7 @@ func TestTCPHostileHelloDoesNotPanic(t *testing.T) {
 	}
 
 	// Real traffic still flows after the hostile hellos.
-	go e1.Send(wire.Message{Type: wire.TAck, To: 0, Payload: []byte("alive")}) //nolint:errcheck
+	go e1.Send(wire.Message{Type: wire.TLockFree, To: 0, Payload: []byte("alive")}) //nolint:errcheck
 	m, ok := recvDeadline(t, e0, 30*time.Second)
 	if !ok || string(m.Payload) != "alive" {
 		t.Fatalf("endpoint dead after hostile hello: ok=%v %+v", ok, m)
@@ -626,7 +625,7 @@ func TestUDPHeavyChaosTorture(t *testing.T) {
 	eps := make([]Endpoint, 2)
 	for i := range eps {
 		ccc := cc
-		ep, err := NewUDPEndpointOptions(i, addrs, UDPOptions{Chaos: &ccc, RTO: 10 * time.Millisecond})
+		ep, err := NewUDPEndpointOptions(i, addrs, UDPOptions{Chaos: &ccc, rto: 10 * time.Millisecond})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -704,7 +703,7 @@ func TestChaosDeterministicSchedule(t *testing.T) {
 		const msgs = 300
 		go func() {
 			for i := 0; i < msgs; i++ {
-				eps[0].Send(wire.Message{Type: wire.TAck, To: 1, Payload: []byte{byte(i)}}) //nolint:errcheck
+				eps[0].Send(wire.Message{Type: wire.TLockFree, To: 1, Payload: []byte{byte(i)}}) //nolint:errcheck
 			}
 		}()
 		for i := 0; i < msgs; i++ {
@@ -738,7 +737,7 @@ func TestChaosDrainDeliversEverythingQueued(t *testing.T) {
 	buf := make([]byte, 8)
 	for i := 0; i < msgs; i++ {
 		binary.LittleEndian.PutUint64(buf, uint64(i))
-		if err := eps[0].Send(wire.Message{Type: wire.TAck, To: 1, Payload: buf}); err != nil {
+		if err := eps[0].Send(wire.Message{Type: wire.TLockFree, To: 1, Payload: buf}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -44,7 +44,7 @@ func TestUDPDeferredBringUp(t *testing.T) {
 		}
 	}
 	for i, ep := range eps {
-		if err := ep.Send(wire.Message{Type: wire.TAck, To: uint16(1 - i), Payload: []byte{byte(i)}}); err != nil {
+		if err := ep.Send(wire.Message{Type: wire.TLockFree, To: uint16(1 - i), Payload: []byte{byte(i)}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -63,7 +63,7 @@ func TestUDPSendBeforePeersHeals(t *testing.T) {
 	const n = 2
 	// Short RTO so the post-SetPeers retransmission lands within the
 	// test budget.
-	o := UDPOptions{RTO: 10 * time.Millisecond}
+	o := UDPOptions{rto: 10 * time.Millisecond}
 	a, err := NewUDPEndpointDeferred(0, n, "127.0.0.1:0", o)
 	if err != nil {
 		t.Fatal(err)
@@ -80,7 +80,7 @@ func TestUDPSendBeforePeersHeals(t *testing.T) {
 	}
 	// a sends while b's peers are still unwired: b buffers the data but
 	// its ack is dropped, so a keeps retransmitting.
-	if err := a.Send(wire.Message{Type: wire.TAck, To: 1, Payload: []byte("early")}); err != nil {
+	if err := a.Send(wire.Message{Type: wire.TLockFree, To: 1, Payload: []byte("early")}); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(30 * time.Millisecond)
@@ -116,7 +116,7 @@ func TestTCPDeferredBringUp(t *testing.T) {
 	}
 	// Enqueue before the peer list exists: the dial loop must wait for
 	// SetPeers, not burn its attempts against nothing.
-	if err := eps[0].Send(wire.Message{Type: wire.TAck, To: 1, Payload: []byte("queued")}); err != nil {
+	if err := eps[0].Send(wire.Message{Type: wire.TLockFree, To: 1, Payload: []byte("queued")}); err != nil {
 		t.Fatal(err)
 	}
 	for _, ep := range eps {

@@ -87,7 +87,7 @@ func TestUDPOOOBufferBounded(t *testing.T) {
 	}
 	// The channel still works: deliver the missing prefix and the rest
 	// of a real message stream.
-	m := wire.Message{Type: wire.TAck, From: 1, To: 0, Payload: []byte("ok")}
+	m := wire.Message{Type: wire.TLockFree, From: 1, To: 0, Payload: []byte("ok")}
 	rs.mu.Lock()
 	rs.ooo = make(map[uint32][]byte)
 	rs.expected = 0
@@ -170,7 +170,7 @@ func TestReceiveByteAccountingConsistent(t *testing.T) {
 			t.Fatalf("BytesSent=%d BytesRecv=%d, want both %d (encoded length)", sent, recv, wantBytes)
 		}
 		// The loopback path must use the same definition.
-		lb := wire.Message{Type: wire.TAck, To: 0, Payload: []byte("self")}
+		lb := wire.Message{Type: wire.TLockFree, To: 0, Payload: []byte("self")}
 		before := counters[0].BytesRecv.Load()
 		if err := eps[0].Send(lb); err != nil {
 			t.Fatal(err)
@@ -236,7 +236,7 @@ func TestUDPSACKAndFastRetransmit(t *testing.T) {
 	e0, err := NewUDPEndpointOptions(0, addrs, UDPOptions{
 		Counters: counters,
 		// Park the retransmission clock so only handleAck acts.
-		RTO: time.Hour, MinRTO: time.Hour, MaxRTO: time.Hour,
+		rto: time.Hour, minRTO: time.Hour, maxRTO: time.Hour,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -339,7 +339,7 @@ func TestUDPRetransmissionShareUnderLoss(t *testing.T) {
 		smallMsgs = 200
 	)
 	cc := Chaos{Seed: 1, Drop: 0.10, Reorder: 0.10, DelayMax: 200 * time.Microsecond}
-	e0, e1, counters := newUDPPair(t, UDPOptions{Chaos: &cc, RTO: 15 * time.Millisecond})
+	e0, e1, counters := newUDPPair(t, UDPOptions{Chaos: &cc})
 	payload := make([]byte, bigSize)
 	for i := range payload {
 		payload[i] = byte(i * 31)
@@ -390,7 +390,7 @@ func TestUDPRetransmissionShareUnderLoss(t *testing.T) {
 // default window size.
 func TestUDPConfigurableWindow(t *testing.T) {
 	for _, win := range []int{1, 2, 5} {
-		e0, e1, _ := newUDPPair(t, UDPOptions{Window: win})
+		e0, e1, _ := newUDPPair(t, UDPOptions{window: win})
 		if e0.window != uint32(win) {
 			t.Fatalf("window = %d, want %d", e0.window, win)
 		}
@@ -422,7 +422,7 @@ func TestUDPExtremeReorderSoakBoundedOOO(t *testing.T) {
 		Reorder:  0.50,
 		DelayMax: 500 * time.Microsecond,
 	}
-	e0, e1, counters := newUDPPair(t, UDPOptions{Chaos: &cc, RTO: 10 * time.Millisecond})
+	e0, e1, counters := newUDPPair(t, UDPOptions{Chaos: &cc, rto: 10 * time.Millisecond})
 	const msgs = 200
 	payload := make([]byte, 1<<20) // ~16 fragments, crosses the window
 	for i := range payload {
@@ -522,7 +522,7 @@ func TestUDPByteWindowStopsSelfInflictedLoss(t *testing.T) {
 		counters := make([]*stats.Counters, n)
 		for i := range eps {
 			counters[i] = &stats.Counters{}
-			eps[i], err = NewUDPEndpointOptions(i, addrs, UDPOptions{Counters: counters[i], MinRTO: 100 * time.Millisecond})
+			eps[i], err = NewUDPEndpointOptions(i, addrs, UDPOptions{Counters: counters[i], minRTO: 100 * time.Millisecond})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -594,7 +594,7 @@ func TestUDPByteWindowAdvertisedShare(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e0, err := NewUDPEndpointOptions(0, addrs, UDPOptions{Window: 4})
+	e0, err := NewUDPEndpointOptions(0, addrs, UDPOptions{window: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -86,7 +86,7 @@ func TestTLSRejectsPlaintextPeer(t *testing.T) {
 	}
 	conn.Close()
 	// The endpoint must still serve real peers.
-	if err := eps[0].Send(wire.Message{Type: wire.TAck, To: 1, Payload: []byte("still up")}); err != nil {
+	if err := eps[0].Send(wire.Message{Type: wire.TLockFree, To: 1, Payload: []byte("still up")}); err != nil {
 		t.Fatal(err)
 	}
 	if m, ok := recvDeadline(t, eps[1], 5*time.Second); !ok || string(m.Payload) != "still up" {

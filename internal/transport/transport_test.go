@@ -60,7 +60,7 @@ func TestMemLargeMessageFragmentCount(t *testing.T) {
 func TestMemBadDestination(t *testing.T) {
 	c, _, _ := newTestMemCluster(2)
 	defer c.Close()
-	if err := c.Endpoint(0).Send(wire.Message{Type: wire.TAck, To: 9}); err != ErrBadDest {
+	if err := c.Endpoint(0).Send(wire.Message{Type: wire.TLockFree, To: 9}); err != ErrBadDest {
 		t.Errorf("err = %v, want ErrBadDest", err)
 	}
 }
@@ -68,7 +68,7 @@ func TestMemBadDestination(t *testing.T) {
 func TestMemClosedCluster(t *testing.T) {
 	c, _, _ := newTestMemCluster(2)
 	c.Close()
-	if err := c.Endpoint(0).Send(wire.Message{Type: wire.TAck, To: 1}); err != ErrClosed {
+	if err := c.Endpoint(0).Send(wire.Message{Type: wire.TLockFree, To: 1}); err != ErrClosed {
 		t.Errorf("Send after close = %v, want ErrClosed", err)
 	}
 	if _, ok := c.Endpoint(1).Recv(); ok {
@@ -116,7 +116,7 @@ func TestMemSimTimeStamped(t *testing.T) {
 	c, _, clocks := newTestMemCluster(2)
 	defer c.Close()
 	clocks[0].Advance(5 * time.Millisecond)
-	go c.Endpoint(0).Send(wire.Message{Type: wire.TAck, To: 1})
+	go c.Endpoint(0).Send(wire.Message{Type: wire.TLockFree, To: 1})
 	m, _ := c.Endpoint(1).Recv()
 	if m.SimTime != int64(5*time.Millisecond) {
 		t.Errorf("SimTime = %d, want 5ms", m.SimTime)
@@ -239,7 +239,7 @@ func TestUDPLoopbackSelfSend(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	go e.Send(wire.Message{Type: wire.TAck, To: 0, Payload: []byte("self")})
+	go e.Send(wire.Message{Type: wire.TLockFree, To: 0, Payload: []byte("self")})
 	m, ok := recvTimeout(t, e, 2*time.Second)
 	if !ok || string(m.Payload) != "self" {
 		t.Fatalf("self-send failed: ok=%v %+v", ok, m)
@@ -289,7 +289,7 @@ func TestMailboxUnbounded(t *testing.T) {
 	go func() {
 		defer close(done)
 		for i := 0; i < 10000; i++ {
-			if err := c.Endpoint(0).Send(wire.Message{Type: wire.TAck, To: 1}); err != nil {
+			if err := c.Endpoint(0).Send(wire.Message{Type: wire.TLockFree, To: 1}); err != nil {
 				t.Error(err)
 				return
 			}

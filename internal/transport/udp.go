@@ -19,8 +19,8 @@ import (
 // slightly more efficient than that of the TCP protocol" (§3.6).
 //
 // A channel admits a fragment under two limits. The fragment window
-// (UDPOptions.Window) bounds the receiver's out-of-order buffer and the
-// span the SACK bitmap must cover. The byte window bounds what sits in
+// (defaultWindow fragments) bounds the receiver's out-of-order buffer
+// and the span the SACK bitmap must cover. The byte window bounds what sits in
 // the peer's socket buffer: at bind every endpoint sizes its receive
 // buffer for rcvbufDatagrams datagrams per sender, reads back what the
 // kernel granted and advertises each sender's share in every ack, and a
@@ -68,8 +68,10 @@ const (
 	defaultWindow = 32
 
 	// defaultRTO is the initial retransmission timeout, before any RTT
-	// sample has been taken.
+	// sample has been taken. Under injected faults it is chaosRTO, so
+	// injected losses heal within test budgets.
 	defaultRTO = 50 * time.Millisecond
+	chaosRTO   = 15 * time.Millisecond
 
 	// defaultMinRTO / defaultMaxRTO clamp the adaptive RTO: the floor
 	// keeps sub-millisecond loopback RTTs from retransmitting into
@@ -95,22 +97,21 @@ type UDPOptions struct {
 	Counters *stats.Counters
 	// Chaos, when non-nil, mangles outgoing datagrams (drop,
 	// duplication, reordering, delay, transient partitions) before they
-	// reach the socket; the sliding-window machinery must recover.
+	// reach the socket; the sliding-window machinery must recover. It
+	// also shortens the initial retransmission timeout to chaosRTO.
 	Chaos *Chaos
-	// RTO overrides the initial retransmission timeout (0 = default
-	// 50ms); measured RTTs take over after the first sample. Chaos
-	// tests shorten it so injected losses heal quickly.
-	RTO time.Duration
-	// MinRTO / MaxRTO clamp the adaptive timeout (0 = defaults 2ms /
-	// 500ms).
-	MinRTO, MaxRTO time.Duration
-	// Window is the per-channel in-flight fragment budget (0 = default
-	// 32). The same value bounds the receiver's out-of-order buffer.
-	Window int
 	// OnRetransmit, when non-nil, is invoked with the fragment count
 	// each time the endpoint resends (fast retransmit or timeout). It
 	// runs on the receive/timer goroutines and must not block.
 	OnRetransmit func(frags int)
+
+	// Overrides, for this package's tests only; 0 means the default.
+	// rto is the initial retransmission timeout, until measured RTTs
+	// take over; minRTO / maxRTO clamp the adaptive one; window is the
+	// per-channel in-flight fragment budget, which also bounds the
+	// receiver's out-of-order buffer.
+	rto, minRTO, maxRTO time.Duration
+	window              int
 }
 
 // UDPEndpoint is a node's attachment over real UDP sockets.
@@ -293,22 +294,25 @@ func NewUDPEndpointDeferred(me, n int, bind string, o UDPOptions) (*UDPEndpoint,
 	if err != nil {
 		return nil, fmt.Errorf("transport: listen %q: %w", bind, err)
 	}
-	rto := o.RTO
+	rto := o.rto
 	if rto <= 0 {
 		rto = defaultRTO
+		if o.Chaos != nil {
+			rto = chaosRTO
+		}
 	}
-	minRTO := o.MinRTO
+	minRTO := o.minRTO
 	if minRTO <= 0 {
 		minRTO = defaultMinRTO
 	}
-	maxRTO := o.MaxRTO
+	maxRTO := o.maxRTO
 	if maxRTO <= 0 {
 		maxRTO = defaultMaxRTO
 	}
 	if maxRTO < minRTO {
 		maxRTO = minRTO
 	}
-	window := o.Window
+	window := o.window
 	if window <= 0 {
 		window = defaultWindow
 	}

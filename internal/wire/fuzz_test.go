@@ -186,7 +186,7 @@ func FuzzDecodeInPlace(f *testing.F) {
 // rejected (the transports trust this framing under tracing).
 func FuzzTraceExtRoundTrip(f *testing.F) {
 	f.Add(uint8(TObjFetchReq), []byte("payload"), uint16(3), uint32(47), uint64(12345), uint8(0))
-	f.Add(uint8(TAck), []byte{}, uint16(0), uint32(0), uint64(1), uint8(3))
+	f.Add(uint8(TLockFree), []byte{}, uint16(0), uint32(0), uint64(1), uint8(3))
 	f.Add(uint8(TBarrierDiff), bytes.Repeat([]byte{7}, 300), uint16(0), uint32(0), uint64(0), uint8(14))
 	f.Fuzz(func(t *testing.T, typ uint8, payload []byte, rank uint16, epoch uint32, seq uint64, cut uint8) {
 		mt := Type(typ)
@@ -278,7 +278,7 @@ func normLeaseQItems(items []LeaseQItem) []LeaseQItem {
 // poison it against subsequent valid traffic.
 func FuzzReassemblerNeverPanics(f *testing.F) {
 	f.Add([]byte{}, []byte{1, 2, 3})
-	valid := fragments(encode(Message{Type: TAck}), 7)[0]
+	valid := fragments(encode(Message{Type: TLockFree}), 7)[0]
 	f.Add(valid, valid)
 	bad := append([]byte(nil), valid...)
 	bad[10] = 0xFF // fragment count corruption

@@ -49,7 +49,7 @@ func TestTraceCtxRoundTrip(t *testing.T) {
 }
 
 func TestTraceCtxEmptyPayload(t *testing.T) {
-	m := Message{Type: TAck, Trace: TraceCtx{Rank: 0, Epoch: 0, Seq: 1}}
+	m := Message{Type: TLockFree, Trace: TraceCtx{Rank: 0, Epoch: 0, Seq: 1}}
 	got, err := Decode(encode(m))
 	if err != nil {
 		t.Fatalf("Decode: %v", err)

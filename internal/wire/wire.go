@@ -64,8 +64,8 @@ const (
 	TJDiff      // releasing node -> page home
 	TJDiffAck
 
-	// Transport-level.
-	TAck // sliding-window acknowledgement (UDP transport)
+	// Retired; the blank keeps the values of the types after it.
+	_
 
 	// Lease coherence (revalidate instead of invalidate at barriers).
 	TLeaseQ     // cacher -> home: batched revalidation of leased copies
@@ -107,7 +107,6 @@ var typeNames = [...]string{
 	TJPageReply:      "j-page-reply",
 	TJDiff:           "j-diff",
 	TJDiffAck:        "j-diff-ack",
-	TAck:             "ack",
 	TLeaseQ:          "lease-q",
 	TLeaseReply:      "lease-reply",
 	TBatch:           "batch",
@@ -129,7 +128,7 @@ func (t Type) String() string {
 }
 
 // Valid reports whether t is a known protocol message type.
-func (t Type) Valid() bool { return t > TInvalid && t < tMax }
+func (t Type) Valid() bool { return t > TInvalid && t < tMax && typeNames[t] != "" }
 
 // TraceCtx is the compact causal trace context a message can carry:
 // the sender's rank, the epoch the traced operation belongs to, and

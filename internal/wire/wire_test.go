@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -63,7 +64,7 @@ func TestDecodeTruncated(t *testing.T) {
 }
 
 func TestDecodeBadType(t *testing.T) {
-	enc := encode(Message{Type: TAck})
+	enc := encode(Message{Type: TLockFree})
 	enc[0] = 0 // TInvalid
 	if _, err := Decode(enc); !errors.Is(err, ErrBadType) {
 		t.Errorf("err = %v, want ErrBadType", err)
@@ -75,7 +76,7 @@ func TestDecodeBadType(t *testing.T) {
 }
 
 func TestDecodeRejectsShortPayload(t *testing.T) {
-	enc := encode(Message{Type: TAck, Payload: []byte("abcdef")})
+	enc := encode(Message{Type: TLockFree, Payload: []byte("abcdef")})
 	if _, err := Decode(enc[:len(enc)-2]); !errors.Is(err, ErrTruncated) {
 		t.Errorf("err = %v, want ErrTruncated", err)
 	}
@@ -83,6 +84,12 @@ func TestDecodeRejectsShortPayload(t *testing.T) {
 
 func TestTypeStrings(t *testing.T) {
 	for ty := TInvalid + 1; ty < tMax; ty++ {
+		if ty == TJDiffAck+1 { // the retired value: no name, and no frame carries it
+			if ty.Valid() || ty.String() != fmt.Sprintf("type(%d)", ty) {
+				t.Errorf("retired type %d: Valid %v, String %q", ty, ty.Valid(), ty.String())
+			}
+			continue
+		}
 		if s := ty.String(); s == "" || s == "invalid" {
 			t.Errorf("type %d has no name", ty)
 		}
@@ -99,7 +106,7 @@ func TestTypeStrings(t *testing.T) {
 }
 
 func TestFragmentSmallMessageIsSingleFragment(t *testing.T) {
-	enc := encode(Message{Type: TAck, Payload: []byte("hi")})
+	enc := encode(Message{Type: TLockFree, Payload: []byte("hi")})
 	frags := fragments(enc, 42)
 	if len(frags) != 1 {
 		t.Fatalf("got %d fragments, want 1", len(frags))
@@ -109,7 +116,7 @@ func TestFragmentSmallMessageIsSingleFragment(t *testing.T) {
 	if err != nil || !done {
 		t.Fatalf("Feed: done=%v err=%v", done, err)
 	}
-	if m.Type != TAck || string(m.Payload) != "hi" {
+	if m.Type != TLockFree || string(m.Payload) != "hi" {
 		t.Errorf("reassembled = %+v", m)
 	}
 }
@@ -248,7 +255,7 @@ func TestReassemblerRejectsMalformed(t *testing.T) {
 		t.Error("short fragment should fail")
 	}
 	// Bad index/count.
-	frags := fragments(encode(Message{Type: TAck}), 5)
+	frags := fragments(encode(Message{Type: TLockFree}), 5)
 	bad := append([]byte(nil), frags[0]...)
 	bad[10], bad[11] = 0, 0 // count=0
 	if _, _, err := r.Feed(bad); err == nil {

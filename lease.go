@@ -5,7 +5,6 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/diffing"
 	"repro/internal/object"
 	"repro/internal/stats/phases"
 	"repro/internal/trace"
@@ -201,64 +200,6 @@ func (n *Node) bumpVerOnSelfWritesLocked(c *object.Control) {
 	if !bytes.Equal(n.objData(c), c.Twin) {
 		c.Ver++
 	}
-}
-
-// ---- Byte-change detection for diff application -------------------------
-
-// stampedRunShadow snapshots the destination bytes every run of d
-// covers, so the caller can detect whether applying d actually changed
-// anything. Out-of-range runs snapshot nothing (Apply will reject
-// them).
-func stampedRunShadow(data []byte, d diffing.StampedDiff) [][]byte {
-	out := make([][]byte, len(d.Runs))
-	for i, r := range d.Runs {
-		lo, hi := int(r.Off), int(r.Off)+len(r.Data)
-		if lo >= len(data) || hi > len(data) {
-			continue
-		}
-		out[i] = append([]byte(nil), data[lo:hi]...)
-	}
-	return out
-}
-
-// stampedRunsChanged reports whether the bytes under d's runs differ
-// from the pre-apply shadow.
-func stampedRunsChanged(data []byte, d diffing.StampedDiff, shadow [][]byte) bool {
-	for i, r := range d.Runs {
-		if shadow[i] == nil {
-			continue
-		}
-		if !bytes.Equal(data[int(r.Off):int(r.Off)+len(shadow[i])], shadow[i]) {
-			return true
-		}
-	}
-	return false
-}
-
-// diffRunShadow / diffRunsChanged are the plain-diff analogues, used
-// when a lock-grant diff lands on a home copy.
-func diffRunShadow(data []byte, d diffing.Diff) [][]byte {
-	out := make([][]byte, len(d.Runs))
-	for i, r := range d.Runs {
-		lo, hi := int(r.Off), int(r.Off)+len(r.Data)
-		if lo >= len(data) || hi > len(data) {
-			continue
-		}
-		out[i] = append([]byte(nil), data[lo:hi]...)
-	}
-	return out
-}
-
-func diffRunsChanged(data []byte, d diffing.Diff, shadow [][]byte) bool {
-	for i, r := range d.Runs {
-		if shadow[i] == nil {
-			continue
-		}
-		if !bytes.Equal(data[int(r.Off):int(r.Off)+len(shadow[i])], shadow[i]) {
-			return true
-		}
-	}
-	return false
 }
 
 // ---- Cacher side --------------------------------------------------------

@@ -116,7 +116,7 @@ func (n *Node) Release(l int) {
 		}
 		n.ctr.DiffsMade.Add(1)
 		n.ctr.DiffBytes.Add(int64(d.Bytes()))
-		stamp := object.WordStamp{Ver: newVer, Lock: lk, Node: uint16(n.id), Epoch: n.epoch}
+		stamp := object.WordStamp{Ver: newVer, Lock: lk, Epoch: n.epoch}
 		diffing.StampChanged(c.EnsureStamps(), data, twin, stamp)
 		if n.cfg.Protocol.Diff == DiffAccumulate {
 			// The accumulating ablation additionally stores the diff
@@ -421,7 +421,9 @@ func (n *Node) applyGrant(lk uint16, payload []byte) {
 			if err != nil {
 				break // err is r.Err(), which ends the outer loop too
 			}
-			n.applyScopeDiff(c, lk, dv, d)
+			if n.applyScopeDiff(c, lk, dv, d) {
+				n.clock.Advance(n.prof.WordsCost(d.Bytes() / object.WordSize))
+			}
 			if accumulate {
 				// Accumulation compounds: the acquirer must keep the
 				// received history to serve future grants (Figure 7a).

@@ -60,6 +60,10 @@ type Node struct {
 	held     map[uint16]*csState           // currently held locks
 	csStack  []uint16                      // acquisition order (innermost last)
 	chains   map[object.ID]*diffing.Chain  // DiffAccumulate mode histories
+	// deferred holds the lock-scope diffs that arrived while an object's
+	// copy was invalid, in receipt order; the fetch that validates the
+	// copy replays and drops them (applyScopeDiff).
+	deferred map[object.ID][]pendingDiff
 
 	// Lock manager state, for locks this node manages (l % N == id).
 	lmgr map[uint16]*lockMgr
@@ -135,6 +139,7 @@ func newNode(id int, cfg *Config, ep *transport.BatchingEndpoint, store disk.Sto
 		scope:        make(map[uint16]map[object.ID]bool),
 		held:         make(map[uint16]*csState),
 		chains:       make(map[object.ID]*diffing.Chain),
+		deferred:     make(map[object.ID][]pendingDiff),
 		lmgr:         make(map[uint16]*lockMgr),
 		pendingDiffs: make(map[object.ID]int),
 		twinFree:     make(map[int][][]byte),
@@ -425,7 +430,6 @@ func (n *Node) writeCheck(c *object.Control) []byte {
 		if !cs.written[c.ID] {
 			cs.written[c.ID] = true
 			cs.csTwins[c.ID] = diffing.MakeTwin(data)
-			c.MarkScopeLock(l)
 			n.addScope(l, c.ID)
 		}
 	}
@@ -517,91 +521,68 @@ func (n *Node) lookup(id object.ID) *object.Control {
 	return c
 }
 
-// applyScopeDiff applies a lock-scope update received with a grant. If
-// the local copy is invalid the diff is deferred until the next fetch
-// brings a base copy to apply it to. Caller holds n.mu.
-func (n *Node) applyScopeDiff(c *object.Control, l uint16, ver uint32, d diffing.Diff) {
+// pendingDiff is a lock-scope diff deferred on an invalid copy: the
+// decoded diff, whose runs alias the grant payload it arrived in, and
+// the (lock, version) it stamps.
+type pendingDiff struct {
+	lock uint16
+	ver  uint32
+	d    diffing.Diff
+}
+
+// applyScopeDiff is the one path by which a lock-scope diff — lock l's
+// update at version ver — reaches an object's bytes, whether it came
+// with a grant or is replayed after a fetch. On an invalid copy it defers
+// d to n.deferred and reports false: the fetch that validates the copy
+// replays it through here. Otherwise it copies the runs, stamps their
+// words (l, ver) so this node can serve on-demand diffs itself, marks
+// the mapped copy dirty and reports true. The copy then carries updates
+// the home's data version knows nothing about: a cacher forfeits its
+// lease (its bytes diverged from the leased image), and a home whose
+// bytes moved must bump — the acquirer's copy already matches the grant,
+// so a later barrier diff may be a byte-level no-op that never bumps.
+// Caller holds n.mu.
+func (n *Node) applyScopeDiff(c *object.Control, l uint16, ver uint32, d diffing.Diff) bool {
 	if d.Empty() {
-		return
+		return false
 	}
 	if c.State == object.Invalid {
-		c.PendingDiffs = append(c.PendingDiffs, object.PendingDiff{Lock: l, Ver: ver, Data: encodeDiff(d)})
-		return
+		n.deferred[c.ID] = append(n.deferred[c.ID], pendingDiff{lock: l, ver: ver, d: d})
+		return false
 	}
-	data := n.objData(c)
-	var shadow [][]byte
-	if n.trackVer() && c.Home == n.id {
-		shadow = diffRunShadow(data, d)
-	}
-	if err := diffing.Apply(data, d); err != nil {
+	moved, err := diffing.ApplyMoved(n.objData(c), d, n.trackVer() && c.Home == n.id)
+	if err != nil {
 		n.fatalf("lots: node %d: applying scope diff to object %d: %v", n.id, c.ID, err)
 	}
-	// The copy now carries lock-scope updates the home's data version
-	// knows nothing about: a cacher forfeits its lease (its bytes
-	// diverged from the leased image), and a home whose bytes moved
-	// must bump — the acquirer's copy already matches the grant, so a
-	// later barrier diff may be a byte-level no-op that never bumps.
 	c.Lease = false
-	if shadow != nil && diffRunsChanged(data, d, shadow) {
+	if moved {
 		c.Ver++
 	}
 	if n.mapper != nil {
 		n.mapper.MarkDirty(c)
 	}
-	n.stampDiffWords(c, l, ver, d)
-	n.clock.Advance(n.prof.WordsCost(d.Bytes() / object.WordSize))
-}
-
-// stampDiffWords marks every word covered by d as last written at
-// (l, ver), so this node can later serve on-demand diffs itself.
-func (n *Node) stampDiffWords(c *object.Control, l uint16, ver uint32, d diffing.Diff) {
 	stamps := c.EnsureStamps()
 	for _, r := range d.Runs {
-		for w := int(r.Off) / object.WordSize; w <= (int(r.Off)+len(r.Data)-1)/object.WordSize; w++ {
-			if w < len(stamps) {
-				stamps[w] = object.WordStamp{Ver: ver, Lock: l, Node: uint16(n.id), Epoch: n.epoch}
-			}
+		for w := int(r.Off) / object.WordSize; w*object.WordSize < int(r.Off)+len(r.Data); w++ {
+			stamps[w] = object.WordStamp{Ver: ver, Lock: l, Epoch: n.epoch}
 		}
 	}
+	return true
 }
 
-// materializePendingLocked applies this node's deferred scope updates
-// for c so that grants served from here reflect complete data. A node
-// can hold pending diffs for an object it never touched (they arrived
-// with a grant while the copy was invalid); if it then becomes the last
-// releaser, serving from its per-word stamps alone would silently omit
-// those words. Caller holds n.mu.
+// materializePendingLocked brings c up to date when this node holds
+// deferred scope updates for it, so that grants served from here reflect
+// complete data. A node can hold them for an object it never touched
+// (they arrived with a grant while the copy was invalid); if it then
+// becomes the last releaser, serving from its per-word stamps alone
+// would silently omit those words. Deferred updates exist only while the
+// copy is invalid — the fetch that validates it replays and drops them
+// under n.mu — so the fetch is all there is to do. Caller holds n.mu;
+// the fetch drops and retakes it.
 func (n *Node) materializePendingLocked(c *object.Control) {
-	if len(c.PendingDiffs) == 0 {
-		return
-	}
-	if c.State == object.Invalid {
-		// fetchObject brings the base copy from the home and applies
-		// the pending diffs on top (it drops and retakes n.mu).
+	if len(n.deferred[c.ID]) > 0 {
 		n.fetchObject(c)
-		return
 	}
-	local := n.objData(c)
-	for _, pd := range c.PendingDiffs {
-		d, err := diffing.DecodeDiff(wire.NewReader(pd.Data))
-		if err != nil {
-			n.fatalf("lots: node %d: bad pending diff for object %d: %v", n.id, c.ID, err)
-		}
-		if err := diffing.Apply(local, d); err != nil {
-			n.fatalf("lots: node %d: pending diff for object %d: %v", n.id, c.ID, err)
-		}
-		n.stampDiffWords(c, pd.Lock, pd.Ver, d)
-	}
-	if n.mapper != nil {
-		n.mapper.MarkDirty(c)
-	}
-	c.PendingDiffs = nil
-}
-
-func encodeDiff(d diffing.Diff) []byte {
-	var w wire.Buffer
-	d.Encode(&w)
-	return w.Bytes()
 }
 
 // ResetClock zeroes this node's simulated clock. The harness uses it at

@@ -660,6 +660,10 @@ func TestLeaseRevalidationDelayedReply(t *testing.T) {
 		body: func(n *Node) string {
 			obj := Alloc[int32](n, words) // id 1 -> home = 1 % 4 = node 1
 			n.Barrier()
+			// A stale read is recorded, not raised on the spot: a rank that
+			// panicked here would leave the others waiting at the next
+			// barrier until the test binary's deadline.
+			stale := ""
 			for e := 0; e < epochs; e++ {
 				// Nodes 2 and 3 write disjoint halves every epoch; home
 				// (node 1) and node 0 read. Node 0's copy is leased after
@@ -681,12 +685,15 @@ func TestLeaseRevalidationDelayedReply(t *testing.T) {
 				}
 				n.Barrier()
 				for i := 0; i < words; i++ {
-					if got, want := obj.Get(i), int32(e*1000+i); got != want {
-						panic(fmt.Sprintf("node %d epoch %d: obj[%d] = %d, want %d (stale lease read)",
-							n.ID(), e, i, got, want))
+					if got, want := obj.Get(i), int32(e*1000+i); got != want && stale == "" {
+						stale = fmt.Sprintf("node %d epoch %d: obj[%d] = %d, want %d (stale lease read)",
+							n.ID(), e, i, got, want)
 					}
 				}
 				n.Barrier()
+			}
+			if stale != "" {
+				panic(stale)
 			}
 			return digestInts("obj", obj, words)
 		}}

@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"maps"
 	"math/rand"
+	"runtime"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -299,12 +301,13 @@ func TestPendingDiffToThirdParty(t *testing.T) {
 			n.Acquire(4)
 			// x invalid here; grant carries node 2's diff (999 at [0]);
 			// fetch from home (node 1) returns 100..107; the pending
-			// diff must overlay 999.
+			// diff must overlay 999. A mismatch is recorded, not raised:
+			// a panicking rank would leave the others at the barrier.
 			if got := x.Get(0); got != 999 {
-				panic(fmt.Sprintf("node 0 sees x[0] = %d, want 999 (pending diff lost)", got))
+				t.Errorf("node 0 sees x[0] = %d, want 999 (pending diff lost)", got)
 			}
 			if got := x.Get(7); got != 107 {
-				panic(fmt.Sprintf("node 0 sees x[7] = %d, want 107 (fetch base lost)", got))
+				t.Errorf("node 0 sees x[7] = %d, want 107 (fetch base lost)", got)
 			}
 			n.Release(4)
 		case 1:
@@ -315,6 +318,82 @@ func TestPendingDiffToThirdParty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestConcurrentFetchesInstallOnce: a node's application and its grant
+// service can fetch the same invalid object at once, and the copy they
+// fetch must be installed once. Node 0 holds a deferred grant diff for x
+// (999 at x[0], from node 2's critical section) and is lock 4's last
+// releaser. Its application reads x while node 2 re-acquires lock 4,
+// whose grant node 0 serves after fetching x to replay the diff; node
+// 1, x's home, parks both fetches behind an open RW view until both are
+// in. Whichever reply lands second used to be installed over the first
+// one's overlay, leaving node 0 with the home's 100.
+func TestConcurrentFetchesInstallOnce(t *testing.T) {
+	c := mustCluster(t, DefaultConfig(3))
+	err := c.Run(func(n *Node) {
+		x := Alloc[int32](n, 8) // id 1: homed at node 1
+		if n.ID() == 1 {
+			for i := 0; i < 8; i++ {
+				x.Set(i, int32(100+i))
+			}
+		}
+		n.Barrier() // nodes 0 and 2 invalid
+		if n.ID() == 2 {
+			n.Acquire(4)
+			x.Set(0, 999)
+			n.Release(4)
+		}
+		n.RunBarrier()
+		if n.ID() == 0 { // the grant diff defers: x is invalid here
+			n.Acquire(4)
+			n.Release(4)
+		}
+		var v View[int32]
+		if n.ID() == 1 {
+			v = x.ViewRW(0, 8)
+		}
+		n.RunBarrier()
+		switch n.ID() {
+		case 0:
+			if got := x.Get(0); got != 999 {
+				t.Errorf("node 0 reads x[0] = %d during the overlap, want 999", got)
+			}
+		case 1:
+			for deadline := time.Now().Add(10 * time.Second); goroutinesIn("(*Node).serveFetch") < 2; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Error("the two fetches of x never overlapped: test is vacuous")
+					break
+				}
+			}
+			v.Release()
+		case 2:
+			n.Acquire(4) // forwarded to node 0, whose grant service fetches x
+			n.Release(4)
+		}
+		n.RunBarrier()
+		if n.ID() == 0 {
+			if got := x.Get(0); got != 999 {
+				t.Errorf("node 0 reads x[0] = %d after both fetches, want 999", got)
+			}
+			if got := x.Get(7); got != 107 {
+				t.Errorf("node 0 reads x[7] = %d, want 107", got)
+			}
+		}
+		n.Barrier()
+		if got := x.Get(0); got != 999 {
+			t.Errorf("node %d reads x[0] = %d after the barrier, want 999", n.ID(), got)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// goroutinesIn counts the goroutines with fn on their stack.
+func goroutinesIn(fn string) int {
+	buf := make([]byte, 1<<20)
+	return strings.Count(string(buf[:runtime.Stack(buf, true)]), fn+"(")
 }
 
 func TestRandomizedMixedWorkloadMatchesReference(t *testing.T) {
