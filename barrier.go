@@ -337,10 +337,8 @@ type expectEntry struct {
 }
 
 // processBarrierExit applies the manager's decisions on this node:
-// register expected diffs, send ordered diffs, revalidate leased
-// copies with their homes (Config.Leases), wait for incoming diffs,
-// then invalidate the non-home copies whose leases did not hold and
-// reset epoch bookkeeping.
+// register expected diffs, send ordered diffs, wait for incoming diffs,
+// then invalidate every non-home copy and reset epoch bookkeeping.
 func (n *Node) processBarrierExit(payload []byte) {
 	r := wire.NewReader(payload)
 	if r.Bool() { // run-only exit reached a memory barrier: impossible
@@ -378,23 +376,14 @@ func (n *Node) processBarrierExit(payload []byte) {
 	epoch := n.epoch
 	if n.trackVer() {
 		// Settle this home's own epoch writes into each surviving
-		// object's data version BEFORE revalidation service opens:
-		// otherwise a LEASEOK could vouch for a version the home's own
-		// writes were about to bump. Incoming diffs bump at apply time
-		// and are gated separately via pendingDiffs.
+		// object's data version before the checkpoint cut reads it;
+		// incoming diffs bump at apply time.
 		for _, p := range plans {
-			if p.home != n.id {
-				continue
+			if p.home == n.id {
+				n.bumpVerOnSelfWritesLocked(n.lookup(p.id))
 			}
-			c := n.lookup(p.id)
-			n.bumpVerOnSelfWritesLocked(c)
-			c.Lease = false // a home holds the master copy, not a lease
 		}
 	}
-	// From here this node may answer epoch-`epoch` lease revalidations
-	// (its expectations are registered and its own bumps are settled).
-	n.reconEpoch = epoch + 1
-	n.cond.Broadcast()
 	diffs := make([]call, 0, len(orders))
 	for _, o := range orders {
 		c := n.lookup(o.obj)
@@ -428,13 +417,6 @@ func (n *Node) processBarrierExit(payload []byte) {
 		}
 	}
 
-	// Revalidate leased copies with their (new) homes now that our own
-	// diffs are on their way: each home answers once its side of the
-	// reconciliation has settled the queried object, so a LEASEOK means
-	// "your bytes are still mine for the next epoch". Must precede the
-	// invalidation pass below, which it exempts copies from.
-	leaseKept := n.leaseRevalidate(epoch, plans)
-
 	// Wait for every diff we are owed (as a home, or as a broadcast
 	// receiver) to be applied.
 	n.mu.Lock()
@@ -442,16 +424,13 @@ func (n *Node) processBarrierExit(payload []byte) {
 		n.cond.Wait()
 	}
 
-	// Apply home decisions and invalidate non-home copies — except
-	// those whose lease held: they stay Clean, fetch-free.
+	// Apply home decisions and invalidate non-home copies.
 	broadcast := n.cfg.Protocol.Barrier == BarrierUpdateBroadcast
 	for _, p := range plans {
 		c := n.lookup(p.id)
 		c.Home = p.home
 		if !broadcast && p.home != n.id {
-			if !leaseKept[p.id] {
-				n.invalidateLocked(c)
-			}
+			n.invalidateLocked(c)
 		} else if c.State != object.Invalid {
 			c.State = object.Clean
 		}
@@ -530,10 +509,10 @@ func (n *Node) serveBarrierDiff(m wire.Message) {
 	}
 	restore := n.useClock(lc)
 	// The runs go from the payload to the object and nowhere in between.
-	// Lease versioning bumps only when the apply actually moved bytes: a
+	// The data version bumps only when the apply actually moved bytes: a
 	// diff whose words all lose the newest-wins merge (or re-assert
-	// values already present) leaves the copy byte-identical, and leased
-	// readers must be allowed to keep it.
+	// values already present) leaves the copy byte-identical, and the
+	// next checkpoint may skip it.
 	diffBytes, moved, err := diffing.ApplyStampedEncoded(n.objData(c), c, r, epoch, n.trackVer())
 	if err != nil {
 		restore()

@@ -4,9 +4,9 @@
 // deterministic simulated-time model (see DESIGN.md). The bars our own
 // extensions must hold are tests, not experiments: the transport
 // conformance matrix (TestProtocolConformanceMatrix), views
-// (TestViewCostSelfAsserts), leases (TestLeaseCostSelfAsserts), tracing
-// (TestTraceCostSelfAsserts), recovery (TestRecovery*), and the
-// multi-process deployment (TestMultiproc*, or cmd/lotslaunch by hand).
+// (TestViewCostSelfAsserts), tracing (TestTraceCostSelfAsserts),
+// recovery (TestRecovery*), and the multi-process deployment
+// (TestMultiproc*, or cmd/lotslaunch by hand).
 //
 // Usage:
 //

@@ -24,7 +24,7 @@ import (
 // is a heartbeat, not an archive.
 var watchCols = []string{
 	"msgs_sent", "bytes_sent", "barriers", "obj_fetches",
-	"lease_hits", "phase_barrier_wait_ns",
+	"phase_barrier_wait_ns",
 }
 
 type watcher struct {
@@ -148,10 +148,10 @@ func (w *watcher) Finish() {
 		}
 		m := w.stats[i]
 		fmt.Fprintf(w.out,
-			"  node %d: epoch=%d frames=%d msgs=%d bytes=%d barriers=%d fetches=%d lease_hits=%d\n",
+			"  node %d: epoch=%d frames=%d msgs=%d bytes=%d barriers=%d fetches=%d\n",
 			i, w.epoch[i], w.frames[i],
 			m["msgs_sent"], m["bytes_sent"], m["barriers"],
-			m["obj_fetches"], m["lease_hits"])
+			m["obj_fetches"])
 		fmt.Fprintf(w.out, "    phases: %s\n", phaseSummary(m))
 	}
 }
@@ -159,8 +159,8 @@ func (w *watcher) Finish() {
 // phaseSummary renders every phase kind the ranks sample — the
 // CtrlStats frames ship phase_<name>_ns / phase_<name>_events for all
 // of phases.Kinds(), so the summary stays exhaustive as kinds are
-// added. Zero-duration phases print too: "lease_reval=0s/0" is signal
-// (leases never revalidated) that a filtered line would hide.
+// added. Zero-duration phases print too: "ckpt_cut=0s/0" is signal
+// (no checkpoint was cut) that a filtered line would hide.
 func phaseSummary(m map[string]int64) string {
 	parts := make([]string, 0, len(phases.Kinds()))
 	for _, k := range phases.Kinds() {

@@ -70,8 +70,8 @@ func TestWatcherNonTTYThrottle(t *testing.T) {
 	if !strings.Contains(last, " 9") || !strings.Contains(last, " 11") {
 		t.Fatalf("snapshot missing absorbed frame values:\n%s", last)
 	}
-	w.OnLog(0, "lease revoked")
-	if !strings.Contains(buf.String(), "[node 0] lease revoked") {
+	w.OnLog(0, "barrier 7 exit")
+	if !strings.Contains(buf.String(), "[node 0] barrier 7 exit") {
 		t.Fatalf("log line missing from non-TTY output:\n%s", buf.String())
 	}
 }

@@ -187,22 +187,14 @@ type Config struct {
 	// test-grade pair). Only valid with TransportTCP.
 	TLS *tls.Config
 
-	// Leases enables the read-mostly lease coherence extension: homes
-	// version object data, grant bounded read leases with fetch
-	// replies, and at barrier time cachers revalidate leased copies
-	// with a batched version check instead of blindly invalidating. A
-	// copy whose bytes the home never changed stays valid with zero
-	// data transfer. Off by default (the paper's protocol).
-	Leases bool
-
 	// Recovery, when non-nil, enables the checkpoint/recovery
 	// subsystem: every rank writes an incremental checkpoint of its
 	// homed objects at each barrier exit (and pushes it to a buddy
 	// rank), and a gang-restarted fleet can resume from the newest
 	// commonly restorable epoch instead of re-running from scratch.
-	// Enabling recovery also turns on the data-version maintenance the
-	// lease extension uses, so unchanged objects cost zero checkpoint
-	// bytes. Nil by default (the paper's protocol).
+	// Enabling recovery also turns on data-version maintenance
+	// (Control.Ver), so unchanged objects cost zero checkpoint bytes.
+	// Nil by default (the paper's protocol).
 	Recovery *RecoveryOpts
 
 	// Trace enables causal protocol tracing (internal/trace): each
@@ -261,12 +253,6 @@ const DefaultDMMSize = 4 << 20
 // MaxLocks bounds the lock ID space (the paper exports a fixed lock
 // set; JIAJIA-era systems commonly allow a few hundred).
 const MaxLocks = 1024
-
-// DefaultLeaseSlots bounds the per-home lease table (entries are
-// object x cacher pairs). When the table is full the oldest lease is
-// evicted; an evicted cacher's next revalidation simply demotes to a
-// fetch.
-const DefaultLeaseSlots = 4096
 
 // DefaultConfig returns the paper's configuration at test scale for a
 // cluster of n nodes.

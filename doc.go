@@ -82,28 +82,6 @@
 //	chaos := lots.DefaultChaos(42)
 //	cfg.Chaos = &chaos
 //
-// # Read-mostly lease coherence
-//
-// Setting Config.Leases = true keeps read-mostly cached copies alive
-// across barriers: homes version object data, hand out bounded read
-// leases with fetch replies, and at barrier time cachers revalidate
-// leased copies with one batched version check per home instead of
-// blindly invalidating — a copy whose bytes the home never changed
-// stays valid with zero data transfer.
-//
-// Leases help when objects are re-published without (much) change and
-// re-read every epoch: pivot rows after their elimination epoch,
-// boundary rows of a converged stencil region, published prefix
-// tables. They cost one small query round per (node, home) pair per
-// barrier and per-object version bookkeeping, so they buy nothing —
-// and waste a little — on write-hot data that changes every epoch, on
-// single-reader data, or on lock-dominated sharing (lock-scope updates
-// forfeit the holder's lease by design). Final shared state is
-// byte-identical with leases on or off; only the round-trip count
-// changes (see TestLeaseCostSelfAsserts in internal/harness, ~4.7x
-// fewer fetches on the read-mostly workload, and DESIGN.md "Lease
-// coherence").
-//
 // # Fault tolerance: checkpoint and recovery
 //
 // Setting Config.Recovery (see DefaultRecovery) makes every rank cut
@@ -128,7 +106,7 @@
 // size-classed slab pool: the send side allocates nothing in steady
 // state and the receive side allocates once per delivered message
 // (handlers retain payloads). Every burst of requests a barrier or
-// release round issues — diffs to homes, lease revalidations — goes
+// release round issues — diffs to homes, home-based lock flushes — goes
 // out pipelined, each peer's run packed into one batched datagram, and
 // is charged on the simulated clock as serial sends and one parallel
 // wait (see DESIGN.md, "Wire path: pooling and coalescing").
@@ -197,18 +175,17 @@
 // The exposition carries every internal/stats counter
 // (lots_*_total{node="i"}) plus wall-clock protocol phase timings
 // (lots_phase_ns_total / lots_phase_events_total: barrier wait, diff
-// apply, fetch serve, lease revalidate, checkpoint cut) from
-// internal/stats/phases. The launcher scrapes and verifies the full
-// inventory per rank and persists each final scrape to
-// logdir/node-<i>.stats (see DESIGN.md, "Fleet deployment and
-// observability"). The same mux serves the standard net/http/pprof
+// apply, fetch serve, checkpoint cut) from internal/stats/phases. The
+// launcher scrapes and verifies the full inventory per rank and
+// persists each final scrape to logdir/node-<i>.stats (see DESIGN.md,
+// "Fleet deployment and observability"). The same mux serves the standard net/http/pprof
 // surface under /debug/pprof/, so a live rank can be profiled without
 // redeploying.
 //
 // # Causal tracing
 //
 // Config.Trace turns on the protocol tracer: every barrier, lock,
-// diff, fetch, lease, and checkpoint event lands in a per-node bounded
+// diff, fetch, and checkpoint event lands in a per-node bounded
 // ring (internal/trace), and requests stamp a 14-byte trace context on
 // their wire frames so the serving rank's span links back to the
 // requesting rank's. A traced fleet merges every rank's export into

@@ -39,8 +39,7 @@ func (n *Node) fetchObject(c *object.Control) {
 	r := wire.NewReader(reply.Payload)
 	data := r.Bytes32InPlace() // copied into the local span below; reply is not retained
 	ver := r.U32()
-	leased := r.Bool()
-	if r.Err() != nil || len(data) != c.Size {
+	if r.Err() != nil || r.Remaining() != 0 || len(data) != c.Size {
 		n.fatalf("lots: node %d: fetch of object %d: bad payload (%d bytes, want %d)",
 			n.id, id, len(data), c.Size)
 	}
@@ -52,7 +51,6 @@ func (n *Node) fetchObject(c *object.Control) {
 	}
 	c.State = object.Clean
 	c.Ver = ver
-	c.Lease = leased
 	copy(n.objData(c), data)
 	if n.mapper != nil {
 		n.mapper.MarkDirty(c)
@@ -76,8 +74,8 @@ func (n *Node) serveFetch(m wire.Message) {
 	r := wire.NewReader(m.Payload)
 	id := object.ID(r.U64())
 	reqEpoch := r.U32()
-	if r.Err() != nil {
-		n.fatalf("lots: bad fetch request: %v", r.Err())
+	if r.Err() != nil || r.Remaining() != 0 {
+		n.fatalf("lots: bad fetch request: %d bytes, want 12", len(m.Payload))
 	}
 	serveAt := time.Now()
 	defer func() { n.ph.Observe(reqEpoch, phases.FetchServe, time.Since(serveAt)) }()
@@ -111,8 +109,7 @@ func (n *Node) serveFetch(m wire.Message) {
 	}
 	data := n.objData(c)
 	var w wire.Buffer
-	w.Grow(4 + len(data) + 5).Bytes32(data)
-	w.U32(c.Ver).Bool(n.leaseGrantLocked(c, m.From))
+	w.Grow(4 + len(data) + 4).Bytes32(data).U32(c.Ver)
 	lc.Advance(n.prof.WordsCost(c.Words()))
 	restore()
 	n.mu.Unlock()

@@ -21,7 +21,8 @@
 // ApplyStampedEncoded merges an incoming payload's runs into the home's
 // bytes in place, allocating a stamp table only when a run carries a
 // lock version. Every apply copies through put, which can also report
-// whether the copies changed any byte — the data version leases rely on.
+// whether the copies changed any byte — the data version incremental
+// checkpoints rely on.
 // The encoded bytes are the contract; oracle_test.go keeps the
 // word-at-a-time loops they are tested against.
 package diffing

@@ -171,8 +171,8 @@ func oracleApplyStamped(dst []byte, stamps []object.WordStamp, d StampedDiff, ep
 	return applied, nil
 }
 
-// The byte-change detection the lease path used before applies reported
-// it themselves: snapshot the bytes every run covers, apply, compare.
+// The byte-change detection the version path used before applies
+// reported it themselves: snapshot the bytes every run covers, apply, compare.
 // Out-of-range runs snapshot nothing (the apply rejects them).
 
 func stampedRunShadow(data []byte, d StampedDiff) [][]byte {

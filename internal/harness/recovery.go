@@ -37,7 +37,6 @@ type RecoverySpec struct {
 
 	WipeKilled bool // destroy the dead rank's checkpoint dir before restart
 	Degraded   bool // restart with Procs-1 ranks instead of a full fleet
-	Leases     bool // layer the lease coherence extension over recovery
 
 	Root     string // checkpoint root; empty means a fresh temp dir
 	Platform platform.Profile
@@ -51,7 +50,6 @@ type RecoveryCell struct {
 	CkptBytes   int64 // object bytes serialized into checkpoints
 	CkptSkipped int64 // segments elided because their version never moved
 	Rehomes     int64 // owners restored from a peer's replica
-	LeaseHits   int64 // leased copies kept across a barrier (Leases runs)
 	Digest      string
 }
 
@@ -94,10 +92,8 @@ func wordSlice(words, procs, rank int) (lo, hi int) {
 // (doomRank < 0 disables).
 //
 // Besides the matrix, rank 0 re-publishes a `hot` array with identical
-// bytes every epoch — the read-mostly pattern the lease extension
-// exists for. On Leases runs the readers' copies revalidate instead of
-// re-fetching (LeaseHits accrue before and after the restart); on all
-// runs the unchanged bytes make the hot checkpoints zero-cost skips.
+// bytes every epoch: the unchanged bytes make the hot checkpoints
+// zero-cost skips.
 func (spec RecoverySpec) recoveryWorkload(n *lots.Node, doomRank, doomEpoch int,
 	onDeath func(), preBarrier func(rank, ep int), resumes, digests []string) {
 	rows, words := spec.Rows, spec.Words
@@ -261,7 +257,7 @@ func recoveryCell(c *lots.Cluster, digest string) RecoveryCell {
 	return RecoveryCell{
 		SimTime: c.SimTime(), Msgs: t.MsgsSent,
 		Ckpts: t.Ckpts, CkptBytes: t.CkptBytes, CkptSkipped: t.CkptSkipped,
-		Rehomes: t.Rehomes, LeaseHits: t.LeaseHits, Digest: digest,
+		Rehomes: t.Rehomes, Digest: digest,
 	}
 }
 
@@ -302,7 +298,6 @@ func RecoveryCost(spec RecoverySpec) (RecoveryResult, error) {
 		cfg := lots.DefaultConfig(procs)
 		cfg.Platform = spec.Platform
 		cfg.Transport = spec.Transport
-		cfg.Leases = spec.Leases
 		if spec.ChaosSeed != 0 {
 			ch := lots.DefaultChaos(spec.ChaosSeed)
 			cfg.Chaos = &ch

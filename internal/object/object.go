@@ -92,20 +92,37 @@ type Control struct {
 	// copy holder) under the migrating-home protocol (§3.4).
 	Home int
 
+	// The five fields from State to Ver share one word.
 	State CopyState
 
-	// Mapped/Offset locate the data in the DMM arena when mapped.
+	// Mapped reports that the data sits in the DMM arena, at Offset.
 	Mapped bool
+
+	// DiskValid reports that the backing store holds a byte-exact copy
+	// of the current local data, so eviction can skip the write-back.
+	DiskValid bool
+
+	// WrittenInEpoch marks that this node wrote the object since the
+	// last barrier (used to build barrier write notices).
+	WrittenInEpoch bool
+
+	// Ver is the data version this node's copy corresponds to. The
+	// home bumps it whenever a synchronization event actually mutates
+	// the object's bytes (a non-trivial barrier diff, a home-based
+	// lock flush, a lock grant diff, or the home's own epoch writes);
+	// cachers record the version carried by their last fetch, which a
+	// cacher that becomes home through migration continues from. The
+	// incremental checkpointer skips an object whose version has not
+	// moved since its last checkpoint.
+	Ver uint32
+
+	// Offset locates the data in the DMM arena while Mapped.
 	Offset int
 
 	// Heap holds the data when the large-object-space support is
 	// disabled (the LOTS-x configuration of §4.1): objects then live
 	// permanently in process memory, exactly like conventional DSMs.
 	Heap []byte
-
-	// DiskValid reports that the backing store holds a byte-exact copy
-	// of the current local data, so eviction can skip the write-back.
-	DiskValid bool
 
 	// LastAccess is the pinning timestamp: a logical tick recording the
 	// object's latest access. Objects with more recent timestamps are
@@ -141,31 +158,10 @@ type Control struct {
 	// information of §3.5.
 	Stamps []WordStamp
 
-	// WrittenInEpoch marks that this node wrote the object since the
-	// last barrier (used to build barrier write notices).
-	WrittenInEpoch bool
-
 	// ReconcileNS is the simulated time (ns) of the last barrier diff
 	// applied to this copy at its home; fetch services cannot serve
 	// data from before it.
 	ReconcileNS int64
-
-	// Ver is the data version this node's copy corresponds to. The
-	// home bumps it whenever a synchronization event actually mutates
-	// the object's bytes (a non-trivial barrier diff, a home-based
-	// lock flush, a lock grant diff, or the home's own epoch writes);
-	// cachers record the version carried by their last fetch. A leased
-	// copy whose version still matches the home's at barrier time is
-	// byte-identical to the home's and may stay valid without a
-	// re-fetch.
-	Ver uint32
-
-	// Lease marks that this node holds a read lease on its copy,
-	// granted by the home with the last fetch reply. The lease is
-	// forfeited the moment the copy stops being a pure fetched image:
-	// a local write (element Set or RW view), an applied lock-scope
-	// diff, or an invalidation all clear it.
-	Lease bool
 }
 
 // Words returns the number of stamp words covering the object.

@@ -87,7 +87,7 @@ func TestEnsureStampsLazyAndStable(t *testing.T) {
 // always resident (§3.1): every declared object costs this much on every
 // rank, mapped or not. CI's size ledger prints the logged number.
 func TestControlBytes(t *testing.T) {
-	const limit = 192
+	const limit = 168
 	size := unsafe.Sizeof(Control{})
 	t.Logf("per-object control bytes: %d", size)
 	if size > limit {

@@ -16,7 +16,7 @@ import (
 // snapshot + phase ring. The scrape surface is a wire format: tools
 // parse it, so its bytes are part of the contract.
 func TestWritePrometheusGolden(t *testing.T) {
-	s := Snapshot{MsgsSent: 12, BytesSent: 4096, Barriers: 3, LeaseHits: 2}
+	s := Snapshot{MsgsSent: 12, BytesSent: 4096, Barriers: 3, ObjFetches: 2}
 	r := phases.NewRing(4)
 	r.Observe(1, phases.BarrierWait, 1500*time.Nanosecond)
 	r.Observe(1, phases.FetchServe, 250*time.Nanosecond)
@@ -26,7 +26,7 @@ func TestWritePrometheusGolden(t *testing.T) {
 	WritePrometheus(&b, 7, s, r)
 	got := b.String()
 
-	pinned := map[string]int64{"msgs_sent": 12, "bytes_sent": 4096, "barriers": 3, "lease_hits": 2}
+	pinned := map[string]int64{"msgs_sent": 12, "bytes_sent": 4096, "barriers": 3, "obj_fetches": 2}
 	var w strings.Builder
 	for _, name := range FieldNames() {
 		w.WriteString("# TYPE lots_" + name + "_total counter\n")
@@ -38,13 +38,11 @@ func TestWritePrometheusGolden(t *testing.T) {
 lots_phase_ns_total{node="7",phase="barrier_wait"} 2000
 lots_phase_ns_total{node="7",phase="diff_apply"} 0
 lots_phase_ns_total{node="7",phase="fetch_serve"} 250
-lots_phase_ns_total{node="7",phase="lease_reval"} 0
 lots_phase_ns_total{node="7",phase="ckpt_cut"} 0
 # TYPE lots_phase_events_total counter
 lots_phase_events_total{node="7",phase="barrier_wait"} 2
 lots_phase_events_total{node="7",phase="diff_apply"} 0
 lots_phase_events_total{node="7",phase="fetch_serve"} 1
-lots_phase_events_total{node="7",phase="lease_reval"} 0
 lots_phase_events_total{node="7",phase="ckpt_cut"} 0
 # TYPE lots_phase_epoch_ns gauge
 lots_phase_epoch_ns{node="7",phase="barrier_wait",epoch="1"} 1500
@@ -65,7 +63,7 @@ func TestWritePrometheusNilRing(t *testing.T) {
 	for _, want := range []string{
 		`lots_phase_ns_total{node="0",phase="barrier_wait"} 0`,
 		`lots_phase_ns_total{node="0",phase="ckpt_cut"} 0`,
-		`lots_phase_events_total{node="0",phase="lease_reval"} 0`,
+		`lots_phase_events_total{node="0",phase="fetch_serve"} 0`,
 	} {
 		if !strings.Contains(b.String(), want) {
 			t.Errorf("nil-ring scrape missing %q", want)
@@ -94,7 +92,7 @@ func TestMetricsHandlerConcurrentScrape(t *testing.T) {
 				return
 			default:
 				c.MsgsSent.Add(1)
-				c.LeaseHits.Add(1)
+				c.ObjFetches.Add(1)
 				r.Observe(e, phases.BarrierWait, time.Nanosecond)
 			}
 		}

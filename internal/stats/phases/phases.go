@@ -39,9 +39,6 @@ const (
 	// FetchServe is home-side time serving whole-object fetches
 	// (serveFetch), including reconciliation gating.
 	FetchServe
-	// LeaseReval is cacher-side time revalidating leased copies at
-	// barrier exit (leaseRevalidate).
-	LeaseReval
 	// CkptCut is the time cutting (and buddy-replicating) the
 	// barrier-exit incremental checkpoint (checkpointAfterBarrier).
 	CkptCut
@@ -59,8 +56,6 @@ func (k Kind) String() string {
 		return "diff_apply"
 	case FetchServe:
 		return "fetch_serve"
-	case LeaseReval:
-		return "lease_reval"
 	case CkptCut:
 		return "ckpt_cut"
 	default:
@@ -70,7 +65,7 @@ func (k Kind) String() string {
 
 // Kinds returns every phase in encoding order.
 func Kinds() []Kind {
-	return []Kind{BarrierWait, DiffApply, FetchServe, LeaseReval, CkptCut}
+	return []Kind{BarrierWait, DiffApply, FetchServe, CkptCut}
 }
 
 // DefaultWindow is the number of recent epochs a Ring retains.

@@ -101,7 +101,7 @@ func TestRingConcurrentScrape(t *testing.T) {
 }
 
 func TestKindStrings(t *testing.T) {
-	want := []string{"barrier_wait", "diff_apply", "fetch_serve", "lease_reval", "ckpt_cut"}
+	want := []string{"barrier_wait", "diff_apply", "fetch_serve", "ckpt_cut"}
 	ks := Kinds()
 	if len(ks) != int(NumKinds) {
 		t.Fatalf("Kinds() returned %d kinds, want %d", len(ks), NumKinds)

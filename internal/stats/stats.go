@@ -54,9 +54,6 @@ type Counters struct {
 	Barriers       atomic.Int64
 	HomeMigrates   atomic.Int64
 	Invalidations  atomic.Int64
-	LeasesGranted  atomic.Int64 // read leases handed out with fetch replies (home side)
-	LeaseHits      atomic.Int64 // leased copies kept valid across a barrier (zero data transfer)
-	LeaseDemotes   atomic.Int64 // revalidations that fell back to invalidate-and-fetch
 	Ckpts          atomic.Int64 // barrier-time checkpoints written
 	CkptBytes      atomic.Int64 // object bytes serialized into checkpoints
 	CkptSkipped    atomic.Int64 // checkpoint segments skipped as unchanged (zero bytes)
@@ -96,9 +93,6 @@ type Snapshot struct {
 	Barriers       int64 `metric:"barriers" col:"barr"`
 	HomeMigrates   int64 `metric:"home_migrations" col:"migr"`
 	Invalidations  int64 `metric:"invalidations" col:"inval"`
-	LeasesGranted  int64 `metric:"leases_granted"`
-	LeaseHits      int64 `metric:"lease_hits" col:"lhit"`
-	LeaseDemotes   int64 `metric:"lease_demotes" col:"ldem"`
 	Ckpts          int64 `metric:"ckpts" col:"ckpt"`
 	CkptBytes      int64 `metric:"ckpt_bytes"`
 	CkptSkipped    int64 `metric:"ckpt_skipped"`

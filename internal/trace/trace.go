@@ -6,10 +6,10 @@
 // was the fleet doing in the 200ms before rank 2 died". This package
 // answers both with a bounded per-node ring of timestamped protocol
 // events (barrier enter/exit, lock acquire/release, diff send/apply,
-// fetch request/serve, lease revalidation, checkpoint cut, transport
-// retransmission), causally linked across ranks: a span that starts an
-// RPC returns a compact wire.TraceCtx (rank, epoch, per-rank seq) the
-// transport stamps onto the outgoing frame, and the serving rank links
+// fetch request/serve, checkpoint cut, transport retransmission),
+// causally linked across ranks: a span that starts an RPC returns a
+// compact wire.TraceCtx (rank, epoch, per-rank seq) the transport
+// stamps onto the outgoing frame, and the serving rank links
 // its own span back to it — so a fetch-serve span on the home connects
 // to the fetch-request span on the cacher in the merged fleet view.
 //
@@ -65,9 +65,6 @@ const (
 	// FetchServe spans home-side fetch service, linked to the
 	// requester's FetchReq — the canonical cross-rank causal edge.
 	FetchServe
-	// LeaseReval spans cacher-side barrier-time lease revalidation;
-	// its ctx stamps every per-home TLeaseQ of the batch.
-	LeaseReval
 	// CkptCut spans cutting (and buddy-replicating) the barrier-exit
 	// checkpoint; its ctx stamps TCkptPut.
 	CkptCut
@@ -98,8 +95,6 @@ func (k Kind) String() string {
 		return "fetch_req"
 	case FetchServe:
 		return "fetch_serve"
-	case LeaseReval:
-		return "lease_reval"
 	case CkptCut:
 		return "ckpt_cut"
 	case Retransmit:
@@ -114,7 +109,7 @@ func (k Kind) String() string {
 // Unstamped kinds would only add noise edges.
 func (k Kind) stamped() bool {
 	switch k {
-	case BarrierEnter, LockAcquire, DiffSend, FetchReq, LeaseReval, CkptCut:
+	case BarrierEnter, LockAcquire, DiffSend, FetchReq, CkptCut:
 		return true
 	}
 	return false

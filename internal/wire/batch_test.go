@@ -153,7 +153,7 @@ func TestBatchDecodeStopsOnFnError(t *testing.T) {
 // reject them but must never panic or over-allocate, and whatever it
 // accepts must rebuild into a payload that decodes to the same
 // messages (the coalescing path trusts this framing across the
-// transport). Style matches FuzzCtrlDecode/FuzzLeaseDecode.
+// transport). Style matches FuzzCtrlDecode/FuzzCkptDecode.
 func FuzzBatchDecode(f *testing.F) {
 	f.Add(buildBatch(sampleBatchMsgs()))
 	f.Add(buildBatch(sampleBatchMsgs()[:1]))

@@ -17,7 +17,7 @@ func ctrlSamples() []Ctrl {
 		{Kind: CtrlError, Node: 0, Err: "lotsnode: join: endpoint closed"},
 		{Kind: CtrlEpoch, Node: 2, Epoch: 5},
 		{Kind: CtrlStats, Node: 1, Epoch: 4, Stats: []CtrlStat{
-			{Name: "msgs_sent", Val: 99}, {Name: "lease_hits", Val: -1}, {Name: "phase_barrier_wait_ns", Val: 1 << 33},
+			{Name: "msgs_sent", Val: 99}, {Name: "obj_fetches", Val: -1}, {Name: "phase_barrier_wait_ns", Val: 1 << 33},
 		}},
 		{Kind: CtrlLog, Node: 3, Log: "node 3: barrier 7 exit (12ms)"},
 	}

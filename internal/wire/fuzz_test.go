@@ -223,56 +223,6 @@ func FuzzTraceExtRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzLeaseDecode feeds arbitrary bytes to both lease frame decoders:
-// they may reject them but must never panic or over-allocate, and
-// whatever they accept must re-encode to an equivalent frame (the
-// barrier exit path trusts these frames across the transport).
-func FuzzLeaseDecode(f *testing.F) {
-	for _, q := range leaseQSamples() {
-		var w Buffer
-		q.Encode(&w)
-		f.Add(w.Bytes())
-	}
-	for _, p := range leaseReplySamples() {
-		var w Buffer
-		p.Encode(&w)
-		f.Add(w.Bytes())
-	}
-	f.Add([]byte{})
-	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if q, err := DecodeLeaseQ(NewReader(data)); err == nil {
-			var w Buffer
-			q.Encode(&w)
-			got, err := DecodeLeaseQ(NewReader(w.Bytes()))
-			if err != nil {
-				t.Fatalf("re-decode of accepted LeaseQ failed: %v", err)
-			}
-			if got.Epoch != q.Epoch || !reflect.DeepEqual(normLeaseQItems(got.Items), normLeaseQItems(q.Items)) {
-				t.Fatalf("re-encode changed LeaseQ: %+v != %+v", got, q)
-			}
-		}
-		if p, err := DecodeLeaseReply(NewReader(data)); err == nil {
-			var w Buffer
-			p.Encode(&w)
-			got, err := DecodeLeaseReply(NewReader(w.Bytes()))
-			if err != nil {
-				t.Fatalf("re-decode of accepted LeaseReply failed: %v", err)
-			}
-			if !reflect.DeepEqual(normLeaseReply(got), normLeaseReply(p)) {
-				t.Fatalf("re-encode changed LeaseReply: %+v != %+v", got, p)
-			}
-		}
-	})
-}
-
-func normLeaseQItems(items []LeaseQItem) []LeaseQItem {
-	if len(items) == 0 {
-		return nil
-	}
-	return items
-}
-
 // FuzzReassemblerNeverPanics feeds arbitrary bytes as wire fragments;
 // corrupt fragments may error but must never panic the reassembler or
 // poison it against subsequent valid traffic.

@@ -64,12 +64,10 @@ const (
 	TJDiff      // releasing node -> page home
 	TJDiffAck
 
-	// Retired; the blank keeps the values of the types after it.
+	// Retired; the blanks keep the values of the types after them.
 	_
-
-	// Lease coherence (revalidate instead of invalidate at barriers).
-	TLeaseQ     // cacher -> home: batched revalidation of leased copies
-	TLeaseReply // home -> cacher: per-object keep/demote verdicts
+	_
+	_
 
 	// Transport-level coalescing: one envelope carrying several encoded
 	// protocol messages for the same peer (payload layout in batch.go).
@@ -107,8 +105,6 @@ var typeNames = [...]string{
 	TJPageReply:      "j-page-reply",
 	TJDiff:           "j-diff",
 	TJDiffAck:        "j-diff-ack",
-	TLeaseQ:          "lease-q",
-	TLeaseReply:      "lease-reply",
 	TBatch:           "batch",
 	TCkptPut:         "ckpt-put",
 	TCkptAck:         "ckpt-ack",

@@ -84,7 +84,7 @@ func TestDecodeRejectsShortPayload(t *testing.T) {
 
 func TestTypeStrings(t *testing.T) {
 	for ty := TInvalid + 1; ty < tMax; ty++ {
-		if ty == TJDiffAck+1 { // the retired value: no name, and no frame carries it
+		if ty > TJDiffAck && ty < TBatch { // retired values: no name, and no frame carries them
 			if ty.Valid() || ty.String() != fmt.Sprintf("type(%d)", ty) {
 				t.Errorf("retired type %d: Valid %v, String %q", ty, ty.Valid(), ty.String())
 			}

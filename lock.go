@@ -472,7 +472,6 @@ func (n *Node) invalidateLocked(c *object.Control) {
 		return
 	}
 	c.State = object.Invalid
-	c.Lease = false
 	n.ctr.Invalidations.Add(1)
 	if n.mapper != nil {
 		if c.Mapped {

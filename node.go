@@ -88,14 +88,6 @@ type Node struct {
 	// once than ever before.
 	viewFree []*viewState
 
-	// Lease coherence state. leaseTab is this node's home-side lease
-	// memory; reconEpoch is E+1 once this node's barrier-exit
-	// processing for epoch E has registered diff expectations and
-	// settled its own version bumps — the point from which it may
-	// answer epoch-E lease revalidations (waited on via cond).
-	leaseTab   *leaseTable
-	reconEpoch uint32
-
 	// Barrier manager state (node 0 only).
 	bmgr *barrierMgr
 
@@ -143,7 +135,6 @@ func newNode(id int, cfg *Config, ep *transport.BatchingEndpoint, store disk.Sto
 		lmgr:         make(map[uint16]*lockMgr),
 		pendingDiffs: make(map[object.ID]int),
 		twinFree:     make(map[int][][]byte),
-		leaseTab:     newLeaseTable(DefaultLeaseSlots),
 		ph:           phases.NewRing(phases.DefaultWindow),
 	}
 	n.mux = transport.NewMux(ep, n.serve)
@@ -304,8 +295,6 @@ func (n *Node) serve(m wire.Message) {
 		n.serveBarrierDiff(m)
 	case wire.TObjFetchReq:
 		n.serveFetch(m)
-	case wire.TLeaseQ:
-		n.serveLeaseQ(m)
 	case wire.TRemoteSwapOut:
 		n.serveRemoteSwapOut(m)
 	case wire.TRemoteSwapIn:
@@ -417,9 +406,6 @@ func (n *Node) writeCheck(c *object.Control) []byte {
 		c.WrittenInEpoch = true
 		n.dirty = append(n.dirty, c)
 	}
-	// A write forfeits any read lease: the copy is no longer the pure
-	// fetched image the lease vouched for (RW views enter here too).
-	c.Lease = false
 	if n.mapper != nil {
 		n.mapper.MarkDirty(c)
 	}
@@ -536,10 +522,8 @@ type pendingDiff struct {
 // d to n.deferred and reports false: the fetch that validates the copy
 // replays it through here. Otherwise it copies the runs, stamps their
 // words (l, ver) so this node can serve on-demand diffs itself, marks
-// the mapped copy dirty and reports true. The copy then carries updates
-// the home's data version knows nothing about: a cacher forfeits its
-// lease (its bytes diverged from the leased image), and a home whose
-// bytes moved must bump — the acquirer's copy already matches the grant,
+// the mapped copy dirty and reports true. A home whose bytes moved must
+// bump its data version: the acquirer's copy already matches the grant,
 // so a later barrier diff may be a byte-level no-op that never bumps.
 // Caller holds n.mu.
 func (n *Node) applyScopeDiff(c *object.Control, l uint16, ver uint32, d diffing.Diff) bool {
@@ -554,7 +538,6 @@ func (n *Node) applyScopeDiff(c *object.Control, l uint16, ver uint32, d diffing
 	if err != nil {
 		n.fatalf("lots: node %d: applying scope diff to object %d: %v", n.id, c.ID, err)
 	}
-	c.Lease = false
 	if moved {
 		c.Ver++
 	}

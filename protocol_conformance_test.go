@@ -69,9 +69,6 @@ type protoScenario struct {
 	name  string
 	nodes int
 	body  func(n *Node) string
-	// cfg, when non-nil, mutates the cell's configuration (e.g. to
-	// enable the lease coherence extension for lease scenarios).
-	cfg func(*Config)
 }
 
 // runScenarioCell executes one (scenario, cell) pair and returns the
@@ -80,11 +77,7 @@ type protoScenario struct {
 // themselves.
 func runScenarioCell(t *testing.T, sc protoScenario, cell protoCell) string {
 	t.Helper()
-	cfg := cell.config(sc.nodes)
-	if sc.cfg != nil {
-		sc.cfg(&cfg)
-	}
-	c, err := NewCluster(cfg)
+	c, err := NewCluster(cell.config(sc.nodes))
 	if err != nil {
 		t.Errorf("%s/%s: %v", sc.name, cell.name, err)
 		return ""
@@ -337,15 +330,12 @@ func scenarioViewStripes() protoScenario {
 	}}
 }
 
-// enableLeases is the scenario config mutator for the lease cells.
-func enableLeases(cfg *Config) { cfg.Leases = true }
-
-// leaseReadMostlyBody is the canonical read-mostly lease workload: a
+// readMostlyBody is the read-mostly re-publication workload: a
 // publisher re-publishes a small table every epoch, but only one row's
 // bytes actually change; every node reads everything every epoch and
-// asserts the exact expected values, so a stale leased copy fails
-// loudly instead of just diverging the digest.
-func leaseReadMostlyBody(epochs, rowsN, words int) func(n *Node) string {
+// asserts the exact expected values, so a stale copy fails loudly
+// instead of just diverging the digest.
+func readMostlyBody(epochs, rowsN, words int) func(n *Node) string {
 	return func(n *Node) string {
 		rows := make([]Ptr[int32], rowsN)
 		for r := range rows {
@@ -371,7 +361,7 @@ func leaseReadMostlyBody(epochs, rowsN, words int) func(n *Node) string {
 				v := rows[r].View(0, words)
 				for i := 0; i < words; i++ {
 					if got, want := v.At(i), int32(r*10000+lastChanged[r]*100+i); got != want {
-						panic(fmt.Sprintf("node %d epoch %d: row %d[%d] = %d, want %d (stale lease?)",
+						panic(fmt.Sprintf("node %d epoch %d: row %d[%d] = %d, want %d (stale copy)",
 							n.ID(), e, r, i, got, want))
 					}
 				}
@@ -387,25 +377,25 @@ func leaseReadMostlyBody(epochs, rowsN, words int) func(n *Node) string {
 	}
 }
 
-// scenarioLeaseReadMostly drives the lease subsystem through the full
-// transport matrix: identical re-publications must revalidate (the
-// hits are asserted not-vacuous in TestLeaseConformanceNotVacuous)
-// and the one changing row must demote, in every cell.
-func scenarioLeaseReadMostly() protoScenario {
+// scenarioReadMostly drives identical re-publications through the full
+// transport matrix: every re-published copy is invalidated at the
+// barrier and re-fetched, and the one changing row must be read fresh,
+// in every cell.
+func scenarioReadMostly() protoScenario {
 	return protoScenario{
-		name:  "lease-read-mostly",
+		name:  "read-mostly",
 		nodes: 3,
-		body:  leaseReadMostlyBody(6, 4, 12),
-		cfg:   enableLeases,
+		body:  readMostlyBody(6, 4, 12),
 	}
 }
 
-// scenarioLeaseLockMix layers the homeless lock protocol over leased
-// barrier objects: lock-scope grant diffs must revoke leases so a
-// net-zero epoch at the home can never certify a mid-epoch copy.
-func scenarioLeaseLockMix() protoScenario {
+// scenarioRepublishLockMix layers the homeless lock protocol over a
+// re-published barrier object: lock-scope grant diffs land on copies
+// the next barrier invalidates, and every node must read both objects
+// exactly after it.
+func scenarioRepublishLockMix() protoScenario {
 	const nodes, rounds, words = 3, 4, 16
-	return protoScenario{name: "lease-lock-mix", nodes: nodes, cfg: enableLeases,
+	return protoScenario{name: "republish-lock-mix", nodes: nodes,
 		body: func(n *Node) string {
 			table := Alloc[int32](n, words) // read-mostly, republished
 			hot := Alloc[int32](n, words)   // lock-updated by everyone
@@ -447,8 +437,8 @@ func protoScenarios() []protoScenario {
 		scenarioMixedRandom(),
 		scenarioViewCounter(),
 		scenarioViewStripes(),
-		scenarioLeaseReadMostly(),
-		scenarioLeaseLockMix(),
+		scenarioReadMostly(),
+		scenarioRepublishLockMix(),
 		scenarioCoalesceFanout(),
 		scenarioLockAndLockFree(),
 	}
@@ -534,15 +524,15 @@ func TestViewAndSetWritersByteIdentical(t *testing.T) {
 }
 
 // TestTCPTLSConformanceCell is the TLS smoke cell of the protocol
-// matrix: the mixed coherence protocol (and the lease extension) must
-// produce the same final shared state over TLS-encrypted TCP — clean
-// and under connection-kill chaos — as over the mem transport.
+// matrix: the mixed coherence protocol must produce the same final
+// shared state over TLS-encrypted TCP — clean and under
+// connection-kill chaos — as over the mem transport.
 func TestTCPTLSConformanceCell(t *testing.T) {
 	tlsCfg, err := SelfSignedTLS()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, sc := range []protoScenario{scenarioLockCounter(), scenarioLeaseReadMostly()} {
+	for _, sc := range []protoScenario{scenarioLockCounter(), scenarioReadMostly()} {
 		sc := sc
 		t.Run(sc.name, func(t *testing.T) {
 			t.Parallel()
@@ -557,9 +547,6 @@ func TestTCPTLSConformanceCell(t *testing.T) {
 				cfg.TLS = tlsCfg
 				if chaos {
 					cfg.Chaos = protoChaos()
-				}
-				if sc.cfg != nil {
-					sc.cfg(&cfg)
 				}
 				c, err := NewCluster(cfg)
 				if err != nil {
@@ -588,57 +575,15 @@ func TestTCPTLSConformanceCell(t *testing.T) {
 	}
 }
 
-// TestLeaseAndInvalidateByteIdentical runs each lease workload twice
-// per matrix cell — leases off (the paper's invalidate-at-barrier
-// protocol) and leases on — and asserts byte-identical final shared
-// state in every {mem, udp, tcp} x {clean, chaos} cell: revalidation
-// may only remove round-trips, never change outcomes.
-func TestLeaseAndInvalidateByteIdentical(t *testing.T) {
-	for _, base := range []protoScenario{scenarioLeaseReadMostly(), scenarioLeaseLockMix()} {
-		base := base
-		off := base
-		off.cfg = nil // plain invalidate protocol
-		t.Run(base.name, func(t *testing.T) {
-			t.Parallel()
-			cells := protoCells()
-			onDigests := make([]string, len(cells))
-			offDigests := make([]string, len(cells))
-			var wg sync.WaitGroup
-			for i, cell := range cells {
-				wg.Add(1)
-				go func(i int, cell protoCell) {
-					defer wg.Done()
-					onDigests[i] = runScenarioCell(t, base, cell)
-					offDigests[i] = runScenarioCell(t, off, cell)
-				}(i, cell)
-			}
-			wg.Wait()
-			if t.Failed() {
-				return
-			}
-			for i, cell := range cells {
-				if onDigests[i] != offDigests[i] {
-					t.Errorf("%s/%s: lease run diverges from invalidate run:\n%s\nvs\n%s",
-						base.name, cell.name, onDigests[i], offDigests[i])
-				}
-				if onDigests[i] != onDigests[0] {
-					t.Errorf("%s: cell %s differs from %s", base.name, cell.name, cells[0].name)
-				}
-			}
-		})
-	}
-}
-
-// leaseDelayChaos is an adversary aimed specifically at the
-// revalidation window: heavy reordering and long random delays hold
-// lease queries and replies across the barrier exchange (a reply
-// computed for epoch E can arrive when wall-clock is deep into E+1),
-// plus enough drop/dup to force the reliability layers to redeliver
-// them. A lease implementation that answered before its
-// reconciliation settled, or honored a stale verdict, would certify a
-// stale copy — and the scenario's per-epoch value assertions (the
-// object's bytes change EVERY epoch) would panic the run.
-func leaseDelayChaos(seed int64) *transport.Chaos {
+// delayChaos is an adversary aimed at the reconciliation window: heavy
+// reordering and long random delays hold diffs, fetches and their
+// replies across the barrier exchange (a reply computed for epoch E can
+// arrive when wall-clock is deep into E+1), plus enough drop/dup to
+// force the reliability layers to redeliver them. A home that served a
+// fetch before its reconciliation settled would hand out a stale copy —
+// and the scenario's per-epoch value assertions (the object's bytes
+// change EVERY epoch) would fail the run.
+func delayChaos(seed int64) *transport.Chaos {
 	c := transport.DefaultChaos(seed)
 	c.DelayMin = 500 * 1e3 // 0.5ms
 	c.DelayMax = 8 * 1e6   // 8ms: far beyond a barrier exchange
@@ -648,15 +593,15 @@ func leaseDelayChaos(seed int64) *transport.Chaos {
 	return &c
 }
 
-// TestLeaseRevalidationDelayedReply is the adversarial lease cell from
-// the issue: chaos delays revalidation traffic across epoch
-// boundaries while the shared object's bytes move every single epoch
-// (multi-writer diffs to a fixed third-party home, so the home must
-// gate verdicts on its reconciliation). Any stale read diverges the
-// digest or trips the in-run assertions.
-func TestLeaseRevalidationDelayedReply(t *testing.T) {
+// TestMultiwriterUnderDelayChaos is the adversarial barrier cell: chaos
+// delays protocol traffic across epoch boundaries while the shared
+// object's bytes move every single epoch (multi-writer diffs to a
+// fixed third-party home, so the home must gate fetch service on its
+// reconciliation). Any stale read diverges the digest or trips the
+// in-run assertions.
+func TestMultiwriterUnderDelayChaos(t *testing.T) {
 	const nodes, epochs, words = 4, 6, 24
-	sc := protoScenario{name: "lease-delayed-reply", nodes: nodes, cfg: enableLeases,
+	sc := protoScenario{name: "delayed-multiwriter", nodes: nodes,
 		body: func(n *Node) string {
 			obj := Alloc[int32](n, words) // id 1 -> home = 1 % 4 = node 1
 			n.Barrier()
@@ -666,8 +611,8 @@ func TestLeaseRevalidationDelayedReply(t *testing.T) {
 			stale := ""
 			for e := 0; e < epochs; e++ {
 				// Nodes 2 and 3 write disjoint halves every epoch; home
-				// (node 1) and node 0 read. Node 0's copy is leased after
-				// its first fetch and must demote EVERY epoch.
+				// (node 1) and node 0 read. Node 0's copy is invalidated and
+				// re-fetched EVERY epoch.
 				half := words / 2
 				switch n.ID() {
 				case 2:
@@ -686,7 +631,7 @@ func TestLeaseRevalidationDelayedReply(t *testing.T) {
 				n.Barrier()
 				for i := 0; i < words; i++ {
 					if got, want := obj.Get(i), int32(e*1000+i); got != want && stale == "" {
-						stale = fmt.Sprintf("node %d epoch %d: obj[%d] = %d, want %d (stale lease read)",
+						stale = fmt.Sprintf("node %d epoch %d: obj[%d] = %d, want %d (stale read)",
 							n.ID(), e, i, got, want)
 					}
 				}
@@ -710,8 +655,7 @@ func TestLeaseRevalidationDelayedReply(t *testing.T) {
 			defer wg.Done()
 			cfg := DefaultConfig(sc.nodes)
 			cfg.Transport = cell.kind
-			cfg.Chaos = leaseDelayChaos(protoChaosSeed)
-			sc.cfg(&cfg)
+			cfg.Chaos = delayChaos(protoChaosSeed)
 			c, err := NewCluster(cfg)
 			if err != nil {
 				t.Errorf("%s: %v", cell.name, err)
@@ -746,29 +690,6 @@ func TestLeaseRevalidationDelayedReply(t *testing.T) {
 		if digests[i] != digests[0] {
 			t.Errorf("cell %s final state differs from %s", cells[i].name, cells[0].name)
 		}
-	}
-}
-
-// TestLeaseConformanceNotVacuous asserts the lease matrix scenarios
-// actually exercise the machinery: hits and demotes both fire on the
-// read-mostly workload (a regression that silently disabled leasing
-// would otherwise sail through the digest checks).
-func TestLeaseConformanceNotVacuous(t *testing.T) {
-	sc := scenarioLeaseReadMostly()
-	cfg := DefaultConfig(sc.nodes)
-	sc.cfg(&cfg)
-	c, err := NewCluster(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if err := c.Run(func(n *Node) { sc.body(n) }); err != nil {
-		t.Fatal(err)
-	}
-	total := c.Total()
-	if total.LeaseHits == 0 || total.LeaseDemotes == 0 || total.LeasesGranted == 0 {
-		t.Errorf("lease scenario vacuous: granted=%d hits=%d demotes=%d",
-			total.LeasesGranted, total.LeaseHits, total.LeaseDemotes)
 	}
 }
 

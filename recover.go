@@ -1,6 +1,7 @@
 package lots
 
 import (
+	"bytes"
 	"fmt"
 	"path/filepath"
 	"sort"
@@ -24,12 +25,12 @@ import (
 // is therefore a consistent cut of the shared space with no
 // cross-rank coordination beyond the barrier itself.
 //
-// Checkpoints are incremental: the lease extension's data versions
-// (Control.Ver, bumped only when a synchronization event actually
-// moves an object's bytes) tell the checkpointer which objects changed
-// since its last checkpoint. Unchanged objects appear in the manifest
-// with no bytes (CkptSkipped counts them); restore walks the owner's
-// older increments for their data. Each increment is persisted to the
+// Checkpoints are incremental: data versions (Control.Ver, bumped only
+// when a synchronization event actually moves an object's bytes) tell
+// the checkpointer which objects changed since its last checkpoint.
+// Unchanged objects appear in the manifest with no bytes (CkptSkipped
+// counts them); restore walks the owner's older increments for their
+// data. Each increment is persisted to the
 // rank's local store (atomic file per epoch) and pushed to a buddy
 // rank over the DSM transport, so recovery survives the total loss of
 // one rank's checkpoint directory.
@@ -43,14 +44,25 @@ import (
 // still materialize (through rank 0), restores it — fetching owners
 // whose local chain is gone from whichever peer's store replicated
 // them (TRehome; Rehomes counts these) — rebuilds the object -> home
-// map cluster-wide, and returns the epoch index to resume at. Lease
-// records never travel, so every pre-death lease is implicitly
-// revoked; lock versions restart at zero on every rank alike.
+// map cluster-wide, and returns the epoch index to resume at. Lock
+// versions restart at zero on every rank alike.
 
-// trackVer reports whether data-version maintenance is on: the lease
-// extension needs it for revalidation, and the checkpointer needs it
-// for incrementality.
-func (n *Node) trackVer() bool { return n.cfg.Leases || n.cfg.Recovery != nil }
+// trackVer reports whether data-version maintenance is on: the
+// checkpointer needs it for incrementality.
+func (n *Node) trackVer() bool { return n.cfg.Recovery != nil }
+
+// bumpVerOnSelfWritesLocked settles the home's own contribution to an
+// object's data version at barrier time: if this node wrote the object
+// in the epoch and the bytes actually moved against the epoch twin,
+// the version bumps. Caller holds n.mu.
+func (n *Node) bumpVerOnSelfWritesLocked(c *object.Control) {
+	if !c.WrittenInEpoch || c.Twin == nil || c.State == object.Invalid {
+		return
+	}
+	if !bytes.Equal(n.objData(c), c.Twin) {
+		c.Ver++
+	}
+}
 
 // identity returns the rank number whose checkpoint chain this node
 // owns: its own rank, unless a degraded restart remapped it.
@@ -452,7 +464,6 @@ func (n *Node) restoreSegs(ck wire.CkptPut) {
 		}
 		c.Home = n.id
 		c.Ver = seg.Ver
-		c.Lease = false
 		switch seg.Flag {
 		case wire.CkptSegZero:
 			c.State = object.Initial
@@ -493,7 +504,6 @@ func (n *Node) finishRecover(homedIDs []uint64, epoch uint32, found bool) {
 			// fetches from the restored home.
 			c.State = object.Invalid
 			c.Ver = 0
-			c.Lease = false
 		}
 	}
 	if found {

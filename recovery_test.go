@@ -230,24 +230,64 @@ func TestRecoveryCheckpointsIncremental(t *testing.T) {
 	}
 }
 
-// TestRecoveryLeasedKillCell layers the lease extension over the kill
-// scenario: the read-mostly epochs must keep earning lease hits in
-// both the doomed and the resumed runs, and recovery (which revokes
-// every lease) must still reproduce the oracle bytes.
-func TestRecoveryLeasedKillCell(t *testing.T) {
-	spec := recoverySpec()
-	spec.Leases = true
-	res, err := harness.RecoveryCost(spec)
+// TestRecoveryHomeMigratesBack moves one object's home 1 → 2 → 1, one
+// sole writer per epoch, then restarts from the checkpoints. Rank 1
+// checkpointed the object at version 1 before it left; rank 2 changed
+// its bytes; rank 1 takes the home back with a write that moves no
+// byte, so nothing bumps. The version rank 1 then carries must be the
+// one its fetch reply brought (2): were it still its own 1, the
+// checkpointer would take the object for unchanged since rank 1's last
+// cut, and the restore would resolve rank 1's old bytes.
+func TestRecoveryHomeMigratesBack(t *testing.T) {
+	const procs, epochs = 3, 3
+	root := t.TempDir()
+	want := []int32{100, 101, 101} // x[0] after each epoch
+	mkcfg := func(resume bool) lots.Config {
+		cfg := lots.DefaultConfig(procs)
+		cfg.Recovery = &lots.RecoveryOpts{Root: root, Buddy: true, Resume: resume}
+		return cfg
+	}
+	c, err := lots.NewCluster(mkcfg(false))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := res.Assert(); err != nil {
+	err = c.Run(func(n *lots.Node) {
+		x := lots.Alloc[int32](n, 4) // id 1: homed at rank 1
+		for ep := 0; ep < epochs; ep++ {
+			if n.ID() == 1+ep%2 {
+				x.Set(0, want[ep])
+			}
+			n.Barrier()
+			if got := x.Get(0); got != want[ep] {
+				panic(fmt.Sprintf("node %d epoch %d: x[0] = %d, want %d", n.ID(), ep, got, want[ep]))
+			}
+			n.Barrier()
+		}
+	})
+	c.Close()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Doomed.LeaseHits == 0 {
-		t.Error("doomed leased run recorded no lease hits")
+
+	c, err = lots.NewCluster(mkcfg(true))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if res.Resumed.LeaseHits == 0 {
-		t.Error("resumed leased run recorded no lease hits")
+	defer c.Close()
+	got := make([]int32, procs)
+	err = c.Run(func(n *lots.Node) {
+		x := lots.Alloc[int32](n, 4)
+		if resume := n.Recover(); resume != 2*epochs {
+			panic(fmt.Sprintf("node %d: Recover returned %d, want %d", n.ID(), resume, 2*epochs))
+		}
+		got[n.ID()] = x.Get(0)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r, v := range got {
+		if v != want[epochs-1] {
+			t.Errorf("node %d: restored x[0] = %d, want %d", r, v, want[epochs-1])
+		}
 	}
 }

@@ -165,6 +165,28 @@ func TestRegressionGrantCountsBounded(t *testing.T) {
 	}
 }
 
+// TestRegressionFetchRejectsTrailingBytes hands serveFetch a 13-byte
+// request: a well-formed (id, epoch) plus one byte more. A fetch frame
+// has one length, so a longer one comes from a peer speaking another
+// layout (a rank built with the reply's old lease byte, say) and must
+// fail as a bad fetch request rather than be served.
+func TestRegressionFetchRejectsTrailingBytes(t *testing.T) {
+	c := mustCluster(t, DefaultConfig(1))
+	var id uint64
+	if err := c.Run(func(n *Node) { id = Alloc[int32](n, 4).ObjectID() }); err != nil {
+		t.Fatal(err)
+	}
+	payload := (&wire.Buffer{}).U64(id).U32(0).U8(0).Bytes()
+	var rejected any
+	func() {
+		defer func() { rejected = recover() }()
+		c.nodes[0].serveFetch(wire.Message{Type: wire.TObjFetchReq, Payload: payload})
+	}()
+	if msg, _ := rejected.(string); !strings.Contains(msg, "bad fetch request") {
+		t.Errorf("13-byte fetch request: serveFetch said %v, want a bad fetch request", rejected)
+	}
+}
+
 // TestRegressionRemoteSwapInSizeSizesNoAllocation sends a twelve-byte
 // swap-in request (id, size) asking for a 2^32-1 byte spill the server
 // never stored. The size used to size a make before the store was
