@@ -60,7 +60,6 @@ type barrierMgr struct {
 	notices  []writeNotice
 	writers  []int
 	lockVers map[uint16]uint32
-	homes    map[object.ID]int // persistent across epochs
 
 	rbMsgs      []wire.Message
 	rbMaxArrive time.Duration
@@ -70,7 +69,6 @@ func newBarrierMgr(n int) *barrierMgr {
 	return &barrierMgr{
 		n:        n,
 		lockVers: make(map[uint16]uint32),
-		homes:    make(map[object.ID]int),
 	}
 }
 
@@ -214,7 +212,7 @@ func (n *Node) serveBarrierArrive(m wire.Message) {
 	}
 
 	// Everyone has arrived: decide homes, orders, and expectations.
-	plans, orders, expects, migrations := bm.plan(n.cfg.Protocol.Barrier)
+	plans, orders, expects, migrations := bm.plan(n.cfg.Protocol.Barrier, func(id object.ID) int { return n.lookup(id).Home })
 	n.ctr.HomeMigrates.Add(int64(migrations))
 
 	lockList := make([]lv, 0, len(bm.lockVers))
@@ -259,9 +257,11 @@ func (n *Node) serveBarrierArrive(m wire.Message) {
 // the new home of every written object (ascending ids), per sender the
 // diffs it must ship, per receiver how many diffs to expect of which
 // object (ascending ids, like the orders), and how many homes migrated.
-// It records the new homes and empties the notices for the next epoch.
+// It empties the notices for the next epoch. homeOf reports an object's
+// current home: the manager's own table's, since rank 0 has arrived too
+// and so has applied every earlier plan and recovery home table.
 // Caller holds the manager node's mu.
-func (bm *barrierMgr) plan(mode BarrierMode) (plans []barrierPlan, orders [][]exitOrder, expects [][]expectEntry, migrations int) {
+func (bm *barrierMgr) plan(mode BarrierMode, homeOf func(object.ID) int) (plans []barrierPlan, orders [][]exitOrder, expects [][]expectEntry, migrations int) {
 	slices.SortFunc(bm.notices, func(a, b writeNotice) int {
 		return cmp.Or(cmp.Compare(a.id, b.id), cmp.Compare(a.from, b.from))
 	})
@@ -289,10 +289,7 @@ func (bm *barrierMgr) plan(mode BarrierMode) (plans []barrierPlan, orders [][]ex
 			}
 		}
 		bm.writers = writers
-		home, ok := bm.homes[id]
-		if !ok {
-			home = int(uint64(id) % uint64(bm.n))
-		}
+		home := homeOf(id)
 		newHome := home
 		switch {
 		case mode == BarrierMigratingHome && len(writers) == 1:
@@ -316,7 +313,6 @@ func (bm *barrierMgr) plan(mode BarrierMode) (plans []barrierPlan, orders [][]ex
 				}
 			}
 		}
-		bm.homes[id] = newHome
 		plans = append(plans, barrierPlan{id: id, home: newHome})
 	}
 	bm.notices = bm.notices[:0]

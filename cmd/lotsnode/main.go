@@ -198,7 +198,7 @@ func main() {
 		if *stallAt >= 0 && *resume {
 			fatalConfig(fmt.Errorf("-stall-at only applies to fresh (non -recover) runs"))
 		}
-		cfg.Recovery = &lots.RecoveryOpts{Root: *ckptRoot, Buddy: true, Resume: *resume}
+		cfg.Recovery = &lots.RecoveryOpts{Root: *ckptRoot, Resume: *resume}
 	} else {
 		if *resume || *ckptRoot != "" || *stallAt >= 0 {
 			fatalConfig(fmt.Errorf("-recover/-ckpt-root/-stall-at only apply to -app recov"))

@@ -1,23 +1,17 @@
 // Command lotsvet runs the repo's invariant analyzers (see
-// internal/analysis) in two modes:
+// internal/analysis) over module packages:
 //
-//	lotsvet [packages]            direct: analyze the module (default ./...)
-//	go vet -vettool=lotsvet ...   vettool: driven by the go command
+//	lotsvet [packages]   (default ./...)
 //
-// Direct mode loads packages in dependency order with in-package test
-// files (so boundeddecode sees fuzz targets) and threads analyzer
-// facts through the run. Vettool mode speaks go vet's unit-config
-// protocol: -V=full for the tool fingerprint, a JSON .cfg argument per
-// package, diagnostics as JSON on stdout, and facts serialized to the
-// .vetx file go vet manages.
+// It loads packages in dependency order with in-package test files (so
+// boundeddecode sees fuzz targets) and threads analyzer facts through
+// the run in memory. It exits 1 when any analyzer reports.
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"log"
 	"os"
-	"strings"
 
 	"repro/internal/analysis"
 	"repro/internal/analysis/lint"
@@ -26,30 +20,7 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("lotsvet: ")
-	args := os.Args[1:]
-	for _, a := range args {
-		if a == "-V=full" || a == "-V" {
-			// The go command fingerprints vet tools with -V=full and
-			// caches results keyed on this line.
-			fmt.Println("lotsvet version 7")
-			return
-		}
-	}
-	if len(args) == 1 && args[0] == "-flags" {
-		// go vet discovers a vettool's flags by invoking it with -flags
-		// and expects a JSON array; lotsvet exposes none.
-		fmt.Println("[]")
-		return
-	}
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		os.Exit(vettool(args[0]))
-	}
-	os.Exit(direct(args))
-}
-
-// direct analyzes module packages in dependency order, sharing one
-// fact store so cross-package summaries resolve.
-func direct(patterns []string) int {
+	patterns := os.Args[1:]
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
@@ -81,74 +52,5 @@ func direct(patterns []string) int {
 			exit = 1
 		}
 	}
-	return exit
-}
-
-// vetConfig is the subset of go vet's unit config lotsvet consumes.
-type vetConfig struct {
-	ID                        string
-	Dir                       string
-	ImportPath                string
-	GoFiles                   []string
-	ImportMap                 map[string]string
-	PackageFile               map[string]string
-	PackageVetx               map[string]string
-	VetxOnly                  bool
-	VetxOutput                string
-	SucceedOnTypecheckFailure bool
-}
-
-func vettool(cfgFile string) int {
-	data, err := os.ReadFile(cfgFile)
-	if err != nil {
-		log.Fatal(err)
-	}
-	var cfg vetConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		log.Fatalf("parsing %s: %v", cfgFile, err)
-	}
-	loader := lint.NewVetLoader(cfg.PackageFile)
-	pkg, err := loader.CheckFiles(cfg.ImportPath, cfg.Dir, cfg.GoFiles, cfg.ImportMap)
-	if err != nil {
-		if cfg.SucceedOnTypecheckFailure {
-			return 0
-		}
-		log.Fatal(err)
-	}
-	facts := lint.NewFactStore()
-	for _, vetx := range cfg.PackageVetx {
-		b, err := os.ReadFile(vetx)
-		if err != nil {
-			continue // a dep analyzed by a different tool; builtin tables cover wire
-		}
-		if err := facts.MergeVetx(b); err != nil {
-			log.Printf("warning: merging %s: %v", vetx, err)
-		}
-	}
-	diags, err := lint.RunAnalyzers(pkg, analysis.All(), facts)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if cfg.VetxOutput != "" {
-		b, err := facts.EncodeVetx()
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := os.WriteFile(cfg.VetxOutput, b, 0o666); err != nil {
-			log.Fatal(err)
-		}
-	}
-	if cfg.VetxOnly {
-		return 0
-	}
-	if len(diags) == 0 {
-		return 0
-	}
-	// go vet streams the tool's stdout to the user, prefixed with a
-	// "# package" header when non-empty: stay silent on a clean unit,
-	// print plain file:line diagnostics on findings.
-	for _, d := range diags {
-		fmt.Println(d)
-	}
-	return 2
+	os.Exit(exit)
 }

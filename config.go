@@ -216,12 +216,6 @@ type RecoveryOpts struct {
 	// is used, so sharing one path string is safe either way.
 	Root string
 
-	// Buddy replicates every checkpoint increment to rank
-	// (id+1) mod Nodes over the DSM transport, making recovery survive
-	// the total loss of a rank's checkpoint directory. On by default in
-	// DefaultRecovery; meaningless (and skipped) for 1-node clusters.
-	Buddy bool
-
 	// Resume marks this process as a restarted rank: the application
 	// must call Node.Recover after its allocation prologue, which
 	// negotiates a common restore epoch through rank 0, restores state,
@@ -336,7 +330,7 @@ func (c *Config) validate() error {
 }
 
 // DefaultRecovery returns the standard recovery configuration: durable
-// checkpoints under root with buddy replication.
+// checkpoints under root, each replicated to a buddy rank.
 func DefaultRecovery(root string) *RecoveryOpts {
-	return &RecoveryOpts{Root: root, Buddy: true}
+	return &RecoveryOpts{Root: root}
 }

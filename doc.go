@@ -115,8 +115,8 @@
 // release views before the next barrier, never let pooled wire buffers
 // or their aliases outlive PutSlab, never index a payload without a
 // length guard — are mechanically enforced by the cmd/lotsvet analyzer
-// suite, run in CI both directly and as a `go vet -vettool` (see
-// DESIGN.md, "Static analysis: invariants as analyzers").
+// suite, run in CI (see DESIGN.md, "Static analysis: invariants as
+// analyzers").
 //
 // # Multi-process deployment
 //

@@ -30,10 +30,7 @@ var Analyzer = &lint.Analyzer{
 }
 
 func run(pass *lint.Pass) error {
-	// In vettool mode the in-package test unit is named
-	// "repro/internal/wire [repro/internal/wire.test]".
-	path := pass.Pkg.Path()
-	if path != wirePath && !strings.HasPrefix(path, wirePath+" [") && !strings.HasPrefix(path, "testdata/") {
+	if path := pass.Pkg.Path(); path != wirePath && !strings.HasPrefix(path, "testdata/") {
 		return nil
 	}
 	guardFuncs := findGuardFuncs(pass)

@@ -101,10 +101,9 @@ func (p *Pass) ImportFact(pkgPath string, v any) bool {
 	return p.facts.get(p.Analyzer.Name, pkgPath, v)
 }
 
-// FactStore holds per-(analyzer, package) JSON facts. The direct
-// driver keeps one store for a whole run and feeds packages through in
-// dependency order (go list -deps order is topological); the vettool
-// driver serializes the store to the .vetx file go vet manages.
+// FactStore holds per-(analyzer, package) JSON facts. The driver keeps
+// one store for a whole run and feeds packages through in dependency
+// order (go list -deps order is topological).
 type FactStore struct {
 	m map[string]map[string]json.RawMessage
 }
@@ -132,28 +131,6 @@ func (s *FactStore) get(analyzer, pkg string, v any) bool {
 		return false
 	}
 	return json.Unmarshal(b, v) == nil
-}
-
-// EncodeVetx serializes every fact in the store (vettool mode writes
-// this to the VetxOutput file go vet hands it).
-func (s *FactStore) EncodeVetx() ([]byte, error) { return json.Marshal(s.m) }
-
-// MergeVetx merges a serialized store (a dependency's .vetx file) into
-// s. Unknown content is an error: vetx files are lotsvet-private.
-func (s *FactStore) MergeVetx(data []byte) error {
-	var m map[string]map[string]json.RawMessage
-	if err := json.Unmarshal(data, &m); err != nil {
-		return err
-	}
-	for a, pkgs := range m {
-		if s.m[a] == nil {
-			s.m[a] = map[string]json.RawMessage{}
-		}
-		for p, b := range pkgs {
-			s.m[a][p] = b
-		}
-	}
-	return nil
 }
 
 // RunAnalyzers applies every analyzer to pkg, applies //lint:allow

@@ -42,7 +42,6 @@ type listPkg struct {
 	DepOnly    bool
 	ForTest    string
 	GoFiles    []string
-	Imports    []string
 	ImportMap  map[string]string
 	Error      *struct{ Err string }
 }
@@ -55,14 +54,11 @@ type listPkg struct {
 // data. Test-variant packages (ForTest set) carry the in-package
 // _test.go files, so analyzers see fuzz targets too.
 type Loader struct {
-	ModDir string
-
-	fset     *token.FileSet
-	index    map[string]*listPkg // ImportPath (incl. variants) -> entry
-	order    []string            // go list output order = dependency order
-	testVar  map[string]string   // plain path -> in-package test variant path
-	loaded   map[string]*Package
-	typeOnly map[string]*types.Package // cache for export-data imports
+	fset    *token.FileSet
+	index   map[string]*listPkg // ImportPath (incl. variants) -> entry
+	order   []string            // go list output order = dependency order
+	testVar map[string]string   // plain path -> in-package test variant path
+	loaded  map[string]*Package
 }
 
 // NewLoader lists patterns (plus their dependency closure) under
@@ -79,12 +75,10 @@ func NewLoader(modDir string, patterns ...string) (*Loader, error) {
 		return nil, fmt.Errorf("go list: %v\n%s", err, stderr.String())
 	}
 	l := &Loader{
-		ModDir:   modDir,
-		fset:     token.NewFileSet(),
-		index:    map[string]*listPkg{},
-		testVar:  map[string]string{},
-		loaded:   map[string]*Package{},
-		typeOnly: map[string]*types.Package{},
+		fset:    token.NewFileSet(),
+		index:   map[string]*listPkg{},
+		testVar: map[string]string{},
+		loaded:  map[string]*Package{},
 	}
 	dec := json.NewDecoder(bytes.NewReader(out))
 	for {
@@ -176,30 +170,6 @@ func (l *Loader) LoadDir(dir string) (*Package, error) {
 		abs = dir
 	}
 	return l.check("testdata/"+filepath.Base(dir), abs, files, nil)
-}
-
-// CheckFiles type-checks an explicit file list as one package, with an
-// optional import-path rewrite map and export-data override map
-// (vettool mode: go vet supplies both in the unit config).
-func (l *Loader) CheckFiles(pkgPath, dir string, files []string, importMap map[string]string) (*Package, error) {
-	return l.check(pkgPath, dir, files, importMap)
-}
-
-// NewVetLoader returns a loader that resolves imports through an
-// explicit export-file map instead of go list: vettool mode, where go
-// vet's unit config supplies PackageFile and ImportMap.
-func NewVetLoader(packageFile map[string]string) *Loader {
-	l := &Loader{
-		fset:     token.NewFileSet(),
-		index:    map[string]*listPkg{},
-		testVar:  map[string]string{},
-		loaded:   map[string]*Package{},
-		typeOnly: map[string]*types.Package{},
-	}
-	for path, file := range packageFile {
-		l.index[path] = &listPkg{ImportPath: path, Export: file}
-	}
-	return l
 }
 
 func (l *Loader) check(pkgPath, dir string, files []string, importMap map[string]string) (*Package, error) {

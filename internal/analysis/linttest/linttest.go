@@ -8,12 +8,14 @@
 // any mismatch in either direction — a missing diagnostic and an
 // unexpected one are both errors. Testdata packages may import real
 // module packages (repro, repro/internal/wire, ...), so goldens
-// exercise the analyzers against the actual API the invariants govern.
+// exercise the analyzers against the actual API the invariants govern,
+// with the facts lotsvet would have derived from those packages.
 package linttest
 
 import (
 	"fmt"
 	"go/token"
+	"go/types"
 	"os"
 	"regexp"
 	"sync"
@@ -66,13 +68,48 @@ func Run(t *testing.T, a *lint.Analyzer, dirs ...string) {
 			if err != nil {
 				t.Fatalf("linttest: %v", err)
 			}
-			diags, err := lint.RunAnalyzers(pkg, []*lint.Analyzer{a}, lint.NewFactStore())
+			facts, err := importedFacts(l, a, pkg)
+			if err != nil {
+				t.Fatalf("linttest: %v", err)
+			}
+			diags, err := lint.RunAnalyzers(pkg, []*lint.Analyzer{a}, facts)
 			if err != nil {
 				t.Fatalf("linttest: %v", err)
 			}
 			checkWants(t, pkg, diags)
 		})
 	}
+}
+
+// importedFacts runs a over every module package pkg imports, directly
+// or not, in dependency order as lotsvet does, and returns the facts it
+// exported; their diagnostics are not the golden's concern.
+func importedFacts(l *lint.Loader, a *lint.Analyzer, pkg *lint.Package) (*lint.FactStore, error) {
+	imported := map[string]bool{}
+	var walk func(p *types.Package)
+	walk = func(p *types.Package) {
+		for _, imp := range p.Imports() {
+			if !imported[imp.Path()] {
+				imported[imp.Path()] = true
+				walk(imp)
+			}
+		}
+	}
+	walk(pkg.Types)
+	facts := lint.NewFactStore()
+	for _, path := range l.ModulePackages() {
+		if !imported[path] {
+			continue
+		}
+		dep, err := l.Load(path)
+		if err != nil {
+			return nil, err
+		}
+		if _, err := lint.RunAnalyzers(dep, []*lint.Analyzer{a}, facts); err != nil {
+			return nil, err
+		}
+	}
+	return facts, nil
 }
 
 var wantRe = regexp.MustCompile("//\\s*want((?:\\s+(?:`[^`]*`|\"[^\"]*\"))+)\\s*$")

@@ -14,10 +14,10 @@
 // Aliasing is tracked through calls: per-function may-alias summaries
 // ("result may alias parameter i") are computed for the package under
 // analysis and exported as facts for dependents, with a built-in table
-// for the wire package's own API (DecodeInPlace, Reader.Raw) so the
-// contract holds across packages. A closure passed directly as a call
-// argument runs synchronously and is analyzed inline; only go-statement
-// and stored closures are capture escapes.
+// for the wire package's own API (DecodeInPlace) so the contract holds
+// across packages. A closure passed directly as a call argument runs
+// synchronously and is analyzed inline; only go-statement and stored
+// closures are capture escapes.
 package slabsafe
 
 import (
@@ -50,8 +50,7 @@ const releaseFunc = wirePath + ".PutSlab"
 // on methods). It seeds the summary fixpoint and covers analyses of
 // packages loaded without wire's facts.
 var builtinAlias = map[string][]int{
-	wirePath + ".DecodeInPlace":      {0},
-	"(*" + wirePath + ".Reader).Raw": {0},
+	wirePath + ".DecodeInPlace": {0},
 }
 
 // Summaries is the exported fact: function full name -> parameter

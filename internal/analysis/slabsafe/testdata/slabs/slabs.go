@@ -26,6 +26,14 @@ func okCopyAppend(n int) []byte {
 	return append([]byte(nil), p...) // append to nil copies: safe
 }
 
+func okRawCopyPastPut(n int) []byte {
+	p := wire.GetSlab(n)[:n]
+	r := wire.NewReader(p)
+	b := r.Raw(4) // Raw copies: b does not alias p
+	wire.PutSlab(p)
+	return b
+}
+
 func okStraightLine(n int) {
 	p := wire.GetSlab(n)
 	p = append(p, 1, 2, 3)

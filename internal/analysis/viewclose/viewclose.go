@@ -33,7 +33,6 @@ var Analyzer = &lint.Analyzer{
 
 var acquireNames = map[string]bool{
 	"View": true, "ViewRW": true, "RowView": true, "RowViewRW": true,
-	"ViewI32": true, "ViewF64": true,
 }
 
 // state is a bitmask: after branch merges a view can be live on one

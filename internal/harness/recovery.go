@@ -362,7 +362,7 @@ func RecoveryCost(spec RecoverySpec) (RecoveryResult, error) {
 	// remaps identities.
 	{
 		procs := spec.Procs
-		ropts := &lots.RecoveryOpts{Root: root, Buddy: true, Resume: true}
+		ropts := &lots.RecoveryOpts{Root: root, Resume: true}
 		if spec.Degraded {
 			procs = spec.Procs - 1
 			ropts.OldNodes = spec.Procs

@@ -373,12 +373,17 @@ func cutFragments(parts *[3][]byte, msgID uint64, headroom int, fn func(frame []
 // decoding; this reassembler reproduces that behaviour (and its memory
 // cost is visible to the harness via PendingBytes).
 //
+// Every transport delivers a link's frames in order, and a sender cuts
+// a message's fragments in index order, so fragments are accepted only
+// in order: a repeat of one already joined is a harmless duplicate, and
+// one ahead of the next expected drops the message and is an error.
+// Nothing is held that the message cannot use next.
+//
 // A delivered message owns one heap buffer, allocated once: a
 // single-fragment message is copied out of the caller's frame, and a
 // multi-fragment message is joined in a buffer sized from the payload
-// length its first fragment's message header states, each fragment that
-// arrives in order copied from the caller's frame straight to its place.
-// Only fragments that arrive ahead of order wait in pooled slabs.
+// length its first fragment's message header states, each fragment
+// copied from the caller's frame straight to its place.
 type Reassembler struct {
 	pending map[uint64]*partial
 	free    []*partial // released partials, reused by the next message
@@ -398,9 +403,6 @@ type partial struct {
 	// want is the stated message length, unclamped by maxJoinTrust: as
 	// far as whole's growth beyond maxJoinTrust may reach in one step.
 	want int
-	// ahead holds pooled copies of fragments past next, by index.
-	ahead map[int][]byte
-	bytes int
 }
 
 // NewReassembler returns an empty reassembler. Delivered payloads are
@@ -409,14 +411,10 @@ func NewReassembler() *Reassembler {
 	return &Reassembler{pending: make(map[uint64]*partial)}
 }
 
-// recycle returns p's slabs to the pool and p to the free list; p.whole
-// is dropped, not pooled — on completion the delivered message owns it.
+// recycle returns p to the free list; p.whole is dropped, not pooled —
+// on completion the delivered message owns it.
 func (r *Reassembler) recycle(p *partial) {
-	for _, f := range p.ahead {
-		PutSlab(f)
-	}
-	clear(p.ahead)
-	*p = partial{ahead: p.ahead}
+	*p = partial{}
 	r.free = append(r.free, p)
 }
 
@@ -503,21 +501,14 @@ func (r *Reassembler) feedPartial(msgID uint64, idx, count int, chunk []byte) (M
 	if p.count != count {
 		return Message{}, false, fmt.Errorf("wire: fragment count mismatch for msg %d", msgID)
 	}
-	switch {
-	case idx == p.next:
+	if idx > p.next {
+		next := p.next
+		delete(r.pending, msgID)
+		r.recycle(p)
+		return Message{}, false, fmt.Errorf("wire: fragment %d of msg %d ahead of %d", idx, msgID, next)
+	}
+	if idx == p.next {
 		p.join(chunk)
-		p.bytes += len(chunk)
-		for f, ok := p.ahead[p.next]; ok; f, ok = p.ahead[p.next] {
-			delete(p.ahead, p.next)
-			p.join(f)
-			PutSlab(f)
-		}
-	case idx > p.next && p.ahead[idx] == nil:
-		if p.ahead == nil {
-			p.ahead = make(map[int][]byte)
-		}
-		p.ahead[idx] = append(GetSlab(len(chunk)), chunk...)
-		p.bytes += len(chunk)
 	}
 	if p.next < count {
 		return Message{}, false, nil
@@ -544,7 +535,7 @@ func (r *Reassembler) feedPartial(msgID uint64, idx, count int, chunk []byte) (M
 func (r *Reassembler) PendingBytes() int {
 	total := 0
 	for _, p := range r.pending {
-		total += p.bytes
+		total += len(p.whole)
 	}
 	return total
 }

@@ -159,33 +159,65 @@ func TestFragmentLargeMessageRespects64KLimit(t *testing.T) {
 	}
 }
 
+// TestReassemblerOutOfOrderAndDuplicates: fragments are accepted in
+// order only. In order with every fragment duplicated, the message
+// reassembles; a fragment ahead of the next expected one is rejected
+// and drops the message, so nothing stays pending.
 func TestReassemblerOutOfOrderAndDuplicates(t *testing.T) {
 	payload := make([]byte, 200<<10)
 	rand.New(rand.NewSource(1)).Read(payload)
 	enc := encode(Message{Type: TJPageReply, Payload: payload})
 	frags := fragments(enc, 7)
-	// Deliver in reverse, with every fragment duplicated.
 	r := NewReassembler()
-	var got Message
-	done := false
-	for i := len(frags) - 1; i >= 0; i-- {
-		// Feed each fragment twice: duplicates must be harmless whether
-		// they arrive before or after the message completes.
-		for rep := 0; rep < 2; rep++ {
-			m, d, err := r.Feed(frags[i])
+	delivered := 0
+	for i, f := range frags {
+		// Every fragment but the last arrives twice: a repeat of a joined
+		// fragment is harmless, and after completion it would start a
+		// new message.
+		copies := 2
+		if i == len(frags)-1 {
+			copies = 1
+		}
+		for rep := 0; rep < copies; rep++ {
+			m, done, err := r.Feed(f)
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("fragment %d, copy %d: %v", i, rep, err)
 			}
-			if d {
-				got, done = m, true
+			if done {
+				delivered++
+				if !bytes.Equal(m.Payload, payload) {
+					t.Error("payload mismatch after reassembly with duplicates")
+				}
 			}
 		}
 	}
-	if !done {
-		t.Fatal("not reassembled")
+	if delivered != 1 {
+		t.Fatalf("delivered %d times, want once", delivered)
 	}
-	if !bytes.Equal(got.Payload, payload) {
-		t.Error("payload mismatch after out-of-order reassembly")
+
+	// Reverse order: every fragment but the first is ahead of order.
+	r = NewReassembler()
+	for i := len(frags) - 1; i > 0; i-- {
+		if _, done, err := r.Feed(frags[i]); err == nil || done {
+			t.Errorf("fragment %d of %d fed first: done=%v err=%v, want an error", i, len(frags), done, err)
+		}
+		if r.PendingMessages() != 0 || r.PendingBytes() != 0 {
+			t.Errorf("after fragment %d: %d messages, %d bytes pending", i, r.PendingMessages(), r.PendingBytes())
+		}
+	}
+
+	// A gap after a joined prefix drops what was joined.
+	r = NewReassembler()
+	for _, i := range []int{0, 1} {
+		if _, done, err := r.Feed(frags[i]); done || err != nil {
+			t.Fatalf("fragment %d: done=%v err=%v", i, done, err)
+		}
+	}
+	if _, done, err := r.Feed(frags[3]); err == nil || done {
+		t.Errorf("fragment 3 after 0, 1: done=%v err=%v, want an error", done, err)
+	}
+	if r.PendingMessages() != 0 || r.PendingBytes() != 0 {
+		t.Errorf("after a gap: %d messages, %d bytes pending", r.PendingMessages(), r.PendingBytes())
 	}
 }
 
@@ -238,14 +270,21 @@ func TestReassemblerPendingAccounting(t *testing.T) {
 	if r.PendingBytes() == 0 {
 		t.Error("PendingBytes should be > 0 with a partial message")
 	}
-	// A fragment ahead of order is held once however often it arrives.
+	// A duplicate is counted once however often it arrives.
 	for rep := 0; rep < 3; rep++ {
-		if _, done, err := r.Feed(frags[2]); done || err != nil {
-			t.Fatalf("last frag ahead of order: done=%v err=%v", done, err)
+		if _, done, err := r.Feed(frags[0]); done || err != nil {
+			t.Fatalf("duplicate first frag: done=%v err=%v", done, err)
 		}
 	}
-	if want := len(frags[0]) + len(frags[2]) - 2*fragHeaderLen; r.PendingBytes() != want {
+	if want := len(frags[0]) - fragHeaderLen; r.PendingBytes() != want {
 		t.Errorf("PendingBytes = %d after duplicates, want %d", r.PendingBytes(), want)
+	}
+	// A fragment ahead of order releases what the message held.
+	if _, done, err := r.Feed(frags[2]); done || err == nil {
+		t.Fatalf("last frag ahead of order: done=%v err=%v, want an error", done, err)
+	}
+	if r.PendingMessages() != 0 || r.PendingBytes() != 0 {
+		t.Errorf("after a fragment ahead of order: %d messages, %d bytes pending", r.PendingMessages(), r.PendingBytes())
 	}
 }
 

@@ -692,10 +692,10 @@ func planByMaps(nodes int, mode BarrierMode, homes map[object.ID]int, notices []
 
 // TestBarrierPlanMatchesMapReference: three ranks reporting overlapping
 // write sets, in arrival order rather than id order, must yield the
-// plans, orders, expectations, migration count and recorded homes the
-// map-based planning did, under each barrier protocol. The epochs run
-// back to back on one manager so migrated homes and the reused notice
-// slice carry over.
+// plans, orders, expectations, migration count and homes the map-based
+// planning did, under each barrier protocol. The epochs run back to back
+// on one manager, each plan applied to the homes the next one reads, so
+// migrated homes and the reused notice slice carry over.
 func TestBarrierPlanMatchesMapReference(t *testing.T) {
 	const nodes = 3
 	rng := rand.New(rand.NewSource(7))
@@ -720,10 +720,20 @@ func TestBarrierPlanMatchesMapReference(t *testing.T) {
 	}
 	for _, mode := range []BarrierMode{BarrierMigratingHome, BarrierFixedHome, BarrierUpdateBroadcast} {
 		bm := newBarrierMgr(nodes)
+		homes := make(map[object.ID]int)
+		homeOf := func(id object.ID) int {
+			if h, ok := homes[id]; ok {
+				return h
+			}
+			return int(uint64(id) % nodes)
+		}
 		refHomes := make(map[object.ID]int)
 		for e, notices := range epochs {
 			bm.notices = append(bm.notices, notices...)
-			plans, orders, expects, migrations := bm.plan(mode)
+			plans, orders, expects, migrations := bm.plan(mode, homeOf)
+			for _, p := range plans {
+				homes[p.id] = p.home
+			}
 			wantPlans, wantOrders, wantExpects, wantMigrations := planByMaps(nodes, mode, refHomes, notices)
 			if !slices.Equal(plans, wantPlans) {
 				t.Errorf("mode %v epoch %d: plans %v, want %v", mode, e, plans, wantPlans)
@@ -739,8 +749,8 @@ func TestBarrierPlanMatchesMapReference(t *testing.T) {
 			if migrations != wantMigrations {
 				t.Errorf("mode %v epoch %d: %d migrations, want %d", mode, e, migrations, wantMigrations)
 			}
-			if !maps.Equal(bm.homes, refHomes) {
-				t.Errorf("mode %v epoch %d: homes %v, want %v", mode, e, bm.homes, refHomes)
+			if !maps.Equal(homes, refHomes) {
+				t.Errorf("mode %v epoch %d: homes %v, want %v", mode, e, homes, refHomes)
 			}
 			if len(bm.notices) != 0 {
 				t.Errorf("mode %v epoch %d: %d notices left for the next epoch", mode, e, len(bm.notices))

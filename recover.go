@@ -86,9 +86,10 @@ func (n *Node) recoveryStore() *recovery.Store {
 }
 
 // ckptBuddy returns the rank this node replicates its checkpoints to,
-// or -1 when replication is off (or meaningless).
+// (id+1) mod Nodes, so recovery survives the total loss of a rank's
+// checkpoint directory; or -1 without recovery or on one node.
 func (n *Node) ckptBuddy() int {
-	if r := n.cfg.Recovery; r == nil || !r.Buddy || n.cfg.Nodes < 2 {
+	if n.cfg.Recovery == nil || n.cfg.Nodes < 2 {
 		return -1
 	}
 	return (n.id + 1) % n.cfg.Nodes
@@ -339,12 +340,6 @@ func (n *Node) serveRecoverReady(m wire.Message) {
 		}
 	}
 	sort.Slice(homes.Items, func(i, j int) bool { return homes.Items[i].ID < homes.Items[j].ID })
-	// The barrier manager's home map must agree with what the ranks
-	// restored, or the first post-recovery barrier would plan diffs to
-	// pre-death homes.
-	for _, it := range homes.Items {
-		n.bmgr.homes[object.ID(it.ID)] = int(it.Home)
-	}
 	n.mu.Unlock()
 	var w wire.Buffer
 	homes.Encode(&w)

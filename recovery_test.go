@@ -134,7 +134,7 @@ func TestRecoveryDegradedContinue(t *testing.T) {
 func TestRecoveryFreshStartWhenNoCheckpoints(t *testing.T) {
 	const procs, words, epochs = 3, 12, 4
 	cfg := lots.DefaultConfig(procs)
-	cfg.Recovery = &lots.RecoveryOpts{Root: t.TempDir(), Buddy: true, Resume: true}
+	cfg.Recovery = &lots.RecoveryOpts{Root: t.TempDir(), Resume: true}
 	c, err := lots.NewCluster(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -244,7 +244,7 @@ func TestRecoveryHomeMigratesBack(t *testing.T) {
 	want := []int32{100, 101, 101} // x[0] after each epoch
 	mkcfg := func(resume bool) lots.Config {
 		cfg := lots.DefaultConfig(procs)
-		cfg.Recovery = &lots.RecoveryOpts{Root: root, Buddy: true, Resume: resume}
+		cfg.Recovery = &lots.RecoveryOpts{Root: root, Resume: resume}
 		return cfg
 	}
 	c, err := lots.NewCluster(mkcfg(false))
