@@ -391,8 +391,9 @@ func (n *Node) processBarrierExit(payload []byte) {
 		// Stamped diffs: each run carries the lock version under which
 		// its words were written, so the home merges concurrent
 		// writers' diffs newest-wins instead of arrival-order-wins.
-		// It is encoded from the object's bytes straight into the payload.
-		var w wire.Buffer
+		// It is encoded from the object's bytes straight into the payload,
+		// a pooled slab that AppendStamped's one Grow sizes.
+		w := wire.PooledBuffer(4 + 1 + 8)
 		w.U32(epoch).U8(0).U64(uint64(o.obj))
 		bytes := diffing.AppendStamped(&w, data, c.Twin, c.Stamps, epoch)
 		n.clock.Advance(n.prof.WordsCost(c.Words()))
@@ -411,6 +412,9 @@ func (n *Node) processBarrierExit(payload []byte) {
 		if reply.Type != wire.TBarrierDiffAck {
 			n.fatalf("lots: node %d: barrier diff rejected: %v", n.id, reply.Type)
 		}
+	}
+	for _, d := range diffs {
+		wire.PutSlab(d.payload) // Flush has copied it
 	}
 
 	// Wait for every diff we are owed (as a home, or as a broadcast
@@ -535,6 +539,7 @@ func (n *Node) serveBarrierDiff(m wire.Message) {
 	}
 	n.mu.Unlock()
 	n.reply(m, wire.TBarrierDiffAck, nil, lc.Now())
+	m.Release() // the apply copied the runs out and kept no alias
 }
 
 // Epoch returns the node's barrier epoch (testing/diagnostics).

@@ -104,19 +104,21 @@
 //
 // The encode/fragment/reassemble path recycles its buffers through a
 // size-classed slab pool: the send side allocates nothing in steady
-// state and the receive side allocates once per delivered message
-// (handlers retain payloads). Every burst of requests a barrier or
-// release round issues — diffs to homes, home-based lock flushes — goes
-// out pipelined, each peer's run packed into one batched datagram, and
-// is charged on the simulated clock as serial sends and one parallel
-// wait (see DESIGN.md, "Wire path: pooling and coalescing").
+// state, and the receive side allocates once per delivered message its
+// handler keeps. A fetched object or a barrier diff larger than one
+// fragment travels in pooled slabs on both sides and allocates nothing.
+// Every burst of requests a barrier or release round issues — diffs to
+// homes, home-based lock flushes — goes out pipelined, each peer's run
+// packed into one batched datagram, and is charged on the simulated
+// clock as serial sends and one parallel wait (see DESIGN.md, "Wire
+// path: pooling and coalescing").
 //
 // The ownership and lifetime contracts this package states in prose —
 // release views before the next barrier, never let pooled wire buffers
-// or their aliases outlive PutSlab, never index a payload without a
-// length guard — are mechanically enforced by the cmd/lotsvet analyzer
-// suite, run in CI (see DESIGN.md, "Static analysis: invariants as
-// analyzers").
+// or their aliases outlive PutSlab or Message.Release, never index a
+// payload without a length guard — are mechanically enforced by the
+// cmd/lotsvet analyzer suite, run in CI (see DESIGN.md, "Static
+// analysis: invariants as analyzers").
 //
 // # Multi-process deployment
 //

@@ -37,7 +37,7 @@ func (n *Node) fetchObject(c *object.Control) {
 		n.fatalf("lots: node %d: fetch of object %d: reply %v", n.id, id, reply.Type)
 	}
 	r := wire.NewReader(reply.Payload)
-	data := r.Bytes32InPlace() // copied into the local span below; reply is not retained
+	data := r.Bytes32InPlace() // copied into the local span below, then the reply is released
 	ver := r.U32()
 	if r.Err() != nil || r.Remaining() != 0 || len(data) != c.Size {
 		n.fatalf("lots: node %d: fetch of object %d: bad payload (%d bytes, want %d)",
@@ -47,11 +47,13 @@ func (n *Node) fetchObject(c *object.Control) {
 		// Another fetch of c ran while n.mu was dropped — the application's
 		// and a grant service's can overlap — and installed its image and
 		// replayed the deferred updates, which this image lacks.
+		reply.Release()
 		return
 	}
 	c.State = object.Clean
 	c.Ver = ver
-	copy(n.objData(c), data)
+	copy(n.objDataOverwrite(c), data)
+	reply.Release()
 	if n.mapper != nil {
 		n.mapper.MarkDirty(c)
 	}
@@ -108,12 +110,13 @@ func (n *Node) serveFetch(m wire.Message) {
 		n.fatalf("lots: node %d: serving fetch from invalid home copy of %d", n.id, id)
 	}
 	data := n.objData(c)
-	var w wire.Buffer
-	w.Grow(4 + len(data) + 4).Bytes32(data).U32(c.Ver)
+	w := wire.PooledBuffer(4 + len(data) + 4)
+	w.Bytes32(data).U32(c.Ver)
 	lc.Advance(n.prof.WordsCost(c.Words()))
 	restore()
 	n.mu.Unlock()
 	n.reply(m, wire.TObjFetchReply, w.Bytes(), lc.Now())
+	wire.PutSlab(w.Bytes()) // Send has copied it
 }
 
 // ---- Remote swap (paper §5 future work, implemented as an extension) ---

@@ -2,7 +2,8 @@
 // mechanical enforcement of the invariants DESIGN.md states in prose.
 //
 //   - slabsafe: pooled wire slabs must not be used or escape after
-//     their PutSlab (the PR 6 ReadCtrl bug class).
+//     their PutSlab, nor a delivered message's payload after its
+//     Release.
 //   - viewclose: pinned views are Released on every path and never
 //     used after Release.
 //   - boundeddecode: wire payload indexing is length-guarded, and

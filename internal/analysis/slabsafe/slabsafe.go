@@ -1,8 +1,8 @@
 // Package slabsafe enforces the slab-pool ownership discipline from
-// internal/wire/pool.go: a slice obtained from wire.GetSlab or
-// wire.EncodePooled (and anything that aliases it — a sub-slice, a
-// DecodeInPlace Message whose Payload points into it, an
-// unsafe.String over it) must not be used after the matching
+// internal/wire/pool.go: a slice obtained from wire.GetSlab,
+// wire.EncodePooled or wire.PooledBuffer (and anything that aliases it
+// — a sub-slice, a DecodeInPlace Message whose Payload points into it,
+// an unsafe.String over it) must not be used after the matching
 // wire.PutSlab, and must not outlive it: returning it past a deferred
 // PutSlab, storing it to a field or global that survives the free, or
 // capturing it in a goroutine all hand pool-owned memory to code that
@@ -10,6 +10,11 @@
 // is always the same: copy before the ownership boundary —
 // string(p) and append([]byte(nil), p...) both copy and are
 // recognized as safe.
+//
+// A delivered wire.Message a function calls Release on is a slab too,
+// from its first appearance in that function: Release hands its
+// payload back to the pool, so the payload, and whatever aliases it (a
+// Reader over it, the bytes Bytes32InPlace returns), is dead after it.
 //
 // Aliasing is tracked through calls: per-function may-alias summaries
 // ("result may alias parameter i") are computed for the package under
@@ -41,9 +46,13 @@ const wirePath = "repro/internal/wire"
 var acquireFuncs = map[string]bool{
 	wirePath + ".GetSlab":      true,
 	wirePath + ".EncodePooled": true,
+	wirePath + ".PooledBuffer": true,
 }
 
-const releaseFunc = wirePath + ".PutSlab"
+const (
+	releaseFunc   = wirePath + ".PutSlab"
+	releaseMethod = "(*" + wirePath + ".Message).Release"
+)
 
 // builtinAlias is the may-alias table for the wire API itself: result
 // may alias the given parameter indices (receiver counts as index 0
@@ -73,6 +82,7 @@ type slabInfo struct {
 	name     string
 	pos      token.Pos // acquisition site
 	storePos token.Pos // last escaping store (for the PutSlab report)
+	rel      string    // what releases it: "PutSlab", or "Release" for a message
 }
 
 type env struct {
@@ -140,7 +150,25 @@ func run(pass *lint.Pass) error {
 
 func (w *walker) walkBody(body *ast.BlockStmt) {
 	e := newEnv()
+	// A message this body releases is tracked from its first appearance:
+	// a parameter, or a local a delivered message is bound to.
+	ast.Inspect(body, func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok && w.isReleaseMethod(call) {
+			if id, ok := ast.Unparen(call.Fun.(*ast.SelectorExpr).X).(*ast.Ident); ok {
+				if obj := w.pass.Info.Uses[id]; obj != nil && e.vars[obj] == nil {
+					w.track(obj, id.Name, "Release", id.Pos(), e)
+				}
+			}
+		}
+		return true
+	})
 	w.stmts(body.List, e)
+}
+
+// isReleaseMethod reports whether call is m.Release() on a wire.Message.
+func (w *walker) isReleaseMethod(call *ast.CallExpr) bool {
+	fn := w.calleeOf(call)
+	return fn != nil && fn.FullName() == releaseMethod
 }
 
 // calleeOf resolves the called function object, if statically known.
@@ -317,8 +345,12 @@ func isString(t types.Type) bool {
 	return ok && b.Info()&types.IsString != 0
 }
 
-// releaseArg returns the slab released when call is wire.PutSlab(x).
+// releaseArg returns the slab released when call is wire.PutSlab(x) or
+// x.Release() on a wire.Message.
 func (w *walker) releaseArg(call *ast.CallExpr, e *env) (*slabInfo, bool) {
+	if w.isReleaseMethod(call) {
+		return w.aliasOf(call.Fun.(*ast.SelectorExpr).X, e), true
+	}
 	fn := w.calleeOf(call)
 	if fn == nil || fn.FullName() != releaseFunc || len(call.Args) != 1 {
 		return nil, false
@@ -326,8 +358,8 @@ func (w *walker) releaseArg(call *ast.CallExpr, e *env) (*slabInfo, bool) {
 	return w.aliasOf(call.Args[0], e), true
 }
 
-func (w *walker) track(obj types.Object, name string, pos token.Pos, e *env) {
-	info := &slabInfo{name: name, pos: pos}
+func (w *walker) track(obj types.Object, name, rel string, pos token.Pos, e *env) {
+	info := &slabInfo{name: name, pos: pos, rel: rel}
 	e.vars[obj] = info
 	e.state[info] = live
 }
@@ -335,7 +367,7 @@ func (w *walker) track(obj types.Object, name string, pos token.Pos, e *env) {
 // use reports a read of a slab on a path where PutSlab already ran.
 func (w *walker) use(pos token.Pos, info *slabInfo, e *env) {
 	if e.state[info]&released != 0 {
-		w.pass.Reportf(pos, "use of pooled slab %s after PutSlab (the pool may already have recycled or poisoned it)", info.name)
+		w.pass.Reportf(pos, "use of pooled slab %s after %s (the pool may already have recycled or poisoned it)", info.name, info.rel)
 		// One report per release site is enough; quiet the path.
 		e.state[info] &^= released
 	}
@@ -384,7 +416,7 @@ func (w *walker) captureEscapes(fl *ast.FuncLit, e *env, how string) {
 		}
 		st := e.state[info]
 		if st&(released|deferred) != 0 {
-			w.pass.Reportf(id.Pos(), "pooled slab %s %s outlives its PutSlab (copy it before handing it off)", info.name, how)
+			w.pass.Reportf(id.Pos(), "pooled slab %s %s outlives its %s (copy it before handing it off)", info.name, how, info.rel)
 		} else {
 			info.storePos = id.Pos()
 			e.state[info] |= stored
@@ -398,7 +430,7 @@ func (w *walker) captureEscapes(fl *ast.FuncLit, e *env, how string) {
 func (w *walker) escapeStore(pos token.Pos, info *slabInfo, e *env, what string) {
 	st := e.state[info]
 	if st&(released|deferred) != 0 {
-		w.pass.Reportf(pos, "pooled slab %s stored to %s after its PutSlab is scheduled (the store outlives the free; copy with append([]byte(nil), %s...) instead)", info.name, what, info.name)
+		w.pass.Reportf(pos, "pooled slab %s stored to %s after its %s is scheduled (the store outlives the free; copy with append([]byte(nil), %s...) instead)", info.name, what, info.rel, info.name)
 		return
 	}
 	info.storePos = pos
@@ -458,7 +490,7 @@ func (w *walker) stmt(s ast.Stmt, e *env) bool {
 				}
 				for i, val := range vs.Values {
 					if w.isAcquire(val) && i < len(vs.Names) {
-						w.track(w.pass.Info.Defs[vs.Names[i]], vs.Names[i].Name, val.Pos(), e)
+						w.track(w.pass.Info.Defs[vs.Names[i]], vs.Names[i].Name, "PutSlab", val.Pos(), e)
 						continue
 					}
 					w.scanCall(val, e)
@@ -479,9 +511,9 @@ func (w *walker) stmt(s ast.Stmt, e *env) bool {
 			stv := e.state[info]
 			switch {
 			case stv&released != 0:
-				w.pass.Reportf(call.Pos(), "second PutSlab of slab %s on this path (double free; the pool hands the slab to two owners)", info.name)
+				w.pass.Reportf(call.Pos(), "second %s of slab %s on this path (double free; the pool hands the slab to two owners)", info.rel, info.name)
 			case stv&stored != 0:
-				w.pass.Reportf(call.Pos(), "PutSlab frees slab %s while the store at an earlier line still references it (the stored slice now points into recycled pool memory)", info.name)
+				w.pass.Reportf(call.Pos(), "%s frees slab %s while the store at an earlier line still references it (the stored slice now points into recycled pool memory)", info.rel, info.name)
 			}
 			e.state[info] = (stv &^ (live | stored)) | released
 			break
@@ -494,10 +526,10 @@ func (w *walker) stmt(s ast.Stmt, e *env) bool {
 			}
 			stv := e.state[info]
 			if stv&stored != 0 {
-				w.pass.Reportf(st.Pos(), "deferred PutSlab frees slab %s that an earlier store still references (the stored slice dangles after return)", info.name)
+				w.pass.Reportf(st.Pos(), "deferred %s frees slab %s that an earlier store still references (the stored slice dangles after return)", info.rel, info.name)
 			}
 			if stv&(released|deferred) != 0 {
-				w.pass.Reportf(st.Pos(), "slab %s is already freed on this path; deferring another PutSlab double-frees", info.name)
+				w.pass.Reportf(st.Pos(), "slab %s is already freed on this path; deferring another %s double-frees", info.name, info.rel)
 			}
 			e.state[info] = (stv &^ (live | stored)) | deferred
 			break
@@ -537,7 +569,7 @@ func (w *walker) stmt(s ast.Stmt, e *env) bool {
 			w.scanUses(r, e, nil)
 			if info := w.aliasOf(r, e); info != nil {
 				if e.state[info]&deferred != 0 {
-					w.pass.Reportf(r.Pos(), "slab-backed memory (%s, acquired from the wire pool) is returned past its deferred PutSlab (the caller reads freed pool memory; copy with string(...) or append([]byte(nil), ...) first)", info.name)
+					w.pass.Reportf(r.Pos(), "slab-backed memory (%s, acquired from the wire pool) is returned past its deferred %s (the caller reads freed pool memory; copy with string(...) or append([]byte(nil), ...) first)", info.name, info.rel)
 				}
 			}
 		}
@@ -698,7 +730,7 @@ func (w *walker) assign(st *ast.AssignStmt, e *env) {
 			if obj == nil {
 				obj = w.pass.Info.Uses[lhsIdent]
 			}
-			w.track(obj, lhsIdent.Name, rhs.Pos(), e)
+			w.track(obj, lhsIdent.Name, "PutSlab", rhs.Pos(), e)
 			continue
 		}
 		w.scanCall(rhs, e)

@@ -161,3 +161,39 @@ func suppressedEscape(n int) []byte {
 	defer wire.PutSlab(p)
 	return p //lint:allow slabsafe caller copies synchronously before the next pool operation
 }
+
+// A delivered message's Release hands its payload back to the pool: the
+// payload, and what aliases it (a Reader over it, the bytes
+// Bytes32InPlace returns), is dead after it.
+func payloadReadAfterRelease(m wire.Message) byte {
+	m.Release()
+	return m.Payload[0] // want `use of pooled slab m after Release`
+}
+
+func inPlaceBytesAfterRelease(m wire.Message, dst []byte) {
+	data := wire.NewReader(m.Payload).Bytes32InPlace()
+	m.Release()
+	copy(dst, data) // want `use of pooled slab m after Release`
+}
+
+func okCopyThenRelease(m wire.Message, dst []byte) {
+	data := wire.NewReader(m.Payload).Bytes32InPlace()
+	copy(dst, data)
+	m.Release()
+}
+
+// Release of a message already released does nothing, but a copy of
+// the message still carries the pooled payload: releasing both hands
+// one slab to the pool twice.
+func releaseTwice(m wire.Message) {
+	dup := m
+	m.Release()
+	dup.Release() // want `second Release of slab m`
+}
+
+func pooledBufferUseAfterPut(n int) []byte {
+	w := wire.PooledBuffer(n)
+	w.U32(7)
+	wire.PutSlab(w.Bytes())
+	return w.Bytes() // want `use of pooled slab w after PutSlab`
+}

@@ -92,7 +92,15 @@ func (m *Mapper) MarkDirty(c *object.Control) { c.DiskValid = false }
 // if a spilled copy exists it is read back from the local disk (§3.1
 // step: "if the object data is not mapped to the local virtual memory,
 // it will be brought in from the local disk").
-func (m *Mapper) Ensure(c *object.Control) ([]byte, error) {
+func (m *Mapper) Ensure(c *object.Control) ([]byte, error) { return m.ensure(c, false) }
+
+// EnsureOverwrite is Ensure for a caller about to overwrite every byte
+// of c's data, such as a fetch installing a whole copy: a fresh mapping
+// is neither zeroed nor read back from a spill, and its bytes count as
+// differing from any disk copy.
+func (m *Mapper) EnsureOverwrite(c *object.Control) ([]byte, error) { return m.ensure(c, true) }
+
+func (m *Mapper) ensure(c *object.Control, overwrite bool) ([]byte, error) {
 	if c.Mapped {
 		m.Touch(c)
 		return m.Data(c), nil
@@ -108,17 +116,18 @@ func (m *Mapper) Ensure(c *object.Control) ([]byte, error) {
 	c.Mapped = true
 	c.Offset = off
 	data := m.Data(c)
-	if m.store != nil && m.store.Has(uint64(c.ID)) {
+	switch {
+	case overwrite:
+		c.DiskValid = false
+	case m.store != nil && m.store.Has(uint64(c.ID)):
 		if err := m.store.Read(uint64(c.ID), data); err != nil {
 			c.Mapped = false
 			m.alloc.Free(off, c.Size) //nolint:errcheck // restoring pre-failure state
 			return nil, fmt.Errorf("dmm: map-in of object %d: %w", c.ID, err)
 		}
 		c.DiskValid = true
-	} else {
-		for i := range data {
-			data[i] = 0
-		}
+	default:
+		clear(data)
 		c.DiskValid = false
 	}
 	m.mapped[c.ID] = c

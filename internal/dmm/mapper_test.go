@@ -45,6 +45,41 @@ func TestEnsureMapsZeroedData(t *testing.T) {
 	}
 }
 
+// TestEnsureOverwriteSkipsZeroingAndDisk: the overwrite form maps an
+// object in for a caller that writes every byte — neither zeroing the
+// slot nor reading a spill back — and counts as a map-in all the same.
+func TestEnsureOverwriteSkipsZeroingAndDisk(t *testing.T) {
+	m, ctr := newTestMapper(4096) // one slot
+	a, b := ctl(1, 4096), ctl(2, 4096)
+	fill := func(data []byte, v byte) {
+		for i := range data {
+			data[i] = v
+		}
+	}
+	da, _ := m.Ensure(a)
+	fill(da, 0xFF)
+	m.MarkDirty(a)
+	db, err := m.EnsureOverwrite(b) // evicts a, spilling its 0xFF
+	if err != nil {
+		t.Fatal(err)
+	}
+	if db[0] != 0xFF || db[4095] != 0xFF {
+		t.Errorf("b mapped in as %#x..%#x, want the slot's 0xFF left in place", db[0], db[4095])
+	}
+	fill(db, 0x11)
+	m.MarkDirty(b)
+	da, err = m.EnsureOverwrite(a) // evicts b; a's spill stays on disk
+	if err != nil {
+		t.Fatal(err)
+	}
+	if da[0] != 0x11 || a.DiskValid {
+		t.Errorf("a mapped in as %#x with DiskValid %v, want b's 0x11 and false", da[0], a.DiskValid)
+	}
+	if ctr.MapIns.Load() != 3 {
+		t.Errorf("MapIns = %d, want 3", ctr.MapIns.Load())
+	}
+}
+
 func TestEvictionSpillsAndRestores(t *testing.T) {
 	m, ctr := newTestMapper(8 << 10) // room for ~1 object + slack
 	a, b := ctl(1, 5000), ctl(2, 5000)

@@ -140,6 +140,7 @@ func (mb *mailbox) get() (wire.Message, bool) {
 		return wire.Message{}, false
 	}
 	m := mb.queue[0]
+	mb.queue[0] = wire.Message{} // the backing array must not keep the payload alive
 	mb.queue = mb.queue[1:]
 	return m, true
 }
@@ -247,7 +248,7 @@ func (e *memEndpoint) Send(m wire.Message) error {
 	// Run the real fragment/reassemble path so wire behaviour (and its
 	// accounting) is identical to the UDP transport. Each fragment frame
 	// is pooled and released here, once the reassembler has copied it
-	// (the delivered payload is an independent copy).
+	// (the delivered payload is a buffer of its own).
 	if c.counters != nil {
 		size := int64(wire.EncodedLen(m))
 		snd := c.counters[e.id]

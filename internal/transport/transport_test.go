@@ -3,6 +3,7 @@ package transport
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -305,6 +306,35 @@ func TestMailboxUnbounded(t *testing.T) {
 			t.Fatalf("message %d lost", i)
 		}
 	}
+}
+
+// TestMailboxDropsDeliveredPayload: once Recv has handed a message
+// over, the inbox no longer references it, so a payload the receiver
+// drops is garbage. The inbox used to reslice past a delivered message
+// and keep it in the backing array until the array was reallocated.
+func TestMailboxDropsDeliveredPayload(t *testing.T) {
+	c, _, _ := newTestMemCluster(2)
+	defer c.Close()
+	if err := c.Endpoint(0).Send(wire.Message{Type: wire.TObjFetchReply, To: 1, Payload: make([]byte, 1<<20)}); err != nil {
+		t.Fatal(err)
+	}
+	finalized := make(chan struct{})
+	func() {
+		m, ok := c.Endpoint(1).Recv()
+		if !ok || len(m.Payload) != 1<<20 {
+			t.Fatalf("received ok=%v with %d payload bytes", ok, len(m.Payload))
+		}
+		runtime.SetFinalizer(&m.Payload[0], func(*byte) { close(finalized) })
+	}()
+	for i := 0; i < 50; i++ {
+		runtime.GC()
+		select {
+		case <-finalized:
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Fatal("a received and dropped 1 MiB payload was never collected: something still references it")
 }
 
 func TestEndpointsList(t *testing.T) {

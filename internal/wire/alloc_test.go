@@ -67,33 +67,39 @@ func TestDecodeInPlaceZeroAlloc(t *testing.T) {
 // TestFragmentPathAllocs: the full steady-state path of one message —
 // pooled encode, pooled fragment frames with transport headroom,
 // reassembly, delivery — allocates exactly once, the delivered
-// payload, which protocol handlers retain. That holds for a
-// single-fragment message (copied out of the caller's frame) and
-// across the >64 KiB multi-fragment path (joined into one buffer),
-// where reassembly buffers and partial-tracking structs must all
-// recycle; the encode/fragment side alone allocates nothing.
+// payload, when the handler keeps it. That holds for a single-fragment
+// message (copied out of the caller's frame) and across the >64 KiB
+// multi-fragment path (joined into one slab), where reassembly slabs
+// and partial-tracking structs must all recycle; the encode/fragment
+// side alone allocates nothing. A handler that releases the payload
+// makes the multi-fragment path allocate nothing at all.
 func TestFragmentPathAllocs(t *testing.T) {
 	for _, tc := range []struct {
-		name    string
-		payload int
-		frags   int
+		name     string
+		payload  int
+		frags    int
+		released float64 // allocations per message when the handler releases it
 	}{
-		{"small", 600, 1},
-		{"large", 200 << 10, 4},
+		{"small", 600, 1, 1},
+		{"large", 200 << 10, 4, 0},
 	} {
 		drainSlabs()
 		m := allocMsg(tc.payload)
 		r := NewReassembler()
 		var msgID uint64
 		frames, delivered := 0, 0
+		release := false
 		feed := func(f []byte) error {
 			frames++
-			_, done, err := r.Feed(f[16:]) // strip the transport headroom
+			got, done, err := r.Feed(f[16:]) // strip the transport headroom
 			if err != nil {
 				panic(err)
 			}
 			if done {
 				delivered++
+				if release {
+					got.Release()
+				}
 			}
 			PutSlab(f)
 			return nil
@@ -125,6 +131,8 @@ func TestFragmentPathAllocs(t *testing.T) {
 		assertAllocs(t, "fragment path ("+tc.name+")", 1, send(feed))
 		assertZeroAllocs(t, "fragment from message ("+tc.name+")", sendDirect(discard))
 		assertAllocs(t, "fragment path from message ("+tc.name+")", 1, sendDirect(feed))
+		release = true
+		assertAllocs(t, "fragment path from message, released ("+tc.name+")", tc.released, sendDirect(feed))
 		if delivered == 0 || frames != delivered*tc.frags {
 			t.Errorf("%s: %d frames delivered %d messages, want %d frames each", tc.name, frames, delivered, tc.frags)
 		}

@@ -10,8 +10,16 @@ import (
 // Buffer builds message payloads. Append-only; the zero value is ready
 // to use. Methods never fail — sizing errors surface on the Reader side.
 type Buffer struct {
-	b []byte
+	b      []byte
+	pooled bool // Grow draws from the slab pool
 }
+
+// PooledBuffer returns an empty Buffer with room for n bytes in a slab
+// from the pool, whose Grow moves it to a larger slab and puts the old
+// one back. The caller releases it with PutSlab(w.Bytes()) once nothing
+// reads the bytes: for a payload, once the endpoint's Send, which
+// copies it, has returned.
+func PooledBuffer(n int) Buffer { return Buffer{b: GetSlab(n), pooled: true} }
 
 // Bytes returns the accumulated payload.
 func (w *Buffer) Bytes() []byte { return w.b }
@@ -22,7 +30,14 @@ func (w *Buffer) Len() int { return len(w.b) }
 // Grow reserves room for n more bytes, so that a payload whose size is
 // known up front is built without regrowing.
 func (w *Buffer) Grow(n int) *Buffer {
-	w.b = slices.Grow(w.b, n)
+	switch {
+	case !w.pooled:
+		w.b = slices.Grow(w.b, n)
+	case cap(w.b)-len(w.b) < n:
+		b := append(GetSlab(len(w.b)+n), w.b...)
+		PutSlab(w.b)
+		w.b = b
+	}
 	return w
 }
 

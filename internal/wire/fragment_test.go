@@ -74,16 +74,17 @@ func headerStating(n uint32) []byte {
 	return h
 }
 
-// TestReassemblerClampsStatedLength: the join buffer is sized from the
+// TestReassemblerClampsStatedLength: the join slab is sized from the
 // first fragment's message header, which is a peer's word. A tiny first
 // fragment stating a 4 GiB payload commits at most the largest slab
-// class, and no more than its fragment count could carry.
+// class, and no more than the class of what its fragment count could
+// carry.
 func TestReassemblerClampsStatedLength(t *testing.T) {
 	for _, tc := range []struct {
 		count, maxCap int
 	}{
 		{65535, maxJoinTrust},
-		{2, 2 * MaxFragPayload},
+		{2, slabClassCap(2*MaxFragPayload - headerLen)},
 	} {
 		r := NewReassembler()
 		var before, after runtime.MemStats
@@ -93,8 +94,8 @@ func TestReassemblerClampsStatedLength(t *testing.T) {
 		}
 		runtime.ReadMemStats(&after)
 		p := r.pending[1]
-		if cap(p.whole) > tc.maxCap {
-			t.Errorf("count %d: join buffer of %d bytes, want at most %d", tc.count, cap(p.whole), tc.maxCap)
+		if cap(p.body) > tc.maxCap {
+			t.Errorf("count %d: join slab of %d bytes, want at most %d", tc.count, cap(p.body), tc.maxCap)
 		}
 		if grew := after.TotalAlloc - before.TotalAlloc; grew > maxJoinTrust+64<<10 {
 			t.Errorf("count %d: a %d-byte fragment committed %d bytes", tc.count, headerLen, grew)

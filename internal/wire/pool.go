@@ -1,36 +1,53 @@
 package wire
 
-// Slab pool for the wire path. Every hot-path buffer —
-// encoded messages, wire fragments (with transport framing headroom),
-// reassembly partials — is drawn from a small set of size-classed free
-// lists and explicitly released at the transport send/recv seams. The
-// lists are deliberately not sync.Pool: putting a slice header into an
-// interface allocates, which would put one allocation back on every
-// release and defeat the AllocsPerRun guards. Bounded mutex-guarded
-// stacks give true zero steady-state allocations and deterministic
-// behaviour at the cluster sizes this runtime targets.
+// Slab pool for the wire path. Every hot-path buffer — wire fragments
+// (with transport framing headroom), the payloads of messages joined
+// from several fragments, large payloads a sender builds in a
+// PooledBuffer — is drawn from a small set of size-classed free lists
+// and explicitly released: frames at the transport seams, delivered
+// payloads by the handler that read them (Message.Release), built ones
+// once Send has copied them. The lists are deliberately not sync.Pool:
+// putting a slice header into an interface allocates, which would put
+// one allocation back on every release and defeat the AllocsPerRun
+// guards. Bounded mutex-guarded stacks give true zero steady-state
+// allocations and deterministic behaviour at the cluster sizes this
+// runtime targets.
 
 import "sync"
+
+// largeSlabAllowance is the room the two large classes keep above their
+// power of two, so a message carrying a 256 KiB or 1 MiB object plus a
+// few bytes of framing (a 256 KiB object's fetch reply payload is
+// 262,152 bytes) stays in its class instead of spilling into the next,
+// four times larger.
+const largeSlabAllowance = 4 << 10
 
 // slabSizes are the pool's size classes. MaxDatagram covers a full
 // wire fragment plus transport framing headroom (a fragment frame is
 // at most MaxDatagram-flowReserve bytes and every transport header is
 // far smaller than flowReserve); the larger classes cover multi-
-// fragment encode buffers. Requests above the largest class fall back
-// to the allocator and are dropped on release.
-var slabSizes = [...]int{64, 256, 1 << 10, 4 << 10, 16 << 10, MaxDatagram, 256 << 10, 1 << 20}
+// fragment payloads. Requests above the largest class fall back to the
+// allocator, and on release join the largest class.
+var slabSizes = [...]int{64, 256, 1 << 10, 4 << 10, 16 << 10, MaxDatagram,
+	256<<10 + largeSlabAllowance, 1<<20 + largeSlabAllowance}
 
 type slabClass struct {
 	mu   sync.Mutex
 	free [][]byte
 }
 
-// slabRetain bounds how many free slabs each class keeps; beyond it,
-// released slabs are left to the garbage collector. Large classes keep
-// fewer so the pool's worst-case footprint stays around ~10 MB.
+// largeSlabRetainBytes bounds what each large class keeps free.
+const largeSlabRetainBytes = 8 << 20
+
+// slabRetain bounds how many free slabs a class of slabs of size bytes
+// keeps; beyond it, released slabs are left to the garbage collector.
+// Small classes keep 64. A large class keeps about 8 MiB — 31 slabs of
+// 260 KiB, 7 of 1 MiB — so a barrier's burst of diffs for 256 KiB
+// objects comes back to a pool that has room for all of it, and the
+// next burst never misses.
 func slabRetain(size int) int {
 	if size >= 256<<10 {
-		return 8
+		return largeSlabRetainBytes / size
 	}
 	return 64
 }
@@ -64,8 +81,7 @@ func poisoning() bool {
 
 // GetSlab returns a zero-length buffer with capacity at least n from
 // the slab pool. Release it with PutSlab when the last reference is
-// dropped; a buffer above the largest size class is plainly allocated
-// and PutSlab will discard it.
+// dropped; a buffer above the largest size class is plainly allocated.
 func GetSlab(n int) []byte {
 	for ci := range slabSizes {
 		if n > slabSizes[ci] {

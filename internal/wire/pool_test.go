@@ -6,6 +6,17 @@ import (
 	"testing"
 )
 
+// slabClassCap is the capacity of the slab GetSlab(n) draws from a
+// fresh pool.
+func slabClassCap(n int) int {
+	for _, size := range slabSizes {
+		if n <= size {
+			return size
+		}
+	}
+	return n
+}
+
 func TestSlabClassSizing(t *testing.T) {
 	drainSlabs()
 	cases := []struct{ n, wantCap int }{
@@ -14,9 +25,10 @@ func TestSlabClassSizing(t *testing.T) {
 		{65, 256},
 		{1 << 10, 1 << 10},
 		{MaxDatagram, MaxDatagram},
-		{MaxDatagram + 1, 256 << 10},
-		{1 << 20, 1 << 20},
-		{1<<20 + 1, 1<<20 + 1}, // oversize: plain allocation
+		{MaxDatagram + 1, 256<<10 + largeSlabAllowance},
+		{4 + 256<<10 + 4, 256<<10 + largeSlabAllowance}, // a 256 KiB object's fetch reply
+		{1 << 20, 1<<20 + largeSlabAllowance},
+		{1<<20 + largeSlabAllowance + 1, 1<<20 + largeSlabAllowance + 1}, // oversize: plain allocation
 	}
 	for _, tc := range cases {
 		b := GetSlab(tc.n)

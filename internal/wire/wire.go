@@ -12,11 +12,16 @@
 // cuts fragment frames straight from the message (FragmentMessage), with
 // room in front for the transport's framing, so there is no encoded copy
 // of the whole message; the receiver's Reassembler copies each fragment
-// from the transport's read buffer to its place in the one heap buffer
-// the delivered message then owns. Frames and parked fragments come from
-// the slab pool (pool.go) and are released at the transport seams;
-// delivered payloads never do, because protocol handlers keep them —
-// and may alias them (Reader.Bytes32InPlace, diffing.DecodeDiff).
+// from the transport's read buffer to its place in the one buffer the
+// delivered message then owns. Frames come from the slab pool (pool.go)
+// and are released at the transport seams. A message joined from
+// several fragments is delivered in a pooled slab with an owner: a
+// handler that only reads the payload hands it back with
+// Message.Release, and one that keeps it — or aliases it
+// (Reader.Bytes32InPlace, diffing.DecodeDiff) — never does, leaving it
+// to the garbage collector. A sender that builds a large payload in a
+// PooledBuffer puts it back once the endpoint's Send, which copies it,
+// has returned.
 // Every count and length read from a peer is bounded by the bytes
 // actually present before it sizes anything (Reader.Count, Reader.need,
 // the reassembler's clamp on the length a first fragment states).
@@ -27,7 +32,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 )
 
 // Type identifies a protocol message.
@@ -157,10 +161,14 @@ var _ = [1]struct{}{}[tMax&traceFlag]
 // Message is one logical protocol message. It may span several wire
 // fragments when the payload exceeds MaxDatagram.
 type Message struct {
-	Type  Type
-	From  uint16 // sending node ID
-	To    uint16 // destination node ID
-	ReqID uint64 // RPC correlation ID; 0 for one-way messages
+	Type Type
+	From uint16 // sending node ID
+	To   uint16 // destination node ID
+	// pooled marks a payload the Reassembler joined in a pooled slab,
+	// which Release hands back. It sits in the padding after To, so a
+	// Message stays 64 bytes on 64-bit hosts.
+	pooled bool
+	ReqID  uint64 // RPC correlation ID; 0 for one-way messages
 	// SimTime is the sender's simulated clock (ns) when the message was
 	// sent; the receiver merges its clock to SimTime + transfer cost.
 	SimTime int64
@@ -169,6 +177,20 @@ type Message struct {
 	// no wire bytes, keeping the untraced path byte-identical (and the
 	// alloc guards meaningful) with tracing compiled in.
 	Trace TraceCtx
+}
+
+// Release hands the payload of a message the Reassembler joined from
+// several fragments back to the slab pool. Call it once nothing reads
+// m.Payload, or any slice of it, any more; a consumer that keeps the
+// payload never calls it, and the garbage collector frees the slab as it
+// would any buffer. On any other message, and on one already released,
+// Release does nothing.
+func (m *Message) Release() {
+	if !m.pooled {
+		return
+	}
+	PutSlab(m.Payload)
+	m.Payload, m.pooled = nil, false
 }
 
 // headerLen is the encoded size of the fixed message header.
@@ -250,6 +272,8 @@ var ErrTruncated = errors.New("wire: truncated message")
 // ErrBadType is returned when the decoded type byte is unknown.
 var ErrBadType = errors.New("wire: unknown message type")
 
+var errZeroTrace = errors.New("wire: trace flag set with zero trace context")
+
 // Decode parses a buffer produced by EncodeInto. The returned payload is
 // an independent copy of buf's bytes.
 func Decode(buf []byte) (Message, error) {
@@ -265,46 +289,65 @@ func Decode(buf []byte) (Message, error) {
 // release or reuse buf while the message is live — use Decode when
 // the message outlives the buffer.
 func DecodeInPlace(buf []byte) (Message, error) {
+	var m Message
+	body, n, traced, err := m.decodeHeader(buf)
+	if err == nil {
+		err = m.decodeBody(n, traced, body)
+	}
+	if err != nil {
+		return Message{}, err
+	}
+	return m, nil
+}
+
+// decodeHeader sets m's fields from the fixed header at the start of
+// buf and returns the bytes after it, the payload length it states and
+// whether a trace extension follows the payload.
+func (m *Message) decodeHeader(buf []byte) (body []byte, n uint32, traced bool, err error) {
 	if len(buf) < headerLen {
-		return Message{}, ErrTruncated
+		return nil, 0, false, ErrTruncated
 	}
 	t := buf[0]
-	traced := t&traceFlag != 0
-	m := Message{
-		Type:    Type(t &^ traceFlag),
-		From:    binary.LittleEndian.Uint16(buf[1:]),
-		To:      binary.LittleEndian.Uint16(buf[3:]),
-		ReqID:   binary.LittleEndian.Uint64(buf[5:]),
-		SimTime: int64(binary.LittleEndian.Uint64(buf[13:])),
-	}
+	m.Type = Type(t &^ traceFlag)
 	if !m.Type.Valid() {
-		return Message{}, ErrBadType
+		return nil, 0, false, ErrBadType
 	}
-	n := binary.LittleEndian.Uint32(buf[21:])
-	if len(buf) < headerLen+int(n) {
-		return Message{}, ErrTruncated
+	m.From = binary.LittleEndian.Uint16(buf[1:])
+	m.To = binary.LittleEndian.Uint16(buf[3:])
+	m.ReqID = binary.LittleEndian.Uint64(buf[5:])
+	m.SimTime = int64(binary.LittleEndian.Uint64(buf[13:]))
+	return buf[headerLen:], binary.LittleEndian.Uint32(buf[21:]), t&traceFlag != 0, nil
+}
+
+// decodeBody completes m, whose header stated an n-byte payload, from
+// body, the bytes after that header: the payload, aliased, then the
+// trace extension when traced. Bytes past those are the caller's to
+// judge.
+func (m *Message) decodeBody(n uint32, traced bool, body []byte) error {
+	if uint64(len(body)) < uint64(n) {
+		return ErrTruncated
 	}
 	if traced {
-		ext := headerLen + int(n)
-		if len(buf) < ext+traceExtLen {
-			return Message{}, ErrTruncated
+		ext := body[n:]
+		if len(ext) < traceExtLen {
+			return ErrTruncated
 		}
 		m.Trace = TraceCtx{
-			Rank:  binary.LittleEndian.Uint16(buf[ext:]),
-			Epoch: binary.LittleEndian.Uint32(buf[ext+2:]),
-			Seq:   binary.LittleEndian.Uint64(buf[ext+6:]),
+			Rank:  binary.LittleEndian.Uint16(ext),
+			Epoch: binary.LittleEndian.Uint32(ext[2:]),
+			Seq:   binary.LittleEndian.Uint64(ext[6:]),
 		}
 		if m.Trace.Zero() {
 			// A flagged frame must carry a non-zero context: the zero
 			// context is the "untraced" encoding and never sets the flag,
 			// so re-encoding an accepted frame is always byte-faithful.
-			return Message{}, fmt.Errorf("wire: trace flag set with zero trace context")
+			return errZeroTrace
 		}
 	}
 	if n > 0 {
-		m.Payload = buf[headerLen : headerLen+int(n) : headerLen+int(n)]
+		m.Payload = body[:n:n]
 	}
-	return m, nil
+	return nil
 }
 
 // NumFragments reports how many wire fragments an encoded message of
@@ -379,11 +422,13 @@ func cutFragments(parts *[3][]byte, msgID uint64, headroom int, fn func(frame []
 // one ahead of the next expected drops the message and is an error.
 // Nothing is held that the message cannot use next.
 //
-// A delivered message owns one heap buffer, allocated once: a
-// single-fragment message is copied out of the caller's frame, and a
-// multi-fragment message is joined in a buffer sized from the payload
-// length its first fragment's message header states, each fragment
-// copied from the caller's frame straight to its place.
+// A delivered message owns its payload buffer. A single-fragment
+// message is copied out of the caller's frame into a heap buffer. A
+// multi-fragment message keeps fragment 0's message header decoded and
+// joins what follows it — payload, then any trace extension — in a
+// pooled slab sized from the length that header states, each fragment
+// copied from the caller's frame straight to its place; the delivered
+// payload starts the slab, and Message.Release hands it back.
 type Reassembler struct {
 	pending map[uint64]*partial
 	free    []*partial // released partials, reused by the next message
@@ -391,31 +436,43 @@ type Reassembler struct {
 
 // maxJoinTrust is the most a first fragment's stated length may commit
 // before the bytes arrive: the largest slab class. A longer message
-// grows its buffer as it fills.
-const maxJoinTrust = 1 << 20
+// grows its slab as it fills.
+const maxJoinTrust = 1<<20 + largeSlabAllowance
 
 type partial struct {
 	count int
-	// whole holds fragments [0, next) joined; its capacity is the stated
-	// message length, clamped.
-	whole []byte
 	next  int
-	// want is the stated message length, unclamped by maxJoinTrust: as
-	// far as whole's growth beyond maxJoinTrust may reach in one step.
+	// hdr is fragment 0's message header, decoded: the message's fields,
+	// the payload length n it states and whether a trace extension
+	// follows the payload.
+	hdr    Message
+	n      uint32
+	traced bool
+	// body holds what fragments [0, next) carry after the header, joined
+	// in a pooled slab; its capacity is the stated length, clamped.
+	body []byte
+	// want is the stated body length, unclamped by maxJoinTrust: as far
+	// as body's growth beyond maxJoinTrust may reach in one step.
 	want int
 }
 
 // NewReassembler returns an empty reassembler. Delivered payloads are
-// independent copies the caller may retain indefinitely.
+// the caller's to retain indefinitely, or to Release.
 func NewReassembler() *Reassembler {
 	return &Reassembler{pending: make(map[uint64]*partial)}
 }
 
-// recycle returns p to the free list; p.whole is dropped, not pooled —
-// on completion the delivered message owns it.
+// recycle returns p to the free list; p.body is the caller's to hand on.
 func (r *Reassembler) recycle(p *partial) {
 	*p = partial{}
 	r.free = append(r.free, p)
+}
+
+// drop discards msgID's partial message and puts its slab back.
+func (r *Reassembler) drop(msgID uint64, p *partial) {
+	delete(r.pending, msgID)
+	PutSlab(p.body)
+	r.recycle(p)
 }
 
 func (r *Reassembler) newPartial(count int) *partial {
@@ -430,35 +487,39 @@ func (r *Reassembler) newPartial(count int) *partial {
 	return p
 }
 
-// statedLen is the encoded length the message header at the start of
-// chunk (a message's first fragment) states, or len(chunk) if chunk is
-// too short to hold a header. It is a peer's word: callers clamp it.
-func statedLen(chunk []byte) int64 {
-	if len(chunk) < headerLen {
-		return int64(len(chunk))
+// start begins a message with its fragment 0, chunk, which must hold
+// the whole message header (a sender's always does). The body slab is
+// sized from the length the header states: a peer's word, so clamped to
+// what the fragment count could carry and to maxJoinTrust.
+func (p *partial) start(chunk []byte) error {
+	body, n, traced, err := p.hdr.decodeHeader(chunk)
+	if err != nil {
+		return err
 	}
-	n := headerLen + int64(binary.LittleEndian.Uint32(chunk[headerLen-4:]))
-	if chunk[0]&traceFlag != 0 {
-		n += traceExtLen
+	p.n, p.traced = n, traced
+	stated := int64(n)
+	if traced {
+		stated += traceExtLen
 	}
-	return n
+	p.want = int(min(stated, int64(p.count)*MaxFragPayload-headerLen, math.MaxInt))
+	p.body = append(GetSlab(max(min(p.want, maxJoinTrust), len(body))), body...)
+	p.next = 1
+	return nil
 }
 
-// join appends chunk, the next fragment in order, to p.whole.
+// join appends chunk, the next fragment in order, to p.body.
 func (p *partial) join(chunk []byte) {
-	switch {
-	case p.next == 0:
-		p.want = int(min(statedLen(chunk), int64(p.count)*MaxFragPayload, math.MaxInt))
-		p.whole = make([]byte, 0, max(min(p.want, maxJoinTrust), len(chunk)))
-	case len(p.whole)+len(chunk) > cap(p.whole):
+	if len(p.body)+len(chunk) > cap(p.body) {
 		// Past what the header was trusted for, or past what it stated:
-		// at least double, so a long message is copied a bounded number
-		// of times, but never reserve beyond the stated length more than
-		// this chunk needs.
-		grow := max(len(chunk), min(len(p.whole), p.want-len(p.whole)))
-		p.whole = slices.Grow(p.whole, grow)
+		// move to a slab at least twice as long, so a long message is
+		// copied a bounded number of times, but never reserve beyond the
+		// stated length more than this chunk needs.
+		grow := max(len(chunk), min(len(p.body), p.want-len(p.body)))
+		body := append(GetSlab(len(p.body)+grow), p.body...)
+		PutSlab(p.body)
+		p.body = body
 	}
-	p.whole = append(p.whole, chunk...)
+	p.body = append(p.body, chunk...)
 	p.next++
 }
 
@@ -498,44 +559,53 @@ func (r *Reassembler) feedPartial(msgID uint64, idx, count int, chunk []byte) (M
 		p = r.newPartial(count)
 		r.pending[msgID] = p
 	}
-	if p.count != count {
+	switch {
+	case p.count != count:
+		r.drop(msgID, p)
 		return Message{}, false, fmt.Errorf("wire: fragment count mismatch for msg %d", msgID)
-	}
-	if idx > p.next {
+	case idx > p.next:
 		next := p.next
-		delete(r.pending, msgID)
-		r.recycle(p)
+		r.drop(msgID, p)
 		return Message{}, false, fmt.Errorf("wire: fragment %d of msg %d ahead of %d", idx, msgID, next)
-	}
-	if idx == p.next {
+	case idx < p.next:
+		return Message{}, false, nil // a repeat of a joined fragment
+	case idx == 0:
+		if err := p.start(chunk); err != nil {
+			r.drop(msgID, p)
+			return Message{}, false, err
+		}
+	default:
 		p.join(chunk)
 	}
 	if p.next < count {
 		return Message{}, false, nil
 	}
 	delete(r.pending, msgID)
-	// The joined buffer was built for this message alone, so the
-	// delivered payload aliases it for good.
-	whole := p.whole
+	m, n, traced, body := p.hdr, p.n, p.traced, p.body
 	r.recycle(p)
-	m, err := DecodeInPlace(whole)
-	if err == nil && EncodedLen(m) != len(whole) {
-		// The header sized the buffer; bytes beyond what it states are
-		// a framing error, not slack to carry around.
-		err = fmt.Errorf("wire: %d fragments carry %d bytes for a message of %d", count, len(whole), EncodedLen(m))
+	err := m.decodeBody(n, traced, body)
+	if err == nil && EncodedLen(m) != headerLen+len(body) {
+		// The header sized the slab; bytes beyond what it states are a
+		// framing error, not slack to carry around.
+		err = fmt.Errorf("wire: %d fragments carry %d bytes for a message of %d", count, headerLen+len(body), EncodedLen(m))
 	}
 	if err != nil {
+		PutSlab(body)
 		return Message{}, false, err
 	}
+	// The payload starts the slab and keeps its capacity, so Release can
+	// hand the whole slab back.
+	m.Payload, m.pooled = body[:n], true
 	return m, true, nil
 }
 
 // PendingBytes reports the bytes currently buffered in incomplete
-// messages — the memory-consumption bottleneck the paper calls out.
+// messages — the memory-consumption bottleneck the paper calls out:
+// each one's header and the body joined so far.
 func (r *Reassembler) PendingBytes() int {
 	total := 0
 	for _, p := range r.pending {
-		total += len(p.whole)
+		total += headerLen + len(p.body)
 	}
 	return total
 }

@@ -322,10 +322,23 @@ func (n *Node) serve(m wire.Message) {
 // swapping others out, possibly reading the local disk) when the large
 // object space is enabled; with it disabled (LOTS-x) data lives on the
 // Go heap permanently. Caller holds n.mu.
-func (n *Node) objData(c *object.Control) []byte {
+func (n *Node) objData(c *object.Control) []byte { return n.mapData(c, false) }
+
+// objDataOverwrite is objData for a caller about to overwrite every
+// byte: a fresh mapping is neither zeroed nor read back from the disk.
+// Caller holds n.mu.
+func (n *Node) objDataOverwrite(c *object.Control) []byte { return n.mapData(c, true) }
+
+func (n *Node) mapData(c *object.Control, overwrite bool) []byte {
 	if n.mapper != nil {
 		wasMapped := c.Mapped
-		data, err := n.mapper.Ensure(c)
+		var data []byte
+		var err error
+		if overwrite {
+			data, err = n.mapper.EnsureOverwrite(c)
+		} else {
+			data, err = n.mapper.Ensure(c)
+		}
 		if err != nil {
 			n.fatalf("lots: node %d: mapping object %d: %v", n.id, c.ID, err)
 		}
