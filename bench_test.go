@@ -17,6 +17,7 @@
 //	BenchmarkStencilRow    -> wall-clock four-view relax of one 1024-element row (benchmark/'s stencil inner loop)
 //	BenchmarkStencilEpoch  -> wall-clock and allocations of benchmark/'s stencil epoch: 2 ranks, 1024², relax + barrier twice
 //	BenchmarkMultiwriterEpoch -> wall-clock and allocations of benchmark/'s multiwriter epoch: 2 ranks over UDP, 16 write-shared 256 KiB objects, one barrier
+//	BenchmarkLockstepEpoch -> wall-clock and allocations of benchmark/'s lockstep epoch: 2 ranks over TCP, 8 locks, 256 critical sections per rank, one RunBarrier
 //	BenchmarkTable1/*      -> Table 1 platform sweep (scaled; sim-ms extrapolates x64)
 //	BenchmarkMaxSpace      -> §4.3 free-disk exhaustion (scaled)
 //	BenchmarkAblation*     -> DESIGN.md ablation index
@@ -318,6 +319,62 @@ func BenchmarkMultiwriterEpoch(b *testing.B) {
 		}
 		for i := 0; i < b.N; i++ {
 			epoch(3 + i)
+		}
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+}
+
+// BenchmarkLockstepEpoch is the shape of benchmark/'s `lockstep`
+// workload as a root-package benchmark: 2 ranks over TCP sockets, 8
+// locks guarding one 64-word int32 object each, and per epoch 256
+// critical sections per rank — acquire a pseudo-randomly chosen lock,
+// bump this rank's word and the shared last word, release — then one
+// RunBarrier. Nearly every message is a lock request, grant or free of
+// about 50 bytes, so the transport's per-message cost dominates.
+// allocs/op is the workload's allocs_per_epoch. Wall-clock.
+func BenchmarkLockstepEpoch(b *testing.B) {
+	const locks, words, ranks, cs = 8, 64, 2, 256
+	cfg := lots.DefaultConfig(ranks)
+	cfg.DMMSize = 64 << 20
+	cfg.Transport = lots.TransportTCP
+	c, err := lots.NewCluster(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	err = c.Run(func(n *lots.Node) {
+		objs := make([]lots.Ptr[int32], locks)
+		for k := range objs {
+			objs[k] = lots.Alloc[int32](n, words)
+		}
+		me := n.ID()
+		state := uint64(me) + 1 // this rank's xorshift lock choice
+		epoch := func() {
+			for i := 0; i < cs; i++ {
+				state ^= state << 13
+				state ^= state >> 7
+				state ^= state << 17
+				k := int(state>>33) % locks
+				p := objs[k]
+				n.Acquire(k)
+				p.Set(me, p.Get(me)+1)
+				p.Set(words-1, p.Get(words-1)+1)
+				n.Release(k)
+			}
+			n.RunBarrier()
+		}
+		n.Barrier()
+		for e := 0; e < 3; e++ { // settle the lock managers, fill the slab pools
+			epoch()
+		}
+		if me == 0 {
+			b.ReportAllocs()
+			b.ResetTimer()
+		}
+		for i := 0; i < b.N; i++ {
+			epoch()
 		}
 	})
 	if err != nil {

@@ -3,8 +3,9 @@ package transport
 // TCP transport: the production-interconnect alternative to the
 // paper's UDP channels. Each ordered pair of nodes (i -> j) shares one
 // persistent TCP connection dialed by i, carrying length-prefixed
-// frames: data frames (wire fragments) flow i -> j and cumulative
-// acknowledgement frames flow back j -> i on the same connection.
+// frames: data frames (wire fragments) and ack requests flow i -> j,
+// and cumulative acknowledgement frames flow back j -> i on the same
+// connection.
 //
 // TCP already provides in-order reliable bytes, but a *connection* can
 // die (peer restart, network blip, chaos injection). The transport
@@ -13,18 +14,29 @@ package transport
 // handshake tells it the receiver's resume point so it retransmits
 // exactly the suffix the receiver never processed. The receiver
 // discards frames below its resume point, so crash-reconnect races
-// deliver exactly once.
+// deliver exactly once — however late its acks were.
+//
+// A frame costs about one syscall on each side. Both ends read through
+// a bufio.Reader, so a burst of frames is one read. The writer gathers
+// every queued frame, up to tcpWriteBatch, into one write (writev on a
+// plain connection). The receiver acks cumulatively once per
+// tcpAckEvery data frames or tcpAckBytes payload bytes, and at once
+// when the sender asks with an ackReq frame, which it does only when
+// Drain waits on frames still unacknowledged. An ack is due every
+// eighth of the tcpWindow-frame window, so the window never fills while
+// the receiver keeps up.
 //
 // Frame layout (little endian):
 //
 //	u32 length (of everything after this field)
-//	u8  kind (hello | helloAck | data | ack)
+//	u8  kind (hello | helloAck | data | ack | ackReq)
 //	u64 seq (data: frame sequence; ack/helloAck: cumulative resume
 //	         point, i.e. the next sequence the receiver expects;
-//	         hello: the dialer's rank)
-//	...payload (data frames: one wire fragment)
+//	         hello: the dialer's rank; ackReq: zero, unused)
+//	...payload (data frames: one wire fragment; nothing otherwise)
 
 import (
+	"bufio"
 	"crypto/tls"
 	"encoding/binary"
 	"errors"
@@ -45,6 +57,7 @@ const (
 	tcpHelloAck = 2
 	tcpData     = 3
 	tcpAck      = 4
+	tcpAckReq   = 5
 
 	// tcpFrameHeaderLen: kind(1) + seq(8). The u32 length prefix is not
 	// part of the frame proper.
@@ -53,6 +66,19 @@ const (
 	// tcpWindow bounds unacknowledged frames per link; senders block
 	// beyond it so a dead peer cannot absorb unbounded memory.
 	tcpWindow = 256
+
+	// The receiver acks once tcpAckEvery data frames or tcpAckBytes of
+	// their payload have arrived since its last ack (or on an ackReq).
+	tcpAckEvery = tcpWindow / 8
+	tcpAckBytes = 256 << 10
+
+	// tcpWriteBatch bounds the frames one gathered write carries.
+	tcpWriteBatch = 64
+
+	// Read buffer sizes: the data side takes bursts of frames up to a
+	// full fragment; the dialer's side reads only acks.
+	tcpDataReadBuf = 64 << 10
+	tcpAckReadBuf  = 4 << 10
 
 	// tcpMaxFrame bounds incoming frame claims (a wire fragment plus
 	// header slack); anything larger is a corrupt stream.
@@ -128,7 +154,8 @@ type tcpSendLink struct {
 	nextSeq uint64
 	ackedTo uint64
 	unacked []tcpFrame
-	sendPos int // next unacked index to transmit on the current conn
+	sendPos int  // next unacked index to transmit on the current conn
+	ackReq  bool // Drain is waiting: ask the receiver for an ack now
 	dialing bool
 	broken  bool
 	closed  bool
@@ -141,7 +168,7 @@ type tcpFrame struct {
 
 // pframe is a pooled, reference-counted frame buffer. The unacked
 // window holds one reference until the frame is acknowledged, and the
-// write loop holds one for the duration of each socket write (writes
+// write loop holds one for the duration of each gathered write (writes
 // happen outside l.mu, concurrently with acks trimming the window, and
 // a reconnect rewind can write the same frame again).
 type pframe struct {
@@ -166,8 +193,11 @@ func (p *pframe) release() {
 // tcpFrameHeadroom is the transport framing a data frame needs in
 // front of the wire fragment: the u32 length prefix plus the frame
 // header. Fragments are cut with this much pooled headroom so the
-// whole frame is one buffer, written with one syscall and no copy.
+// whole frame is one buffer, gathered into a write with no copy.
 const tcpFrameHeadroom = 4 + tcpFrameHeaderLen
+
+// tcpAckReqFrame is the one ack request every link writes.
+var tcpAckReqFrame = makeTCPFrame(tcpAckReq, 0, nil)
 
 // tcpRecvState is the receiver half of one i -> j channel; it survives
 // connection replacement.
@@ -335,7 +365,9 @@ func (e *TCPEndpoint) Send(m wire.Message) error {
 
 // Drain blocks until every enqueued frame has been written and
 // acknowledged by its receiver (broken or closed links excluded), or
-// the timeout passes.
+// the timeout passes. Each poll asks every link with frames still
+// unacknowledged for an ack, which the receiver would otherwise hold
+// back until tcpAckEvery frames had arrived.
 func (e *TCPEndpoint) Drain(timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	for {
@@ -345,8 +377,10 @@ func (e *TCPEndpoint) Drain(timeout time.Duration) error {
 				continue
 			}
 			l.mu.Lock()
-			if !l.broken && !l.closed {
+			if !l.broken && !l.closed && len(l.unacked) > 0 {
 				pending += len(l.unacked)
+				l.ackReq = true
+				l.cond.Broadcast()
 			}
 			l.mu.Unlock()
 		}
@@ -450,10 +484,19 @@ func (l *tcpSendLink) ensureConnLocked() {
 }
 
 // writeLoop owns all data writes on the link's current connection.
+// Each pass takes every queued frame from sendPos on, up to
+// tcpWriteBatch, and — once that empties the queue — the ack request
+// Drain asked for, after the data it covers. It writes them all with
+// one net.Buffers.WriteTo: one writev on a plain TCP connection, one
+// write per frame on TLS.
 func (l *tcpSendLink) writeLoop() {
+	// Reused by every pass, so a pass allocates nothing.
+	batch := make([]*pframe, 0, tcpWriteBatch)
+	vec := make([][]byte, 0, tcpWriteBatch+1)
+	var bufs net.Buffers
 	for {
 		l.mu.Lock()
-		for !l.closed && (l.conn == nil || l.sendPos >= len(l.unacked)) {
+		for !l.closed && (l.conn == nil || (l.sendPos >= len(l.unacked) && !l.ackReq)) {
 			l.cond.Wait()
 		}
 		if l.closed {
@@ -461,12 +504,31 @@ func (l *tcpSendLink) writeLoop() {
 			return
 		}
 		conn := l.conn
-		f := l.unacked[l.sendPos]
-		f.fr.acquire() // for the write outside the lock
-		l.sendPos++
+		for l.sendPos < len(l.unacked) && len(batch) < tcpWriteBatch {
+			fr := l.unacked[l.sendPos].fr
+			fr.acquire() // for the write outside the lock
+			batch = append(batch, fr)
+			l.sendPos++
+		}
+		askAck := l.ackReq && l.sendPos == len(l.unacked)
+		if askAck {
+			l.ackReq = false
+		}
 		l.mu.Unlock()
-		_, err := conn.Write(f.fr.b)
-		f.fr.release()
+		for _, fr := range batch {
+			vec = append(vec, fr.b)
+		}
+		if askAck {
+			vec = append(vec, tcpAckReqFrame)
+		}
+		bufs = vec
+		_, err := bufs.WriteTo(conn)
+		for _, fr := range batch {
+			fr.release()
+		}
+		clear(batch)
+		clear(vec)
+		batch, vec = batch[:0], vec[:0]
 		if err != nil {
 			l.connFailed(conn)
 		}
@@ -510,9 +572,9 @@ func (l *tcpSendLink) dialLoop() {
 		}
 		conn, err := l.dial(addr)
 		if err == nil {
-			resume, herr := l.handshake(conn)
+			br, resume, herr := l.handshake(conn)
 			if herr == nil {
-				l.install(conn, resume)
+				l.install(conn, br, resume)
 				return
 			}
 			conn.Close()
@@ -557,27 +619,30 @@ func (l *tcpSendLink) giveUpDial(broken bool) {
 }
 
 // handshake announces our rank and learns the receiver's resume point.
-func (l *tcpSendLink) handshake(conn net.Conn) (uint64, error) {
+// It returns the connection's reader, which the ack loop goes on
+// reading from.
+func (l *tcpSendLink) handshake(conn net.Conn) (*bufio.Reader, uint64, error) {
 	deadline := time.Now().Add(2 * time.Second)
 	conn.SetDeadline(deadline) //nolint:errcheck
 	if _, err := conn.Write(makeTCPFrame(tcpHello, uint64(l.ep.id), nil)); err != nil {
-		return 0, err
+		return nil, 0, err
 	}
-	kind, seq, _, err := readTCPFrame(conn, nil)
+	br := bufio.NewReaderSize(conn, tcpAckReadBuf)
+	kind, seq, _, err := readTCPFrame(br, nil)
 	if err != nil {
-		return 0, err
+		return nil, 0, err
 	}
 	if kind != tcpHelloAck {
-		return 0, fmt.Errorf("transport: tcp handshake: unexpected frame kind %d", kind)
+		return nil, 0, fmt.Errorf("transport: tcp handshake: unexpected frame kind %d", kind)
 	}
 	conn.SetDeadline(time.Time{}) //nolint:errcheck
-	return seq, nil
+	return br, seq, nil
 }
 
 // install publishes a freshly handshaken connection: frames the
 // receiver already processed are acked away, the transmit cursor
-// rewinds, and a reader goroutine starts draining acks.
-func (l *tcpSendLink) install(conn net.Conn, resume uint64) {
+// rewinds, and a reader goroutine starts draining acks from br.
+func (l *tcpSendLink) install(conn net.Conn, br *bufio.Reader, resume uint64) {
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()
@@ -590,7 +655,7 @@ func (l *tcpSendLink) install(conn net.Conn, resume uint64) {
 	l.dialing = false
 	l.cond.Broadcast()
 	l.mu.Unlock()
-	go l.ackLoop(conn)
+	go l.ackLoop(conn, br)
 }
 
 // ackLocked applies a cumulative acknowledgement. Caller holds l.mu.
@@ -619,9 +684,9 @@ func (l *tcpSendLink) ackLocked(ackTo uint64) {
 }
 
 // ackLoop drains acknowledgement frames from one connection.
-func (l *tcpSendLink) ackLoop(conn net.Conn) {
+func (l *tcpSendLink) ackLoop(conn net.Conn, br *bufio.Reader) {
 	for {
-		kind, seq, _, err := readTCPFrame(conn, nil)
+		kind, seq, _, err := readTCPFrame(br, nil)
 		if err != nil {
 			l.connFailed(conn)
 			return
@@ -668,11 +733,13 @@ func (e *TCPEndpoint) dropAccepted(conn net.Conn) {
 }
 
 // serveConn handles one inbound connection: hello handshake, then data
-// frames, acking cumulatively after each.
+// frames, acking cumulatively once per tcpAckEvery frames or
+// tcpAckBytes bytes, and whenever the sender asks.
 func (e *TCPEndpoint) serveConn(conn net.Conn) {
 	defer e.dropAccepted(conn)
+	br := bufio.NewReaderSize(conn, tcpDataReadBuf)
 	conn.SetReadDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck
-	kind, src64, _, err := readTCPFrame(conn, nil)
+	kind, src64, _, err := readTCPFrame(br, nil)
 	// Range-check in uint64 space: a hostile hello with the high bit
 	// set would convert to a negative int and slip past an int compare
 	// straight into a panicking slice index.
@@ -690,50 +757,66 @@ func (e *TCPEndpoint) serveConn(conn net.Conn) {
 		return
 	}
 
+	// ack is this connection's one ack frame, restamped for each send.
+	var ack [tcpFrameHeadroom]byte
+	binary.LittleEndian.PutUint32(ack[:], tcpFrameHeaderLen)
+	ack[4] = tcpAck
+	frames, nbytes := 0, 0 // data since the last ack
 	buf := make([]byte, 0, 64<<10)
 	for {
-		kind, seq, payload, err := readTCPFrame(conn, buf)
+		kind, seq, payload, err := readTCPFrame(br, buf)
 		if err != nil {
 			return
 		}
-		if kind != tcpData {
+		if kind == tcpData {
+			rs.mu.Lock()
+			var m wire.Message
+			done := false
+			if seq == rs.expected {
+				rs.expected++
+				// Feed the read buffer directly: the reassembler copies
+				// whatever it keeps before returning, and buf is not reused
+				// until the next readTCPFrame call.
+				if got, ok, ferr := rs.reasm.Feed(payload); ferr == nil && ok {
+					m, done = got, true
+				}
+			}
+			// seq < expected: resent frame we already processed — count
+			// it toward the next ack. seq > expected cannot happen on an
+			// in-order stream that resumes from our ack point; dropping
+			// it would deadlock, so treat it as corruption and kill the
+			// connection.
+			gap := seq > rs.expected
+			rs.mu.Unlock()
+			// Deliver before acking: rs.expected has already advanced, so
+			// if the connection dies before the ack the sender's resend
+			// will be discarded as a duplicate — returning here without
+			// delivering would lose the message forever.
+			if done {
+				if e.counters != nil {
+					e.counters.MsgsRecv.Add(1)
+					e.counters.BytesRecv.Add(int64(wire.EncodedLen(m)))
+				}
+				e.inbox.put(m)
+			}
+			if gap {
+				return
+			}
+			frames++
+			nbytes += len(payload)
+			if frames < tcpAckEvery && nbytes < tcpAckBytes {
+				continue
+			}
+		} else if kind != tcpAckReq {
 			continue
 		}
 		rs.mu.Lock()
-		var completed []wire.Message
-		if seq == rs.expected {
-			rs.expected++
-			// Feed the read buffer directly: the reassembler copies
-			// whatever it keeps before returning, and buf is not reused
-			// until the next readTCPFrame call.
-			if m, done, ferr := rs.reasm.Feed(payload); ferr == nil && done {
-				completed = append(completed, m)
-			}
-		}
-		// seq < expected: resent frame we already processed — just
-		// re-ack. seq > expected cannot happen on an in-order stream
-		// that resumes from our ack point; dropping it would deadlock,
-		// so treat it as corruption and kill the connection.
-		gap := seq > rs.expected
-		ackTo := rs.expected
+		binary.LittleEndian.PutUint64(ack[5:], rs.expected)
 		rs.mu.Unlock()
-		// Deliver before acking: rs.expected has already advanced, so
-		// if the ack write fails (connection killed under us) the
-		// sender's resend will be discarded as a duplicate — returning
-		// here without delivering would lose the message forever.
-		for _, m := range completed {
-			if e.counters != nil {
-				e.counters.MsgsRecv.Add(1)
-				e.counters.BytesRecv.Add(int64(wire.EncodedLen(m)))
-			}
-			e.inbox.put(m)
-		}
-		if gap {
+		if _, err := conn.Write(ack[:]); err != nil {
 			return
 		}
-		if _, err := conn.Write(makeTCPFrame(tcpAck, ackTo, nil)); err != nil {
-			return
-		}
+		frames, nbytes = 0, 0
 	}
 }
 
@@ -788,23 +871,25 @@ func makeTCPFrame(kind byte, seq uint64, payload []byte) []byte {
 	return f
 }
 
-// readTCPFrame reads one frame. buf, when non-nil, is reused for the
-// payload (the returned slice aliases it and is valid until the next
-// call).
-func readTCPFrame(conn net.Conn, buf []byte) (kind byte, seq uint64, payload []byte, err error) {
-	var hdr [4 + tcpFrameHeaderLen]byte
-	if _, err = io.ReadFull(conn, hdr[:4]); err != nil {
+// readTCPFrame reads one frame from br. buf, when non-nil, is reused
+// for the payload (the returned slice aliases it and is valid until the
+// next call). The header is peeked in br's buffer, and the length claim
+// is checked before anything past it is read.
+func readTCPFrame(br *bufio.Reader, buf []byte) (kind byte, seq uint64, payload []byte, err error) {
+	hdr, err := br.Peek(4)
+	if err != nil {
 		return 0, 0, nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:4])
+	n := binary.LittleEndian.Uint32(hdr)
 	if n < tcpFrameHeaderLen || n > tcpMaxFrame {
 		return 0, 0, nil, fmt.Errorf("transport: tcp frame length %d out of range", n)
 	}
-	if _, err = io.ReadFull(conn, hdr[4:]); err != nil {
+	if hdr, err = br.Peek(tcpFrameHeadroom); err != nil {
 		return 0, 0, nil, err
 	}
 	kind = hdr[4]
 	seq = binary.LittleEndian.Uint64(hdr[5:])
+	br.Discard(tcpFrameHeadroom) //nolint:errcheck // peeked: cannot fail
 	plen := int(n) - tcpFrameHeaderLen
 	if plen == 0 {
 		return kind, seq, nil, nil
@@ -813,7 +898,7 @@ func readTCPFrame(conn net.Conn, buf []byte) (kind byte, seq uint64, payload []b
 		buf = make([]byte, plen)
 	}
 	payload = buf[:plen]
-	if _, err = io.ReadFull(conn, payload); err != nil {
+	if _, err = io.ReadFull(br, payload); err != nil {
 		return 0, 0, nil, err
 	}
 	return kind, seq, payload, nil

@@ -106,10 +106,16 @@ func Arrival(p platform.Profile, m wire.Message) time.Duration {
 // mailbox is an unbounded FIFO of messages; unbounded so that protocol
 // handlers can never deadlock on transport backpressure (the real system
 // relies on UDP buffering plus flow control for the same property).
+//
+// queue[head:] is pending. The backing array is reused: it resets to
+// empty whenever the queue drains, and a full array whose delivered
+// prefix is at least half of it slides its pending tail down instead of
+// growing.
 type mailbox struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
 	queue  []wire.Message
+	head   int
 	closed bool
 }
 
@@ -125,6 +131,11 @@ func (mb *mailbox) put(m wire.Message) bool {
 	if mb.closed {
 		return false
 	}
+	if n := len(mb.queue); n == cap(mb.queue) && 2*mb.head >= n {
+		k := copy(mb.queue, mb.queue[mb.head:])
+		clear(mb.queue[k:]) // the slid-from slots must not keep payloads alive
+		mb.queue, mb.head = mb.queue[:k], 0
+	}
 	mb.queue = append(mb.queue, m)
 	mb.cond.Signal()
 	return true
@@ -133,15 +144,18 @@ func (mb *mailbox) put(m wire.Message) bool {
 func (mb *mailbox) get() (wire.Message, bool) {
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
-	for len(mb.queue) == 0 && !mb.closed {
+	for mb.head == len(mb.queue) && !mb.closed {
 		mb.cond.Wait()
 	}
-	if len(mb.queue) == 0 {
+	if mb.head == len(mb.queue) {
 		return wire.Message{}, false
 	}
-	m := mb.queue[0]
-	mb.queue[0] = wire.Message{} // the backing array must not keep the payload alive
-	mb.queue = mb.queue[1:]
+	m := mb.queue[mb.head]
+	mb.queue[mb.head] = wire.Message{} // the backing array must not keep the payload alive
+	mb.head++
+	if mb.head == len(mb.queue) {
+		mb.queue, mb.head = mb.queue[:0], 0
+	}
 	return m, true
 }
 

@@ -337,6 +337,41 @@ func TestMailboxDropsDeliveredPayload(t *testing.T) {
 	t.Fatal("a received and dropped 1 MiB payload was never collected: something still references it")
 }
 
+// TestMailboxReusesBacking: an inbox that drains after every message,
+// and one that keeps a standing backlog, both deliver in order without
+// allocating per message — the backing array is reset or slid down,
+// never regrown. The inbox used to reslice from the front, so every
+// put eventually reallocated.
+func TestMailboxReusesBacking(t *testing.T) {
+	for _, backlog := range []int{0, 8} {
+		mb := newMailbox()
+		next, want := uint64(0), uint64(0)
+		for i := 0; i < backlog; i++ {
+			mb.put(wire.Message{ReqID: next})
+			next++
+		}
+		pair := func() {
+			mb.put(wire.Message{ReqID: next})
+			next++
+			if m, ok := mb.get(); !ok || m.ReqID != want {
+				t.Fatalf("backlog %d: got %d (ok=%v), want %d", backlog, m.ReqID, ok, want)
+			}
+			want++
+		}
+		for i := 0; i < 64; i++ { // let the array reach its working size
+			pair()
+		}
+		allocs := testing.AllocsPerRun(1, func() {
+			for i := 0; i < 1000; i++ {
+				pair()
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("backlog %d: %v allocations over 1000 messages, want 0", backlog, allocs)
+		}
+	}
+}
+
 func TestEndpointsList(t *testing.T) {
 	c, _, _ := newTestMemCluster(3)
 	defer c.Close()
