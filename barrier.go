@@ -8,9 +8,9 @@ import (
 
 	"repro/internal/diffing"
 	"repro/internal/object"
+	"repro/internal/stats"
 	"repro/internal/stats/phases"
 	"repro/internal/trace"
-	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
@@ -110,7 +110,7 @@ func (n *Node) Barrier() {
 	}
 	arriveAt := time.Now()
 	btc := n.tr.Begin(trace.BarrierEnter, epoch, 0, wire.TraceCtx{})
-	reply := n.rpcT(0, wire.TBarrierArrive, w.Bytes(), btc)
+	reply := n.rpcT(0, wire.TBarrierArrive, w.Bytes(), btc, n.clock)
 	n.tr.End(btc)
 	n.ph.Observe(epoch, phases.BarrierWait, time.Since(arriveAt))
 	if reply.Type != wire.TBarrierExit {
@@ -138,7 +138,7 @@ func (n *Node) RunBarrier() {
 	w.U32(epoch).Bool(true)
 	arriveAt := time.Now()
 	btc := n.tr.Begin(trace.BarrierEnter, epoch, 1, wire.TraceCtx{})
-	reply := n.rpcT(0, wire.TBarrierArrive, w.Bytes(), btc)
+	reply := n.rpcT(0, wire.TBarrierArrive, w.Bytes(), btc, n.clock)
 	n.tr.End(btc)
 	n.ph.Observe(epoch, phases.BarrierWait, time.Since(arriveAt))
 	if reply.Type != wire.TBarrierExit {
@@ -160,7 +160,7 @@ func (n *Node) serveBarrierArrive(m wire.Message) {
 	runOnly := r.Bool()
 	bm := n.bmgr
 
-	arr := transport.Arrival(n.prof, m)
+	arr := n.arrival(&m)
 	if runOnly {
 		n.mu.Lock()
 		bm.rbMsgs = append(bm.rbMsgs, m)
@@ -387,7 +387,7 @@ func (n *Node) processBarrierExit(payload []byte) {
 			n.mu.Unlock()
 			n.fatalf("lots: node %d: ordered to diff object %d without a twin", n.id, o.obj)
 		}
-		data := n.objData(c)
+		data := n.objData(c, n.clock)
 		// Stamped diffs: each run carries the lock version under which
 		// its words were written, so the home merges concurrent
 		// writers' diffs newest-wins instead of arrival-order-wins.
@@ -496,7 +496,8 @@ func (n *Node) serveBarrierDiff(m wire.Message) {
 	if r.Err() != nil {
 		n.fatalf("lots: node %d: bad barrier diff: %v", n.id, r.Err())
 	}
-	lc := n.svcClock(m)
+	var lc stats.SimClock // this request's service timeline
+	lc.MergeTo(n.arrival(&m))
 	n.mu.Lock()
 	c := n.lookup(id)
 	// Epoch reconciliations arrive while every node is inside the
@@ -507,15 +508,13 @@ func (n *Node) serveBarrierDiff(m wire.Message) {
 	for c.RWViews > 0 || c.ROViews > 0 {
 		n.cond.Wait()
 	}
-	restore := n.useClock(lc)
 	// The runs go from the payload to the object and nowhere in between.
 	// The data version bumps only when the apply actually moved bytes: a
 	// diff whose words all lose the newest-wins merge (or re-assert
 	// values already present) leaves the copy byte-identical, and the
 	// next checkpoint may skip it.
-	diffBytes, moved, err := diffing.ApplyStampedEncoded(n.objData(c), c, r, epoch, n.trackVer())
+	diffBytes, moved, err := diffing.ApplyStampedEncoded(n.objData(c, &lc), c, r, epoch, n.trackVer())
 	if err != nil {
-		restore()
 		n.mu.Unlock()
 		n.fatalf("lots: node %d: applying barrier diff to %d: %v", n.id, id, err)
 	}
@@ -526,7 +525,6 @@ func (n *Node) serveBarrierDiff(m wire.Message) {
 		n.mapper.MarkDirty(c)
 	}
 	lc.Advance(n.prof.WordsCost(diffBytes / object.WordSize))
-	restore()
 	if int64(lc.Now()) > c.ReconcileNS {
 		c.ReconcileNS = int64(lc.Now())
 	}

@@ -18,12 +18,14 @@
 //	BenchmarkStencilEpoch  -> wall-clock and allocations of benchmark/'s stencil epoch: 2 ranks, 1024², relax + barrier twice
 //	BenchmarkMultiwriterEpoch -> wall-clock and allocations of benchmark/'s multiwriter epoch: 2 ranks over UDP, 16 write-shared 256 KiB objects, one barrier
 //	BenchmarkLockstepEpoch -> wall-clock and allocations of benchmark/'s lockstep epoch: 2 ranks over TCP, 8 locks, 256 critical sections per rank, one RunBarrier
+//	BenchmarkBarrierRanks  -> wall-clock Barrier and RunBarrier over mem at 2 to 64 ranks (DESIGN.md "Barrier cost against rank count")
 //	BenchmarkTable1/*      -> Table 1 platform sweep (scaled; sim-ms extrapolates x64)
 //	BenchmarkMaxSpace      -> §4.3 free-disk exhaustion (scaled)
 //	BenchmarkAblation*     -> DESIGN.md ablation index
 package lots_test
 
 import (
+	"fmt"
 	"testing"
 
 	lots "repro"
@@ -379,6 +381,56 @@ func BenchmarkLockstepEpoch(b *testing.B) {
 	})
 	if err != nil {
 		b.Fatal(err)
+	}
+}
+
+// BenchmarkBarrierRanks is the barrier's cost as the cluster grows: R
+// ranks over mem, each writing one object of its own per epoch, so a
+// Barrier carries R write notices in, R home decisions out to every
+// rank, and no diffs. RunBarrier is the same round with no memory
+// action. One op is one barrier; wall-clock.
+func BenchmarkBarrierRanks(b *testing.B) {
+	for _, ranks := range []int{2, 4, 8, 16, 32, 64} {
+		for _, kind := range []string{"barrier", "run"} {
+			run := kind == "run"
+			b.Run(fmt.Sprintf("R=%d/%s", ranks, kind), func(b *testing.B) {
+				cfg := lots.DefaultConfig(ranks)
+				cfg.DMMSize = 64 << 10
+				c, err := lots.NewCluster(cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer c.Close()
+				err = c.Run(func(n *lots.Node) {
+					objs := make([]lots.Ptr[int32], ranks)
+					for i := range objs {
+						objs[i] = lots.Alloc[int32](n, 16)
+					}
+					mine := objs[n.ID()]
+					epoch := func(i int) {
+						if run {
+							n.RunBarrier()
+							return
+						}
+						mine.Set(0, int32(i))
+						n.Barrier()
+					}
+					for i := 0; i < 3; i++ { // every home migrates to its writer
+						epoch(i)
+					}
+					if n.ID() == 0 {
+						b.ReportAllocs()
+						b.ResetTimer()
+					}
+					for i := 0; i < b.N; i++ {
+						epoch(i)
+					}
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+			})
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/object"
+	"repro/internal/stats"
 	"repro/internal/stats/phases"
 	"repro/internal/trace"
 	"repro/internal/wire"
@@ -17,9 +18,11 @@ import (
 
 // fetchObject retrieves a clean copy of c from its home and applies any
 // lock-scope updates that arrived while the copy was invalid; a copy
-// installs once, so a reply that finds it valid again is dropped. Caller
-// holds n.mu; it is released around the RPC.
-func (n *Node) fetchObject(c *object.Control) {
+// installs once, so a reply that finds it valid again is dropped. The
+// round trip, the install and the replay are charged to clk: the
+// application's clock for an access, a grant's service timeline for the
+// grant's own fetch. Caller holds n.mu; it is released around the RPC.
+func (n *Node) fetchObject(c *object.Control, clk *stats.SimClock) {
 	if c.Home == n.id {
 		n.fatalf("lots: node %d: home copy of object %d is invalid", n.id, c.ID)
 	}
@@ -30,7 +33,7 @@ func (n *Node) fetchObject(c *object.Control) {
 	var w wire.Buffer
 	w.U64(uint64(id)).U32(epoch)
 	ftc := n.tr.Begin(trace.FetchReq, epoch, uint64(id), wire.TraceCtx{})
-	reply := n.rpcT(home, wire.TObjFetchReq, w.Bytes(), ftc)
+	reply := n.rpcT(home, wire.TObjFetchReq, w.Bytes(), ftc, clk)
 	n.tr.End(ftc)
 	n.mu.Lock()
 	if reply.Type != wire.TObjFetchReply {
@@ -52,18 +55,18 @@ func (n *Node) fetchObject(c *object.Control) {
 	}
 	c.State = object.Clean
 	c.Ver = ver
-	copy(n.objDataOverwrite(c), data)
+	copy(n.mapData(c, true, clk), data)
 	reply.Release()
 	if n.mapper != nil {
 		n.mapper.MarkDirty(c)
 	}
 	n.ctr.ObjFetches.Add(1)
-	n.clock.Advance(n.prof.WordsCost(c.Words()))
+	clk.Advance(n.prof.WordsCost(c.Words()))
 
 	// Replay the updates deferred while the copy was invalid, uncharged:
 	// the charge above paid for writing the whole object.
 	for _, p := range n.deferred[id] {
-		n.applyScopeDiff(c, p.lock, p.ver, p.d)
+		n.applyScopeDiff(c, p.lock, p.ver, p.d, clk)
 	}
 	delete(n.deferred, id)
 }
@@ -83,7 +86,8 @@ func (n *Node) serveFetch(m wire.Message) {
 	defer func() { n.ph.Observe(reqEpoch, phases.FetchServe, time.Since(serveAt)) }()
 	stc := n.tr.Begin(trace.FetchServe, reqEpoch, uint64(id), m.Trace)
 	defer n.tr.End(stc)
-	lc := n.svcClock(m)
+	var lc stats.SimClock // this request's service timeline
+	lc.MergeTo(n.arrival(&m))
 	n.mu.Lock()
 	for n.epoch < reqEpoch || n.pendingDiffs[id] > 0 {
 		n.cond.Wait()
@@ -98,22 +102,18 @@ func (n *Node) serveFetch(m wire.Message) {
 	// The served copy cannot predate the reconciliation diffs this
 	// home applied for the barrier the requester has passed.
 	lc.MergeTo(time.Duration(c.ReconcileNS))
-	restore := n.useClock(lc)
 	if c.Home != n.id {
-		restore()
 		n.mu.Unlock()
 		n.fatalf("lots: node %d: fetch for object %d homed at %d", n.id, id, c.Home)
 	}
 	if c.State == object.Invalid {
-		restore()
 		n.mu.Unlock()
 		n.fatalf("lots: node %d: serving fetch from invalid home copy of %d", n.id, id)
 	}
-	data := n.objData(c)
+	data := n.objData(c, &lc)
 	w := wire.PooledBuffer(4 + len(data) + 4)
 	w.Bytes32(data).U32(c.Ver)
 	lc.Advance(n.prof.WordsCost(c.Words()))
-	restore()
 	n.mu.Unlock()
 	n.reply(m, wire.TObjFetchReply, w.Bytes(), lc.Now())
 	wire.PutSlab(w.Bytes()) // Send has copied it
@@ -137,7 +137,7 @@ func (n *Node) serveRemoteSwapOut(m wire.Message) {
 	if r.Err() != nil {
 		n.fatalf("lots: bad remote swap-out: %v", r.Err())
 	}
-	lc := n.svcClock(m)
+	at := n.arrival(&m)
 	var w wire.Buffer
 	if n.store == nil {
 		w.Bool(false).Bytes32([]byte("no backing store"))
@@ -145,9 +145,9 @@ func (n *Node) serveRemoteSwapOut(m wire.Message) {
 		w.Bool(false).Bytes32([]byte(err.Error()))
 	} else {
 		w.Bool(true).Bytes32(nil)
-		lc.Advance(n.prof.DiskWrite(len(data)))
+		at += n.prof.DiskWrite(len(data))
 	}
-	n.reply(m, wire.TRemoteSwapReply, w.Bytes(), lc.Now())
+	n.reply(m, wire.TRemoteSwapReply, w.Bytes(), at)
 }
 
 func (n *Node) serveRemoteSwapIn(m wire.Message) {
@@ -157,7 +157,7 @@ func (n *Node) serveRemoteSwapIn(m wire.Message) {
 	if r.Err() != nil {
 		n.fatalf("lots: bad remote swap-in: %v", r.Err())
 	}
-	lc := n.svcClock(m)
+	at := n.arrival(&m)
 	var w wire.Buffer
 	switch {
 	case n.store == nil:
@@ -172,10 +172,10 @@ func (n *Node) serveRemoteSwapIn(m wire.Message) {
 			w.Bool(false).Bytes32([]byte(err.Error()))
 		} else {
 			w.Bool(true).Bytes32(buf)
-			lc.Advance(n.prof.DiskRead(size))
+			at += n.prof.DiskRead(size)
 		}
 	}
-	n.reply(m, wire.TRemoteSwapReply, w.Bytes(), lc.Now())
+	n.reply(m, wire.TRemoteSwapReply, w.Bytes(), at)
 }
 
 // remoteSwapOut spills data for object id to peer's disk (§5 extension).

@@ -468,7 +468,7 @@ func (n *Node) Acquire(l int) {
 	}
 	r := wire.NewReader(reply.Payload)
 	ver := r.U32()
-	cnt := int(r.U32())
+	cnt := r.Count(4)
 	n.mu.Lock()
 	for i := 0; i < cnt; i++ {
 		pg := r.U32()
@@ -584,7 +584,7 @@ func (n *Node) Barrier() {
 		n.fatalf("jiajia: node %d: barrier exit: %v", n.id, reply.Type)
 	}
 	r := wire.NewReader(reply.Payload)
-	cnt := int(r.U32())
+	cnt := r.Count(4)
 	n.mu.Lock()
 	for i := 0; i < cnt; i++ {
 		pg := r.U32()
@@ -614,16 +614,6 @@ func (n *Node) send(to int, typ wire.Type, reqID uint64, payload []byte, at time
 	}
 }
 
-// svcClock builds a service timeline starting at m's causal arrival, so
-// serving a peer's request does not disturb this node's application
-// clock (the SIGSEGV/SIGIO handlers of the original steal microseconds,
-// not the whole arrival gap).
-func (n *Node) svcClock(m wire.Message) *stats.SimClock {
-	c := &stats.SimClock{}
-	c.MergeTo(transport.Arrival(n.prof, m))
-	return c
-}
-
 func (n *Node) rpc(to int, typ wire.Type, payload []byte) wire.Message {
 	reply, err := n.mux.Call(wire.Message{Type: typ, To: uint16(to), Payload: payload})
 	if err != nil {
@@ -633,6 +623,11 @@ func (n *Node) rpc(to int, typ wire.Type, payload []byte) wire.Message {
 	return reply
 }
 
+// reply answers req at time at of the handler's service timeline. A
+// timeline starts at the request's causal arrival and advances by the
+// handler's own work, so serving a peer does not disturb this node's
+// application clock (the SIGSEGV/SIGIO handlers of the original steal
+// microseconds, not the whole arrival gap).
 func (n *Node) reply(req wire.Message, typ wire.Type, payload []byte, at time.Duration) {
 	n.send(int(req.From), typ, transport.ReplyID(req.ReqID), payload, at)
 }
@@ -678,11 +673,10 @@ func (n *Node) serveJPageReq(m wire.Message) {
 	}
 	var w wire.Buffer
 	w.Bytes32(p.data)
-	lc := n.svcClock(m)
-	lc.MergeTo(p.applyTime)
-	lc.Advance(n.prof.WordsCost(PageSize / 4))
+	// The served copy cannot predate the diffs applied to it.
+	at := max(transport.Arrival(n.prof, m), p.applyTime) + n.prof.WordsCost(PageSize/4)
 	n.mu.Unlock()
-	n.reply(m, wire.TJPageReply, w.Bytes(), lc.Now())
+	n.reply(m, wire.TJPageReply, w.Bytes(), at)
 }
 
 func (n *Node) serveJDiff(m wire.Message) {
@@ -706,13 +700,10 @@ func (n *Node) serveJDiff(m wire.Message) {
 		n.mu.Unlock()
 		n.fatalf("jiajia: node %d: applying diff to page %d: %v", n.id, pg, err)
 	}
-	lc := n.svcClock(m)
-	lc.Advance(n.prof.WordsCost(d.Bytes() / 4))
-	if lc.Now() > p.applyTime {
-		p.applyTime = lc.Now()
-	}
+	at := transport.Arrival(n.prof, m) + n.prof.WordsCost(d.Bytes()/4)
+	p.applyTime = max(p.applyTime, at)
 	n.mu.Unlock()
-	n.reply(m, wire.TJDiffAck, nil, lc.Now())
+	n.reply(m, wire.TJDiffAck, nil, at)
 }
 
 func (n *Node) lockMgrStateFor(lk uint16) *lockMgrState {
@@ -731,7 +722,6 @@ func (n *Node) serveLockReq(m wire.Message) {
 	if r.Err() != nil {
 		n.fatalf("jiajia: bad lock request: %v", r.Err())
 	}
-	lc := n.svcClock(m)
 	n.mu.Lock()
 	mg := n.lockMgrStateFor(lk)
 	if mg.held {
@@ -743,7 +733,7 @@ func (n *Node) serveLockReq(m wire.Message) {
 	mg.holder = int(m.From)
 	payload := grantPayload(mg, known)
 	n.mu.Unlock()
-	n.reply(m, wire.TLockGrant, payload, lc.Now())
+	n.reply(m, wire.TLockGrant, payload, transport.Arrival(n.prof, m))
 }
 
 // grantPayload builds the write-notice grant: every page written under
@@ -767,7 +757,7 @@ func grantPayload(mg *lockMgrState, known uint32) []byte {
 func (n *Node) serveLockFree(m wire.Message) {
 	r := wire.NewReader(m.Payload)
 	lk := r.U16()
-	cnt := int(r.U32())
+	cnt := r.Count(4)
 	pgs := make([]uint32, 0, cnt)
 	for i := 0; i < cnt; i++ {
 		pgs = append(pgs, r.U32())
@@ -800,14 +790,15 @@ func (n *Node) serveLockFree(m wire.Message) {
 	_ = known.U16()
 	payload := grantPayload(mg, known.U32())
 	n.mu.Unlock()
-	lc := n.svcClock(m)
-	lc.MergeTo(transport.Arrival(n.prof, next))
-	n.reply(next, wire.TLockGrant, payload, lc.Now())
+	// The grant leaves once both the release and the waiter's request
+	// have arrived.
+	at := max(transport.Arrival(n.prof, m), transport.Arrival(n.prof, next))
+	n.reply(next, wire.TLockGrant, payload, at)
 }
 
 func (n *Node) serveBarrierArrive(m wire.Message) {
 	r := wire.NewReader(m.Payload)
-	cnt := int(r.U32())
+	cnt := r.Count(4)
 	pgs := make([]uint32, 0, cnt)
 	for i := 0; i < cnt; i++ {
 		pgs = append(pgs, r.U32())

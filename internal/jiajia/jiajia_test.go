@@ -2,10 +2,16 @@ package jiajia
 
 import (
 	"fmt"
+	"math"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/platform"
+	"repro/internal/stats"
+	"repro/internal/transport"
+	"repro/internal/wire"
 )
 
 func mustCluster(t *testing.T, nodes int) *Cluster {
@@ -229,6 +235,73 @@ func TestRunReportsEveryFailedNode(t *testing.T) {
 	for _, want := range []string{"node 0: boom 0", "node 2: boom 2"} {
 		if err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("Run error %v does not report %q", err, want)
+		}
+	}
+}
+
+// TestForgedCountsFailPromptly: each of the four decoders that read a
+// page count from a peer fails on a count of 2^32-1 with its "bad"
+// error, promptly and without sizing anything by it. The grant and the
+// barrier exit used to loop that many times past the payload's end, and
+// the two handlers to reserve 16 GiB for it. Rank 1 runs JIAJIA; rank 0
+// is a bare endpoint that answers with the forged payloads. The cases
+// stop at the first failure, so a regression never reaches the
+// allocations.
+func TestForgedCountsFailPromptly(t *testing.T) {
+	mem := transport.NewMemCluster(2, platform.Test(), nil, nil)
+	defer mem.Close()
+	n := newNode(1, &Config{Nodes: 2, Platform: platform.Test()}, mem.Endpoint(1), &stats.Counters{}, &stats.SimClock{})
+	go n.mux.Serve()
+	peer := mem.Endpoint(0)
+	forged := func(head ...uint32) []byte {
+		var w wire.Buffer
+		for _, v := range head {
+			w.U32(v)
+		}
+		return w.U32(math.MaxUint32).Bytes()
+	}
+	answer := func(typ wire.Type, payload []byte) {
+		if m, ok := peer.Recv(); ok {
+			peer.Send(wire.Message{Type: typ, To: 1, ReqID: transport.ReplyID(m.ReqID), Payload: payload})
+		}
+	}
+	for _, tc := range []struct {
+		name, want string
+		run        func()
+	}{
+		{"grant", "bad grant", func() {
+			go answer(wire.TLockGrant, forged(1)) // version 1
+			n.Acquire(0)
+		}},
+		{"barrier exit", "bad barrier exit", func() {
+			go answer(wire.TBarrierExit, forged())
+			n.Barrier()
+		}},
+		{"lock free", "bad lock free", func() {
+			n.serveLockFree(wire.Message{Type: wire.TLockFree, Payload: append([]byte{0, 0}, forged()...)})
+		}},
+		{"barrier arrival", "bad barrier arrival", func() {
+			n.serveBarrierArrive(wire.Message{Type: wire.TBarrierArrive, Payload: forged()})
+		}},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		done := make(chan any, 1)
+		go func() {
+			defer func() { done <- recover() }()
+			tc.run()
+		}()
+		select {
+		case r := <-done:
+			runtime.ReadMemStats(&after)
+			if !strings.Contains(fmt.Sprint(r), tc.want) {
+				t.Fatalf("%s: recovered %v, want a %q panic", tc.name, r, tc.want)
+			}
+			if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+				t.Fatalf("%s: the forged count allocated %d bytes", tc.name, grew)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s: a forged count of 2^32-1 is still being decoded after 5 s", tc.name)
 		}
 	}
 }

@@ -16,7 +16,6 @@ import (
 	"reflect"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -190,46 +189,39 @@ func (s Snapshot) String() string {
 // SimClock is a node's deterministic simulated clock. Time is held in
 // nanoseconds. Clocks advance when the owning node performs simulated
 // work and merge forward when a message with a later causal timestamp is
-// received, exactly like a Lamport clock over durations.
+// received, exactly like a Lamport clock over durations. The zero value
+// reads 0, and no method retains its receiver, so a short-lived timeline
+// can live on its owner's stack.
 type SimClock struct {
-	mu sync.Mutex
-	ns int64
+	ns atomic.Int64
 }
 
 // Now returns the current simulated time.
-func (c *SimClock) Now() time.Duration {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return time.Duration(c.ns)
-}
+func (c *SimClock) Now() time.Duration { return time.Duration(c.ns.Load()) }
 
 // Advance moves the clock forward by d (negative d is ignored).
 func (c *SimClock) Advance(d time.Duration) {
-	if d <= 0 {
-		return
+	if d > 0 {
+		c.ns.Add(int64(d))
 	}
-	c.mu.Lock()
-	c.ns += int64(d)
-	c.mu.Unlock()
 }
 
 // MergeTo sets the clock to max(current, t). It returns the resulting
 // time, which callers use as the causal receive timestamp.
 func (c *SimClock) MergeTo(t time.Duration) time.Duration {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if int64(t) > c.ns {
-		c.ns = int64(t)
+	for {
+		cur := c.ns.Load()
+		if int64(t) <= cur {
+			return time.Duration(cur)
+		}
+		if c.ns.CompareAndSwap(cur, int64(t)) {
+			return t
+		}
 	}
-	return time.Duration(c.ns)
 }
 
 // Reset sets the clock back to zero (used between harness runs).
-func (c *SimClock) Reset() {
-	c.mu.Lock()
-	c.ns = 0
-	c.mu.Unlock()
-}
+func (c *SimClock) Reset() { c.ns.Store(0) }
 
 // MaxOf returns the maximum of the given simulated times; it is the
 // cluster-level "execution time" of an SPMD phase (the slowest node).

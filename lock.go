@@ -76,7 +76,7 @@ func (n *Node) Acquire(l int) {
 	var w wire.Buffer
 	w.U8(0).U16(lk).U32(known)
 	ltc := n.tr.Begin(trace.LockAcquire, epoch, uint64(l), wire.TraceCtx{})
-	reply := n.rpcT(n.managerOf(lk), wire.TLockReq, w.Bytes(), ltc)
+	reply := n.rpcT(n.managerOf(lk), wire.TLockReq, w.Bytes(), ltc, n.clock)
 	n.tr.End(ltc)
 	if reply.Type != wire.TLockGrant {
 		n.fatalf("lots: node %d: lock %d: unexpected reply %v", n.id, l, reply.Type)
@@ -107,7 +107,7 @@ func (n *Node) Release(l int) {
 	var flushes []call
 	for _, id := range written {
 		c := n.lookup(id)
-		data := n.objData(c)
+		data := n.objData(c, n.clock)
 		twin := cs.csTwins[id]
 		d := diffing.Compute(data, twin)
 		n.clock.Advance(n.prof.WordsCost(c.Words()))
@@ -192,19 +192,19 @@ func (n *Node) serveLockReq(m wire.Message) {
 	kind := r.U8()
 	lk := r.U16()
 	known := r.U32()
-	lc := n.svcClock(m)
+	at := n.arrival(&m)
 	if kind == 1 {
 		orig := r.U16()
 		if r.Err() != nil {
 			n.fatalf("lots: bad forwarded lock request: %v", r.Err())
 		}
-		n.sendGrant(int(orig), m.ReqID, lk, known, lc)
+		n.sendGrant(int(orig), m.ReqID, lk, known, at)
 		return
 	}
 	if r.Err() != nil {
 		n.fatalf("lots: bad lock request: %v", r.Err())
 	}
-	wtr := lockWaiter{from: m.From, reqID: m.ReqID, known: known, arrive: lc.Now()}
+	wtr := lockWaiter{from: m.From, reqID: m.ReqID, known: known, arrive: at}
 	n.mu.Lock()
 	mg := n.lockMgrState(lk)
 	if mg.held {
@@ -214,28 +214,28 @@ func (n *Node) serveLockReq(m wire.Message) {
 	}
 	mg.held = true
 	mg.holder = int(m.From)
-	n.grantFromManagerLocked(mg, lk, wtr, lc)
+	n.grantFromManagerLocked(mg, lk, wtr, at)
 }
 
-// grantFromManagerLocked routes one grant for lk to wtr on the service
-// timeline lc (already merged past both the lock's availability and the
-// waiter's request arrival). Caller holds n.mu; it is released before
-// any message is sent.
-func (n *Node) grantFromManagerLocked(mg *lockMgr, lk uint16, wtr lockWaiter, lc *stats.SimClock) {
-	lc.MergeTo(wtr.arrive)
+// grantFromManagerLocked routes one grant for lk to wtr. The manager does
+// no simulated work of its own, so the grant leaves at the later of at,
+// when the lock became available, and the waiter's request arrival.
+// Caller holds n.mu; it is released before any message is sent.
+func (n *Node) grantFromManagerLocked(mg *lockMgr, lk uint16, wtr lockWaiter, at time.Duration) {
+	at = max(at, wtr.arrive)
 	switch {
 	case n.cfg.Protocol.Lock == LockHomeBased:
 		// Home-based: the manager grants directly with write notices;
 		// data is already at the homes.
 		payload := n.encodeHomeBasedGrant(mg, lk)
 		n.mu.Unlock()
-		n.send(int(wtr.from), wire.TLockGrant, transport.ReplyID(wtr.reqID), payload, lc.Now())
+		n.send(int(wtr.from), wire.TLockGrant, transport.ReplyID(wtr.reqID), payload, at)
 	case mg.lastReleaser < 0 || mg.lastReleaser == int(wtr.from):
 		// First acquire ever, or re-acquire by the last releaser: no
 		// updates to transfer; the manager grants directly.
 		payload := encodeEmptyGrant(lk, mg.ver, mg.scope)
 		n.mu.Unlock()
-		n.send(int(wtr.from), wire.TLockGrant, transport.ReplyID(wtr.reqID), payload, lc.Now())
+		n.send(int(wtr.from), wire.TLockGrant, transport.ReplyID(wtr.reqID), payload, at)
 	default:
 		// Forward to the last releaser, which holds the freshest data
 		// and serves the grant point-to-point (homeless protocol).
@@ -243,7 +243,7 @@ func (n *Node) grantFromManagerLocked(mg *lockMgr, lk uint16, wtr lockWaiter, lc
 		n.mu.Unlock()
 		var w wire.Buffer
 		w.U8(1).U16(lk).U32(wtr.known).U16(wtr.from)
-		n.send(rel, wire.TLockReq, wtr.reqID, w.Bytes(), lc.Now())
+		n.send(rel, wire.TLockReq, wtr.reqID, w.Bytes(), at)
 	}
 }
 
@@ -280,32 +280,31 @@ func (n *Node) encodeHomeBasedGrant(mg *lockMgr, lk uint16) []byte {
 
 // sendGrant builds the homeless write-update grant at the last
 // releaser: for every object in l's scope, the words written under l
-// since the requester's version, computed on demand (§3.5). lc is the
-// service timeline.
-func (n *Node) sendGrant(to int, reqID uint64, lk uint16, known uint32, lc *stats.SimClock) {
+// since the requester's version, computed on demand (§3.5). Everything
+// the grant costs, a fetch it waits for included, is charged to its
+// service timeline lc, a local started at at, the request's arrival.
+func (n *Node) sendGrant(to int, reqID uint64, lk uint16, known uint32, at time.Duration) {
+	var lc stats.SimClock
+	lc.MergeTo(at)
 	n.mu.Lock()
-	restore := n.useClock(lc)
 	ver := n.knownVer[lk]
 	ids := n.scopeList(lk)
 	var w wire.Buffer
 	w.U16(lk).U32(ver).U32(uint32(len(ids)))
 	for _, id := range ids {
 		c := n.lookup(id)
-		// Like serveFetch, the grant path must not read an object whose
-		// span is mid-mutation under an open RW view (the writes hold no
-		// lock); wait for the mutation window to close. The node clock
-		// is un-redirected around the wait (other mu holders must charge
-		// their own timelines), and materialize can drop n.mu around a
-		// fetch, so loop until both conditions hold together.
-		for {
-			for c.RWViews > 0 {
-				restore()
+		// Like serveFetch, the grant must not read an object whose span is
+		// mid-mutation under an open RW view (the writes hold no lock).
+		// Nor may it serve from stamps alone while this node holds scope
+		// updates deferred on its invalid copy (they came with a grant
+		// before it touched the object): the fetch that validates the copy
+		// replays and drops them. The fetch drops n.mu, so loop until both
+		// conditions hold together.
+		for c.RWViews > 0 || len(n.deferred[id]) > 0 {
+			if c.RWViews > 0 {
 				n.cond.Wait()
-				restore = n.useClock(lc)
-			}
-			n.materializePendingLocked(c)
-			if c.RWViews == 0 {
-				break
+			} else {
+				n.fetchObject(c, &lc)
 			}
 		}
 		w.U64(uint64(id))
@@ -326,7 +325,7 @@ func (n *Node) sendGrant(to int, reqID uint64, lk uint16, known uint32, lc *stat
 				n.ctr.DiffBytes.Add(int64(bytes))
 			}
 		default:
-			d := n.onDemandDiffLocked(c, lk, known)
+			d := n.onDemandDiffLocked(c, lk, known, &lc)
 			if d.Empty() {
 				w.U32(0)
 			} else {
@@ -336,15 +335,15 @@ func (n *Node) sendGrant(to int, reqID uint64, lk uint16, known uint32, lc *stat
 			}
 		}
 	}
-	restore()
 	n.mu.Unlock()
 	n.send(to, wire.TLockGrant, transport.ReplyID(reqID), w.Bytes(), lc.Now())
 }
 
 // onDemandDiffLocked computes the grant diff for one object from the
-// current data plus per-word stamps. It only maps the object in when at
-// least one word qualifies, so cold scope objects stay on disk.
-func (n *Node) onDemandDiffLocked(c *object.Control, lk uint16, known uint32) diffing.Diff {
+// current data plus per-word stamps, on timeline clk. It only maps the
+// object in when at least one word qualifies, so cold scope objects stay
+// on disk.
+func (n *Node) onDemandDiffLocked(c *object.Control, lk uint16, known uint32, clk *stats.SimClock) diffing.Diff {
 	if c.Stamps == nil {
 		return diffing.Diff{}
 	}
@@ -362,8 +361,8 @@ func (n *Node) onDemandDiffLocked(c *object.Control, lk uint16, known uint32) di
 	if !any {
 		return diffing.Diff{}
 	}
-	data := n.objData(c)
-	n.curClock.Advance(n.prof.WordsCost(c.Words()))
+	data := n.objData(c, clk)
+	clk.Advance(n.prof.WordsCost(c.Words()))
 	d := diffing.FilterByStamp(data, c.Stamps, include)
 	if !d.Empty() {
 		n.ctr.DiffsMade.Add(1)
@@ -421,7 +420,7 @@ func (n *Node) applyGrant(lk uint16, payload []byte) {
 			if err != nil {
 				break // err is r.Err(), which ends the outer loop too
 			}
-			if n.applyScopeDiff(c, lk, dv, d) {
+			if n.applyScopeDiff(c, lk, dv, d, n.clock) {
 				n.clock.Advance(n.prof.WordsCost(d.Bytes() / object.WordSize))
 			}
 			if accumulate {
@@ -505,7 +504,6 @@ func (n *Node) serveLockFree(m wire.Message) {
 	if r.Err() != nil {
 		n.fatalf("lots: bad lock-free payload: %v", r.Err())
 	}
-	lc := n.svcClock(m)
 	n.mu.Lock()
 	mg := n.lockMgrState(lk)
 	if !mg.held || mg.holder != int(m.From) {
@@ -531,7 +529,7 @@ func (n *Node) serveLockFree(m wire.Message) {
 	mg.queue = mg.queue[1:]
 	mg.held = true
 	mg.holder = int(next.from)
-	n.grantFromManagerLocked(mg, lk, next, lc) // releases n.mu
+	n.grantFromManagerLocked(mg, lk, next, n.arrival(&m)) // releases n.mu
 }
 
 // LockVersion reports lock l's version as known to this node (testing

@@ -30,8 +30,14 @@ type Node struct {
 	cfg *Config
 	// ep is the rank's endpoint stack under its coalescing top layer:
 	// Send for single messages, Defer/Flush for bursts (callAll).
-	ep    *transport.BatchingEndpoint
-	ctr   *stats.Counters
+	ep  *transport.BatchingEndpoint
+	ctr *stats.Counters
+	// clock is the application's simulated timeline. A protocol handler
+	// charges a service timeline of its own, a local that starts at the
+	// request's arrival, so serving peers steals from the application
+	// only what the paper's SIGIO handler does. Every function that
+	// charges simulated time takes the timeline it charges; no field
+	// says which one is current.
 	clock *stats.SimClock
 	prof  platform.Profile
 	// ph records wall-clock protocol phase timings per epoch for the
@@ -42,17 +48,11 @@ type Node struct {
 	// instrumentation sites below never guard.
 	tr *trace.Ring
 
-	mu   sync.Mutex
-	cond *sync.Cond // broadcast on barrier-diff application / epoch advance
-	// curClock is the timeline charged by shared code paths (objData):
-	// normally the node's application clock, temporarily redirected to
-	// a per-request service timeline while a protocol handler runs
-	// under mu. This keeps peer-service work off the application's
-	// simulated time, so measurements are schedule-independent.
-	curClock *stats.SimClock
-	table    *object.Table
-	mapper   *dmm.Mapper // nil when LargeObjectSpace is off (LOTS-x)
-	store    disk.Store
+	mu     sync.Mutex
+	cond   *sync.Cond // broadcast on barrier-diff application / epoch advance
+	table  *object.Table
+	mapper *dmm.Mapper // nil when LargeObjectSpace is off (LOTS-x)
+	store  disk.Store
 
 	// Lock client state.
 	knownVer map[uint16]uint32             // lock -> last version applied here
@@ -139,7 +139,6 @@ func newNode(id int, cfg *Config, ep *transport.BatchingEndpoint, store disk.Sto
 	}
 	n.mux = transport.NewMux(ep, n.serve)
 	n.cond = sync.NewCond(&n.mu)
-	n.curClock = clock
 	if cfg.LargeObjectSpace {
 		n.mapper = dmm.NewMapper(cfg.DMMSize, store, ctr)
 		n.mapper.SetEvictPolicy(cfg.Protocol.Evict == EvictFIFO)
@@ -194,35 +193,33 @@ func (n *Node) sendT(to int, typ wire.Type, reqID uint64, payload []byte, at tim
 	}
 }
 
-// svcClock builds a service timeline starting at m's causal arrival.
-func (n *Node) svcClock(m wire.Message) *stats.SimClock {
-	c := &stats.SimClock{}
-	c.MergeTo(transport.Arrival(n.prof, m))
-	return c
-}
+// arrival is m's simulated arrival here, transport.Arrival, where every
+// timeline that m starts or merges into begins. It stays out of line:
+// inlined, its by-value Profile and Message copies add 256 bytes to the
+// frame of every handler that calls it, and the lock handlers' chain
+// down to the socket send then outgrows its goroutine's stack twice
+// instead of once (on a 2-CPU host, runtime.newstack went from 15 % to
+// 27 % of BenchmarkLockstepEpoch's CPU).
+//
+//go:noinline
+func (n *Node) arrival(m *wire.Message) time.Duration { return transport.Arrival(n.prof, *m) }
 
-// useClock redirects shared time charges to c until the returned
-// function is called. Caller holds n.mu for the whole window.
-func (n *Node) useClock(c *stats.SimClock) func() {
-	prev := n.curClock
-	n.curClock = c
-	return func() { n.curClock = prev }
-}
-
-// rpc sends a request and blocks for the correlated reply, merging the
-// simulated clock at receipt. The caller must NOT hold n.mu.
+// rpc sends a request from the application and blocks for the
+// correlated reply. The caller must NOT hold n.mu.
 func (n *Node) rpc(to int, typ wire.Type, payload []byte) wire.Message {
-	return n.rpcT(to, typ, payload, wire.TraceCtx{})
+	return n.rpcT(to, typ, payload, wire.TraceCtx{}, n.clock)
 }
 
-// rpcT is rpc with a causal trace context stamped on the request, so
-// the serving rank can link its span to the caller's.
-func (n *Node) rpcT(to int, typ wire.Type, payload []byte, tc wire.TraceCtx) wire.Message {
-	reply, err := n.mux.Call(wire.Message{Type: typ, To: uint16(to), Payload: payload, Trace: tc})
+// rpcT is rpc on timeline clk, with a causal trace context stamped on
+// the request so the serving rank can link its span to the caller's:
+// the request leaves at clk's time and the reply's arrival merges into
+// clk, so the whole round trip is charged there.
+func (n *Node) rpcT(to int, typ wire.Type, payload []byte, tc wire.TraceCtx, clk *stats.SimClock) wire.Message {
+	reply, err := n.mux.Call(wire.Message{Type: typ, To: uint16(to), SimTime: int64(clk.Now()), Payload: payload, Trace: tc})
 	if err != nil {
 		n.fatalf("lots: rpc %v to node %d: %v", typ, to, err)
 	}
-	n.clock.MergeTo(transport.Arrival(n.prof, reply))
+	clk.MergeTo(n.arrival(&reply))
 	return reply
 }
 
@@ -268,7 +265,7 @@ func (n *Node) callAll(calls []call) []wire.Message {
 		if replies[i].Type == wire.TInvalid {
 			n.fatalf("lots: rpc %v to node %d: %v", calls[i].typ, calls[i].to, transport.ErrClosed)
 		}
-		n.clock.MergeTo(transport.Arrival(n.prof, replies[i]))
+		n.clock.MergeTo(n.arrival(&replies[i]))
 	}
 	return replies
 }
@@ -320,16 +317,17 @@ func (n *Node) serve(m wire.Message) {
 
 // objData returns the object's resident data, mapping it in (possibly
 // swapping others out, possibly reading the local disk) when the large
-// object space is enabled; with it disabled (LOTS-x) data lives on the
-// Go heap permanently. Caller holds n.mu.
-func (n *Node) objData(c *object.Control) []byte { return n.mapData(c, false) }
+// object space is enabled, and charging a map-in to clk; with it
+// disabled (LOTS-x) data lives on the Go heap permanently. Caller holds
+// n.mu.
+func (n *Node) objData(c *object.Control, clk *stats.SimClock) []byte {
+	return n.mapData(c, false, clk)
+}
 
-// objDataOverwrite is objData for a caller about to overwrite every
-// byte: a fresh mapping is neither zeroed nor read back from the disk.
-// Caller holds n.mu.
-func (n *Node) objDataOverwrite(c *object.Control) []byte { return n.mapData(c, true) }
-
-func (n *Node) mapData(c *object.Control, overwrite bool) []byte {
+// mapData is objData, except that with overwrite set, for a caller about
+// to overwrite every byte, a fresh mapping is neither zeroed nor read
+// back from the disk. Caller holds n.mu.
+func (n *Node) mapData(c *object.Control, overwrite bool, clk *stats.SimClock) []byte {
 	if n.mapper != nil {
 		wasMapped := c.Mapped
 		var data []byte
@@ -343,7 +341,7 @@ func (n *Node) mapData(c *object.Control, overwrite bool) []byte {
 			n.fatalf("lots: node %d: mapping object %d: %v", n.id, c.ID, err)
 		}
 		if !wasMapped {
-			n.curClock.Advance(n.prof.CPU(mapInCost))
+			clk.Advance(n.prof.CPU(mapInCost))
 		}
 		return data
 	}
@@ -395,9 +393,9 @@ func (n *Node) accessCheck(c *object.Control) []byte {
 	}
 	n.clock.Advance(cost)
 	if c.State == object.Invalid {
-		n.fetchObject(c)
+		n.fetchObject(c, n.clock)
 	}
-	data := n.objData(c)
+	data := n.objData(c, n.clock)
 	if n.mapper != nil {
 		n.mapper.Touch(c)
 	}
@@ -538,8 +536,8 @@ type pendingDiff struct {
 // the mapped copy dirty and reports true. A home whose bytes moved must
 // bump its data version: the acquirer's copy already matches the grant,
 // so a later barrier diff may be a byte-level no-op that never bumps.
-// Caller holds n.mu.
-func (n *Node) applyScopeDiff(c *object.Control, l uint16, ver uint32, d diffing.Diff) bool {
+// A map-in is charged to clk. Caller holds n.mu.
+func (n *Node) applyScopeDiff(c *object.Control, l uint16, ver uint32, d diffing.Diff, clk *stats.SimClock) bool {
 	if d.Empty() {
 		return false
 	}
@@ -547,7 +545,7 @@ func (n *Node) applyScopeDiff(c *object.Control, l uint16, ver uint32, d diffing
 		n.deferred[c.ID] = append(n.deferred[c.ID], pendingDiff{lock: l, ver: ver, d: d})
 		return false
 	}
-	moved, err := diffing.ApplyMoved(n.objData(c), d, n.trackVer() && c.Home == n.id)
+	moved, err := diffing.ApplyMoved(n.objData(c, clk), d, n.trackVer() && c.Home == n.id)
 	if err != nil {
 		n.fatalf("lots: node %d: applying scope diff to object %d: %v", n.id, c.ID, err)
 	}
@@ -564,21 +562,6 @@ func (n *Node) applyScopeDiff(c *object.Control, l uint16, ver uint32, d diffing
 		}
 	}
 	return true
-}
-
-// materializePendingLocked brings c up to date when this node holds
-// deferred scope updates for it, so that grants served from here reflect
-// complete data. A node can hold them for an object it never touched
-// (they arrived with a grant while the copy was invalid); if it then
-// becomes the last releaser, serving from its per-word stamps alone
-// would silently omit those words. Deferred updates exist only while the
-// copy is invalid — the fetch that validates it replays and drops them
-// under n.mu — so the fetch is all there is to do. Caller holds n.mu;
-// the fetch drops and retakes it.
-func (n *Node) materializePendingLocked(c *object.Control) {
-	if len(n.deferred[c.ID]) > 0 {
-		n.fetchObject(c)
-	}
 }
 
 // ResetClock zeroes this node's simulated clock. The harness uses it at

@@ -171,3 +171,67 @@ func TestMultiwriterEpochAllocations(t *testing.T) {
 		t.Errorf("a steady-state epoch allocates %d KiB, want under 1024", perEpoch>>10)
 	}
 }
+
+// TestLockstepEpochAllocations: in the benchmark's lockstep shape (2
+// ranks over TCP, 8 locks guarding a 64-word object each, 256 critical
+// sections per rank and a RunBarrier per epoch), the whole process
+// allocates at most maxPerCS times per critical section. On go1.24 it
+// measured 35.9–36.8, three runs at a time on two cores included; when
+// serving a request also allocated its service timeline on the heap it
+// was 38.6–39.2. The bound has not been measured on go1.23. This guards
+// the count before anything pools the single-fragment path.
+func TestLockstepEpochAllocations(t *testing.T) {
+	if raceBuild {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	const locks, words, ranks, cs, epochs, maxPerCS = 8, 64, 2, 256, 8, 38.0
+	cfg := DefaultConfig(ranks)
+	cfg.DMMSize = 64 << 20
+	cfg.Transport = TransportTCP
+	c := mustCluster(t, cfg)
+	var before, after runtime.MemStats
+	err := c.Run(func(n *Node) {
+		objs := make([]Ptr[int32], locks)
+		for k := range objs {
+			objs[k] = Alloc[int32](n, words)
+		}
+		me := n.ID()
+		state := uint64(me) + 1 // this rank's xorshift lock choice
+		epoch := func() {
+			for i := 0; i < cs; i++ {
+				state ^= state << 13
+				state ^= state >> 7
+				state ^= state << 17
+				k := int(state>>33) % locks
+				p := objs[k]
+				n.Acquire(k)
+				p.Set(me, p.Get(me)+1)
+				p.Set(words-1, p.Get(words-1)+1)
+				n.Release(k)
+			}
+			n.RunBarrier()
+		}
+		n.Barrier()
+		for e := 0; e < 3; e++ { // settle the lock managers, fill the slab pools
+			epoch()
+		}
+		if me == 0 {
+			runtime.ReadMemStats(&before)
+		}
+		n.RunBarrier() // rank 1 starts counting once rank 0 has
+		for e := 0; e < epochs; e++ {
+			epoch()
+		}
+		if me == 0 {
+			runtime.ReadMemStats(&after)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	perCS := float64(after.Mallocs-before.Mallocs) / (epochs * cs * ranks)
+	t.Logf("%.2f allocations per critical section", perCS)
+	if perCS > maxPerCS {
+		t.Errorf("a critical section allocates %.2f times, want at most %v", perCS, maxPerCS)
+	}
+}

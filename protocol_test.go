@@ -390,6 +390,130 @@ func TestConcurrentFetchesInstallOnce(t *testing.T) {
 	}
 }
 
+// TestGrantFetchChargesTheGrant: a grant service that must fetch an
+// object before it can build the grant charges the whole fetch to the
+// grant's own timeline, and nothing else. As in
+// TestConcurrentFetchesInstallOnce, node 0 holds a deferred grant diff
+// for x and is lock 4's last releaser, so node 2's acquire makes node
+// 0's grant service fetch x from its home, node 1, which parks the
+// fetch behind an open RW view. While it is parked, node 0's application
+// maps in a swapped-out object, and that costs node 0's clock exactly
+// what the same access costs outside the window; the map-in used to be
+// charged to the parked grant. Once granted, node 2's clock covers five
+// message transfers, the fetch's round trip among them; the grant used
+// to leave before the fetch it waited on.
+func TestGrantFetchChargesTheGrant(t *testing.T) {
+	cfg := DefaultConfig(3)
+	cfg.Platform = paperPlatform()
+	c := mustCluster(t, cfg)
+	measured := make(chan struct{}) // node 0 has read y inside the window
+	err := c.Run(func(n *Node) {
+		x := Alloc[int32](n, 8) // homed at node 1
+		y := Alloc[int32](n, 8)
+		switch n.ID() {
+		case 0:
+			y.Set(0, 7) // sole writer: y's home migrates to node 0
+		case 1:
+			for i := 0; i < 8; i++ {
+				x.Set(i, int32(100+i))
+			}
+		}
+		n.Barrier() // nodes 0 and 2 invalid on x
+		if n.ID() == 2 {
+			n.Acquire(4)
+			x.Set(0, 999)
+			n.Release(4)
+		}
+		n.RunBarrier()
+		var v View[int32]
+		var outside time.Duration
+		switch n.ID() {
+		case 0: // the grant diff defers: x is invalid here
+			n.Acquire(4)
+			n.Release(4)
+			outside = swapInCost(t, n, y)
+		case 1:
+			v = x.ViewRW(0, 8)
+		}
+		n.RunBarrier()
+		switch n.ID() {
+		case 0:
+			for deadline := time.Now().Add(10 * time.Second); goroutinesIn("(*Node).serveFetch") < 1; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Error("node 0's grant service never fetched x: test is vacuous")
+					break
+				}
+			}
+			if inside := swapInCost(t, n, y); inside != outside {
+				t.Errorf("node 0's swap-in costs its clock %v while its grant service fetches, %v otherwise", inside, outside)
+			}
+			close(measured)
+		case 1:
+			<-measured
+			v.Release()
+		case 2:
+			before := n.SimNow()
+			n.Acquire(4) // forwarded to node 0, whose grant service fetches x
+			waited := n.SimNow() - before
+			n.Release(4)
+			// Request, forward, fetch request, fetch reply, grant.
+			if least := 5 * cfg.Platform.NetXfer(0); waited < least {
+				t.Errorf("node 2's acquire took %v of simulated time, want at least %v", waited, least)
+			}
+		}
+		n.Barrier()
+		if got := x.Get(0); got != 999 {
+			t.Errorf("node %d reads x[0] = %d, want 999", n.ID(), got)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSocketFetchChargesTheRoundTrip: over TCP, as over mem, an
+// application fetch's request leaves at the caller's simulated time, so
+// the reply's arrival charges the caller the round trip. Socket sends
+// used to leave unstamped, and the reply then arrived before the
+// caller's own time.
+func TestSocketFetchChargesTheRoundTrip(t *testing.T) {
+	cfg := DefaultConfig(2)
+	cfg.Platform = paperPlatform()
+	cfg.Transport = TransportTCP
+	c := mustCluster(t, cfg)
+	err := c.Run(func(n *Node) {
+		x := Alloc[int32](n, 8)
+		if n.ID() == 1 {
+			x.Set(0, 7) // sole writer: x's home migrates to node 1
+		}
+		n.Barrier() // node 0 invalid on x
+		if n.ID() == 0 {
+			before := n.SimNow()
+			if got := x.Get(0); got != 7 {
+				t.Errorf("node 0 reads x[0] = %d, want 7", got)
+			}
+			if waited, least := n.SimNow()-before, 2*cfg.Platform.NetXfer(0); waited < least {
+				t.Errorf("node 0's fetch took %v of simulated time, want at least %v", waited, least)
+			}
+		}
+		n.Barrier()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// swapInCost swaps every object of n out and reports what reading y back
+// costs n's clock.
+func swapInCost(t *testing.T, n *Node, y Ptr[int32]) time.Duration {
+	if err := n.EvictAll(); err != nil {
+		t.Error(err)
+	}
+	before := n.SimNow()
+	y.Get(0)
+	return n.SimNow() - before
+}
+
 // goroutinesIn counts the goroutines with fn on their stack.
 func goroutinesIn(fn string) int {
 	buf := make([]byte, 1<<20)

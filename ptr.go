@@ -158,9 +158,9 @@ func (p Ptr[T]) Pin() (unpin func()) {
 	defer n.mu.Unlock()
 	c := n.lookup(p.id)
 	if c.State == object.Invalid {
-		n.fetchObject(c)
+		n.fetchObject(c, n.clock)
 	}
-	n.objData(c)
+	n.objData(c, n.clock)
 	if n.mapper == nil {
 		return func() {}
 	}

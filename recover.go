@@ -59,7 +59,7 @@ func (n *Node) bumpVerOnSelfWritesLocked(c *object.Control) {
 	if !c.WrittenInEpoch || c.Twin == nil || c.State == object.Invalid {
 		return
 	}
-	if !bytes.Equal(n.objData(c), c.Twin) {
+	if !bytes.Equal(n.objData(c, n.clock), c.Twin) {
 		c.Ver++
 	}
 }
@@ -142,7 +142,7 @@ func (n *Node) checkpointAfterBarrier(epoch uint32) {
 			n.ctr.CkptSkipped.Add(1)
 		default:
 			seg.Flag = wire.CkptSegData
-			seg.Data = append([]byte(nil), n.objData(c)...)
+			seg.Data = append([]byte(nil), n.objData(c, n.clock)...)
 			n.ctr.CkptBytes.Add(int64(len(seg.Data)))
 		}
 		n.ckptVers[id] = c.Ver
@@ -160,7 +160,7 @@ func (n *Node) checkpointAfterBarrier(epoch uint32) {
 		// Awaiting the ack before the application proceeds is what makes
 		// the replica trustworthy: once the next epoch starts, the buddy
 		// durably holds this one.
-		if reply := n.rpcT(buddy, wire.TCkptPut, w.Bytes(), ctc); reply.Type != wire.TCkptAck {
+		if reply := n.rpcT(buddy, wire.TCkptPut, w.Bytes(), ctc, n.clock); reply.Type != wire.TCkptAck {
 			n.fatalf("lots: node %d: checkpoint push to node %d: reply %v", n.id, buddy, reply.Type)
 		}
 	}
@@ -173,11 +173,10 @@ func (n *Node) serveCkptPut(m wire.Message) {
 	if err != nil {
 		n.fatalf("lots: node %d: bad checkpoint push: %v", n.id, err)
 	}
-	lc := n.svcClock(m)
 	if err := n.recoveryStore().Put(p); err != nil {
 		n.fatalf("lots: node %d: persisting buddy checkpoint: %v", n.id, err)
 	}
-	n.reply(m, wire.TCkptAck, nil, lc.Now())
+	n.reply(m, wire.TCkptAck, nil, n.arrival(&m))
 }
 
 // serveRehome answers a recovering rank's fetch of an owner's
@@ -187,14 +186,13 @@ func (n *Node) serveRehome(m wire.Message) {
 	if err != nil {
 		n.fatalf("lots: node %d: bad rehome query: %v", n.id, err)
 	}
-	lc := n.svcClock(m)
 	var rep wire.RehomeReply
 	if ck, err := n.recoveryStore().Materialize(int(q.Owner), q.Epoch); err == nil {
 		rep = wire.RehomeReply{Found: true, Ckpt: ck}
 	}
 	var w wire.Buffer
 	rep.Encode(&w)
-	n.reply(m, wire.TRehomeReply, w.Bytes(), lc.Now())
+	n.reply(m, wire.TRehomeReply, w.Bytes(), n.arrival(&m))
 }
 
 // ---- Recovery negotiation (rank 0 coordinator) --------------------------
@@ -306,8 +304,7 @@ func (n *Node) serveRecoverArrive(m wire.Message) {
 	var w wire.Buffer
 	plan.Encode(&w)
 	for _, am := range msgs {
-		lc := n.svcClock(am)
-		n.reply(am, wire.TRecoverPlan, w.Bytes(), lc.Now())
+		n.reply(am, wire.TRecoverPlan, w.Bytes(), n.arrival(&am))
 	}
 }
 
@@ -344,8 +341,7 @@ func (n *Node) serveRecoverReady(m wire.Message) {
 	var w wire.Buffer
 	homes.Encode(&w)
 	for _, am := range msgs {
-		lc := n.svcClock(am)
-		n.reply(am, wire.TRecoverHomes, w.Bytes(), lc.Now())
+		n.reply(am, wire.TRecoverHomes, w.Bytes(), n.arrival(&am))
 	}
 }
 
@@ -464,7 +460,7 @@ func (n *Node) restoreSegs(ck wire.CkptPut) {
 			c.State = object.Initial
 		case wire.CkptSegData:
 			c.State = object.Clean
-			copy(n.objData(c), seg.Data)
+			copy(n.objData(c, n.clock), seg.Data)
 			if n.mapper != nil {
 				n.mapper.MarkDirty(c)
 			}

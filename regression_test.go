@@ -239,7 +239,7 @@ func TestRegressionReplyRegistrationAfterClose(t *testing.T) {
 	}
 	for name, f := range map[string]func(){
 		"lots callAll":   func() { n.callAll([]call{{to: 1, typ: wire.TBarrierDiff}}) },
-		"lots rpcT":      func() { n.rpcT(1, wire.TBarrierDiff, nil, wire.TraceCtx{}) },
+		"lots rpc":       func() { n.rpc(1, wire.TBarrierDiff, nil) },
 		"jiajia Barrier": jc.Node(0).Barrier,
 	} {
 		done := make(chan any, 1)

@@ -44,7 +44,7 @@ func TestVersionBumpsOnlyWhenBytesMove(t *testing.T) {
 		home.mu.Lock()
 		defer home.mu.Unlock()
 		ctl := home.lookup(id)
-		return ctl.Ver, append([]byte(nil), home.objData(ctl)...)
+		return ctl.Ver, append([]byte(nil), home.objData(ctl, home.clock)...)
 	}
 	word := func(v byte) []byte { return []byte{v, 0, 0, 0} }
 	flush := func(runs ...diffing.StampedRun) {
@@ -58,7 +58,7 @@ func TestVersionBumpsOnlyWhenBytesMove(t *testing.T) {
 	grant := func(runs ...diffing.Run) {
 		home.mu.Lock()
 		defer home.mu.Unlock()
-		home.applyScopeDiff(home.lookup(id), 2, 1, diffing.Diff{Runs: runs})
+		home.applyScopeDiff(home.lookup(id), 2, 1, diffing.Diff{Runs: runs}, home.clock)
 	}
 	expect := func(step string, bumps uint32, want []byte) {
 		t.Helper()
