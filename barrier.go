@@ -91,9 +91,9 @@ func (n *Node) Barrier() {
 		lockVers = append(lockVers, lv{l, mg.ver})
 	}
 	sort.Slice(lockVers, func(i, j int) bool { return lockVers[i].l < lockVers[j].l })
-	if len(n.held) != 0 {
+	if held := len(n.held); held != 0 {
 		n.mu.Unlock()
-		n.fatalf("lots: node %d: barrier reached while holding %d lock(s)", n.id, len(n.held))
+		n.fatalf("lots: node %d: barrier reached while holding %d lock(s)", n.id, held)
 	}
 	n.mu.Unlock()
 

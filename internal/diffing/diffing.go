@@ -13,8 +13,9 @@
 //
 // Every diff comes from one comparison loop, scan, which reads object
 // and twin eight bytes at a time and reports runs as offsets; what
-// differs between Compute, ComputeStamped, StampChanged and
-// AppendStamped is what they do with the runs. A structured diff's run
+// differs between Compute, ComputeStamped and AppendStamped is what they
+// do with the runs. A release stamps its words from the runs of the one
+// diff it computes (Diff.Stamp), so it scans once. A structured diff's run
 // data shares one allocation. The two forms the barrier's critical path
 // uses never build a structured diff at all: AppendStamped writes the
 // encoding from the object's bytes into the outgoing payload, and
@@ -273,19 +274,19 @@ func DecodeDiff(r *wire.Reader) (Diff, error) {
 	return d, nil
 }
 
-// StampChanged updates stamps for every word that differs between cur
-// and twin, recording st as the word's last writer. It returns the
-// number of words stamped. This is the release-time half of the
-// per-field timestamp scheme (§3.5).
-func StampChanged(stamps []object.WordStamp, cur, twin []byte, st object.WordStamp) (n int) {
-	withRuns(cur, twin, nil, 0, func(runs []span, _ int) {
-		for _, r := range runs {
-			for w := r.lo / object.WordSize; w*object.WordSize < r.hi; w++ {
-				stamps[w] = st
-				n++
-			}
+// Stamp records st as the last writer of every word the diff's runs
+// cover and returns the number of words stamped; stamps must cover the
+// runs. Stamping a release's diff (Compute against the section's twin)
+// is the release-time half of the per-field timestamp scheme (§3.5);
+// stamping a lock-scope diff an acquirer applies lets it serve on-demand
+// diffs itself.
+func (d Diff) Stamp(stamps []object.WordStamp, st object.WordStamp) (n int) {
+	for _, r := range d.Runs {
+		for w := int(r.Off) / object.WordSize; w*object.WordSize < int(r.Off)+len(r.Data); w++ {
+			stamps[w] = st
+			n++
 		}
-	})
+	}
 	return n
 }
 

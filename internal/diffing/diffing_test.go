@@ -187,6 +187,8 @@ func TestDiffRoundTripProperty(t *testing.T) {
 	}
 }
 
+// TestStampChanged: stamping a computed diff's runs stamps exactly the
+// changed words.
 func TestStampChanged(t *testing.T) {
 	twin := make([]byte, 32)
 	cur := MakeTwin(twin)
@@ -194,7 +196,7 @@ func TestStampChanged(t *testing.T) {
 	cur[13] = 1 // word 3
 	stamps := make([]object.WordStamp, 8)
 	st := object.WordStamp{Ver: 5, Lock: 2, Epoch: 1}
-	n := StampChanged(stamps, cur, twin, st)
+	n := Compute(cur, twin).Stamp(stamps, st)
 	if n != 2 {
 		t.Fatalf("stamped %d words, want 2", n)
 	}
@@ -291,7 +293,7 @@ func TestOnDemandBeatsChain(t *testing.T) {
 		}
 		d := Compute(cur, twin)
 		chain.Append(v, d)
-		StampChanged(stamps, cur, twin, object.WordStamp{Ver: v})
+		d.Stamp(stamps, object.WordStamp{Ver: v})
 	}
 
 	// A requester that saw nothing: chain sends 10x the object.

@@ -32,11 +32,12 @@ func encPlain(d Diff) []byte {
 
 // checkAgainstOracle requires every form of the scan to agree with the
 // pre-engine loops on c: the encoded plain and stamped diffs byte for
-// byte, AppendStamped with the structured form, and StampChanged's table
-// and count.
+// byte, AppendStamped with the structured form, and the table and count
+// of stamping Compute's runs.
 func checkAgainstOracle(t *testing.T, c scanCase) {
 	t.Helper()
-	if got, want := encPlain(Compute(c.cur, c.twin)), encPlain(oracleCompute(c.cur, c.twin)); !bytes.Equal(got, want) {
+	d := Compute(c.cur, c.twin)
+	if got, want := encPlain(d), encPlain(oracleCompute(c.cur, c.twin)); !bytes.Equal(got, want) {
 		t.Fatalf("Compute differs from the oracle on %d bytes:\n got %x\nwant %x", len(c.cur), got, want)
 	}
 	want := oracleComputeStamped(c.cur, c.twin, c.stamps, c.epoch)
@@ -55,9 +56,9 @@ func checkAgainstOracle(t *testing.T, c scanCase) {
 	words := (len(c.cur) + object.WordSize - 1) / object.WordSize
 	gotSt, wantSt := make([]object.WordStamp, words), make([]object.WordStamp, words)
 	st := object.WordStamp{Ver: 9, Lock: 3, Epoch: c.epoch}
-	gotN, wantN := StampChanged(gotSt, c.cur, c.twin, st), oracleStampChanged(wantSt, c.cur, c.twin, st)
+	gotN, wantN := d.Stamp(gotSt, st), oracleStampChanged(wantSt, c.cur, c.twin, st)
 	if gotN != wantN || !reflect.DeepEqual(gotSt, wantSt) {
-		t.Fatalf("StampChanged stamped %d words, oracle %d (tables equal: %v)", gotN, wantN, reflect.DeepEqual(gotSt, wantSt))
+		t.Fatalf("stamping Compute's runs stamped %d words, oracle %d (tables equal: %v)", gotN, wantN, reflect.DeepEqual(gotSt, wantSt))
 	}
 }
 

@@ -1,6 +1,7 @@
 package lots
 
 import (
+	"slices"
 	"sort"
 	"time"
 
@@ -25,6 +26,10 @@ import (
 // contents plus per-word stamps (§3.5): every word stamped (L, v) with
 // v newer than the acquirer's applied version is included, and nothing
 // else — no accumulated diff chains.
+// Held locks are a stack of sections, innermost last, which writes are
+// credited to. A section twins each object it writes from the node's
+// twin pool; Release diffs it once, stamps that diff's words and returns
+// the twin. Scope sets are ID slices kept sorted, so they encode as is.
 
 // lockMgr is the per-lock manager state (lives on node lock % N).
 type lockMgr struct {
@@ -32,7 +37,7 @@ type lockMgr struct {
 	holder       int
 	lastReleaser int
 	ver          uint32
-	scope        map[object.ID]bool
+	scope        []object.ID          // sorted
 	lastWrite    map[object.ID]uint32 // home-based ablation: obj -> last write version
 	queue        []lockWaiter
 }
@@ -49,8 +54,7 @@ func (n *Node) managerOf(l uint16) int { return int(l) % n.cfg.Nodes }
 func (n *Node) lockMgrState(l uint16) *lockMgr {
 	mg := n.lmgr[l]
 	if mg == nil {
-		mg = &lockMgr{lastReleaser: -1, scope: make(map[object.ID]bool),
-			lastWrite: make(map[object.ID]uint32)}
+		mg = &lockMgr{lastReleaser: -1, lastWrite: make(map[object.ID]uint32)}
 		n.lmgr[l] = mg
 	}
 	return mg
@@ -64,7 +68,7 @@ func (n *Node) Acquire(l int) {
 	}
 	lk := uint16(l)
 	n.mu.Lock()
-	if _, dup := n.held[lk]; dup {
+	if slices.ContainsFunc(n.held, func(cs *csState) bool { return cs.lock == lk }) {
 		n.mu.Unlock()
 		n.fatalf("lots: node %d: lock %d acquired twice", n.id, l)
 	}
@@ -90,25 +94,21 @@ func (n *Node) Acquire(l int) {
 func (n *Node) Release(l int) {
 	lk := uint16(l)
 	n.mu.Lock()
-	cs := n.held[lk]
-	if cs == nil {
+	i := slices.IndexFunc(n.held, func(cs *csState) bool { return cs.lock == lk })
+	if i < 0 {
 		n.mu.Unlock()
 		n.fatalf("lots: node %d: release of lock %d not held", n.id, l)
 	}
+	cs := n.held[i]
+	n.held = slices.Delete(n.held, i, i+1)
 	newVer := cs.grantVer
-	if len(cs.written) > 0 {
+	if len(cs.writes) > 0 {
 		newVer++
 	}
-	written := make([]object.ID, 0, len(cs.written))
-	for id := range cs.written {
-		written = append(written, id)
-	}
-	sort.Slice(written, func(i, j int) bool { return written[i] < written[j] })
 	var flushes []call
-	for _, id := range written {
-		c := n.lookup(id)
+	for _, wr := range cs.writes {
+		c, twin := wr.c, wr.twin
 		data := n.objData(c, n.clock)
-		twin := cs.csTwins[id]
 		d := diffing.Compute(data, twin)
 		n.clock.Advance(n.prof.WordsCost(c.Words()))
 		if d.Empty() {
@@ -116,16 +116,15 @@ func (n *Node) Release(l int) {
 		}
 		n.ctr.DiffsMade.Add(1)
 		n.ctr.DiffBytes.Add(int64(d.Bytes()))
-		stamp := object.WordStamp{Ver: newVer, Lock: lk, Epoch: n.epoch}
-		diffing.StampChanged(c.EnsureStamps(), data, twin, stamp)
+		d.Stamp(c.EnsureStamps(), object.WordStamp{Ver: newVer, Lock: lk, Epoch: n.epoch})
 		if n.cfg.Protocol.Diff == DiffAccumulate {
 			// The accumulating ablation additionally stores the diff
 			// history; grants then carry chains instead of on-demand
 			// per-field diffs (stamps above keep merge rules intact).
-			ch := n.chains[id]
+			ch := n.chains[c.ID]
 			if ch == nil {
 				ch = &diffing.Chain{}
-				n.chains[id] = ch
+				n.chains[c.ID] = ch
 			}
 			ch.Append(newVer, d)
 		}
@@ -133,20 +132,27 @@ func (n *Node) Release(l int) {
 			// Home-based ablation: flush the diff to the object's home
 			// eagerly at release, like JIAJIA.
 			var w wire.Buffer
-			w.U32(n.epoch).U8(1).U64(uint64(id))
+			w.U32(n.epoch).U8(1).U64(uint64(c.ID))
 			diffing.AppendStamped(&w, data, twin, c.Stamps, n.epoch)
 			flushes = append(flushes, call{to: c.Home, typ: wire.TBarrierDiff, payload: w.Bytes()})
 		}
 	}
 	n.knownVer[lk] = newVer
-	delete(n.held, lk)
-	for i, h := range n.csStack {
-		if h == lk {
-			n.csStack = append(n.csStack[:i], n.csStack[i+1:]...)
-			break
-		}
+	// The release notice: the written objects, whose twins are read for
+	// the last time above, and lock l's scope.
+	scope := n.scope[lk]
+	var w wire.Buffer
+	w.Grow(2 + 4 + 4 + 8*len(cs.writes) + 4 + 8*len(scope))
+	w.U16(lk).U32(newVer)
+	w.U32(uint32(len(cs.writes)))
+	for _, wr := range cs.writes {
+		w.U64(uint64(wr.c.ID))
+		n.twinFree[len(wr.twin)] = append(n.twinFree[len(wr.twin)], wr.twin)
 	}
-	scopeIDs := n.scopeList(lk)
+	w.U32(uint32(len(scope)))
+	for _, id := range scope {
+		w.U64(uint64(id))
+	}
 	epoch := n.epoch
 	n.mu.Unlock()
 
@@ -159,29 +165,8 @@ func (n *Node) Release(l int) {
 		}
 	}
 
-	var w wire.Buffer
-	w.U16(lk).U32(newVer)
-	w.U32(uint32(len(written)))
-	for _, id := range written {
-		w.U64(uint64(id))
-	}
-	w.U32(uint32(len(scopeIDs)))
-	for _, id := range scopeIDs {
-		w.U64(uint64(id))
-	}
 	n.tr.Instant(trace.LockRelease, epoch, uint64(l), wire.TraceCtx{})
 	n.send(n.managerOf(lk), wire.TLockFree, 0, w.Bytes(), 0)
-}
-
-// scopeList returns lock l's known scope set, sorted. Caller holds mu.
-func (n *Node) scopeList(l uint16) []object.ID {
-	s := n.scope[l]
-	out := make([]object.ID, 0, len(s))
-	for id := range s {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // serveLockReq handles both roles: kind 0 is a request arriving at the
@@ -247,16 +232,12 @@ func (n *Node) grantFromManagerLocked(mg *lockMgr, lk uint16, wtr lockWaiter, at
 	}
 }
 
-// encodeEmptyGrant builds a grant with the scope list but no diffs.
-func encodeEmptyGrant(lk uint16, ver uint32, scope map[object.ID]bool) []byte {
-	ids := make([]object.ID, 0, len(scope))
-	for id := range scope {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+// encodeEmptyGrant builds a grant with the scope list, sorted, but no
+// diffs.
+func encodeEmptyGrant(lk uint16, ver uint32, scope []object.ID) []byte {
 	var w wire.Buffer
-	w.U16(lk).U32(ver).U32(uint32(len(ids)))
-	for _, id := range ids {
+	w.U16(lk).U32(ver).U32(uint32(len(scope)))
+	for _, id := range scope {
 		w.U64(uint64(id)).U32(0) // zero diffs
 	}
 	return w.Bytes()
@@ -288,7 +269,10 @@ func (n *Node) sendGrant(to int, reqID uint64, lk uint16, known uint32, at time.
 	lc.MergeTo(at)
 	n.mu.Lock()
 	ver := n.knownVer[lk]
-	ids := n.scopeList(lk)
+	// The loop below may drop n.mu, but lk's scope cannot change
+	// meanwhile: only this node's own acquires and sections under lk add
+	// to it, and lk is the requester's until this grant has reached it.
+	ids := n.scope[lk]
 	var w wire.Buffer
 	w.U16(lk).U32(ver).U32(uint32(len(ids)))
 	for _, id := range ids {
@@ -441,14 +425,7 @@ func (n *Node) applyGrant(lk uint16, payload []byte) {
 	if ver > n.knownVer[lk] {
 		n.knownVer[lk] = ver
 	}
-	cs := &csState{
-		lock:     lk,
-		grantVer: ver,
-		written:  make(map[object.ID]bool),
-		csTwins:  make(map[object.ID][]byte),
-	}
-	n.held[lk] = cs
-	n.csStack = append(n.csStack, lk)
+	n.held = append(n.held, &csState{lock: lk, grantVer: ver})
 }
 
 // homeBasedInvalidate drops the local copy of an object whose home has
@@ -515,8 +492,8 @@ func (n *Node) serveLockFree(m wire.Message) {
 	if ver > mg.ver {
 		mg.ver = ver
 	}
-	for _, id := range scopeIDs {
-		mg.scope[id] = true
+	for _, id := range scopeIDs { // a peer's list: each goes in by search
+		mg.scope = insertID(mg.scope, id)
 	}
 	for _, id := range written {
 		mg.lastWrite[id] = ver

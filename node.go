@@ -1,7 +1,9 @@
 package lots
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 	"unsafe"
@@ -55,11 +57,10 @@ type Node struct {
 	store  disk.Store
 
 	// Lock client state.
-	knownVer map[uint16]uint32             // lock -> last version applied here
-	scope    map[uint16]map[object.ID]bool // lock -> known scope set
-	held     map[uint16]*csState           // currently held locks
-	csStack  []uint16                      // acquisition order (innermost last)
-	chains   map[object.ID]*diffing.Chain  // DiffAccumulate mode histories
+	knownVer map[uint16]uint32            // lock -> last version applied here
+	scope    map[uint16][]object.ID       // lock -> known scope set, sorted
+	held     []*csState                   // held critical sections, innermost last
+	chains   map[object.ID]*diffing.Chain // DiffAccumulate mode histories
 	// deferred holds the lock-scope diffs that arrived while an object's
 	// copy was invalid, in receipt order; the fetch that validates the
 	// copy replays and drops them (applyScopeDiff).
@@ -78,10 +79,10 @@ type Node struct {
 	// those with WrittenInEpoch set, appended where writeCheck sets it —
 	// so the barrier's arrival costs what was written, not what exists.
 	dirty []*object.Control
-	// twinFree holds, by size, the twins barriers have retired;
-	// writeCheck draws from it and allocates only when it is empty, so
-	// free and live twins of a size together never exceed the most that
-	// were live in one epoch.
+	// twinFree holds, by size, the twins that barriers and releases have
+	// retired, epoch and section twins alike; writeCheck draws from it and
+	// allocates only when it is empty, so free and live twins of a size
+	// together never exceed the most that were live at once.
 	twinFree map[int][][]byte
 	// viewFree holds the view states of released views; makeView draws
 	// from it, so opening a view allocates only while more are open at
@@ -111,8 +112,14 @@ type Node struct {
 type csState struct {
 	lock     uint16
 	grantVer uint32
-	written  map[object.ID]bool
-	csTwins  map[object.ID][]byte // data snapshot at first write in this CS
+	writes   []csWrite // sorted by object ID
+}
+
+// csWrite is an object written in a critical section, with its data at
+// the section's first write to it.
+type csWrite struct {
+	c    *object.Control
+	twin []byte
 }
 
 func newNode(id int, cfg *Config, ep *transport.BatchingEndpoint, store disk.Store,
@@ -128,8 +135,7 @@ func newNode(id int, cfg *Config, ep *transport.BatchingEndpoint, store disk.Sto
 		table:        object.NewTable(),
 		store:        store,
 		knownVer:     make(map[uint16]uint32),
-		scope:        make(map[uint16]map[object.ID]bool),
-		held:         make(map[uint16]*csState),
+		scope:        make(map[uint16][]object.ID),
 		chains:       make(map[object.ID]*diffing.Chain),
 		deferred:     make(map[object.ID][]pendingDiff),
 		lmgr:         make(map[uint16]*lockMgr),
@@ -426,21 +432,20 @@ func (n *Node) writeCheck(c *object.Control) []byte {
 		n.mapper.MarkDirty(c)
 	}
 	// Attribute the write to the innermost held critical section.
-	if len(n.csStack) > 0 {
-		l := n.csStack[len(n.csStack)-1]
-		cs := n.held[l]
-		if !cs.written[c.ID] {
-			cs.written[c.ID] = true
-			cs.csTwins[c.ID] = diffing.MakeTwin(data)
-			n.addScope(l, c.ID)
+	if len(n.held) > 0 {
+		cs := n.held[len(n.held)-1]
+		i, found := slices.BinarySearchFunc(cs.writes, c.ID, func(w csWrite, id object.ID) int { return cmp.Compare(w.c.ID, id) })
+		if !found {
+			cs.writes = slices.Insert(cs.writes, i, csWrite{c: c, twin: n.makeTwin(data)})
+			n.addScope(cs.lock, c.ID)
 		}
 	}
 	return data
 }
 
-// makeTwin snapshots data into a twin retired by an earlier barrier if
-// one of that size is free, else into a new one. A recycled twin is
-// overwritten in full. Caller holds n.mu.
+// makeTwin snapshots data into a twin retired by an earlier barrier or
+// release if one of that size is free, else into a new one. A recycled
+// twin is overwritten in full. Caller holds n.mu.
 func (n *Node) makeTwin(data []byte) []byte {
 	free := n.twinFree[len(data)]
 	if len(free) == 0 {
@@ -504,14 +509,15 @@ func (n *Node) viewExit(c *object.Control, rw bool) {
 	}
 }
 
-// addScope records obj in lock l's known scope set.
-func (n *Node) addScope(l uint16, id object.ID) {
-	s := n.scope[l]
-	if s == nil {
-		s = make(map[object.ID]bool)
-		n.scope[l] = s
+// addScope records obj in lock l's known scope set. Caller holds n.mu.
+func (n *Node) addScope(l uint16, id object.ID) { n.scope[l] = insertID(n.scope[l], id) }
+
+// insertID adds id to the sorted set s.
+func insertID(s []object.ID, id object.ID) []object.ID {
+	if i, found := slices.BinarySearch(s, id); !found {
+		s = slices.Insert(s, i, id)
 	}
-	s[id] = true
+	return s
 }
 
 // lookup resolves an object ID or aborts.
@@ -560,12 +566,7 @@ func (n *Node) applyScopeDiff(c *object.Control, l uint16, ver uint32, d diffing
 	if n.mapper != nil {
 		n.mapper.MarkDirty(c)
 	}
-	stamps := c.EnsureStamps()
-	for _, r := range d.Runs {
-		for w := int(r.Off) / object.WordSize; w*object.WordSize < int(r.Off)+len(r.Data); w++ {
-			stamps[w] = object.WordStamp{Ver: ver, Lock: l, Epoch: n.epoch}
-		}
-	}
+	d.Stamp(c.EnsureStamps(), object.WordStamp{Ver: ver, Lock: l, Epoch: n.epoch})
 	return true
 }
 

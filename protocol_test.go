@@ -320,6 +320,127 @@ func TestPendingDiffToThirdParty(t *testing.T) {
 	}
 }
 
+// TestNestedCriticalSections: a write is credited to the innermost held
+// lock, and releasing an outer lock first leaves the inner one on top.
+// Rank 0 writes x[0] under B inside A, then x[1] and y[0] under A; then
+// it takes A and B again, releases A first, and writes x[2] and y[1]
+// under B, one before that release and one after. Ranks 1 and 2 have
+// valid copies from the barrier, so acquiring B alone must show B's
+// words and none of A's, and acquiring A then adds A's.
+func TestNestedCriticalSections(t *testing.T) {
+	const nodes, words, lockA, lockB = 3, 8, 1, 2
+	c := mustCluster(t, DefaultConfig(nodes))
+	err := c.Run(func(n *Node) {
+		x, y := Alloc[int32](n, words), Alloc[int32](n, words)
+		n.Barrier()
+		if n.ID() == 0 {
+			n.Acquire(lockA)
+			n.Acquire(lockB)
+			x.Set(0, 10)
+			n.Release(lockB)
+			x.Set(1, 11)
+			y.Set(0, 12)
+			n.Release(lockA)
+
+			n.Acquire(lockA)
+			n.Acquire(lockB)
+			x.Set(2, 13)
+			n.Release(lockA)
+			y.Set(1, 14)
+			n.Release(lockB)
+		}
+		n.RunBarrier()
+		check := func(after string, wantX, wantY [words]int32) {
+			for i := 0; i < words; i++ {
+				if got := x.Get(i); got != wantX[i] {
+					t.Errorf("node %d after acquiring %s: x[%d] = %d, want %d", n.ID(), after, i, got, wantX[i])
+				}
+				if got := y.Get(i); got != wantY[i] {
+					t.Errorf("node %d after acquiring %s: y[%d] = %d, want %d", n.ID(), after, i, got, wantY[i])
+				}
+			}
+		}
+		for r := 1; r < nodes; r++ {
+			if n.ID() == r {
+				n.Acquire(lockB)
+				check("B", [words]int32{10, 0, 13}, [words]int32{0, 14})
+				n.Release(lockB)
+				n.Acquire(lockA)
+				check("B, then A", [words]int32{10, 11, 13}, [words]int32{12, 14})
+				n.Release(lockA)
+			}
+			n.RunBarrier()
+		}
+		n.Barrier()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRecycledSectionTwins: a critical section's twins go back to the
+// node's twin pool at Release, and the next section's first write of an
+// object of that size takes one, overwritten in full. Rank 0 writes two
+// same-size objects in alternating sections of one lock, sparsely; a
+// section's values and words repeat those of three sections before, on
+// the other object, and every third section writes zeros, so a twin
+// still holding that object's bytes, or a fresh twin's zeros, would
+// hide writes from the diff. Rank 1 acquires the lock after every
+// section and checks every word.
+func TestRecycledSectionTwins(t *testing.T) {
+	const words, sections, perEpoch, lock = 96, 12, 5, 1
+	c := mustCluster(t, DefaultConfig(2))
+	err := c.Run(func(n *Node) {
+		objs := [2]Ptr[int64]{Alloc[int64](n, words), Alloc[int64](n, words)}
+		var want [2][words]int64
+		freeTwins := func() int {
+			n.mu.Lock()
+			defer n.mu.Unlock()
+			return len(n.twinFree[words*8])
+		}
+		n.Barrier()
+		for s := 0; s < sections; s++ {
+			o, stride := s%2, 2+s%3
+			for k := 0; k < words; k += stride {
+				want[o][k] = int64(s%3) * (1<<32 | int64(k)) // every third section writes zeros
+			}
+			if n.ID() == 0 {
+				n.Acquire(lock)
+				v := objs[o].ViewRW(0, words)
+				for k := 0; k < words; k += stride {
+					v.Set(k, want[o][k])
+				}
+				v.Release()
+				before := freeTwins()
+				n.Release(lock)
+				if after := freeTwins(); after != before+1 {
+					t.Errorf("section %d: %d free twins after Release, want %d: the section's twin back", s, after, before+1)
+				}
+			}
+			n.RunBarrier()
+			if n.ID() == 1 {
+				n.Acquire(lock)
+				for i, p := range objs {
+					for k := 0; k < words; k++ {
+						if got := p.Get(k); got != want[i][k] {
+							t.Errorf("section %d: object %d word %d = %#x, want %#x", s, i, k, got, want[i][k])
+						}
+					}
+				}
+				n.Release(lock)
+			}
+			n.RunBarrier()
+			if s%perEpoch == perEpoch-1 {
+				n.Barrier() // retire the epoch twins into the same pool
+			}
+		}
+		n.Barrier()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestConcurrentFetchesInstallOnce: a node's application and its grant
 // service can fetch the same invalid object at once, and the copy they
 // fetch must be installed once. Node 0 holds a deferred grant diff for x
