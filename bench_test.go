@@ -338,7 +338,10 @@ func BenchmarkMultiwriterEpoch(b *testing.B) {
 // bump this rank's word and the shared last word, release — then one
 // RunBarrier. Nearly every message is a lock request, grant or free of
 // about 50 bytes, so the transport's per-message cost dominates.
-// allocs/op is the workload's allocs_per_epoch. Wall-clock.
+// allocs/op is the workload's allocs_per_epoch. Wall-clock, but not the
+// workload's CPU profile: on a 2-CPU host runtime.newstack is 11–17 %
+// of this benchmark's CPU and under 1 % of the workload's (ROADMAP item
+// 1), so a change to how requests are served is judged on the workload.
 func BenchmarkLockstepEpoch(b *testing.B) {
 	const locks, words, ranks, cs = 8, 64, 2, 256
 	cfg := lots.DefaultConfig(ranks)

@@ -16,12 +16,13 @@
 // differs between Compute, ComputeStamped and AppendStamped is what they
 // do with the runs. A release stamps its words from the runs of the one
 // diff it computes (Diff.Stamp), so it scans once. A structured diff's run
-// data shares one allocation. The two forms the barrier's critical path
-// uses never build a structured diff at all: AppendStamped writes the
-// encoding from the object's bytes into the outgoing payload, and
-// ApplyStampedEncoded merges an incoming payload's runs into the home's
-// bytes in place, allocating a stamp table only when a run carries a
-// lock version. Every apply copies through put, which can also report
+// data shares one allocation, or lives in a Scratch that the lock path
+// reuses for every diff it reads and drops. The two forms the barrier's
+// critical path uses never build a structured diff at all: AppendStamped
+// writes the encoding from the object's bytes into the outgoing payload,
+// and ApplyStampedEncoded merges an incoming payload's runs into the
+// home's bytes in place, allocating a stamp table only when a run carries
+// a lock version; ApplyEncoded does the same for a lock grant's diffs. Every apply copies through put, which can also report
 // whether the copies changed any byte — the data version incremental
 // checkpoints rely on.
 // The encoded bytes are the contract; oracle_test.go keeps the
@@ -32,6 +33,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/object"
@@ -188,26 +190,59 @@ func carve(arena *[]byte, src []byte) []byte {
 	return (*arena)[k:len(*arena):len(*arena)]
 }
 
-// newDiff copies the runs out of cur into a diff whose data shares one
-// allocation.
-func newDiff(cur []byte, runs []span, bytes int) Diff {
+// Scratch is storage for diffs that are read and dropped before the next
+// one is built: the diff its Compute or FilterByStamp returns aliases it
+// and is valid until its next call. A caller that keeps a diff uses the
+// package-level Compute or FilterByStamp. The zero value is ready to use;
+// it is not safe for concurrent use.
+type Scratch struct {
+	runs []Run
+	data []byte
+}
+
+// build copies the runs out of cur into s's storage.
+func (s *Scratch) build(cur []byte, runs []span, bytes int) Diff {
 	if len(runs) == 0 {
 		return Diff{}
 	}
-	d := Diff{Runs: make([]Run, len(runs))}
-	data := make([]byte, 0, bytes)
-	for i, r := range runs {
-		d.Runs[i] = Run{Off: uint32(r.lo), Data: carve(&data, cur[r.lo:r.hi])}
+	s.runs = slices.Grow(s.runs[:0], len(runs))
+	s.data = slices.Grow(s.data[:0], bytes) // carve never regrows it
+	for _, r := range runs {
+		s.runs = append(s.runs, Run{Off: uint32(r.lo), Data: carve(&s.data, cur[r.lo:r.hi])})
 	}
+	return Diff{Runs: s.runs}
+}
+
+// Compute is the package's Compute into s's storage.
+func (s *Scratch) Compute(cur, twin []byte) (d Diff) {
+	withRuns(cur, twin, nil, 0, func(runs []span, bytes int) { d = s.build(cur, runs, bytes) })
+	return d
+}
+
+// FilterByStamp is the package's FilterByStamp into s's storage.
+func (s *Scratch) FilterByStamp(cur []byte, stamps []object.WordStamp, include func(object.WordStamp) bool) (d Diff) {
+	withSpans(func(runs []span) []span {
+		open := false
+		for w := 0; w < len(stamps) && w*object.WordSize < len(cur); w++ {
+			if !include(stamps[w]) {
+				open = false
+				continue
+			}
+			if !open {
+				runs = append(runs, span{lo: w * object.WordSize})
+				open = true
+			}
+			runs[len(runs)-1].hi = min((w+1)*object.WordSize, len(cur))
+		}
+		return runs
+	}, func(runs []span, bytes int) { d = s.build(cur, runs, bytes) })
 	return d
 }
 
 // Compute diffs cur against its twin at word granularity, coalescing
 // adjacent modified words into runs. cur and twin must be equal length.
-func Compute(cur, twin []byte) (d Diff) {
-	withRuns(cur, twin, nil, 0, func(runs []span, bytes int) { d = newDiff(cur, runs, bytes) })
-	return d
-}
+// The diff's data shares one allocation.
+func Compute(cur, twin []byte) Diff { return new(Scratch).Compute(cur, twin) }
 
 // Apply writes the diff's runs into dst.
 func Apply(dst []byte, d Diff) error {
@@ -282,12 +317,46 @@ func DecodeDiff(r *wire.Reader) (Diff, error) {
 // diffs itself.
 func (d Diff) Stamp(stamps []object.WordStamp, st object.WordStamp) (n int) {
 	for _, r := range d.Runs {
-		for w := int(r.Off) / object.WordSize; w*object.WordSize < int(r.Off)+len(r.Data); w++ {
-			stamps[w] = st
-			n++
-		}
+		n += stampRun(stamps, r, st)
 	}
 	return n
+}
+
+// stampRun is Stamp for one run.
+func stampRun(stamps []object.WordStamp, r Run, st object.WordStamp) (n int) {
+	for w := int(r.Off) / object.WordSize; w*object.WordSize < int(r.Off)+len(r.Data); w++ {
+		stamps[w] = st
+		n++
+	}
+	return n
+}
+
+// ApplyEncoded applies to dst, c's data, the runs runs of a diff encoded
+// by Encode whose run count the caller has read from r, as ApplyMoved
+// would, copying each run's bytes from r's payload to dst and nowhere
+// else, and stamps each run's words st as Stamp would. It returns the
+// bytes of data the runs carried and, with track set, whether any byte
+// it wrote differed from what was there. On an error the runs before
+// the bad one stay applied.
+func ApplyEncoded(dst []byte, c *object.Control, r *wire.Reader, runs int, st object.WordStamp, track bool) (n int, moved bool, err error) {
+	var mv *bool
+	if track {
+		mv = &moved
+	}
+	for i := 0; i < runs; i++ {
+		run := Run{Off: r.U32(), Data: r.Bytes32InPlace()}
+		if r.Err() != nil {
+			break
+		}
+		end := int(run.Off) + len(run.Data)
+		if end > len(dst) {
+			return n, moved, fmt.Errorf("diffing: run [%d,%d) exceeds object size %d", run.Off, end, len(dst))
+		}
+		put(dst[run.Off:end], run.Data, mv)
+		stampRun(c.EnsureStamps(), run, st)
+		n += len(run.Data)
+	}
+	return n, moved, r.Err()
 }
 
 // FilterByStamp builds an on-demand diff of cur containing exactly the
@@ -295,23 +364,8 @@ func (d Diff) Stamp(stamps []object.WordStamp, st object.WordStamp) (n int) {
 // requester has seen under this lock". Because the responder holds the
 // current full data plus per-word stamps, outdated data is never sent
 // (Figure 7b).
-func FilterByStamp(cur []byte, stamps []object.WordStamp, include func(object.WordStamp) bool) (d Diff) {
-	withSpans(func(runs []span) []span {
-		open := false
-		for w := 0; w < len(stamps) && w*object.WordSize < len(cur); w++ {
-			if !include(stamps[w]) {
-				open = false
-				continue
-			}
-			if !open {
-				runs = append(runs, span{lo: w * object.WordSize})
-				open = true
-			}
-			runs[len(runs)-1].hi = min((w+1)*object.WordSize, len(cur))
-		}
-		return runs
-	}, func(runs []span, bytes int) { d = newDiff(cur, runs, bytes) })
-	return d
+func FilterByStamp(cur []byte, stamps []object.WordStamp, include func(object.WordStamp) bool) Diff {
+	return new(Scratch).FilterByStamp(cur, stamps, include)
 }
 
 // Chain is the TreadMarks-style accumulated diff history for one object:

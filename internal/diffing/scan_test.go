@@ -225,7 +225,9 @@ func sparse256K() (cur, twin []byte) {
 // TestDiffAllocations: a diff's storage is allocated once at its final
 // size whatever the run count — the run slice and the data arena for a
 // structured diff, plus the buffer when it is encoded — and the form the
-// barrier uses allocates the buffer alone.
+// barrier uses allocates the buffer alone. A Scratch that has held as
+// large a diff allocates nothing, and neither does applying a diff from
+// its encoding.
 func TestDiffAllocations(t *testing.T) {
 	if raceBuild {
 		t.Skip("the scan's scratch comes from a sync.Pool, which the race detector makes lossy")
@@ -238,6 +240,11 @@ func TestDiffAllocations(t *testing.T) {
 	for w := range stamps {
 		stamps[w].Ver = uint32(w % 32) // FilterByStamp below picks the modified words
 	}
+	var scratch Scratch
+	scratch.Compute(cur, twin) // sized by its first use
+	enc := encPlain(Compute(cur, twin))
+	dst := MakeTwin(twin)
+	obj := &object.Control{Size: len(dst), Stamps: make([]object.WordStamp, len(stamps))}
 	for _, tc := range []struct {
 		name string
 		max  float64
@@ -255,6 +262,14 @@ func TestDiffAllocations(t *testing.T) {
 		{"FilterByStamp", 2, func() {
 			if d := FilterByStamp(cur, stamps, func(s object.WordStamp) bool { return s.Ver == 0 }); len(d.Runs) != 2048 {
 				t.Fatalf("FilterByStamp found %d runs, want 2048", len(d.Runs))
+			}
+		}},
+		{"Scratch.Compute", 0, func() { scratch.Compute(cur, twin) }},
+		{"Scratch.FilterByStamp", 0, func() { scratch.FilterByStamp(cur, stamps, func(s object.WordStamp) bool { return s.Ver == 0 }) }},
+		{"ApplyEncoded", 0, func() {
+			r := wire.NewReader(enc)
+			if _, _, err := ApplyEncoded(dst, obj, r, r.Count(8), object.WordStamp{Ver: 1}, true); err != nil {
+				t.Fatal(err)
 			}
 		}},
 	} {
@@ -278,5 +293,69 @@ func TestRunDataDoesNotOverlap(t *testing.T) {
 	_ = append(sd.Runs[0].Data, 0xAA, 0xAA, 0xAA, 0xAA)
 	if !bytes.Equal(sd.Runs[1].Data, cur[sd.Runs[1].Off:][:4]) {
 		t.Fatal("appending to stamped run 0's data overwrote run 1's")
+	}
+}
+
+// TestScratchMatchesOracle: one Scratch, reused across every case, builds
+// the diffs the oracles do.
+func TestScratchMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	var s Scratch
+	for n := 0; n <= 80; n++ {
+		for rep := 0; rep < 20; rep++ {
+			c := randomCase(rng, n)
+			if got, want := encPlain(s.Compute(c.cur, c.twin)), encPlain(oracleCompute(c.cur, c.twin)); !bytes.Equal(got, want) {
+				t.Fatalf("Scratch.Compute differs from the oracle on %d bytes:\n got %x\nwant %x", n, got, want)
+			}
+			include := func(st object.WordStamp) bool { return st.Lock == 1 && st.Epoch == c.epoch }
+			got, want := encPlain(s.FilterByStamp(c.cur, c.stamps, include)), encPlain(oracleFilterByStamp(c.cur, c.stamps, include))
+			if !bytes.Equal(got, want) {
+				t.Fatalf("Scratch.FilterByStamp differs from the oracle on %d bytes:\n got %x\nwant %x", n, got, want)
+			}
+		}
+	}
+}
+
+// TestApplyEncodedMatchesApplyAndStamp: applying a diff from its
+// encoding leaves the bytes, the stamps and the moved report that
+// ApplyMoved and Stamp leave from the decoded diff.
+func TestApplyEncodedMatchesApplyAndStamp(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	st := object.WordStamp{Ver: 4, Lock: 2, Epoch: 1}
+	for n := 0; n <= 80; n++ {
+		for rep := 0; rep < 20; rep++ {
+			c := randomCase(rng, n)
+			d := Compute(c.cur, c.twin)
+			r := wire.NewReader(encPlain(d))
+			runs := r.Count(8)
+			want := MakeTwin(c.twin)
+			wantMoved, err := ApplyMoved(want, d, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantSt := make([]object.WordStamp, (n+object.WordSize-1)/object.WordSize)
+			d.Stamp(wantSt, st)
+			got := MakeTwin(c.twin)
+			obj := &object.Control{Size: n}
+			bytesN, moved, err := ApplyEncoded(got, obj, r, runs, st, true)
+			switch {
+			case err != nil:
+				t.Fatal(err)
+			case !bytes.Equal(got, want) || moved != wantMoved || bytesN != d.Bytes():
+				t.Fatalf("%d bytes: ApplyEncoded wrote %x (moved %v, %d bytes), want %x (moved %v, %d bytes)", n, got, moved, bytesN, want, wantMoved, d.Bytes())
+			case d.Empty() && obj.Stamps != nil:
+				t.Fatalf("%d bytes: an empty diff allocated the stamp table", n)
+			case !d.Empty() && !reflect.DeepEqual(obj.Stamps, wantSt):
+				t.Fatalf("%d bytes: ApplyEncoded stamped %v, want %v", n, obj.Stamps, wantSt)
+			}
+		}
+	}
+	// A run past the end of the object is refused, like ApplyMoved's.
+	w := wire.Buffer{}
+	Diff{Runs: []Run{{Off: 4, Data: make([]byte, 8)}}}.Encode(&w)
+	r := wire.NewReader(w.Bytes())
+	runs := r.Count(8)
+	if _, _, err := ApplyEncoded(make([]byte, 8), &object.Control{Size: 8}, r, runs, st, false); err == nil {
+		t.Fatal("ApplyEncoded accepted a run past the end of the object")
 	}
 }

@@ -52,20 +52,37 @@ func ReplyID(reqID uint64) uint64 { return reqID | replyBit }
 // swallowed while a node closes, so a later registration would block
 // its caller forever.
 func (x *Mux) Expect() (uint64, <-chan wire.Message, error) {
-	id := uint64(x.ep.ID())<<48 | x.seq.Add(1)
 	ch := make(chan wire.Message, 1)
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	if x.dead {
-		return 0, nil, ErrClosed
+	id, err := x.register(ch)
+	if err != nil {
+		return 0, nil, err
 	}
-	x.pending[id] = ch
 	return id, ch, nil
 }
 
+// register is Expect on a channel the caller supplies.
+func (x *Mux) register(ch chan wire.Message) (uint64, error) {
+	id := uint64(x.ep.ID())<<48 | x.seq.Add(1)
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	if x.dead {
+		return 0, ErrClosed
+	}
+	x.pending[id] = ch
+	return id, nil
+}
+
+// replyChans recycles Call's reply channels. Serve sends exactly once on
+// a registered channel, a reply or the drain's zero message, so a channel
+// is empty again once Call has received a reply from it; on every other
+// path a zero message may yet arrive, and the channel is left to the
+// collector.
+var replyChans = sync.Pool{New: func() any { return make(chan wire.Message, 1) }}
+
 // Call sends m as a request and blocks for the correlated reply.
 func (x *Mux) Call(m wire.Message) (wire.Message, error) {
-	id, ch, err := x.Expect()
+	ch := replyChans.Get().(chan wire.Message)
+	id, err := x.register(ch)
 	if err != nil {
 		return wire.Message{}, err
 	}
@@ -80,6 +97,7 @@ func (x *Mux) Call(m wire.Message) (wire.Message, error) {
 	if reply.Type == wire.TInvalid {
 		return reply, ErrClosed
 	}
+	replyChans.Put(ch)
 	return reply, nil
 }
 

@@ -170,14 +170,21 @@ type tcpFrame struct {
 // window holds one reference until the frame is acknowledged, and the
 // write loop holds one for the duration of each gathered write (writes
 // happen outside l.mu, concurrently with acks trimming the window, and
-// a reconnect rewind can write the same frame again).
+// a reconnect rewind can write the same frame again). The last release
+// returns the buffer to the slab pool and the pframe to pframePool, so
+// no one may touch a pframe after dropping its own reference.
 type pframe struct {
 	b    []byte
 	refs atomic.Int32
 }
 
+// pframePool recycles pframes: a pointer goes in and out of a sync.Pool
+// without allocating.
+var pframePool = sync.Pool{New: func() any { return new(pframe) }}
+
 func newPframe(b []byte) *pframe {
-	p := &pframe{b: b}
+	p := pframePool.Get().(*pframe)
+	p.b = b
 	p.refs.Store(1)
 	return p
 }
@@ -187,6 +194,8 @@ func (p *pframe) acquire() { p.refs.Add(1) }
 func (p *pframe) release() {
 	if p.refs.Add(-1) == 0 {
 		wire.PutSlab(p.b)
+		p.b = nil
+		pframePool.Put(p)
 	}
 }
 
@@ -483,56 +492,70 @@ func (l *tcpSendLink) ensureConnLocked() {
 	}
 }
 
-// writeLoop owns all data writes on the link's current connection.
-// Each pass takes every queued frame from sendPos on, up to
-// tcpWriteBatch, and — once that empties the queue — the ack request
-// Drain asked for, after the data it covers. It writes them all with
-// one net.Buffers.WriteTo: one writev on a plain TCP connection, one
-// write per frame on TLS.
+// writeLoop owns all data writes on the link's current connection, one
+// writePass at a time.
 func (l *tcpSendLink) writeLoop() {
-	// Reused by every pass, so a pass allocates nothing.
-	batch := make([]*pframe, 0, tcpWriteBatch)
-	vec := make([][]byte, 0, tcpWriteBatch+1)
-	var bufs net.Buffers
-	for {
-		l.mu.Lock()
-		for !l.closed && (l.conn == nil || (l.sendPos >= len(l.unacked) && !l.ackReq)) {
-			l.cond.Wait()
-		}
-		if l.closed {
-			l.mu.Unlock()
-			return
-		}
-		conn := l.conn
-		for l.sendPos < len(l.unacked) && len(batch) < tcpWriteBatch {
-			fr := l.unacked[l.sendPos].fr
-			fr.acquire() // for the write outside the lock
-			batch = append(batch, fr)
-			l.sendPos++
-		}
-		askAck := l.ackReq && l.sendPos == len(l.unacked)
-		if askAck {
-			l.ackReq = false
-		}
-		l.mu.Unlock()
-		for _, fr := range batch {
-			vec = append(vec, fr.b)
-		}
-		if askAck {
-			vec = append(vec, tcpAckReqFrame)
-		}
-		bufs = vec
-		_, err := bufs.WriteTo(conn)
-		for _, fr := range batch {
-			fr.release()
-		}
-		clear(batch)
-		clear(vec)
-		batch, vec = batch[:0], vec[:0]
-		if err != nil {
-			l.connFailed(conn)
-		}
+	wb := newTCPWriteBuf()
+	for l.writePass(wb) {
 	}
+}
+
+// tcpWriteBuf is the write loop's scratch, reused by every pass so that
+// a pass allocates nothing.
+type tcpWriteBuf struct {
+	batch []*pframe
+	vec   [][]byte
+	bufs  net.Buffers
+}
+
+func newTCPWriteBuf() *tcpWriteBuf {
+	return &tcpWriteBuf{batch: make([]*pframe, 0, tcpWriteBatch), vec: make([][]byte, 0, tcpWriteBatch+1)}
+}
+
+// writePass waits for work and does it: every queued frame from sendPos
+// on, up to tcpWriteBatch, and — once that empties the queue — the ack
+// request Drain asked for, after the data it covers. It writes them all
+// with one net.Buffers.WriteTo: one writev on a plain TCP connection,
+// one write per frame on TLS. It reports false once the link is closed.
+func (l *tcpSendLink) writePass(wb *tcpWriteBuf) bool {
+	l.mu.Lock()
+	for !l.closed && (l.conn == nil || (l.sendPos >= len(l.unacked) && !l.ackReq)) {
+		l.cond.Wait()
+	}
+	if l.closed {
+		l.mu.Unlock()
+		return false
+	}
+	conn := l.conn
+	for l.sendPos < len(l.unacked) && len(wb.batch) < tcpWriteBatch {
+		fr := l.unacked[l.sendPos].fr
+		fr.acquire() // for the write outside the lock
+		wb.batch = append(wb.batch, fr)
+		l.sendPos++
+	}
+	askAck := l.ackReq && l.sendPos == len(l.unacked)
+	if askAck {
+		l.ackReq = false
+	}
+	l.mu.Unlock()
+	for _, fr := range wb.batch {
+		wb.vec = append(wb.vec, fr.b)
+	}
+	if askAck {
+		wb.vec = append(wb.vec, tcpAckReqFrame)
+	}
+	wb.bufs = wb.vec
+	_, err := wb.bufs.WriteTo(conn)
+	for _, fr := range wb.batch {
+		fr.release()
+	}
+	clear(wb.batch)
+	clear(wb.vec)
+	wb.batch, wb.vec = wb.batch[:0], wb.vec[:0]
+	if err != nil {
+		l.connFailed(conn)
+	}
+	return true
 }
 
 // connFailed retires a dead connection and rewinds the transmit cursor
@@ -672,9 +695,12 @@ func (l *tcpSendLink) ackLocked(ackTo uint64) {
 	}
 	for i := 0; i < drop; i++ {
 		l.unacked[i].fr.release() // drop the window's reference
-		l.unacked[i].fr = nil
 	}
-	l.unacked = l.unacked[drop:]
+	// Slide the rest to the front, so the window's array is reused
+	// instead of regrown by enqueue.
+	kept := copy(l.unacked, l.unacked[drop:])
+	clear(l.unacked[kept:])
+	l.unacked = l.unacked[:kept]
 	l.sendPos -= drop
 	if l.sendPos < 0 {
 		l.sendPos = 0

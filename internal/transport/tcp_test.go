@@ -12,6 +12,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -253,4 +254,42 @@ func FuzzTCPFrameRead(f *testing.F) {
 			}
 		}
 	})
+}
+
+// discardConn is a connection whose writes all succeed and go nowhere.
+type discardConn struct{ net.Conn }
+
+func (discardConn) Write(b []byte) (int, error) { return len(b), nil }
+
+// TestTCPFrameCycleAllocations: in steady state a data frame's whole
+// life on the sender — enqueued, written by a write pass, acknowledged —
+// allocates nothing: its buffer comes from the slab pool, its pframe
+// from pframePool, and the window's array is reused.
+func TestTCPFrameCycleAllocations(t *testing.T) {
+	if raceBuild {
+		t.Skip("the race detector's sync.Pool drops pframes at random")
+	}
+	l := &tcpSendLink{to: 1, conn: discardConn{}}
+	l.cond = sync.NewCond(&l.mu)
+	wb := newTCPWriteBuf()
+	const frameLen = tcpFrameHeadroom + 50
+	cycle := func() {
+		if err := l.enqueue(wire.GetSlab(frameLen)[:frameLen]); err != nil {
+			t.Fatal(err)
+		}
+		if !l.writePass(wb) {
+			t.Fatal("link closed")
+		}
+		l.mu.Lock()
+		l.ackLocked(l.nextSeq)
+		n := len(l.unacked)
+		l.mu.Unlock()
+		if n != 0 {
+			t.Fatalf("%d frames unacked after the ack", n)
+		}
+	}
+	cycle()
+	if got := testing.AllocsPerRun(200, cycle); got != 0 {
+		t.Errorf("a frame's enqueue, write and ack allocate %v times, want 0", got)
+	}
 }

@@ -812,8 +812,10 @@ func (e *UDPEndpoint) handleData(from int, seq uint32, dgram []byte) {
 		wire.PutSlab(dgram)
 	}
 	// Drain the in-order prefix into the reassembler, which copies what
-	// it keeps.
-	var completed []wire.Message
+	// it keeps. A drain rarely completes more than a message or two, so
+	// they collect in an array on the stack until the ack has gone out.
+	var completedBuf [4]wire.Message
+	completed := completedBuf[:0]
 	for {
 		p, ok := rs.ooo[rs.expected]
 		if !ok {

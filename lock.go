@@ -29,7 +29,15 @@ import (
 // Held locks are a stack of sections, innermost last, which writes are
 // credited to. A section twins each object it writes from the node's
 // twin pool; Release diffs it once, stamps that diff's words and returns
-// the twin. Scope sets are ID slices kept sorted, so they encode as is.
+// the twin, and the section record itself to csFree. Scope sets are ID
+// slices kept sorted, so they encode as is.
+//
+// The lock path allocates per message only what the layers under it do.
+// Its payloads are built in pooled slabs sized up front and released
+// once Send, which copies, has returned. Its diffs are built in the node's
+// diffBuf under n.mu and read before n.mu is next dropped; only the
+// accumulating ablation, which keeps them, builds them on the heap. An acquirer
+// applies a grant's diffs straight from the payload.
 
 // lockMgr is the per-lock manager state (lives on node lock % N).
 type lockMgr struct {
@@ -77,10 +85,11 @@ func (n *Node) Acquire(l int) {
 	n.mu.Unlock()
 
 	n.ctr.LockAcquires.Add(1)
-	var w wire.Buffer
+	w := wire.PooledBuffer(1 + 2 + 4)
 	w.U8(0).U16(lk).U32(known)
 	ltc := n.tr.Begin(trace.LockAcquire, epoch, uint64(l), wire.TraceCtx{})
 	reply := n.rpcT(n.managerOf(lk), wire.TLockReq, w.Bytes(), ltc, n.clock)
+	wire.PutSlab(w.Bytes()) // Send has copied it
 	n.tr.End(ltc)
 	if reply.Type != wire.TLockGrant {
 		n.fatalf("lots: node %d: lock %d: unexpected reply %v", n.id, l, reply.Type)
@@ -109,7 +118,12 @@ func (n *Node) Release(l int) {
 	for _, wr := range cs.writes {
 		c, twin := wr.c, wr.twin
 		data := n.objData(c, n.clock)
-		d := diffing.Compute(data, twin)
+		var d diffing.Diff
+		if n.cfg.Protocol.Diff == DiffAccumulate {
+			d = diffing.Compute(data, twin) // kept in a chain below
+		} else {
+			d = n.diffBuf.Compute(data, twin)
+		}
 		n.clock.Advance(n.prof.WordsCost(c.Words()))
 		if d.Empty() {
 			continue
@@ -141,14 +155,16 @@ func (n *Node) Release(l int) {
 	// The release notice: the written objects, whose twins are read for
 	// the last time above, and lock l's scope.
 	scope := n.scope[lk]
-	var w wire.Buffer
-	w.Grow(2 + 4 + 4 + 8*len(cs.writes) + 4 + 8*len(scope))
+	w := wire.PooledBuffer(2 + 4 + 4 + 8*len(cs.writes) + 4 + 8*len(scope))
 	w.U16(lk).U32(newVer)
 	w.U32(uint32(len(cs.writes)))
 	for _, wr := range cs.writes {
 		w.U64(uint64(wr.c.ID))
 		n.twinFree[len(wr.twin)] = append(n.twinFree[len(wr.twin)], wr.twin)
 	}
+	clear(cs.writes)
+	cs.writes = cs.writes[:0]
+	n.csFree = append(n.csFree, cs)
 	w.U32(uint32(len(scope)))
 	for _, id := range scope {
 		w.U64(uint64(id))
@@ -167,6 +183,7 @@ func (n *Node) Release(l int) {
 
 	n.tr.Instant(trace.LockRelease, epoch, uint64(l), wire.TraceCtx{})
 	n.send(n.managerOf(lk), wire.TLockFree, 0, w.Bytes(), 0)
+	wire.PutSlab(w.Bytes()) // Send has copied it
 }
 
 // serveLockReq handles both roles: kind 0 is a request arriving at the
@@ -221,21 +238,23 @@ func (n *Node) grantFromManagerLocked(mg *lockMgr, lk uint16, wtr lockWaiter, at
 		payload := encodeEmptyGrant(lk, mg.ver, mg.scope)
 		n.mu.Unlock()
 		n.send(int(wtr.from), wire.TLockGrant, transport.ReplyID(wtr.reqID), payload, at)
+		wire.PutSlab(payload) // Send has copied it
 	default:
 		// Forward to the last releaser, which holds the freshest data
 		// and serves the grant point-to-point (homeless protocol).
 		rel := mg.lastReleaser
 		n.mu.Unlock()
-		var w wire.Buffer
+		w := wire.PooledBuffer(1 + 2 + 4 + 2)
 		w.U8(1).U16(lk).U32(wtr.known).U16(wtr.from)
 		n.send(rel, wire.TLockReq, wtr.reqID, w.Bytes(), at)
+		wire.PutSlab(w.Bytes()) // Send has copied it
 	}
 }
 
 // encodeEmptyGrant builds a grant with the scope list, sorted, but no
-// diffs.
+// diffs, in a pooled slab the caller releases.
 func encodeEmptyGrant(lk uint16, ver uint32, scope []object.ID) []byte {
-	var w wire.Buffer
+	w := wire.PooledBuffer(2 + 4 + 4 + (8+4)*len(scope))
 	w.U16(lk).U32(ver).U32(uint32(len(scope)))
 	for _, id := range scope {
 		w.U64(uint64(id)).U32(0) // zero diffs
@@ -273,7 +292,8 @@ func (n *Node) sendGrant(to int, reqID uint64, lk uint16, known uint32, at time.
 	// meanwhile: only this node's own acquires and sections under lk add
 	// to it, and lk is the requester's until this grant has reached it.
 	ids := n.scope[lk]
-	var w wire.Buffer
+	// Room for the grant without diffs; each diff's Encode grows it.
+	w := wire.PooledBuffer(2 + 4 + 4 + (8+4)*len(ids))
 	w.U16(lk).U32(ver).U32(uint32(len(ids)))
 	for _, id := range ids {
 		c := n.lookup(id)
@@ -321,12 +341,13 @@ func (n *Node) sendGrant(to int, reqID uint64, lk uint16, known uint32, at time.
 	}
 	n.mu.Unlock()
 	n.send(to, wire.TLockGrant, transport.ReplyID(reqID), w.Bytes(), lc.Now())
+	wire.PutSlab(w.Bytes()) // Send has copied it
 }
 
 // onDemandDiffLocked computes the grant diff for one object from the
-// current data plus per-word stamps, on timeline clk. It only maps the
-// object in when at least one word qualifies, so cold scope objects stay
-// on disk.
+// current data plus per-word stamps, on timeline clk, into n.diffBuf. It
+// only maps the object in when at least one word qualifies, so cold
+// scope objects stay on disk.
 func (n *Node) onDemandDiffLocked(c *object.Control, lk uint16, known uint32, clk *stats.SimClock) diffing.Diff {
 	if c.Stamps == nil {
 		return diffing.Diff{}
@@ -347,7 +368,7 @@ func (n *Node) onDemandDiffLocked(c *object.Control, lk uint16, known uint32, cl
 	}
 	data := n.objData(c, clk)
 	clk.Advance(n.prof.WordsCost(c.Words()))
-	d := diffing.FilterByStamp(data, c.Stamps, include)
+	d := n.diffBuf.FilterByStamp(data, c.Stamps, include)
 	if !d.Empty() {
 		n.ctr.DiffsMade.Add(1)
 	}
@@ -400,6 +421,15 @@ func (n *Node) applyGrant(lk uint16, payload []byte) {
 			if accumulate {
 				dv = r.U32()
 			}
+			if !accumulate && c.State != object.Invalid {
+				// The common case: the runs go from the payload straight
+				// into the object, as applyScopeDiff would copy them.
+				n.applyScopeEncoded(c, lk, dv, r)
+				if r.Err() != nil {
+					break // which ends the outer loop too
+				}
+				continue
+			}
 			d, err := diffing.DecodeDiff(r)
 			if err != nil {
 				break // err is r.Err(), which ends the outer loop too
@@ -425,7 +455,42 @@ func (n *Node) applyGrant(lk uint16, payload []byte) {
 	if ver > n.knownVer[lk] {
 		n.knownVer[lk] = ver
 	}
-	n.held = append(n.held, &csState{lock: lk, grantVer: ver})
+	var cs *csState
+	if k := len(n.csFree); k > 0 {
+		cs = n.csFree[k-1]
+		n.csFree = n.csFree[:k-1]
+	} else {
+		cs = new(csState)
+	}
+	cs.lock, cs.grantVer = lk, ver
+	n.held = append(n.held, cs)
+}
+
+// applyScopeEncoded is applyScopeDiff for a valid copy: it applies lock
+// l's diff at version ver as r decodes it from a grant, and charges the
+// application clock for the words it carries as applyGrant does for a
+// decoded diff. A bad payload is left for the caller to find in r.Err().
+// Caller holds n.mu.
+func (n *Node) applyScopeEncoded(c *object.Control, l uint16, ver uint32, r *wire.Reader) {
+	runs := r.Count(8) // off + data length
+	if runs == 0 {
+		return
+	}
+	st := object.WordStamp{Ver: ver, Lock: l, Epoch: n.epoch}
+	bytes, moved, err := diffing.ApplyEncoded(n.objData(c, n.clock), c, r, runs, st, n.trackVer() && c.Home == n.id)
+	if err != nil {
+		if r.Err() == nil {
+			n.fatalf("lots: node %d: applying scope diff to object %d: %v", n.id, c.ID, err)
+		}
+		return
+	}
+	if moved {
+		c.Ver++
+	}
+	if n.mapper != nil {
+		n.mapper.MarkDirty(c)
+	}
+	n.clock.Advance(n.prof.WordsCost(bytes / object.WordSize))
 }
 
 // homeBasedInvalidate drops the local copy of an object whose home has
@@ -468,16 +533,6 @@ func (n *Node) serveLockFree(m wire.Message) {
 	r := wire.NewReader(m.Payload)
 	lk := r.U16()
 	ver := r.U32()
-	nw := r.Count(8)
-	written := make([]object.ID, 0, nw)
-	for i := 0; i < nw; i++ {
-		written = append(written, object.ID(r.U64()))
-	}
-	ns := r.Count(8)
-	scopeIDs := make([]object.ID, 0, ns)
-	for i := 0; i < ns; i++ {
-		scopeIDs = append(scopeIDs, object.ID(r.U64()))
-	}
 	if r.Err() != nil {
 		n.fatalf("lots: bad lock-free payload: %v", r.Err())
 	}
@@ -492,18 +547,24 @@ func (n *Node) serveLockFree(m wire.Message) {
 	if ver > mg.ver {
 		mg.ver = ver
 	}
-	for _, id := range scopeIDs { // a peer's list: each goes in by search
-		mg.scope = insertID(mg.scope, id)
+	// The written objects, then the releaser's scope, go in as they are
+	// read.
+	for i, nw := 0, r.Count(8); i < nw; i++ {
+		mg.lastWrite[object.ID(r.U64())] = ver
 	}
-	for _, id := range written {
-		mg.lastWrite[id] = ver
+	for i, ns := 0, r.Count(8); i < ns; i++ { // a peer's list: each goes in by search
+		mg.scope = insertID(mg.scope, object.ID(r.U64()))
+	}
+	if r.Err() != nil {
+		n.mu.Unlock()
+		n.fatalf("lots: bad lock-free payload: %v", r.Err())
 	}
 	if len(mg.queue) == 0 {
 		n.mu.Unlock()
 		return
 	}
 	next := mg.queue[0]
-	mg.queue = mg.queue[1:]
+	mg.queue = slices.Delete(mg.queue, 0, 1)
 	mg.held = true
 	mg.holder = int(next.from)
 	n.grantFromManagerLocked(mg, lk, next, n.arrival(&m)) // releases n.mu

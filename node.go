@@ -60,7 +60,11 @@ type Node struct {
 	knownVer map[uint16]uint32            // lock -> last version applied here
 	scope    map[uint16][]object.ID       // lock -> known scope set, sorted
 	held     []*csState                   // held critical sections, innermost last
+	csFree   []*csState                   // released sections, for applyGrant to reuse
 	chains   map[object.ID]*diffing.Chain // DiffAccumulate mode histories
+	// diffBuf holds the diff a release or a grant is building; it is
+	// read before n.mu is next dropped.
+	diffBuf diffing.Scratch
 	// deferred holds the lock-scope diffs that arrived while an object's
 	// copy was invalid, in receipt order; the fetch that validates the
 	// copy replays and drops them (applyScopeDiff).
@@ -108,7 +112,8 @@ type Node struct {
 	mux *transport.Mux
 }
 
-// csState tracks one held critical section.
+// csState tracks one held critical section. Release returns it to
+// Node.csFree with its writes emptied, their capacity kept.
 type csState struct {
 	lock     uint16
 	grantVer uint32
