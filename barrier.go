@@ -462,7 +462,7 @@ func (n *Node) processBarrierExit(payload []byte) {
 	// now the cluster maximum, so no grant can ask for one again.
 	clear(n.chains)
 	n.epoch++
-	n.cond.Broadcast()
+	n.wakeLocked() // fetches parked on the epoch advance
 	n.mu.Unlock()
 }
 
@@ -483,31 +483,32 @@ func (n *Node) pendingDrainedLocked() bool {
 
 // serveBarrierDiff applies an incoming diff: either an epoch
 // reconciliation to this home (counted against expectations) or a
-// home-based lock-scope flush.
-func (n *Node) serveBarrierDiff(m wire.Message) {
+// home-based lock-scope flush. since and dtc are as for serveFetch.
+func (n *Node) serveBarrierDiff(m *wire.Message, since time.Time, dtc wire.TraceCtx) {
 	r := wire.NewReader(m.Payload)
 	epoch := r.U32()
-	applyAt := time.Now()
-	defer func() { n.ph.Observe(epoch, phases.DiffApply, time.Since(applyAt)) }()
-	dtc := n.tr.Begin(trace.DiffApply, epoch, uint64(m.From), m.Trace)
-	defer n.tr.End(dtc)
 	lockScope := r.U8() == 1
 	id := object.ID(r.U64())
 	if r.Err() != nil {
 		n.fatalf("lots: node %d: bad barrier diff: %v", n.id, r.Err())
 	}
-	var lc stats.SimClock // this request's service timeline
-	lc.MergeTo(n.arrival(&m))
+	if since.IsZero() {
+		since, dtc = time.Now(), n.tr.Begin(trace.DiffApply, epoch, uint64(m.From), m.Trace)
+	}
 	n.mu.Lock()
 	c := n.lookup(id)
 	// Epoch reconciliations arrive while every node is inside the
 	// barrier (no views open, per the release-before-barrier rule), but
-	// a home-based lock-scope flush can land mid-epoch: never write
-	// over a span that is mid-mutation under an open RW view, and never
-	// write under a lock-free reader's open read view either.
-	for c.RWViews > 0 || c.ROViews > 0 {
-		n.cond.Wait()
+	// a home-based lock-scope flush can land mid-epoch: it parks while
+	// the span is mid-mutation under an open RW view, or under a
+	// lock-free reader's open read view.
+	if c.RWViews > 0 || c.ROViews > 0 {
+		n.parkLocked((*Node).serveBarrierDiff, *m, since, dtc)
+		n.mu.Unlock()
+		return
 	}
+	var lc stats.SimClock // this request's service timeline
+	lc.MergeTo(n.arrival(m))
 	// The runs go from the payload to the object and nowhere in between.
 	// The data version bumps only when the apply actually moved bytes: a
 	// diff whose words all lose the newest-wins merge (or re-assert
@@ -525,19 +526,20 @@ func (n *Node) serveBarrierDiff(m wire.Message) {
 		n.mapper.MarkDirty(c)
 	}
 	lc.Advance(n.prof.WordsCost(diffBytes / object.WordSize))
-	if int64(lc.Now()) > c.ReconcileNS {
-		c.ReconcileNS = int64(lc.Now())
-	}
+	c.ReconcileNS = max(c.ReconcileNS, int64(lc.Now()))
 	// The application cannot leave its barrier before this diff has
 	// been applied, so its timeline merges forward here.
 	n.clock.MergeTo(lc.Now())
 	if !lockScope {
 		n.pendingDiffs[id]--
-		n.cond.Broadcast()
+		n.cond.Broadcast() // the barrier's drain
+		n.wakeLocked()     // fetches parked on the owed diff
 	}
 	n.mu.Unlock()
-	n.reply(m, wire.TBarrierDiffAck, nil, lc.Now())
+	n.reply(*m, wire.TBarrierDiffAck, nil, lc.Now())
 	m.Release() // the apply copied the runs out and kept no alias
+	n.tr.End(dtc)
+	n.ph.Observe(epoch, phases.DiffApply, time.Since(since))
 }
 
 // Epoch returns the node's barrier epoch (testing/diagnostics).

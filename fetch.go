@@ -48,8 +48,8 @@ func (n *Node) fetchObject(c *object.Control, clk *stats.SimClock) {
 	}
 	if c.State != object.Invalid {
 		// Another fetch of c ran while n.mu was dropped — the application's
-		// and a grant service's can overlap — and installed its image and
-		// replayed the deferred updates, which this image lacks.
+		// and a grant's continuation can overlap — and installed its image
+		// and replayed the deferred updates, which this image lacks.
 		reply.Release()
 		return
 	}
@@ -71,34 +71,30 @@ func (n *Node) fetchObject(c *object.Control, clk *stats.SimClock) {
 	delete(n.deferred, id)
 }
 
-// serveFetch runs at the object's home. It gates on the barrier
-// reconciliation: a fast peer may request an object before this home
-// has applied all the diffs the barrier manager promised it, or before
-// this node has even processed its own barrier exit.
-func (n *Node) serveFetch(m wire.Message) {
+// serveFetch runs at the object's home. It parks a request that comes
+// before this home has applied the diffs the barrier manager promised
+// it, or has processed its own barrier exit, or while an open RW view
+// has the span mid-mutation: the served copy is never torn. since and
+// stc are the first arrival's wall time and trace span, zero on it.
+func (n *Node) serveFetch(m *wire.Message, since time.Time, stc wire.TraceCtx) {
 	r := wire.NewReader(m.Payload)
 	id := object.ID(r.U64())
 	reqEpoch := r.U32()
 	if r.Err() != nil || r.Remaining() != 0 {
 		n.fatalf("lots: bad fetch request: %d bytes, want 12", len(m.Payload))
 	}
-	serveAt := time.Now()
-	defer func() { n.ph.Observe(reqEpoch, phases.FetchServe, time.Since(serveAt)) }()
-	stc := n.tr.Begin(trace.FetchServe, reqEpoch, uint64(id), m.Trace)
-	defer n.tr.End(stc)
-	var lc stats.SimClock // this request's service timeline
-	lc.MergeTo(n.arrival(&m))
+	if since.IsZero() {
+		since, stc = time.Now(), n.tr.Begin(trace.FetchServe, reqEpoch, uint64(id), m.Trace)
+	}
 	n.mu.Lock()
-	for n.epoch < reqEpoch || n.pendingDiffs[id] > 0 {
-		n.cond.Wait()
+	if n.epoch < reqEpoch || n.pendingDiffs[id] > 0 || n.lookup(id).RWViews > 0 {
+		n.parkLocked((*Node).serveFetch, *m, since, stc)
+		n.mu.Unlock()
+		return
 	}
 	c := n.lookup(id)
-	// An open RW view means the span is mid-mutation without the node
-	// lock held; defer until the mutation window closes so the served
-	// copy is never torn (and never races the writer's stores).
-	for c.RWViews > 0 || n.pendingDiffs[id] > 0 {
-		n.cond.Wait()
-	}
+	var lc stats.SimClock // this request's service timeline
+	lc.MergeTo(n.arrival(m))
 	// The served copy cannot predate the reconciliation diffs this
 	// home applied for the barrier the requester has passed.
 	lc.MergeTo(time.Duration(c.ReconcileNS))
@@ -115,8 +111,10 @@ func (n *Node) serveFetch(m wire.Message) {
 	w.Bytes32(data).U32(c.Ver)
 	lc.Advance(n.prof.WordsCost(c.Words()))
 	n.mu.Unlock()
-	n.reply(m, wire.TObjFetchReply, w.Bytes(), lc.Now())
+	n.reply(*m, wire.TObjFetchReply, w.Bytes(), lc.Now())
 	wire.PutSlab(w.Bytes()) // Send has copied it
+	n.tr.End(stc)
+	n.ph.Observe(reqEpoch, phases.FetchServe, time.Since(since))
 }
 
 // ---- Remote swap (paper §5 future work, implemented as an extension) ---

@@ -11,11 +11,11 @@ import (
 // protocol handlers — the SIGIO substrate of §3.6, which LOTS and the
 // JIAJIA baseline both stand on. It owns request IDs, the table of
 // calls awaiting a reply, and the dispatch loop that routes replies to
-// their callers and runs every request in its own goroutine (so a
-// handler that must wait — a fetch gated on in-flight barrier diffs —
-// cannot stall the loop). What differs between the two runtimes (clock
-// merges, trace contexts, panic wording, the handler switch) stays in
-// their Node types.
+// their callers and runs every request in its own goroutine. A handler
+// never waits: one that cannot serve its request yet parks it with its
+// node, which serves it again through Go. What differs between the two
+// runtimes (clock merges, trace contexts, panic wording, the handler
+// switch) stays in their Node types.
 type Mux struct {
 	ep     Endpoint
 	handle func(wire.Message) // serves one request
@@ -132,15 +132,28 @@ func (x *Mux) Serve() {
 	}
 }
 
-// run serves one request. A handler that panics against a closed
-// endpoint was only failing to answer a peer that is gone too.
+// run serves one request.
 func (x *Mux) run(m wire.Message) {
-	defer func() {
-		if r := recover(); r != nil && !x.closed.Load() {
-			panic(r)
+	defer x.recoverClosed()
+	x.handle(m)
+}
+
+// Go runs fs in order on a fresh goroutine under run's panic policy.
+func (x *Mux) Go(fs ...func()) {
+	go func() {
+		defer x.recoverClosed()
+		for _, f := range fs {
+			f()
 		}
 	}()
-	x.handle(m)
+}
+
+// recoverClosed swallows a handler's panic against a closed endpoint: it
+// was only failing to answer a peer that is gone too.
+func (x *Mux) recoverClosed() {
+	if r := recover(); r != nil && !x.closed.Load() {
+		panic(r)
+	}
 }
 
 // Close marks the node closing and closes the endpoint under it.

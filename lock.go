@@ -281,36 +281,25 @@ func (n *Node) encodeHomeBasedGrant(mg *lockMgr, lk uint16) []byte {
 // sendGrant builds the homeless write-update grant at the last
 // releaser: for every object in l's scope, the words written under l
 // since the requester's version, computed on demand (§3.5). Everything
-// the grant costs, a fetch it waits for included, is charged to its
-// service timeline lc, a local started at at, the request's arrival.
+// the grant costs, a fetch it needs included, is charged to its service
+// timeline lc, a local started at at: the arrival, or the fetch's end.
 func (n *Node) sendGrant(to int, reqID uint64, lk uint16, known uint32, at time.Duration) {
+	n.mu.Lock()
+	if n.grantGatedLocked(to, reqID, lk, known, at) {
+		n.mu.Unlock()
+		return
+	}
+	// lk's scope cannot change until the grant is sent: only this node's
+	// own acquires and sections under lk add to it, and lk is the
+	// requester's until this grant has reached it.
+	ids := n.scope[lk]
 	var lc stats.SimClock
 	lc.MergeTo(at)
-	n.mu.Lock()
-	ver := n.knownVer[lk]
-	// The loop below may drop n.mu, but lk's scope cannot change
-	// meanwhile: only this node's own acquires and sections under lk add
-	// to it, and lk is the requester's until this grant has reached it.
-	ids := n.scope[lk]
 	// Room for the grant without diffs; each diff's Encode grows it.
 	w := wire.PooledBuffer(2 + 4 + 4 + (8+4)*len(ids))
-	w.U16(lk).U32(ver).U32(uint32(len(ids)))
+	w.U16(lk).U32(n.knownVer[lk]).U32(uint32(len(ids)))
 	for _, id := range ids {
 		c := n.lookup(id)
-		// Like serveFetch, the grant must not read an object whose span is
-		// mid-mutation under an open RW view (the writes hold no lock).
-		// Nor may it serve from stamps alone while this node holds scope
-		// updates deferred on its invalid copy (they came with a grant
-		// before it touched the object): the fetch that validates the copy
-		// replays and drops them. The fetch drops n.mu, so loop until both
-		// conditions hold together.
-		for c.RWViews > 0 || len(n.deferred[id]) > 0 {
-			if c.RWViews > 0 {
-				n.cond.Wait()
-			} else {
-				n.fetchObject(c, &lc)
-			}
-		}
 		w.U64(uint64(id))
 		switch n.cfg.Protocol.Diff {
 		case DiffAccumulate:
@@ -342,6 +331,35 @@ func (n *Node) sendGrant(to int, reqID uint64, lk uint16, known uint32, at time.
 	n.mu.Unlock()
 	n.send(to, wire.TLockGrant, transport.ReplyID(reqID), w.Bytes(), lc.Now())
 	wire.PutSlab(w.Bytes()) // Send has copied it
+}
+
+// grantGatedLocked reports whether lk's grant cannot be built yet, and
+// has it served again when it can. Like a fetch, it parks on an open RW
+// view. With scope updates deferred on an invalid copy, it starts the
+// fetch that replays them as its continuation, on the grant's timeline,
+// which serves the grant again. Caller holds n.mu.
+func (n *Node) grantGatedLocked(to int, reqID uint64, lk uint16, known uint32, at time.Duration) bool {
+	for _, id := range n.scope[lk] {
+		c := n.lookup(id)
+		if c.RWViews > 0 {
+			n.parked = append(n.parked, func() { n.sendGrant(to, reqID, lk, known, at) })
+			return true
+		}
+		if len(n.deferred[id]) > 0 {
+			n.mux.Go(func() {
+				var lc stats.SimClock
+				lc.MergeTo(at)
+				n.mu.Lock()
+				if len(n.deferred[id]) > 0 { // else the application's own fetch installed it
+					n.fetchObject(c, &lc)
+				}
+				n.mu.Unlock()
+				n.sendGrant(to, reqID, lk, known, lc.Now())
+			})
+			return true
+		}
+	}
+	return false
 }
 
 // onDemandDiffLocked computes the grant diff for one object from the

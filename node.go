@@ -51,7 +51,8 @@ type Node struct {
 	tr *trace.Ring
 
 	mu     sync.Mutex
-	cond   *sync.Cond // broadcast on barrier-diff application / epoch advance
+	cond   *sync.Cond // the barrier waits on it for owed diffs; no handler waits
+	parked []func()   // requests handlers could not serve yet, bound to them
 	table  *object.Table
 	mapper *dmm.Mapper // nil when LargeObjectSpace is off (LOTS-x)
 	store  disk.Store
@@ -77,7 +78,8 @@ type Node struct {
 	epoch   uint32
 	rbEpoch uint32
 	// pendingDiffs counts barrier diffs this node still expects as a
-	// home in the current reconciliation; access waits on cond.
+	// home in the current reconciliation; the barrier waits on cond for
+	// them, and a fetch of the object parks.
 	pendingDiffs map[object.ID]int
 	// dirty lists the objects this node wrote since the last barrier —
 	// those with WrittenInEpoch set, appended where writeCheck sets it —
@@ -287,7 +289,7 @@ func (n *Node) reply(req wire.Message, typ wire.Type, payload []byte, at time.Du
 }
 
 // serve handles one protocol request; the mux runs it in its own
-// goroutine per message (the SIGIO handler of the original).
+// goroutine per message, to completion, as the original's SIGIO handler.
 func (n *Node) serve(m wire.Message) {
 	switch m.Type {
 	case wire.TLockReq:
@@ -300,9 +302,9 @@ func (n *Node) serve(m wire.Message) {
 	case wire.TBarrierArrive:
 		n.serveBarrierArrive(m)
 	case wire.TBarrierDiff:
-		n.serveBarrierDiff(m)
+		n.serveBarrierDiff(&m, time.Time{}, wire.TraceCtx{})
 	case wire.TObjFetchReq:
-		n.serveFetch(m)
+		n.serveFetch(&m, time.Time{}, wire.TraceCtx{})
 	case wire.TRemoteSwapOut:
 		n.serveRemoteSwapOut(m)
 	case wire.TRemoteSwapIn:
@@ -321,6 +323,22 @@ func (n *Node) serve(m wire.Message) {
 		if !n.mux.Closed() {
 			n.fatalf("lots: node %d: unexpected message %v from %d", n.id, m.Type, m.From)
 		}
+	}
+}
+
+// parkLocked parks m, which h cannot serve yet, with its payload slab and
+// its first arrival's wall time and trace span. Caller holds n.mu.
+func (n *Node) parkLocked(h func(*Node, *wire.Message, time.Time, wire.TraceCtx), m wire.Message, since time.Time, tc wire.TraceCtx) {
+	n.parked = append(n.parked, func() { h(n, &m, since, tc) })
+}
+
+// wakeLocked serves the parked requests again, in order, on one fresh
+// goroutine; one that still cannot be served parks again. Caller holds
+// n.mu.
+func (n *Node) wakeLocked() {
+	if len(n.parked) > 0 {
+		n.mux.Go(n.parked...)
+		n.parked = nil
 	}
 }
 
@@ -466,8 +484,8 @@ func (n *Node) makeTwin(data []byte) []byte {
 // accessors and the zero-copy View API: exactly one access check (plus
 // twin creation and dirty marking for writes), then a DMM pin so the
 // mapped bytes stay resident for the span's lifetime. RW entries also
-// open a mutation window: fetch service for the object is deferred
-// until viewExit, so peers can never receive a copy torn mid-write.
+// open a mutation window: a fetch of the object is parked until
+// viewExit, so peers can never receive a copy torn mid-write.
 // Caller holds n.mu; the check may drop and retake it. Returns the
 // object's mapped data.
 func (n *Node) viewEnter(c *object.Control, rw bool) []byte {
@@ -491,9 +509,9 @@ func (n *Node) viewEnter(c *object.Control, rw bool) []byte {
 	return data
 }
 
-// viewExit closes a span opened by viewEnter: the pin is dropped and
-// protocol services parked on the open view are woken. Caller holds
-// n.mu.
+// viewExit closes a span opened by viewEnter: the pin is dropped and,
+// once no view of the object is open, the parked requests are served
+// again. Caller holds n.mu.
 func (n *Node) viewExit(c *object.Control, rw bool) {
 	if rw {
 		if c.RWViews <= 0 {
@@ -507,7 +525,7 @@ func (n *Node) viewExit(c *object.Control, rw bool) {
 		c.ROViews--
 	}
 	if c.RWViews == 0 && c.ROViews == 0 {
-		n.cond.Broadcast() // wake services parked on the open-view window
+		n.wakeLocked()
 	}
 	if n.mapper != nil {
 		n.mapper.Unpin(c)

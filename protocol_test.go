@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/object"
+	"repro/internal/wire"
 )
 
 // counterWorkload drives the migratory counter used to validate every
@@ -481,7 +482,7 @@ func TestConcurrentFetchesInstallOnce(t *testing.T) {
 				t.Errorf("node 0 reads x[0] = %d during the overlap, want 999", got)
 			}
 		case 1:
-			for deadline := time.Now().Add(10 * time.Second); goroutinesIn("(*Node).serveFetch") < 2; time.Sleep(time.Millisecond) {
+			for deadline := time.Now().Add(10 * time.Second); parkedIn(n) < 2; time.Sleep(time.Millisecond) {
 				if time.Now().After(deadline) {
 					t.Error("the two fetches of x never overlapped: test is vacuous")
 					break
@@ -559,7 +560,7 @@ func TestGrantFetchChargesTheGrant(t *testing.T) {
 		n.RunBarrier()
 		switch n.ID() {
 		case 0:
-			for deadline := time.Now().Add(10 * time.Second); goroutinesIn("(*Node).serveFetch") < 1; time.Sleep(time.Millisecond) {
+			for deadline := time.Now().Add(10 * time.Second); parkedIn(c.Node(1)) < 1; time.Sleep(time.Millisecond) {
 				if time.Now().After(deadline) {
 					t.Error("node 0's grant service never fetched x: test is vacuous")
 					break
@@ -639,6 +640,70 @@ func swapInCost(t *testing.T, n *Node, y Ptr[int32]) time.Duration {
 func goroutinesIn(fn string) int {
 	buf := make([]byte, 1<<20)
 	return strings.Count(string(buf[:runtime.Stack(buf, true)]), fn+"(")
+}
+
+// parkedIn counts the requests n has parked.
+func parkedIn(n *Node) int {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return len(n.parked)
+}
+
+// TestParkedFetchesHoldNoGoroutines: a request a handler cannot serve
+// yet is parked, and holds no goroutine while it waits. Node 1 holds an
+// RW view of an object it homes while node 0 sends it a flood of raw
+// fetch requests for the object; nothing calls for their replies, so
+// node 0's mux drops them. Each fetch used to wait on the view in a
+// goroutine of its own, so a peer could make a rank hold one goroutine
+// per frame it sent.
+func TestParkedFetchesHoldNoGoroutines(t *testing.T) {
+	const frames = 10000
+	c := mustCluster(t, DefaultConfig(2))
+	opened := make(chan struct{})  // node 1's view is open
+	checked := make(chan struct{}) // node 0 has counted inside the window
+	err := c.Run(func(n *Node) {
+		x := Alloc[int32](n, 8) // homed at node 1
+		n.Barrier()
+		switch n.ID() {
+		case 1:
+			v := x.ViewRW(0, 8)
+			close(opened)
+			<-checked
+			v.Release()
+		case 0:
+			<-opened
+			payload := (&wire.Buffer{}).U64(x.ObjectID()).U32(n.Epoch()).Bytes()
+			for i := uint64(0); i < frames; i++ {
+				// Request IDs far above the mux's own: no reply is mistaken
+				// for the answer to a call of node 0's.
+				if err := n.ep.Send(wire.Message{Type: wire.TObjFetchReq, To: 1, ReqID: 1<<40 + i, Payload: payload}); err != nil {
+					t.Errorf("sending fetch %d: %v", i, err)
+					break
+				}
+			}
+			home := c.Node(1)
+			for deadline := time.Now().Add(20 * time.Second); parkedIn(home) < frames; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Errorf("node 1 parked %d of %d fetches", parkedIn(home), frames)
+					break
+				}
+			}
+			if g := goroutinesIn("(*Node).serveFetch"); g > 8 {
+				t.Errorf("%d goroutines serve fetches while %d are parked, want at most 8", g, parkedIn(home))
+			}
+			close(checked)
+			for deadline := time.Now().Add(20 * time.Second); parkedIn(home) > 0 || goroutinesIn("(*Node).serveFetch") > 0; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Errorf("after the release, node 1 still has %d fetches parked", parkedIn(home))
+					break
+				}
+			}
+		}
+		n.Barrier()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestRandomizedMixedWorkloadMatchesReference(t *testing.T) {

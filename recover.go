@@ -500,6 +500,6 @@ func (n *Node) finishRecover(homedIDs []uint64, epoch uint32, found bool) {
 	if found {
 		n.epoch = epoch + 1
 	}
-	n.cond.Broadcast() // wake fetches gated on the epoch advance
+	n.wakeLocked() // fetches parked on the epoch advance
 	n.mu.Unlock()
 }

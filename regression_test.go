@@ -180,7 +180,7 @@ func TestRegressionFetchRejectsTrailingBytes(t *testing.T) {
 	var rejected any
 	func() {
 		defer func() { rejected = recover() }()
-		c.nodes[0].serveFetch(wire.Message{Type: wire.TObjFetchReq, Payload: payload})
+		c.nodes[0].serve(wire.Message{Type: wire.TObjFetchReq, Payload: payload})
 	}()
 	if msg, _ := rejected.(string); !strings.Contains(msg, "bad fetch request") {
 		t.Errorf("13-byte fetch request: serveFetch said %v, want a bad fetch request", rejected)

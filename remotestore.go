@@ -34,7 +34,8 @@ func (s *remoteFallbackStore) Write(id uint64, data []byte) error {
 		s.mu.Unlock()
 		return nil
 	}
-	if !disk.IsNoSpace(err) {
+	// A peer's spill (remoteKey) stays local: it would go round a ring.
+	if !disk.IsNoSpace(err) || id>>63 == 1 {
 		return err
 	}
 	if err := s.n.remoteSwapOut(s.peer, id, data); err != nil {

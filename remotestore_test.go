@@ -1,7 +1,9 @@
 package lots
 
 import (
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/disk"
 )
@@ -76,5 +78,50 @@ func TestRemoteSwapOverflowsToPeer(t *testing.T) {
 	}
 	if c.Node(1).RemoteSpills() != 0 {
 		t.Error("peer reports spills although it never enabled remote swap")
+	}
+}
+
+// TestRemoteSwapRingAnswersNoSpace: two ranks each spill to the other,
+// as lotsnode's -remote ring does, and both disks fill. A rank serves a
+// peer's spill from its own disk only, so the third spill is refused
+// with "no space" and Run fails at once. The serving rank used to spill
+// it on through its own remote fallback, back to the first rank, and
+// the two handed it to and fro, one more goroutine each time, forever.
+func TestRemoteSwapRingAnswersNoSpace(t *testing.T) {
+	const words = 512 // 2 KB per object
+	cfg := DefaultConfig(2)
+	cfg.DMMSize = 4096
+	cfg.Store = func(int) disk.Store { return disk.NewSimStore(3 << 10) } // one spill each
+	c := mustCluster(t, cfg)
+	done := make(chan error, 1)
+	go func() {
+		done <- c.Run(func(n *Node) {
+			n.EnableRemoteSwap(1 - n.ID())
+			objs := make([]Ptr[int32], 8)
+			for i := range objs {
+				objs[i] = Alloc[int32](n, words)
+			}
+			n.Barrier() // both fallbacks are in place
+			if n.ID() == 0 {
+				for o, p := range objs {
+					p.Set(0, int32(o)) // 8 x 2 KB through a 4 KB DMM area
+				}
+			}
+		})
+	}()
+	select {
+	case err := <-done:
+		if err == nil || !strings.Contains(err.Error(), "full") {
+			t.Errorf("Run = %v, want node 0 failing on a full disk", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatalf("Run still spilling after 10s; %d goroutines serve remote swap-outs", goroutinesIn("(*Node).serveRemoteSwapOut"))
+	}
+	// The last handler may still be returning from its reply.
+	for deadline := time.Now().Add(5 * time.Second); goroutinesIn("(*Node).serveRemoteSwapOut") > 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Errorf("%d goroutines left serving remote swap-outs", goroutinesIn("(*Node).serveRemoteSwapOut"))
+			break
+		}
 	}
 }
