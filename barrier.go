@@ -3,7 +3,6 @@ package lots
 import (
 	"cmp"
 	"slices"
-	"sort"
 	"time"
 
 	"repro/internal/diffing"
@@ -42,6 +41,8 @@ type lv struct {
 	v uint32
 }
 
+func cmpLV(a, b lv) int { return cmp.Compare(a.l, b.l) }
+
 // writeNotice is one rank's report that it wrote an object this epoch.
 type writeNotice struct {
 	id   object.ID
@@ -52,8 +53,13 @@ type writeNotice struct {
 type barrierMgr struct {
 	n int
 
-	arrivedMsgs []wire.Message
-	maxArrive   time.Duration // latest simulated arrival this epoch
+	// round collects the epoch's arrivals; the last one plans it and
+	// hands it to its reply loop, which reads it after n.mu is dropped,
+	// so the next round is another, drawn from spare, to which the loop
+	// returns its own once every exit is sent. rbRound is the same for
+	// run-only barriers.
+	round     *exitRound
+	maxArrive time.Duration // latest simulated arrival this epoch
 	// notices collects the epoch's write notices as they arrive; the
 	// last arrival sorts them by (id, from) and plans from the groups.
 	// Both it and writers (one group's ranks) are reused across epochs.
@@ -61,15 +67,63 @@ type barrierMgr struct {
 	writers  []int
 	lockVers map[uint16]uint32
 
-	rbMsgs      []wire.Message
+	rbRound     *exitRound
 	rbMaxArrive time.Duration
+	spare       []*exitRound
+}
+
+// exitRound is one barrier's replies: the arrivals to answer, each
+// only its sender and request ID, and what a memory barrier's exits
+// carry. Its slices are truncated and refilled each time the round is
+// reused.
+type exitRound struct {
+	msgs    []wire.Message
+	plans   []barrierPlan
+	orders  [][]exitOrder   // per rank
+	expects [][]expectEntry // per rank
+	locks   []lv            // sorted
 }
 
 func newBarrierMgr(n int) *barrierMgr {
-	return &barrierMgr{
+	bm := &barrierMgr{
 		n:        n,
 		lockVers: make(map[uint16]uint32),
 	}
+	bm.round, bm.rbRound = bm.takeRound(), bm.takeRound()
+	return bm
+}
+
+// takeRound returns a round to collect arrivals in: a spare one, or a
+// new one while the reply loops of two barriers overlap for the first
+// time. Caller holds the manager node's mu.
+func (bm *barrierMgr) takeRound() *exitRound {
+	if k := len(bm.spare); k > 0 {
+		rd := bm.spare[k-1]
+		bm.spare = bm.spare[:k-1]
+		return rd
+	}
+	return &exitRound{orders: make([][]exitOrder, bm.n), expects: make([][]expectEntry, bm.n)}
+}
+
+// putRound returns rd, every exit of which is sent, for reuse. Caller
+// holds the manager node's mu.
+func (bm *barrierMgr) putRound(rd *exitRound) {
+	rd.msgs = rd.msgs[:0]
+	bm.spare = append(bm.spare, rd)
+}
+
+// barrierScratch is the application's barrier scratch, truncated and
+// refilled by every Barrier: the arrival's write set and lock versions,
+// the exit's decoded plans, orders, expectations and lock versions, and
+// the burst of diffs the orders ship.
+type barrierScratch struct {
+	writeIDs []object.ID
+	lockVers []lv
+	plans    []barrierPlan
+	orders   []exitOrder
+	expects  []expectEntry
+	lvs      []lv
+	diffs    []call
 }
 
 // Barrier synchronizes all nodes and reconciles shared memory under the
@@ -81,36 +135,37 @@ func (n *Node) Barrier() {
 	// node manages) current lock versions.
 	n.mu.Lock()
 	epoch := n.epoch
-	writeIDs := make([]object.ID, len(n.dirty))
-	for i, c := range n.dirty {
-		writeIDs[i] = c.ID
+	s := &n.bar
+	s.writeIDs = s.writeIDs[:0]
+	for _, c := range n.dirty {
+		s.writeIDs = append(s.writeIDs, c.ID)
 	}
-	slices.Sort(writeIDs)
-	var lockVers []lv
+	slices.Sort(s.writeIDs)
+	s.lockVers = s.lockVers[:0]
 	for l, mg := range n.lmgr {
-		lockVers = append(lockVers, lv{l, mg.ver})
+		s.lockVers = append(s.lockVers, lv{l, mg.ver})
 	}
-	sort.Slice(lockVers, func(i, j int) bool { return lockVers[i].l < lockVers[j].l })
+	slices.SortFunc(s.lockVers, cmpLV)
 	if held := len(n.held); held != 0 {
 		n.mu.Unlock()
 		n.fatalf("lots: node %d: barrier reached while holding %d lock(s)", n.id, held)
 	}
 	n.mu.Unlock()
 
-	var w wire.Buffer
-	w.Grow(4 + 1 + 4 + 8*len(writeIDs) + 4 + (2+4)*len(lockVers))
+	w := wire.PooledBuffer(4 + 1 + 4 + 8*len(s.writeIDs) + 4 + (2+4)*len(s.lockVers))
 	w.U32(epoch).Bool(false) // not run-only
-	w.U32(uint32(len(writeIDs)))
-	for _, id := range writeIDs {
+	w.U32(uint32(len(s.writeIDs)))
+	for _, id := range s.writeIDs {
 		w.U64(uint64(id))
 	}
-	w.U32(uint32(len(lockVers)))
-	for _, e := range lockVers {
+	w.U32(uint32(len(s.lockVers)))
+	for _, e := range s.lockVers {
 		w.U16(e.l).U32(e.v)
 	}
 	arriveAt := time.Now()
 	btc := n.tr.Begin(trace.BarrierEnter, epoch, 0, wire.TraceCtx{})
 	reply := n.rpcT(0, wire.TBarrierArrive, w.Bytes(), btc, n.clock)
+	wire.PutSlab(w.Bytes()) // Send has copied it
 	n.tr.End(btc)
 	n.ph.Observe(epoch, phases.BarrierWait, time.Since(arriveAt))
 	if reply.Type != wire.TBarrierExit {
@@ -118,6 +173,7 @@ func (n *Node) Barrier() {
 	}
 	n.tr.Instant(trace.BarrierExit, epoch, 0, reply.Trace)
 	n.processBarrierExit(reply.Payload)
+	reply.Release() // processBarrierExit decoded it
 	// Barrier exit is the protocol's consistency point: every diff owed
 	// to this home has been applied and versions are settled, so this is
 	// where the incremental checkpoint cut is taken.
@@ -134,17 +190,19 @@ func (n *Node) RunBarrier() {
 	epoch := n.rbEpoch
 	n.rbEpoch++
 	n.mu.Unlock()
-	var w wire.Buffer
+	w := wire.PooledBuffer(4 + 1)
 	w.U32(epoch).Bool(true)
 	arriveAt := time.Now()
 	btc := n.tr.Begin(trace.BarrierEnter, epoch, 1, wire.TraceCtx{})
 	reply := n.rpcT(0, wire.TBarrierArrive, w.Bytes(), btc, n.clock)
+	wire.PutSlab(w.Bytes()) // Send has copied it
 	n.tr.End(btc)
 	n.ph.Observe(epoch, phases.BarrierWait, time.Since(arriveAt))
 	if reply.Type != wire.TBarrierExit {
 		n.fatalf("lots: node %d: run-barrier reply %v", n.id, reply.Type)
 	}
 	n.tr.Instant(trace.BarrierExit, epoch, 1, reply.Trace)
+	reply.Release() // nothing reads the exit's one byte
 }
 
 // exitOrder is one "send your diff of obj to dest" instruction.
@@ -161,24 +219,33 @@ func (n *Node) serveBarrierArrive(m wire.Message) {
 	bm := n.bmgr
 
 	arr := n.arrival(&m)
+	// What the exit answers; the payload is released once decoded.
+	req := wire.Message{From: m.From, ReqID: m.ReqID}
 	if runOnly {
+		m.Release()
 		n.mu.Lock()
-		bm.rbMsgs = append(bm.rbMsgs, m)
+		rd := bm.rbRound
+		rd.msgs = append(rd.msgs, req)
 		if arr > bm.rbMaxArrive {
 			bm.rbMaxArrive = arr
 		}
-		if len(bm.rbMsgs) < bm.n {
+		if len(rd.msgs) < bm.n {
 			n.mu.Unlock()
 			return
 		}
-		msgs := bm.rbMsgs
 		at := bm.rbMaxArrive
-		bm.rbMsgs = nil
+		bm.rbRound = bm.takeRound()
 		bm.rbMaxArrive = 0
 		n.mu.Unlock()
-		for _, am := range msgs {
-			n.reply(am, wire.TBarrierExit, (&wire.Buffer{}).Bool(true).Bytes(), at)
+		w := wire.PooledBuffer(1)
+		w.Bool(true)
+		for _, am := range rd.msgs {
+			n.reply(am, wire.TBarrierExit, w.Bytes(), at)
 		}
+		wire.PutSlab(w.Bytes()) // every Send has copied it
+		n.mu.Lock()
+		bm.putRound(rd)
+		n.mu.Unlock()
 		return
 	}
 
@@ -186,7 +253,7 @@ func (n *Node) serveBarrierArrive(m wire.Message) {
 	// under its lock. Counts come off the datagram: Count bounds each by
 	// the payload left, so the reads after a good count cannot fail.
 	n.mu.Lock()
-	from := int(m.From)
+	from := int(req.From)
 	mark := len(bm.notices)
 	for i, nw := 0, r.Count(8); i < nw; i++ {
 		bm.notices = append(bm.notices, writeNotice{object.ID(r.U64()), from})
@@ -202,11 +269,13 @@ func (n *Node) serveBarrierArrive(m wire.Message) {
 			bm.lockVers[l] = v
 		}
 	}
+	m.Release()
 	if arr > bm.maxArrive {
 		bm.maxArrive = arr
 	}
-	bm.arrivedMsgs = append(bm.arrivedMsgs, m)
-	if len(bm.arrivedMsgs) < bm.n {
+	rd := bm.round
+	rd.msgs = append(rd.msgs, req)
+	if len(rd.msgs) < bm.n {
 		n.mu.Unlock()
 		return
 	}
@@ -215,23 +284,21 @@ func (n *Node) serveBarrierArrive(m wire.Message) {
 	plans, orders, expects, migrations := bm.plan(n.cfg.Protocol.Barrier, func(id object.ID) int { return n.lookup(id).Home })
 	n.ctr.HomeMigrates.Add(int64(migrations))
 
-	lockList := make([]lv, 0, len(bm.lockVers))
+	rd.locks = rd.locks[:0]
 	for l, v := range bm.lockVers {
-		lockList = append(lockList, lv{l, v})
+		rd.locks = append(rd.locks, lv{l, v})
 	}
-	sort.Slice(lockList, func(i, j int) bool { return lockList[i].l < lockList[j].l })
+	slices.SortFunc(rd.locks, cmpLV)
 
-	msgs := bm.arrivedMsgs
 	exitAt := bm.maxArrive
-	bm.arrivedMsgs = nil
+	bm.round = bm.takeRound()
 	bm.maxArrive = 0
 	n.mu.Unlock()
 
-	for _, am := range msgs {
+	for _, am := range rd.msgs {
 		v := int(am.From)
-		var w wire.Buffer
-		w.Grow(1 + 4 + (8+2)*len(plans) + 4 + (8+2)*len(orders[v]) +
-			4 + (8+4)*len(expects[v]) + 4 + (2+4)*len(lockList))
+		w := wire.PooledBuffer(1 + 4 + (8+2)*len(plans) + 4 + (8+2)*len(orders[v]) +
+			4 + (8+4)*len(expects[v]) + 4 + (2+4)*len(rd.locks))
 		w.Bool(false) // not run-only
 		w.U32(uint32(len(plans)))
 		for _, p := range plans {
@@ -245,29 +312,36 @@ func (n *Node) serveBarrierArrive(m wire.Message) {
 		for _, e := range expects[v] {
 			w.U64(uint64(e.id)).U32(uint32(e.cnt))
 		}
-		w.U32(uint32(len(lockList)))
-		for _, e := range lockList {
+		w.U32(uint32(len(rd.locks)))
+		for _, e := range rd.locks {
 			w.U16(e.l).U32(e.v)
 		}
 		n.reply(am, wire.TBarrierExit, w.Bytes(), exitAt)
+		wire.PutSlab(w.Bytes()) // Send has copied it
 	}
+	n.mu.Lock()
+	bm.putRound(rd)
+	n.mu.Unlock()
 }
 
 // plan turns the epoch's write notices into the barrier's decisions:
 // the new home of every written object (ascending ids), per sender the
 // diffs it must ship, per receiver how many diffs to expect of which
 // object (ascending ids, like the orders), and how many homes migrated.
-// It empties the notices for the next epoch. homeOf reports an object's
-// current home: the manager's own table's, since rank 0 has arrived too
-// and so has applied every earlier plan and recovery home table.
-// Caller holds the manager node's mu.
+// The decisions are built in the slices of bm.round, which they refill,
+// and it empties the notices for the next epoch. homeOf reports an
+// object's current home: the manager's own table's, since rank 0 has
+// arrived too and so has applied every earlier plan and recovery home
+// table. Caller holds the manager node's mu.
 func (bm *barrierMgr) plan(mode BarrierMode, homeOf func(object.ID) int) (plans []barrierPlan, orders [][]exitOrder, expects [][]expectEntry, migrations int) {
 	slices.SortFunc(bm.notices, func(a, b writeNotice) int {
 		return cmp.Or(cmp.Compare(a.id, b.id), cmp.Compare(a.from, b.from))
 	})
-	plans = make([]barrierPlan, 0, len(bm.notices)) // one per object, at most one per notice
-	orders = make([][]exitOrder, bm.n)
-	expects = make([][]expectEntry, bm.n)
+	rd := bm.round
+	plans, orders, expects = rd.plans[:0], rd.orders, rd.expects
+	for v := range orders {
+		orders[v], expects[v] = orders[v][:0], expects[v][:0]
+	}
 	// ship orders wtr to send its diff of id to dest. Ids only grow, so
 	// dest's entry for id, if it has one, is its last.
 	ship := func(id object.ID, wtr, dest int) {
@@ -315,6 +389,7 @@ func (bm *barrierMgr) plan(mode BarrierMode, homeOf func(object.ID) int) (plans 
 		}
 		plans = append(plans, barrierPlan{id: id, home: newHome})
 	}
+	rd.plans = plans
 	bm.notices = bm.notices[:0]
 	return plans, orders, expects, migrations
 }
@@ -340,26 +415,23 @@ func (n *Node) processBarrierExit(payload []byte) {
 	if r.Bool() { // run-only exit reached a memory barrier: impossible
 		n.fatalf("lots: node %d: run-only exit for full barrier", n.id)
 	}
-	np := r.Count(8 + 2)
-	plans := make([]barrierPlan, 0, np)
-	for i := 0; i < np; i++ {
+	// The exit decodes into the node's barrier scratch; nothing below
+	// reads the payload.
+	s := &n.bar
+	plans, orders, expects, lvs := s.plans[:0], s.orders[:0], s.expects[:0], s.lvs[:0]
+	for i, np := 0, r.Count(8+2); i < np; i++ {
 		plans = append(plans, barrierPlan{object.ID(r.U64()), int(r.U16())})
 	}
-	no := r.Count(8 + 2)
-	orders := make([]exitOrder, 0, no)
-	for i := 0; i < no; i++ {
+	for i, no := 0, r.Count(8+2); i < no; i++ {
 		orders = append(orders, exitOrder{object.ID(r.U64()), r.U16()})
 	}
-	ne := r.Count(8 + 4)
-	expects := make([]expectEntry, 0, ne)
-	for i := 0; i < ne; i++ {
+	for i, ne := 0, r.Count(8+4); i < ne; i++ {
 		expects = append(expects, expectEntry{object.ID(r.U64()), int(r.U32())})
 	}
-	nl := r.Count(2 + 4)
-	lvs := make([]lv, 0, nl)
-	for i := 0; i < nl; i++ {
+	for i, nl := 0, r.Count(2+4); i < nl; i++ {
 		lvs = append(lvs, lv{r.U16(), r.U32()})
 	}
+	s.plans, s.orders, s.expects, s.lvs = plans, orders, expects, lvs
 	if r.Err() != nil {
 		n.fatalf("lots: node %d: bad barrier exit: %v", n.id, r.Err())
 	}
@@ -380,7 +452,7 @@ func (n *Node) processBarrierExit(payload []byte) {
 			}
 		}
 	}
-	diffs := make([]call, 0, len(orders))
+	diffs := s.diffs[:0]
 	for _, o := range orders {
 		c := n.lookup(o.obj)
 		if c.Twin == nil {
@@ -412,10 +484,13 @@ func (n *Node) processBarrierExit(payload []byte) {
 		if reply.Type != wire.TBarrierDiffAck {
 			n.fatalf("lots: node %d: barrier diff rejected: %v", n.id, reply.Type)
 		}
+		reply.Release()
 	}
 	for _, d := range diffs {
 		wire.PutSlab(d.payload) // Flush has copied it
 	}
+	clear(diffs)
+	s.diffs = diffs[:0]
 
 	// Wait for every diff we are owed (as a home, or as a broadcast
 	// receiver) to be applied.

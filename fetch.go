@@ -30,10 +30,11 @@ func (n *Node) fetchObject(c *object.Control, clk *stats.SimClock) {
 	home := c.Home
 	epoch := n.epoch
 	n.mu.Unlock()
-	var w wire.Buffer
+	w := wire.PooledBuffer(8 + 4)
 	w.U64(uint64(id)).U32(epoch)
 	ftc := n.tr.Begin(trace.FetchReq, epoch, uint64(id), wire.TraceCtx{})
 	reply := n.rpcT(home, wire.TObjFetchReq, w.Bytes(), ftc, clk)
+	wire.PutSlab(w.Bytes()) // Send has copied it
 	n.tr.End(ftc)
 	n.mu.Lock()
 	if reply.Type != wire.TObjFetchReply {
@@ -113,6 +114,7 @@ func (n *Node) serveFetch(m *wire.Message, since time.Time, stc wire.TraceCtx) {
 	n.mu.Unlock()
 	n.reply(*m, wire.TObjFetchReply, w.Bytes(), lc.Now())
 	wire.PutSlab(w.Bytes()) // Send has copied it
+	m.Release()             // read for the last time; parked, it was kept until now
 	n.tr.End(stc)
 	n.ph.Observe(reqEpoch, phases.FetchServe, time.Since(since))
 }

@@ -290,8 +290,8 @@ func (d Diff) Encode(w *wire.Buffer) {
 }
 
 // DecodeDiff reads a diff encoded by Encode. The runs' data aliases the
-// payload r wraps: a delivered message's payload is a heap buffer of its
-// own, so a diff decoded from one may be kept as long as the diff is.
+// payload r wraps: a diff decoded from a delivered message's pooled
+// payload may be kept only as long as that message is never released.
 func DecodeDiff(r *wire.Reader) (Diff, error) {
 	n := r.Count(8) // off + data length
 	if r.Err() != nil {

@@ -200,6 +200,7 @@ func (e *BatchingEndpoint) Recv() (wire.Message, bool) {
 			// protocol-breaking bug, not a network condition.
 			panic("transport: malformed batch envelope: " + err.Error())
 		}
+		m.Release() // DecodeBatch copied every entry out
 	}
 }
 

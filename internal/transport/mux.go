@@ -103,7 +103,8 @@ func (x *Mux) Call(m wire.Message) (wire.Message, error) {
 
 // Serve is the dispatch loop: it runs until the endpoint closes, then
 // wakes every pending call with a zero message and fails later ones.
-// Replies nobody waits for (the call was abandoned) are dropped.
+// Replies nobody waits for (the call was abandoned) are dropped, their
+// payloads released.
 func (x *Mux) Serve() {
 	for {
 		m, ok := x.ep.Recv()
@@ -128,6 +129,8 @@ func (x *Mux) Serve() {
 		x.mu.Unlock()
 		if mine {
 			ch <- m
+		} else {
+			m.Release()
 		}
 	}
 }

@@ -67,12 +67,12 @@ func TestDecodeInPlaceZeroAlloc(t *testing.T) {
 // TestFragmentPathAllocs: the full steady-state path of one message —
 // pooled encode, pooled fragment frames with transport headroom,
 // reassembly, delivery — allocates exactly once, the delivered
-// payload, when the handler keeps it. That holds for a single-fragment
-// message (copied out of the caller's frame) and across the >64 KiB
-// multi-fragment path (joined into one slab), where reassembly slabs
-// and partial-tracking structs must all recycle; the encode/fragment
-// side alone allocates nothing. A handler that releases the payload
-// makes the multi-fragment path allocate nothing at all.
+// payload's slab, when the handler keeps it. That holds for a
+// single-fragment message (copied out of the caller's frame) and across
+// the >64 KiB multi-fragment path (joined into one slab), where
+// reassembly slabs and partial-tracking structs must all recycle; the
+// encode/fragment side alone allocates nothing. A handler that releases
+// the payload makes either path allocate nothing at all.
 func TestFragmentPathAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
@@ -80,7 +80,7 @@ func TestFragmentPathAllocs(t *testing.T) {
 		frags    int
 		released float64 // allocations per message when the handler releases it
 	}{
-		{"small", 600, 1, 1},
+		{"small", 600, 1, 0},
 		{"large", 200 << 10, 4, 0},
 	} {
 		drainSlabs()

@@ -1,12 +1,11 @@
 package wire
 
 // Slab pool for the wire path. Every hot-path buffer — wire fragments
-// (with transport framing headroom), the payloads of messages joined
-// from several fragments, large payloads a sender builds in a
-// PooledBuffer — is drawn from a small set of size-classed free lists
-// and explicitly released: frames at the transport seams, delivered
-// payloads by the handler that read them (Message.Release), built ones
-// once Send has copied them. The lists are deliberately not sync.Pool:
+// (with transport framing headroom), the payload of every delivered
+// message, payloads a sender builds in a PooledBuffer — is drawn from
+// a small set of size-classed free lists and explicitly released:
+// frames at the transport seams, delivered payloads by the handler that
+// read them (Message.Release), built ones once Send has copied them. The lists are deliberately not sync.Pool:
 // putting a slice header into an interface allocates, which would put
 // one allocation back on every release and defeat the AllocsPerRun
 // guards. Bounded mutex-guarded stacks give true zero steady-state

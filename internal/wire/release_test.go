@@ -56,9 +56,11 @@ func reassemble(t *testing.T, frags [][]byte) Message {
 }
 
 // TestReleaseReturnsJoinedSlab: a message joined from several fragments
-// hands its slab back on Release, once; a single-fragment message's
-// payload is a heap copy, and Release leaves it alone.
+// hands its slab back on Release, once, and so does a single-fragment
+// message, whose payload was copied out of its frame into a slab; a
+// message that never crossed a reassembler is left alone.
 func TestReleaseReturnsJoinedSlab(t *testing.T) {
+	emptyFrags := fragments(encode(Message{Type: TBarrierDiffAck}), 3) // cut before the pool is counted
 	drainSlabs()
 	defer drainSlabs()
 	payload := bytes.Repeat([]byte{3}, 100<<10)
@@ -76,14 +78,26 @@ func TestReleaseReturnsJoinedSlab(t *testing.T) {
 	}
 
 	small := reassemble(t, fragments(encode(Message{Type: TLockGrant, Payload: []byte("grant")}), 2))
+	if string(small.Payload) != "grant" || cap(small.Payload) != slabSizes[0] {
+		t.Fatalf("single-fragment payload %q in %d bytes, want \"grant\" in a %d-byte slab", small.Payload, cap(small.Payload), slabSizes[0])
+	}
 	small.Release()
-	if string(small.Payload) != "grant" || pooledSlabs() != 1 {
-		t.Errorf("Release of a single-fragment message: payload %q, %d slabs pooled", small.Payload, pooledSlabs())
+	if small.Payload != nil || pooledSlabs() != 2 {
+		t.Errorf("Release of a single-fragment message: payload %q, %d slabs pooled, want nil and 2", small.Payload, pooledSlabs())
+	}
+	small.Release()
+	if pooledSlabs() != 2 {
+		t.Errorf("a second Release of a single-fragment message pooled %d slabs, want 2", pooledSlabs())
+	}
+	empty := reassemble(t, emptyFrags)
+	empty.Release()
+	if pooledSlabs() != 2 {
+		t.Errorf("an empty payload took a slab: %d pooled after its Release, want 2", pooledSlabs())
 	}
 	var built Message
 	built.Payload = payload
 	built.Release()
-	if len(built.Payload) != len(payload) || pooledSlabs() != 1 {
+	if len(built.Payload) != len(payload) || pooledSlabs() != 2 {
 		t.Error("Release of a message that never crossed a reassembler changed it")
 	}
 }
@@ -112,13 +126,18 @@ func withCount(f []byte, count uint16) []byte {
 }
 
 // TestReassemblerErrorsReturnSlab: every way a multi-fragment message
-// can fail leaves nothing pending and its slab back in the pool.
+// can fail leaves nothing pending and its slab back in the pool, and a
+// single-fragment message whose header does not decode takes no slab.
 func TestReassemblerErrorsReturnSlab(t *testing.T) {
 	payload := bytes.Repeat([]byte{9}, 200<<10)
 	enc := encode(Message{Type: TObjFetchReply, Payload: payload})
 	frags := fragments(enc, 4)
 	short := append([]byte(nil), enc...)
 	binary.LittleEndian.PutUint32(short[headerLen-4:], uint32(len(payload)-1))
+	one := encode(Message{Type: TLockReq, Payload: []byte("request")})
+	badType := append([]byte{byte(tMax)}, one[1:]...)
+	overstated := append([]byte(nil), one...)
+	binary.LittleEndian.PutUint32(overstated[headerLen-4:], uint32(len(one)))
 	for _, tc := range []struct {
 		name  string
 		feed  [][]byte
@@ -128,6 +147,9 @@ func TestReassemblerErrorsReturnSlab(t *testing.T) {
 		{"count mismatch", [][]byte{frags[0], withCount(frags[1], uint16(len(frags)+1))}, 1},
 		{"bytes disagree with the header", fragments(short, 4), 1},
 		{"fragment 0 shorter than a header", [][]byte{rawFragment(4, 0, 2, frags[0][fragHeaderLen:][:headerLen-1])}, 0},
+		{"single fragment shorter than a header", [][]byte{rawFragment(5, 0, 1, one[:headerLen-1])}, 0},
+		{"single fragment of an unknown type", [][]byte{rawFragment(6, 0, 1, badType)}, 0},
+		{"single fragment short of its stated payload", [][]byte{rawFragment(7, 0, 1, overstated)}, 0},
 	} {
 		drainSlabs()
 		r := NewReassembler()

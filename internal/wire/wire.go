@@ -14,12 +14,12 @@
 // of the whole message; the receiver's Reassembler copies each fragment
 // from the transport's read buffer to its place in the one buffer the
 // delivered message then owns. Frames come from the slab pool (pool.go)
-// and are released at the transport seams. A message joined from
-// several fragments is delivered in a pooled slab with an owner: a
+// and are released at the transport seams. Every delivered payload,
+// of one fragment or of several, is a pooled slab with an owner: a
 // handler that only reads the payload hands it back with
 // Message.Release, and one that keeps it — or aliases it
 // (Reader.Bytes32InPlace, diffing.DecodeDiff) — never does, leaving it
-// to the garbage collector. A sender that builds a large payload in a
+// to the garbage collector. A sender that builds a payload in a
 // PooledBuffer puts it back once the endpoint's Send, which copies it,
 // has returned.
 // Every count and length read from a peer is bounded by the bytes
@@ -164,9 +164,9 @@ type Message struct {
 	Type Type
 	From uint16 // sending node ID
 	To   uint16 // destination node ID
-	// pooled marks a payload the Reassembler joined in a pooled slab,
-	// which Release hands back. It sits in the padding after To, so a
-	// Message stays 64 bytes on 64-bit hosts.
+	// pooled marks a payload the Reassembler delivered in a pooled
+	// slab, which Release hands back. It sits in the padding after To,
+	// so a Message stays 64 bytes on 64-bit hosts.
 	pooled bool
 	ReqID  uint64 // RPC correlation ID; 0 for one-way messages
 	// SimTime is the sender's simulated clock (ns) when the message was
@@ -179,12 +179,12 @@ type Message struct {
 	Trace TraceCtx
 }
 
-// Release hands the payload of a message the Reassembler joined from
-// several fragments back to the slab pool. Call it once nothing reads
-// m.Payload, or any slice of it, any more; a consumer that keeps the
-// payload never calls it, and the garbage collector frees the slab as it
-// would any buffer. On any other message, and on one already released,
-// Release does nothing.
+// Release hands the payload of a message the Reassembler delivered
+// back to the slab pool. Call it once nothing reads m.Payload, or any
+// slice of it, any more; a consumer that keeps the payload never calls
+// it, and the garbage collector frees the slab as it would any buffer.
+// On any other message, and on one already released, Release does
+// nothing.
 func (m *Message) Release() {
 	if !m.pooled {
 		return
@@ -275,11 +275,22 @@ var ErrBadType = errors.New("wire: unknown message type")
 var errZeroTrace = errors.New("wire: trace flag set with zero trace context")
 
 // Decode parses a buffer produced by EncodeInto. The returned payload is
-// an independent copy of buf's bytes.
+// an independent heap copy of buf's bytes, which Release leaves alone.
 func Decode(buf []byte) (Message, error) {
 	m, err := DecodeInPlace(buf)
 	if err == nil && len(m.Payload) > 0 {
 		m.Payload = append([]byte(nil), m.Payload...)
+	}
+	return m, err
+}
+
+// decodePooled is Decode with the payload copied into a slab from the
+// pool, which the message owns and Message.Release hands back. A buffer
+// that does not decode takes no slab, and an empty payload none either.
+func decodePooled(buf []byte) (Message, error) {
+	m, err := DecodeInPlace(buf)
+	if err == nil && len(m.Payload) > 0 {
+		m.Payload, m.pooled = append(GetSlab(len(m.Payload)), m.Payload...), true
 	}
 	return m, err
 }
@@ -422,13 +433,14 @@ func cutFragments(parts *[3][]byte, msgID uint64, headroom int, fn func(frame []
 // one ahead of the next expected drops the message and is an error.
 // Nothing is held that the message cannot use next.
 //
-// A delivered message owns its payload buffer. A single-fragment
-// message is copied out of the caller's frame into a heap buffer. A
-// multi-fragment message keeps fragment 0's message header decoded and
-// joins what follows it — payload, then any trace extension — in a
-// pooled slab sized from the length that header states, each fragment
-// copied from the caller's frame straight to its place; the delivered
-// payload starts the slab, and Message.Release hands it back.
+// A delivered message owns its payload, in a pooled slab that
+// Message.Release hands back. A single-fragment message's header is
+// decoded in the caller's frame and its payload copied out into a slab
+// of its length. A multi-fragment message keeps fragment 0's message
+// header decoded and joins what follows it — payload, then any trace
+// extension — in a slab sized from the length that header states, each
+// fragment copied from the caller's frame straight to its place; the
+// delivered payload starts the slab.
 type Reassembler struct {
 	pending map[uint64]*partial
 	free    []*partial // released partials, reused by the next message
@@ -544,7 +556,7 @@ func (r *Reassembler) Feed(frag []byte) (Message, bool, error) {
 	if count == 1 && r.pending[msgID] == nil {
 		// Single-fragment fast path (the common case): decode straight
 		// out of the caller's frame, never touching the pending map.
-		m, err := Decode(chunk)
+		m, err := decodePooled(chunk)
 		return m, err == nil, err
 	}
 	return r.feedPartial(msgID, idx, count, chunk)

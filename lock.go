@@ -94,7 +94,9 @@ func (n *Node) Acquire(l int) {
 	if reply.Type != wire.TLockGrant {
 		n.fatalf("lots: node %d: lock %d: unexpected reply %v", n.id, l, reply.Type)
 	}
-	n.applyGrant(lk, reply.Payload)
+	if !n.applyGrant(lk, reply.Payload) {
+		reply.Release()
+	}
 }
 
 // Release leaves the critical section: changed words are stamped
@@ -179,6 +181,7 @@ func (n *Node) Release(l int) {
 		if reply.Type != wire.TBarrierDiffAck {
 			n.fatalf("lots: node %d: home flush rejected: %v", n.id, reply.Type)
 		}
+		reply.Release()
 	}
 
 	n.tr.Instant(trace.LockRelease, epoch, uint64(l), wire.TraceCtx{})
@@ -201,12 +204,14 @@ func (n *Node) serveLockReq(m wire.Message) {
 			n.fatalf("lots: bad forwarded lock request: %v", r.Err())
 		}
 		n.sendGrant(int(orig), m.ReqID, lk, known, at)
+		m.Release()
 		return
 	}
 	if r.Err() != nil {
 		n.fatalf("lots: bad lock request: %v", r.Err())
 	}
 	wtr := lockWaiter{from: m.From, reqID: m.ReqID, known: known, arrive: at}
+	m.Release()
 	n.mu.Lock()
 	mg := n.lockMgrState(lk)
 	if mg.held {
@@ -215,7 +220,7 @@ func (n *Node) serveLockReq(m wire.Message) {
 		return
 	}
 	mg.held = true
-	mg.holder = int(m.From)
+	mg.holder = int(wtr.from)
 	n.grantFromManagerLocked(mg, lk, wtr, at)
 }
 
@@ -394,8 +399,11 @@ func (n *Node) onDemandDiffLocked(c *object.Control, lk uint16, known uint32, cl
 }
 
 // applyGrant installs the critical section at the acquirer, applying
-// (or deferring) the scope updates carried by the grant.
-func (n *Node) applyGrant(lk uint16, payload []byte) {
+// (or deferring) the scope updates carried by the grant. It reports
+// whether it kept diffs that alias payload, deferred on an invalid copy
+// or appended to a DiffAccumulate chain; if not, the payload may be
+// released.
+func (n *Node) applyGrant(lk uint16, payload []byte) (kept bool) {
 	r := wire.NewReader(payload)
 	glk := r.U16()
 	ver := r.U32()
@@ -452,6 +460,7 @@ func (n *Node) applyGrant(lk uint16, payload []byte) {
 			if err != nil {
 				break // err is r.Err(), which ends the outer loop too
 			}
+			kept = kept || !d.Empty() && (accumulate || c.State == object.Invalid)
 			if n.applyScopeDiff(c, lk, dv, d, n.clock) {
 				n.clock.Advance(n.prof.WordsCost(d.Bytes() / object.WordSize))
 			}
@@ -482,6 +491,7 @@ func (n *Node) applyGrant(lk uint16, payload []byte) {
 	}
 	cs.lock, cs.grantVer = lk, ver
 	n.held = append(n.held, cs)
+	return kept
 }
 
 // applyScopeEncoded is applyScopeDiff for a valid copy: it applies lock
@@ -577,6 +587,8 @@ func (n *Node) serveLockFree(m wire.Message) {
 		n.mu.Unlock()
 		n.fatalf("lots: bad lock-free payload: %v", r.Err())
 	}
+	at := n.arrival(&m)
+	m.Release()
 	if len(mg.queue) == 0 {
 		n.mu.Unlock()
 		return
@@ -585,7 +597,7 @@ func (n *Node) serveLockFree(m wire.Message) {
 	mg.queue = slices.Delete(mg.queue, 0, 1)
 	mg.held = true
 	mg.holder = int(next.from)
-	n.grantFromManagerLocked(mg, lk, next, n.arrival(&m)) // releases n.mu
+	n.grantFromManagerLocked(mg, lk, next, at) // releases n.mu
 }
 
 // LockVersion reports lock l's version as known to this node (testing

@@ -97,6 +97,8 @@ type Node struct {
 
 	// Barrier manager state (node 0 only).
 	bmgr *barrierMgr
+	// bar is the application's barrier scratch; only Barrier touches it.
+	bar barrierScratch
 
 	// Checkpoint/recovery state (Config.Recovery). rstore is the
 	// rank's durable checkpoint store, opened on first use; ckptVers
@@ -299,6 +301,7 @@ func (n *Node) serve(m wire.Message) {
 	case wire.TLockGrant:
 		// Grants normally match a pending RPC; one can arrive after a
 		// node aborted. Drop it.
+		m.Release()
 	case wire.TBarrierArrive:
 		n.serveBarrierArrive(m)
 	case wire.TBarrierDiff:

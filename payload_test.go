@@ -115,15 +115,18 @@ func TestReleasedSlabsNeverShowThroughObjects(t *testing.T) {
 // (2 ranks over UDP, 16 write-shared 256 KiB objects, dense and sparse
 // stripes), a steady-state epoch moves about 5 MiB of diffs and fetch
 // replies, in pooled slabs that go back to the pool; the whole process
-// allocates less than 1 MiB for it, in at most maxAllocs allocations.
-// On go1.24 the count measured 553–578, three runs at a time on two
-// cores included; with a fresh reply channel per call and a heap slice
-// per UDP drain it was 651–654.
+// allocates at most maxKiB KiB for it, in at most maxAllocs allocations.
+// On go1.24 it measured 17–57 KiB in 460–467, three runs at a time on
+// two cores included, most of them the UDP transport's per-frame flight
+// records and socket reads. With every delivered single-fragment payload
+// (the sparse stripes' barrier diffs) a heap copy it was 344 KiB in
+// 553–578; with a fresh reply channel per call and a heap slice per UDP
+// drain as well, 651–654 allocations.
 func TestMultiwriterEpochAllocations(t *testing.T) {
 	if raceBuild {
 		t.Skip("the race detector's instrumentation allocates")
 	}
-	const objects, words, ranks, sparseStep, epochs, maxAllocs = 16, 64 << 10, 2, 16, 10, 640
+	const objects, words, ranks, sparseStep, epochs, maxKiB, maxAllocs = 16, 64 << 10, 2, 16, 10, 192, 520
 	cfg := DefaultConfig(ranks)
 	cfg.DMMSize = 64 << 20
 	cfg.Transport = TransportUDP
@@ -171,8 +174,8 @@ func TestMultiwriterEpochAllocations(t *testing.T) {
 	perEpoch := (after.TotalAlloc - before.TotalAlloc) / epochs
 	allocs := (after.Mallocs - before.Mallocs) / epochs
 	t.Logf("%d KiB, %d allocations per epoch", perEpoch>>10, allocs)
-	if perEpoch >= 1<<20 {
-		t.Errorf("a steady-state epoch allocates %d KiB, want under 1024", perEpoch>>10)
+	if perEpoch>>10 > maxKiB {
+		t.Errorf("a steady-state epoch allocates %d KiB, want at most %d", perEpoch>>10, maxKiB)
 	}
 	if allocs > maxAllocs {
 		t.Errorf("a steady-state epoch allocates %d times, want at most %d", allocs, maxAllocs)
@@ -183,19 +186,19 @@ func TestMultiwriterEpochAllocations(t *testing.T) {
 // ranks over TCP, 8 locks guarding a 64-word object each, 256 critical
 // sections per rank and a RunBarrier per epoch), the whole process
 // allocates at most maxPerCS times per critical section. On go1.24 it
-// measured 5.94–6.18, three runs at a time on two cores included: what
-// is left is the payload copy of each delivered single-fragment message
-// and the goroutine closure each request is served in. With a fresh TCP
-// frame record, reply channel, payload buffer, section record and diff
-// per message or section it was 23.9–24.7, and when each section also
-// built two maps, allocated a fresh twin and copied and sorted its scope
-// set twice it was 36.5–36.7. The bound has not been measured on go1.23.
-// This guards the count before anything pools the single-fragment path.
+// measured 2.44–2.55, three runs at a time on two cores included: what
+// is left is the goroutine closure each request is served in. With a
+// heap copy of each delivered single-fragment payload it was 5.94–6.18;
+// with a fresh TCP frame record, reply channel, payload buffer, section
+// record and diff per message or section as well, 23.9–24.7; and when
+// each section also built two maps, allocated a fresh twin and copied
+// and sorted its scope set twice, 36.5–36.7. The bound has not been
+// measured on go1.23.
 func TestLockstepEpochAllocations(t *testing.T) {
 	if raceBuild {
 		t.Skip("the race detector's instrumentation allocates")
 	}
-	const locks, words, ranks, cs, epochs, maxPerCS = 8, 64, 2, 256, 8, 6.4
+	const locks, words, ranks, cs, epochs, maxPerCS = 8, 64, 2, 256, 8, 2.7
 	cfg := DefaultConfig(ranks)
 	cfg.DMMSize = 64 << 20
 	cfg.Transport = TransportTCP
@@ -244,5 +247,156 @@ func TestLockstepEpochAllocations(t *testing.T) {
 	t.Logf("%.2f allocations per critical section", perCS)
 	if perCS > maxPerCS {
 		t.Errorf("a critical section allocates %.2f times, want at most %v", perCS, maxPerCS)
+	}
+}
+
+// TestReleasedGrantsNeverShowThroughObjects runs the lock path with the
+// slab pool poisoning every slab it takes back. Three ranks take turns
+// on one lock guarding an object homed at rank 1: rank 1 writes under
+// it; rank 0 acquires, its copy invalid the first round, so the grant's
+// diff is deferred until its read fetches the object and replays it, and
+// valid after that, so the diff is applied straight from the payload;
+// rank 2 acquires from rank 0, whose grant is built from its
+// DiffAccumulate chain in that mode. Grants that keep diffs aliasing
+// their payload (deferred, or chained) must never be released, and every
+// barrier's exit carries plans read only before it is: a payload released
+// too early shows here as 0xDB words in an object.
+func TestReleasedGrantsNeverShowThroughObjects(t *testing.T) {
+	wire.SetSlabPoison(true)
+	defer wire.SetSlabPoison(false)
+	const words, rounds, lock = 256, 3, 0
+	want := func(r, i int) int32 { return int32(r*1_000_003 + i*7 + 1) }
+	for _, mode := range []DiffMode{DiffPerFieldStamps, DiffAccumulate} {
+		cfg := DefaultConfig(3)
+		cfg.Protocol.Diff = mode
+		c := mustCluster(t, cfg)
+		err := c.Run(func(n *Node) {
+			x := Alloc[int32](n, words) // homed at rank 1
+			check := func(r int) {
+				v := x.View(0, words)
+				for i := range words {
+					if got := v.At(i); got != want(r, i) {
+						t.Errorf("mode %v, rank %d, round %d: word %d = %#x, want %#x", mode, n.ID(), r, i, got, want(r, i))
+						break
+					}
+				}
+				v.Release()
+			}
+			if n.ID() == 1 { // a whole-object write, so the barrier plans x
+				v := x.ViewRW(0, words)
+				for i := range words {
+					v.Set(i, want(-1, i))
+				}
+				v.Release()
+			}
+			n.Barrier() // x is invalid at ranks 0 and 2
+			for r := 0; r < rounds; r++ {
+				if n.ID() == 1 {
+					n.Acquire(lock)
+					v := x.ViewRW(0, words)
+					for i := range words {
+						v.Set(i, want(r, i))
+					}
+					v.Release()
+					n.Release(lock)
+				}
+				n.RunBarrier()
+				if n.ID() == 0 {
+					n.Acquire(lock)
+					n.Release(lock)
+					check(r) // fetches x in round 0, then replays the deferred diff
+				}
+				n.RunBarrier()
+				if n.ID() == 2 {
+					n.Acquire(lock)
+					n.Release(lock)
+					check(r)
+				}
+				n.RunBarrier()
+			}
+			n.Barrier()
+			check(rounds - 1)
+			n.Barrier()
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestStencilEpochAllocations: in the benchmark's stencil shape (2 ranks
+// over mem, two 1024² matrices striped by rows, a relax a→b, a barrier,
+// a relax b→a, a barrier per epoch), a steady-state epoch allocates at
+// most maxKiB KiB in at most maxAllocs allocations across the whole
+// process. On go1.24 it measured 3.2–3.6 KiB in 9.7–13.3, three runs at
+// a time on two cores included: the goroutine closure each request is
+// served in, and a fetch that arrives ahead of its home's epoch parked.
+// With every delivered single-fragment payload a heap copy and the
+// barrier's slices and payloads fresh each time, it was 268.5 KiB in 61.5.
+func TestStencilEpochAllocations(t *testing.T) {
+	if raceBuild {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	const dim, ranks, epochs, maxKiB, maxAllocs = 1024, 2, 20, 6, 16
+	cfg := DefaultConfig(ranks)
+	cfg.DMMSize = 64 << 20 // both grids resident, as in the workload
+	c := mustCluster(t, cfg)
+	var before, after runtime.MemStats
+	err := c.Run(func(n *Node) {
+		a, b := AllocMatrix[float64](n, dim, dim), AllocMatrix[float64](n, dim, dim)
+		lo, hi := n.ID()*dim/ranks, (n.ID()+1)*dim/ranks
+		row := make([]float64, dim)
+		for r := lo; r < hi; r++ {
+			for c := range row {
+				row[c] = float64(r*dim+c) / (dim * dim)
+			}
+			a.SetRow(r, row)
+			b.SetRow(r, row)
+		}
+		relax := func(dst, src Matrix[float64], r int) {
+			up, mid, down := src.RowView(r-1), src.RowView(r), src.RowView(r+1)
+			out := dst.RowViewRW(r)
+			for c := 1; c < dim-1; c++ {
+				out.Set(c, 0.25*(up.At(c)+down.At(c)+mid.At(c-1)+mid.At(c+1)))
+			}
+			out.Release()
+			down.Release()
+			mid.Release()
+			up.Release()
+		}
+		epoch := func() {
+			for _, m := range [2][2]Matrix[float64]{{a, b}, {b, a}} {
+				for r := max(lo, 1); r < min(hi, dim-1); r++ {
+					relax(m[1], m[0], r)
+				}
+				n.Barrier()
+			}
+		}
+		n.Barrier()
+		for e := 0; e < 3; e++ { // fetch the halo rows, settle the homes, fill the pools
+			epoch()
+		}
+		if n.ID() == 0 {
+			runtime.ReadMemStats(&before)
+		}
+		n.RunBarrier() // rank 1 starts counting once rank 0 has
+		for e := 0; e < epochs; e++ {
+			epoch()
+		}
+		if n.ID() == 0 {
+			runtime.ReadMemStats(&after)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	perEpoch := float64(after.TotalAlloc-before.TotalAlloc) / epochs / 1024
+	allocs := float64(after.Mallocs-before.Mallocs) / epochs
+	t.Logf("%.1f KiB, %.1f allocations per epoch", perEpoch, allocs)
+	if perEpoch > maxKiB {
+		t.Errorf("a steady-state epoch allocates %.1f KiB, want at most %d", perEpoch, maxKiB)
+	}
+	if allocs > maxAllocs {
+		t.Errorf("a steady-state epoch allocates %.1f times, want at most %d", allocs, maxAllocs)
 	}
 }
