@@ -339,9 +339,19 @@ func BenchmarkMultiwriterEpoch(b *testing.B) {
 // RunBarrier. Nearly every message is a lock request, grant or free of
 // about 50 bytes, so the transport's per-message cost dominates.
 // allocs/op is the workload's allocs_per_epoch. Wall-clock, but not the
-// workload's CPU profile: on a 2-CPU host runtime.newstack is 11–17 %
-// of this benchmark's CPU and under 1 % of the workload's (ROADMAP item
-// 1), so a change to how requests are served is judged on the workload.
+// workload's CPU profile. On a 2-CPU host with go1.24, runtime.newstack
+// was 16 % of this benchmark's CPU (300 epochs) while `Mux.Serve`
+// started a goroutine per request, and below one 10 ms sample in 10.7 s
+// of the workload's; it is absent from both now that serve workers keep
+// their grown stacks. The difference is the runtime's adaptive initial
+// stack size, which is re-estimated at each GC: the workload runs
+// through several GCs and starts its goroutines with stacks large
+// enough, while this benchmark's last GC comes during set-up (300
+// epochs of 100 KiB garbage stay under a heap goal that counts the
+// 64 MiB DMM arena), so its goroutines start on 2 KiB stacks.
+// With GODEBUG=adaptivestackstart=0 the workload spent 15 % in
+// runtime.newstack too. A change to how requests are served is judged
+// on the workload.
 func BenchmarkLockstepEpoch(b *testing.B) {
 	const locks, words, ranks, cs = 8, 64, 2, 256
 	cfg := lots.DefaultConfig(ranks)

@@ -51,7 +51,10 @@ func newUDPPair(t *testing.T, o UDPOptions) (*UDPEndpoint, *UDPEndpoint, [2]*sta
 // handed over as the read loop hands them — the whole datagram in its
 // read slab — so with slab poison on the test also sees who owns each
 // slab afterwards: a buffered datagram is intact, a refused one has gone
-// back to the pool.
+// back to the pool. That needs a pool no other goroutine takes from
+// during the flood: the pair's read loops hold the slabs their
+// constructor handed them (the flood's acks land in e1's), and an
+// earlier test's endpoints put theirs back before their Close returned.
 func TestUDPOOOBufferBounded(t *testing.T) {
 	e0, _, _ := newUDPPair(t, UDPOptions{})
 	win := int(e0.window)

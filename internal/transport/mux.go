@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -11,14 +12,25 @@ import (
 // protocol handlers — the SIGIO substrate of §3.6, which LOTS and the
 // JIAJIA baseline both stand on. It owns request IDs, the table of
 // calls awaiting a reply, and the dispatch loop that routes replies to
-// their callers and runs every request in its own goroutine. A handler
+// their callers and hands every request to a serve worker. A handler
 // never waits: one that cannot serve its request yet parks it with its
 // node, which serves it again through Go. What differs between the two
 // runtimes (clock merges, trace contexts, panic wording, the handler
 // switch) stays in their Node types.
+//
+// Serve runs a fixed set of workers, four per GOMAXPROCS, that keep
+// their grown stacks from request to request, and hands each request to
+// an idle one; when none is idle the request gets a goroutine of its
+// own. The handoff never queues and Serve never blocks on it, because
+// Serve alone delivers replies and two paths under a handler still wait
+// for one: a grant's fetch continuation, and a map-in's eviction that
+// spills to a peer. If Serve stopped reading while every worker was
+// busy, or requests waited in a queue, two ranks could each hold the
+// request that the other's busy workers wait on.
 type Mux struct {
 	ep     Endpoint
 	handle func(wire.Message) // serves one request
+	work   chan wire.Message  // unbuffered: a send succeeds only into an idle worker
 	closed atomic.Bool
 	seq    atomic.Uint64
 
@@ -30,6 +42,13 @@ type Mux struct {
 	dead bool
 }
 
+// workersPerProc sizes Serve's workers: four per GOMAXPROCS. On a
+// 2-CPU host (go1.24), `lockstep` allocated 1,243 times per epoch with
+// a goroutine for every request, 159–161 with one worker per GOMAXPROCS
+// and 3.0 with four: a worker that has sent its reply is not yet idle
+// when the next request lands, and several ranks share the processors.
+const workersPerProc = 4
+
 // replyBit marks a message as a reply; without it a node's request to
 // itself (node 0's own barrier arrival) would be routed to its own
 // pending table.
@@ -38,30 +57,22 @@ const replyBit = uint64(1) << 63
 // NewMux builds the request/reply layer over ep; handle serves one
 // request. The caller starts Serve.
 func NewMux(ep Endpoint, handle func(wire.Message)) *Mux {
-	return &Mux{ep: ep, handle: handle, pending: make(map[uint64]chan wire.Message)}
+	return &Mux{ep: ep, handle: handle, work: make(chan wire.Message), pending: make(map[uint64]chan wire.Message)}
 }
 
 // ReplyID is the ReqID that routes an answer to request reqID back to
 // the call that issued it.
 func ReplyID(reqID uint64) uint64 { return reqID | replyBit }
 
-// Expect allocates a cluster-unique request ID (rank in the high bits)
-// and registers the channel its reply arrives on. The channel yields a
-// zero message (Type TInvalid) if the endpoint closes first. Expect
-// returns ErrClosed once Serve has drained the table: send errors are
-// swallowed while a node closes, so a later registration would block
-// its caller forever.
-func (x *Mux) Expect() (uint64, <-chan wire.Message, error) {
-	ch := make(chan wire.Message, 1)
-	id, err := x.register(ch)
-	if err != nil {
-		return 0, nil, err
-	}
-	return id, ch, nil
-}
-
-// register is Expect on a channel the caller supplies.
-func (x *Mux) register(ch chan wire.Message) (uint64, error) {
+// Expect registers ch for the reply to a request the caller sends
+// itself and returns the request's cluster-unique ID (rank in the high
+// bits). Serve sends on ch exactly once, the reply or a zero message
+// (Type TInvalid) if the endpoint closes first, so ch needs a buffer of
+// one, and it is empty again once it has yielded a reply. Expect returns
+// ErrClosed once Serve has drained the table: send errors are swallowed
+// while a node closes, so a later registration would block its caller
+// forever.
+func (x *Mux) Expect(ch chan wire.Message) (uint64, error) {
 	id := uint64(x.ep.ID())<<48 | x.seq.Add(1)
 	x.mu.Lock()
 	defer x.mu.Unlock()
@@ -82,7 +93,7 @@ var replyChans = sync.Pool{New: func() any { return make(chan wire.Message, 1) }
 // Call sends m as a request and blocks for the correlated reply.
 func (x *Mux) Call(m wire.Message) (wire.Message, error) {
 	ch := replyChans.Get().(chan wire.Message)
-	id, err := x.register(ch)
+	id, err := x.Expect(ch)
 	if err != nil {
 		return wire.Message{}, err
 	}
@@ -102,10 +113,14 @@ func (x *Mux) Call(m wire.Message) (wire.Message, error) {
 }
 
 // Serve is the dispatch loop: it runs until the endpoint closes, then
-// wakes every pending call with a zero message and fails later ones.
-// Replies nobody waits for (the call was abandoned) are dropped, their
-// payloads released.
+// wakes every pending call with a zero message, fails later ones and
+// lets its workers exit. Replies nobody waits for (the call was
+// abandoned) are dropped, their payloads released.
 func (x *Mux) Serve() {
+	for range workersPerProc * runtime.GOMAXPROCS(0) {
+		go x.worker()
+	}
+	defer close(x.work)
 	for {
 		m, ok := x.ep.Recv()
 		if !ok {
@@ -119,7 +134,11 @@ func (x *Mux) Serve() {
 			return
 		}
 		if m.ReqID&replyBit == 0 {
-			go x.run(m)
+			select {
+			case x.work <- m:
+			default:
+				go x.run(m)
+			}
 			continue
 		}
 		id := m.ReqID &^ replyBit
@@ -132,6 +151,13 @@ func (x *Mux) Serve() {
 		} else {
 			m.Release()
 		}
+	}
+}
+
+// worker serves the requests Serve hands it until Serve returns.
+func (x *Mux) worker() {
+	for m := range x.work {
+		x.run(m)
 	}
 }
 

@@ -2,8 +2,10 @@ package transport
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/platform"
 	"repro/internal/wire"
@@ -36,13 +38,13 @@ func echoMuxes() (*Mux, func()) {
 
 // TestMuxCallAllocations: a Call round trip over mem endpoints allocates
 // only what the layers under the mux do — the delivered payload of the
-// request and of the reply, and the serving goroutine's closure — and
-// nothing for the reply channel, which Call recycles.
+// request and of the reply — and nothing for the reply channel, which
+// Call recycles, or for serving the request, which an idle worker takes.
 func TestMuxCallAllocations(t *testing.T) {
 	if raceBuild {
 		t.Skip("the race detector's instrumentation allocates, and its sync.Pool drops")
 	}
-	const maxAllocs = 3
+	const maxAllocs = 2
 	x, stop := echoMuxes()
 	defer stop()
 	payload := []byte{1, 2, 3, 4}
@@ -53,6 +55,10 @@ func TestMuxCallAllocations(t *testing.T) {
 		}
 	}
 	call() // fill the slab and channel pools
+	// Let Serve's workers start and park. AllocsPerRun runs on one P, where
+	// the round trip's goroutines hand the processor to each other and a
+	// worker still waiting to run its first time slice can be passed over.
+	time.Sleep(10 * time.Millisecond)
 	got := testing.AllocsPerRun(200, call)
 	t.Logf("%v allocations per Call", got)
 	if got > maxAllocs {
@@ -129,4 +135,70 @@ func TestMuxPooledChannelNoStaleReply(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestMuxCrossCallsNeverWaitForAWorker: a handler may wait for a reply
+// (a grant's fetch continuation, a spill to a peer), and only Serve
+// delivers replies. Each of two muxes gets more concurrent requests
+// than it has workers; each handler waits until all of them have
+// arrived, then Calls the other mux, whose handler answers at once.
+// Were a request queued for a worker, or Serve blocked until one was
+// free, the requests past the workers would never arrive and no handler
+// would finish.
+func TestMuxCrossCallsNeverWaitForAWorker(t *testing.T) {
+	const ask, answer = wire.TJPageReq, wire.TJDiff
+	k := 2*workersPerProc*runtime.GOMAXPROCS(0) + 1
+	c := NewMemCluster(2, platform.Test(), nil, nil)
+	var xs [2]*Mux
+	var arrived [2]sync.WaitGroup
+	for i := range xs {
+		arrived[i].Add(k)
+		xs[i] = NewMux(c.Endpoint(i), func(m wire.Message) {
+			if m.Type == ask {
+				arrived[i].Done()
+				arrived[i].Wait()
+				reply, err := xs[i].Call(wire.Message{Type: answer, To: uint16(1 - i)})
+				if err != nil {
+					t.Errorf("mux %d: a handler's call: %v", i, err)
+				}
+				reply.Release()
+			}
+			m.Release()
+			xs[i].ep.Send(wire.Message{Type: answer, To: m.From, ReqID: ReplyID(m.ReqID)}) //nolint:errcheck // the caller reports a lost reply
+		})
+	}
+	var serving sync.WaitGroup
+	for _, x := range xs {
+		serving.Add(1)
+		go func() {
+			defer serving.Done()
+			x.Serve()
+		}()
+	}
+	defer func() {
+		c.Close()
+		serving.Wait()
+	}()
+	var calls sync.WaitGroup
+	for i, x := range xs {
+		for range k {
+			calls.Add(1)
+			go func() {
+				defer calls.Done()
+				if _, err := x.Call(wire.Message{Type: ask, To: uint16(1 - i)}); err != nil {
+					t.Errorf("mux %d: call: %v", i, err)
+				}
+			}()
+		}
+	}
+	done := make(chan struct{})
+	go func() {
+		calls.Wait()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(20 * time.Second):
+		t.Fatalf("%d requests to each mux, %d workers each: the calls never completed", k, workersPerProc*runtime.GOMAXPROCS(0))
+	}
 }

@@ -796,15 +796,24 @@ func (e *TCPEndpoint) serveConn(conn net.Conn) {
 		}
 		if kind == tcpData {
 			rs.mu.Lock()
-			var m wire.Message
-			done := false
 			if seq == rs.expected {
 				rs.expected++
 				// Feed the read buffer directly: the reassembler copies
 				// whatever it keeps before returning, and buf is not reused
 				// until the next readTCPFrame call.
-				if got, ok, ferr := rs.reasm.Feed(payload); ferr == nil && ok {
-					m, done = got, true
+				if m, ok, ferr := rs.reasm.Feed(payload); ferr == nil && ok {
+					// Deliver before acking: rs.expected has already
+					// advanced, so if the connection dies before the ack
+					// the sender's resend will be discarded as a duplicate.
+					// Deliver under rs.mu: the reader of a replaced
+					// connection may still be draining its buffer
+					// alongside this one, and the inbox must take the
+					// channel's messages in sequence order.
+					if e.counters != nil {
+						e.counters.MsgsRecv.Add(1)
+						e.counters.BytesRecv.Add(int64(wire.EncodedLen(m)))
+					}
+					e.inbox.put(m)
 				}
 			}
 			// seq < expected: resent frame we already processed — count
@@ -814,17 +823,6 @@ func (e *TCPEndpoint) serveConn(conn net.Conn) {
 			// connection.
 			gap := seq > rs.expected
 			rs.mu.Unlock()
-			// Deliver before acking: rs.expected has already advanced, so
-			// if the connection dies before the ack the sender's resend
-			// will be discarded as a duplicate — returning here without
-			// delivering would lose the message forever.
-			if done {
-				if e.counters != nil {
-					e.counters.MsgsRecv.Add(1)
-					e.counters.BytesRecv.Add(int64(wire.EncodedLen(m)))
-				}
-				e.inbox.put(m)
-			}
 			if gap {
 				return
 			}

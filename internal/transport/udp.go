@@ -356,7 +356,9 @@ func NewUDPEndpointDeferred(me, n int, bind string, o UDPOptions) (*UDPEndpoint,
 		e.sendsts[i] = ss
 		e.recvsts[i] = &recvState{ooo: make(map[uint32][]byte), reasm: wire.NewReassembler()}
 	}
-	go e.readLoop()
+	// The read loop's first slab is taken here, so a new endpoint never
+	// takes one from the pool behind its caller's back.
+	go e.readLoop(wire.GetSlab(wire.MaxDatagram)[:wire.MaxDatagram])
 	go e.retransmitLoop()
 	return e, nil
 }
@@ -604,13 +606,13 @@ func parseFlowFrame(buf []byte) (flowFrame, bool) {
 	return f, true
 }
 
-func (e *UDPEndpoint) readLoop() {
+// readLoop reads the socket until Close, starting with slab.
+func (e *UDPEndpoint) readLoop(slab []byte) {
 	defer close(e.readDone)
 	// Every datagram is read into a pooled slab. A data frame's slab is
 	// handed to handleData whole, which releases it once the reassembler
 	// has taken the fragment, and the next read gets a fresh one; any
 	// other datagram leaves the slab for the next read.
-	var slab []byte
 	defer func() { wire.PutSlab(slab) }()
 	consecErrs := 0
 	for {
@@ -985,7 +987,8 @@ func (e *UDPEndpoint) Drain(timeout time.Duration) error {
 // Recv blocks for the next reassembled message.
 func (e *UDPEndpoint) Recv() (wire.Message, bool) { return e.inbox.get() }
 
-// Close shuts the endpoint down.
+// Close shuts the endpoint down. It returns once the read loop has
+// exited and put its slab back.
 func (e *UDPEndpoint) Close() error {
 	e.mu.Lock()
 	if e.closed {
@@ -1007,7 +1010,9 @@ func (e *UDPEndpoint) Close() error {
 		ss.mu.Unlock()
 	}
 	e.inbox.close()
-	return e.conn.Close()
+	err := e.conn.Close()
+	<-e.readDone
+	return err
 }
 
 // FreeLocalAddrs returns n distinct loopback addresses with

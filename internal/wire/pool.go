@@ -12,7 +12,10 @@ package wire
 // allocations and deterministic behaviour at the cluster sizes this
 // runtime targets.
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // largeSlabAllowance is the room the two large classes keep above their
 // power of two, so a message carrying a 256 KiB or 1 MiB object plus a
@@ -58,25 +61,15 @@ var slabClasses [len(slabSizes)]slabClass
 // obvious 0xDB pattern instead of silently reusing freed bytes.
 const slabPoison = 0xDB
 
-var slabPoisonOn bool // guarded by every class mutex? no: set only in tests before use
-var slabPoisonMu sync.Mutex
+// slabPoisonOn is read on every PutSlab, so it is an atomic rather
+// than a flag under a lock.
+var slabPoisonOn atomic.Bool
 
 // SetSlabPoison enables or disables poison-on-release: PutSlab
 // overwrites the full capacity of each returned slab with 0xDB. Tests
 // use it to catch use-after-release aliases; it is racy to toggle
 // while slabs are in flight, so flip it only around quiesced sections.
-func SetSlabPoison(on bool) {
-	slabPoisonMu.Lock()
-	slabPoisonOn = on
-	slabPoisonMu.Unlock()
-}
-
-func poisoning() bool {
-	slabPoisonMu.Lock()
-	on := slabPoisonOn
-	slabPoisonMu.Unlock()
-	return on
-}
+func SetSlabPoison(on bool) { slabPoisonOn.Store(on) }
 
 // GetSlab returns a zero-length buffer with capacity at least n from
 // the slab pool. Release it with PutSlab when the last reference is
@@ -118,7 +111,7 @@ func PutSlab(b []byte) {
 	if ci < 0 {
 		return
 	}
-	if poisoning() {
+	if slabPoisonOn.Load() {
 		full := b[:cp]
 		for i := range full {
 			full[i] = slabPoison

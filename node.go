@@ -246,6 +246,11 @@ type call struct {
 	tc      wire.TraceCtx
 }
 
+// replyChans recycles callAll's reply channels by Mux.Call's rule: a
+// channel goes back only once it has yielded a real reply, never after
+// the drain's zero message, which leaves it to the collector.
+var replyChans = sync.Pool{New: func() any { return make(chan wire.Message, 1) }}
+
 // callAll issues a burst of requests and blocks for every reply, in
 // request order; it is the only way the runtime has more than one
 // request in flight. Each reply is registered with the mux before its
@@ -259,9 +264,10 @@ type call struct {
 // put on the wire is paid for, and a one-request burst costs what rpcT
 // costs. The caller must NOT hold n.mu.
 func (n *Node) callAll(calls []call) []wire.Message {
-	acks := make([]<-chan wire.Message, len(calls))
+	acks := make([]chan wire.Message, len(calls))
 	for i, c := range calls {
-		id, ch, err := n.mux.Expect()
+		ch := replyChans.Get().(chan wire.Message)
+		id, err := n.mux.Expect(ch)
 		if err == nil {
 			err = n.ep.Defer(wire.Message{Type: c.typ, To: uint16(c.to), ReqID: id, Payload: c.payload, Trace: c.tc})
 		}
@@ -280,6 +286,7 @@ func (n *Node) callAll(calls []call) []wire.Message {
 		if replies[i].Type == wire.TInvalid {
 			n.fatalf("lots: rpc %v to node %d: %v", calls[i].typ, calls[i].to, transport.ErrClosed)
 		}
+		replyChans.Put(ch)
 		n.clock.MergeTo(n.arrival(&replies[i]))
 	}
 	return replies
@@ -290,8 +297,8 @@ func (n *Node) reply(req wire.Message, typ wire.Type, payload []byte, at time.Du
 	n.send(int(req.From), typ, transport.ReplyID(req.ReqID), payload, at)
 }
 
-// serve handles one protocol request; the mux runs it in its own
-// goroutine per message, to completion, as the original's SIGIO handler.
+// serve handles one protocol request; the mux runs it on a serve
+// worker, to completion, as the original's SIGIO handler.
 func (n *Node) serve(m wire.Message) {
 	switch m.Type {
 	case wire.TLockReq:

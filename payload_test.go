@@ -116,17 +116,18 @@ func TestReleasedSlabsNeverShowThroughObjects(t *testing.T) {
 // stripes), a steady-state epoch moves about 5 MiB of diffs and fetch
 // replies, in pooled slabs that go back to the pool; the whole process
 // allocates at most maxKiB KiB for it, in at most maxAllocs allocations.
-// On go1.24 it measured 17–57 KiB in 460–467, three runs at a time on
+// On go1.24 it measured 11–24 KiB in 388–397, three runs at a time on
 // two cores included, most of them the UDP transport's per-frame flight
-// records and socket reads. With every delivered single-fragment payload
-// (the sparse stripes' barrier diffs) a heap copy it was 344 KiB in
-// 553–578; with a fresh reply channel per call and a heap slice per UDP
-// drain as well, 651–654 allocations.
+// records and socket reads. With a goroutine started for every request
+// served it was 17–57 KiB in 458–467; with every delivered
+// single-fragment payload (the sparse stripes' barrier diffs) a heap
+// copy as well, 344 KiB in 553–578; with a fresh reply channel per call
+// and a heap slice per UDP drain as well, 651–654 allocations.
 func TestMultiwriterEpochAllocations(t *testing.T) {
 	if raceBuild {
 		t.Skip("the race detector's instrumentation allocates")
 	}
-	const objects, words, ranks, sparseStep, epochs, maxKiB, maxAllocs = 16, 64 << 10, 2, 16, 10, 192, 520
+	const objects, words, ranks, sparseStep, epochs, maxKiB, maxAllocs = 16, 64 << 10, 2, 16, 10, 192, 430
 	cfg := DefaultConfig(ranks)
 	cfg.DMMSize = 64 << 20
 	cfg.Transport = TransportUDP
@@ -186,19 +187,20 @@ func TestMultiwriterEpochAllocations(t *testing.T) {
 // ranks over TCP, 8 locks guarding a 64-word object each, 256 critical
 // sections per rank and a RunBarrier per epoch), the whole process
 // allocates at most maxPerCS times per critical section. On go1.24 it
-// measured 2.44–2.55, three runs at a time on two cores included: what
-// is left is the goroutine closure each request is served in. With a
-// heap copy of each delivered single-fragment payload it was 5.94–6.18;
-// with a fresh TCP frame record, reply channel, payload buffer, section
-// record and diff per message or section as well, 23.9–24.7; and when
-// each section also built two maps, allocated a fresh twin and copied
-// and sorted its scope set twice, 36.5–36.7. The bound has not been
-// measured on go1.23.
+// measured 0.00–0.11, three runs at a time on two cores included: what
+// is left is a goroutine for a request that found no serve worker idle.
+// With a goroutine started for every request served it was 2.44–2.58;
+// with a heap copy of each delivered single-fragment payload as well,
+// 5.94–6.18; with a fresh TCP frame record, reply channel, payload
+// buffer, section record and diff per message or section as well,
+// 23.9–24.7; and when each section also built two maps, allocated a
+// fresh twin and copied and sorted its scope set twice, 36.5–36.7. The
+// bound has not been measured on go1.23.
 func TestLockstepEpochAllocations(t *testing.T) {
 	if raceBuild {
 		t.Skip("the race detector's instrumentation allocates")
 	}
-	const locks, words, ranks, cs, epochs, maxPerCS = 8, 64, 2, 256, 8, 2.7
+	const locks, words, ranks, cs, epochs, maxPerCS = 8, 64, 2, 256, 8, 0.5
 	cfg := DefaultConfig(ranks)
 	cfg.DMMSize = 64 << 20
 	cfg.Transport = TransportTCP
@@ -328,16 +330,18 @@ func TestReleasedGrantsNeverShowThroughObjects(t *testing.T) {
 // over mem, two 1024² matrices striped by rows, a relax a→b, a barrier,
 // a relax b→a, a barrier per epoch), a steady-state epoch allocates at
 // most maxKiB KiB in at most maxAllocs allocations across the whole
-// process. On go1.24 it measured 3.2–3.6 KiB in 9.7–13.3, three runs at
-// a time on two cores included: the goroutine closure each request is
-// served in, and a fetch that arrives ahead of its home's epoch parked.
-// With every delivered single-fragment payload a heap copy and the
-// barrier's slices and payloads fresh each time, it was 268.5 KiB in 61.5.
+// process. On go1.24 it measured 2.5–2.8 KiB in 0.8–5.0, three runs at
+// a time on two cores included: a fetch that arrives ahead of its home's
+// epoch parked, and a goroutine for a request that found no serve worker
+// idle. With a goroutine started for every request served it was
+// 3.1–3.6 KiB in 9.2–13.3; with every delivered single-fragment payload
+// a heap copy and the barrier's slices and payloads fresh each time as
+// well, 268.5 KiB in 61.5.
 func TestStencilEpochAllocations(t *testing.T) {
 	if raceBuild {
 		t.Skip("the race detector's instrumentation allocates")
 	}
-	const dim, ranks, epochs, maxKiB, maxAllocs = 1024, 2, 20, 6, 16
+	const dim, ranks, epochs, maxKiB, maxAllocs = 1024, 2, 20, 6, 8
 	cfg := DefaultConfig(ranks)
 	cfg.DMMSize = 64 << 20 // both grids resident, as in the workload
 	c := mustCluster(t, cfg)

@@ -230,7 +230,7 @@ func TestRegressionReplyRegistrationAfterClose(t *testing.T) {
 	}
 	n := c.Node(0)
 	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
-		if _, _, err := n.mux.Expect(); err != nil {
+		if _, err := n.mux.Expect(make(chan wire.Message, 1)); err != nil {
 			break
 		}
 		if time.Now().After(deadline) {
