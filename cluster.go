@@ -200,6 +200,11 @@ func (c *Cluster) Config() Config { return c.cfg }
 // Close shuts down transports and backing stores.
 func (c *Cluster) Close() {
 	c.closeOnce.Do(func() {
+		// No rank may see a peer's endpoint closed before it is marked
+		// closing itself, or a reply it sends in that window fails it.
+		for _, n := range c.nodes {
+			n.mux.MarkClosed()
+		}
 		if c.mem != nil {
 			c.mem.Close()
 		}

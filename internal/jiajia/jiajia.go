@@ -154,6 +154,11 @@ func (c *Cluster) ResetClocks() {
 func (c *Cluster) Close() error {
 	var errs []error
 	c.once.Do(func() {
+		// Every node is marked closing before any endpoint closes, so
+		// a reply sent to a closed peer is part of the shutdown.
+		for _, n := range c.nodes {
+			n.mux.MarkClosed()
+		}
 		c.mem.Close()
 		for _, n := range c.nodes {
 			if err := n.mux.Close(); err != nil {

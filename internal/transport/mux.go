@@ -47,6 +47,9 @@ type Mux struct {
 // a goroutine for every request, 159–161 with one worker per GOMAXPROCS
 // and 3.0 with four: a worker that has sent its reply is not yet idle
 // when the next request lands, and several ranks share the processors.
+// That sizing is measured only on the in-process workloads, where every
+// rank's Mux shares one process's GOMAXPROCS. With one rank per process
+// (lotslaunch) it is unmeasured; there an idle worker costs its stack.
 const workersPerProc = 4
 
 // replyBit marks a message as a reply; without it a node's request to
@@ -185,9 +188,16 @@ func (x *Mux) recoverClosed() {
 	}
 }
 
+// MarkClosed marks the node closing without closing its endpoint. A
+// cluster whose ranks share one process marks every rank before it
+// closes any endpoint: a rank still answering a peer whose endpoint has
+// closed is then part of the shutdown, and its failed send is swallowed
+// instead of failing the process.
+func (x *Mux) MarkClosed() { x.closed.Store(true) }
+
 // Close marks the node closing and closes the endpoint under it.
 func (x *Mux) Close() error {
-	x.closed.Store(true)
+	x.MarkClosed()
 	return x.ep.Close()
 }
 

@@ -3,6 +3,7 @@ package transport
 import (
 	"errors"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -55,15 +56,44 @@ func TestMuxCallAllocations(t *testing.T) {
 		}
 	}
 	call() // fill the slab and channel pools
-	// Let Serve's workers start and park. AllocsPerRun runs on one P, where
-	// the round trip's goroutines hand the processor to each other and a
-	// worker still waiting to run its first time slice can be passed over.
-	time.Sleep(10 * time.Millisecond)
+	// Wait until every worker of both muxes waits in its receive.
+	// AllocsPerRun runs on one P, where the round trip's goroutines hand
+	// the processor to each other and a worker still waiting to run its
+	// first time slice can be passed over.
+	want := 2 * workersPerProc * runtime.GOMAXPROCS(0)
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		idle, busy := serveWorkers()
+		if idle >= want && busy == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d serve workers idle and %d not, want %d idle", idle, busy, want)
+		}
+	}
 	got := testing.AllocsPerRun(200, call)
 	t.Logf("%v allocations per Call", got)
 	if got > maxAllocs {
 		t.Errorf("a Call round trip allocates %v times, want at most %d", got, maxAllocs)
 	}
+}
+
+// serveWorkers counts the serve workers in the process that wait in
+// their receive, and the ones that do not: not started yet, or serving.
+func serveWorkers() (idle, busy int) {
+	buf := make([]byte, 1<<20)
+	for runtime.Stack(buf, true) == len(buf) { // truncated: grow it
+		buf = make([]byte, 2*len(buf))
+	}
+	for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+		switch {
+		case !strings.Contains(g, "(*Mux).worker("):
+		case strings.Contains(g, " [chan receive") && !strings.Contains(g, "(*Mux).run("):
+			idle++
+		default:
+			busy++
+		}
+	}
+	return idle, busy
 }
 
 // stalledEndpoint's Send waits for release to close and then fails, so

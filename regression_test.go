@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/jiajia"
+	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
@@ -254,6 +255,42 @@ func TestRegressionReplyRegistrationAfterClose(t *testing.T) {
 			}
 		case <-time.After(10 * time.Second):
 			t.Errorf("%s on a closed endpoint blocks", name)
+		}
+	}
+}
+
+// TestRegressionCloseMarksEveryRankFirst: Cluster.Close marks every rank
+// closing before it closes any endpoint. A handler's send that fails on
+// a closed peer while its own rank still counts as running fails the
+// process (sendT's fatalf, re-raised by the mux), and a reply can be in
+// flight at any moment of Close. The last rank sends to rank 0 until a
+// send fails and then looks at its own mark; closing the interconnect
+// first, that window opened in 92 of 200 runs.
+func TestRegressionCloseMarksEveryRankFirst(t *testing.T) {
+	const ranks = 8
+	for i := range 50 {
+		c, err := NewCluster(DefaultConfig(ranks))
+		if err != nil {
+			t.Fatal(err)
+		}
+		last := c.Node(ranks - 1)
+		sending, marked := make(chan struct{}), make(chan bool)
+		go func() {
+			for first := true; ; first = false {
+				// A reply nobody waits for: rank 0's mux drops it.
+				if err := last.ep.Send(wire.Message{Type: wire.TObjFetchReply, To: 0, ReqID: transport.ReplyID(1 << 40)}); err != nil {
+					marked <- last.mux.Closed()
+					return
+				}
+				if first {
+					close(sending) // Close starts once the sends go through
+				}
+			}
+		}()
+		<-sending
+		c.Close()
+		if !<-marked {
+			t.Fatalf("run %d: a send to a closed rank failed before the sender was marked closing", i)
 		}
 	}
 }
